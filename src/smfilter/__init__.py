@@ -55,7 +55,6 @@ from .harness import (
     sweep_sigma,
 )
 from .mvee import (
-    LiftedPoint,
     MveeSolution,
     SimplexWeights,
     dual_objective,

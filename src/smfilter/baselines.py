@@ -5,7 +5,7 @@ bounds by a sampled bound on the linearization remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,8 +250,8 @@ def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
     z = y - np.atleast_1d(model.h(c)) + jac @ c
     meas = Ellipsoid(z, r_eff)
     params = optimize_rho(e_pred, meas, jac, size_criterion)
-    center, shape, delta = fuse(e_pred, meas, jac, params.rho)
-    return Ellipsoid(center, shape), replace(params, delta=delta)
+    center, shape, _ = fuse(e_pred, meas, jac, params.rho)
+    return Ellipsoid(center, shape), params
 
 
 def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,

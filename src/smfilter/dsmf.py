@@ -4,8 +4,9 @@ Prediction covers the nonlinear image of the current state ellipsoid with a
 sampled enclosing-ellipsoid solve, then adds the process-noise bound through
 the parametric covering sum.  The measurement update encloses the
 inverse-measurement set the same way and fuses it with the prediction using
-the classical linear set-membership update, with the mixing parameter rho
-chosen by a one-dimensional golden-section search.
+the classical linear set-membership update, written on one joint
+diagonalisation per update, with the mixing parameter rho chosen by a
+one-dimensional golden-section search on the closed-form fused size.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class SystemModel:
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
 
-    @property
-    def proj_dim(self) -> int:
-        return self.E_p.shape[0]
-
 
 @dataclass(frozen=True)
 class FilterOptions:
@@ -133,7 +130,6 @@ class StepRecord:
     params: FusionParams
     solver_stats: tuple
     elapsed: float
-    contains_truth: bool | None = None
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float,
@@ -230,75 +226,90 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     return sol.ellipsoid, sol
 
 
+def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
+    """The fusion problem on one joint diagonalisation, shared by every rho.
+
+    With L = chol(P), M = chol(P_z), the SVD M^{-1} E_p L = V diag(s) U^T
+    and h = V^T M^{-1} (z - E_p x), s and h zero-padded to length n (E_p
+    has r <= n rows), returns (L U, s h, at_rho): at_rho(rho) gives delta
+    and the scales d_i = 1 - rho + rho s_i^2 for a scalar rho or an array
+    of them (delta then has the shape of rho, d one more axis).
+    """
+    e_p = np.atleast_2d(np.asarray(e_p, dtype=float))
+    n, r = pred.dim, meas.dim
+    if e_p.shape != (r, n) or r > n:
+        raise ValueError(f"E_p is {e_p.shape}, expected ({r}, {n}) with {r} <= {n}")
+    chol_p = pred.factor()
+    chol_z = meas.factor()
+    v, s, ut = np.linalg.svd(np.linalg.solve(chol_z, e_p @ chol_p))
+    h = v.T @ np.linalg.solve(chol_z, meas.center - e_p @ pred.center)
+    s, h = np.pad(s, (0, n - r)), np.pad(h, (0, n - r))
+
+    def at_rho(rho):
+        rho = np.asarray(rho, dtype=float)[..., None]
+        d = 1.0 - rho + rho * s**2
+        return (rho * (1.0 - rho) * h**2 / d).sum(axis=-1), d
+
+    return chol_p @ ut.T, s * h, at_rho
+
+
 def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
          rho: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """One linear set-membership fusion of a prediction with a measurement
-    ellipsoid living in the projected space z = E_p x.
+    """One linear set-membership fusion of a prediction {x, P} with a
+    measurement ellipsoid {z, P_z} living in the projected space z = E_p x.
 
-    Returns (center, shape, delta) of the fused ellipsoid:
+    Returns (center, shape, delta) of the fused ellipsoid.  On the joint
+    diagonalisation of _joint_diag, with d_i = 1 - rho + rho s_i^2,
 
-        G       = E_p P/(1-rho) E_p^T + P_z/rho
-        center  = x + P/(1-rho) E_p^T G^{-1} (z - E_p x)
-        delta   = (z - E_p x)^T G^{-1} (z - E_p x)
-        shape   = (1-delta) [(1-rho) P^{-1} + rho E_p^T P_z^{-1} E_p]^{-1}
+        delta   = rho (1-rho) sum_i h_i^2 / d_i
+        center  = x + rho L U diag(1/d) (s h)
+        shape   = (1-delta) L U diag(1/d) (L U)^T
 
-    delta >= 1 means the two sets cannot intersect and raises
-    EmptyIntersectionError.
+    which is the classical (1-delta) [(1-rho) P^{-1} + rho E_p^T P_z^{-1}
+    E_p]^{-1} with no matrix inverted: every d_i is positive.  delta >= 1
+    means the two sets cannot intersect and raises EmptyIntersectionError.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    e_p = np.atleast_2d(np.asarray(e_p, dtype=float))
-    p = pred.shape
-    p_z = meas.shape
-    if e_p.shape != (meas.dim, pred.dim):
-        raise ValueError(
-            f"E_p is {e_p.shape}, expected ({meas.dim}, {pred.dim})"
-        )
-    p_scaled = p / (1.0 - rho)
-    gram = symmetrize(e_p @ p_scaled @ e_p.T + p_z / rho)
-    chol_g, gram = spd_cholesky(gram, what="fusion gram matrix")
-    innov = meas.center - e_p @ pred.center
-    sol = np.linalg.solve(chol_g.T, np.linalg.solve(chol_g, innov))
-    delta = float(innov @ sol)
+    basis, gain, at_rho = _joint_diag(pred, meas, e_p)
+    delta, d = at_rho(rho)
+    delta = float(delta)
     if delta >= 1.0:
         raise EmptyIntersectionError(
             f"prediction and measurement sets are disjoint (delta={delta:.6g})",
             delta=delta,
         )
-    center = pred.center + p_scaled @ e_p.T @ sol
-    p_inv = np.linalg.inv(p)
-    pz_inv = np.linalg.inv(p_z)
-    bracket = symmetrize((1.0 - rho) * p_inv + rho * e_p.T @ pz_inv @ e_p)
-    _, bracket = spd_cholesky(bracket, what="fusion information matrix")
-    shape = symmetrize((1.0 - delta) * np.linalg.inv(bracket))
+    center = pred.center + rho * (basis @ (gain / d))
+    shape = symmetrize((1.0 - delta) * (basis / d) @ basis.T)
     return center, shape, delta
-
-
-def _size(shape: np.ndarray, criterion: str) -> float:
-    if criterion == "logdet":
-        sign, val = np.linalg.slogdet(shape)
-        return val if sign > 0 else np.inf
-    return float(np.trace(shape))
 
 
 def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
                  size_criterion: str = "trace") -> FusionParams:
     """Pick the fusion weight minimizing the fused-ellipsoid size.
 
-    The objective is evaluated on a coarse bracketing grid first (delta >= 1
-    can carve infeasible sub-intervals out of (0, 1)), then refined with
-    golden-section search to absolute tolerance 1e-6.
+    On the joint diagonalisation of fuse the size is a sum of scalars:
+    trace = (1-delta) sum_i a_i / d_i with a_i = ||L u_i||^2, logdet =
+    n log(1-delta) - sum_i log d_i + logdet P (a constant, left out).  It
+    is evaluated on a coarse bracketing grid first (delta >= 1 can carve
+    infeasible sub-intervals out of (0, 1)), then refined with golden-section
+    search to RHO_TOL.  The returned delta is the one fuse gives at the
+    chosen rho.
     """
+    basis, _, at_rho = _joint_diag(pred, meas, e_p)
+    a = (basis * basis).sum(axis=0)
 
-    def objective(rho: float) -> float:
-        try:
-            _, shape, _ = fuse(pred, meas, e_p, rho)
-        except EmptyIntersectionError:
-            return np.inf
-        return _size(shape, size_criterion)
+    def size(rho):
+        delta, d = at_rho(rho)
+        if size_criterion == "logdet":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
+        else:
+            val = (1.0 - delta) * (a / d).sum(axis=-1)
+        return np.where(delta < 1.0, val, np.inf)
 
     grid = np.linspace(RHO_EDGE, 1.0 - RHO_EDGE, 65)
-    vals = np.array([objective(r) for r in grid])
+    vals = size(grid)
     if not np.any(np.isfinite(vals)):
         raise EmptyIntersectionError(
             "every fusion weight gives delta >= 1; prediction and "
@@ -308,11 +319,10 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     j = int(np.argmin(vals))
     lo = grid[max(j - 1, 0)]
     hi = grid[min(j + 1, grid.size - 1)]
-    rho = golden_section(objective, lo, hi, tol=RHO_TOL)
-    if not np.isfinite(objective(rho)):  # pragma: no cover - edge of bracket
+    rho = golden_section(size, lo, hi, tol=RHO_TOL)
+    if not np.isfinite(size(rho)):  # pragma: no cover - edge of bracket
         rho = grid[j]
-    _, _, delta = fuse(pred, meas, e_p, rho)
-    return FusionParams(rho=float(rho), delta=delta)
+    return FusionParams(rho=float(rho), delta=float(at_rho(rho)[0]))
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
@@ -328,7 +338,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
     meas, sol_meas = measurement_ellipsoid(y, model, aux, opts, rng)
     try:
         params = optimize_rho(predicted, meas, model.E_p, opts.size_criterion)
-        center, shape, delta = fuse(predicted, meas, model.E_p, params.rho)
+        center, shape, _ = fuse(predicted, meas, model.E_p, params.rho)
     except EmptyIntersectionError as err:
         raise EmptyIntersectionError(
             f"step {k}: {err}", delta=err.delta
@@ -341,7 +351,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         predicted=predicted,
         measurement=meas,
         updated=updated,
-        params=replace(params, delta=delta, p_star=p_star),
+        params=replace(params, p_star=p_star),
         solver_stats=(sol_pred.stats(), sol_meas.stats()),
         elapsed=elapsed,
     )

@@ -26,7 +26,7 @@ from .dsmf import FilterOptions, predict, step
 from .ellipsoid import Ellipsoid, contains, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
-from .scenarios import build_model, build_scenario, initial_estimate, simulate_truth
+from .scenarios import RangeBearing, build_model, build_scenario, initial_estimate, simulate_truth
 
 KNOWN_FILTERS = ("dsmf", "esmf", "ukf")
 CONTAINMENT_SLACK = 1e-6
@@ -493,39 +493,23 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
     updates are applied; the mean posterior logdet over the replicates is
     recorded.
     """
-    from .baselines import add_remainder, remainder_bound_h
-    from .dsmf import fuse, measurement_ellipsoid, optimize_rho
+    from .baselines import esmf_update
+    from .dsmf import SystemModel, fuse, measurement_ellipsoid, optimize_rho
 
     results = []
     prior_center = np.array([10.0, 20.0])
     r_shape = np.diag([10.0, 1.0])
-
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack(
-            [np.hypot(x[..., 0], x[..., 1]),
-             np.arctan2(x[..., 1], x[..., 0])], axis=-1
-        )
-
-    def h_jac(x):
-        dx, dy = x[0], x[1]
-        rho2 = dx * dx + dy * dy
-        rho = np.sqrt(rho2)
-        return np.array([[dx / rho, dy / rho], [-dy / rho2, dx / rho2]])
+    sensor = RangeBearing((0.0, 0.0))
 
     def h_inv(y, v, aux):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        rng_val = y[0] - v[:, 0]
-        ang = y[1] - v[:, 1]
-        return np.stack([rng_val * np.cos(ang), rng_val * np.sin(ang)], axis=-1)
-
-    from .dsmf import SystemModel
+        return sensor.invert(y, v, y[1] - v[:, 1])
 
     model = SystemModel(
         state_dim=2, meas_dim=2,
-        f=lambda x, k: x, h=h, h_inv=h_inv,
+        f=lambda x, k: x, h=sensor.measure, h_inv=h_inv,
         E_p=np.eye(2), Q=1e-9 * np.eye(2), R=r_shape,
-        h_jac=h_jac,
+        h_jac=sensor.jacobian,
     )
     opts = FilterOptions(m_samples=m_samples, tol=tol, size_criterion="logdet")
     v_ball = Ellipsoid(np.zeros(2), r_shape)
@@ -537,20 +521,15 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
             rng = np.random.default_rng([master_seed, int(round(100 * sigma)), rep])
             x_true = sample_interior(prior, 1, rng).points[0]
             v_true = sample_interior(v_ball, 1, rng).points[0]
-            y = h(x_true) + v_true
+            y = sensor.measure(x_true) + v_true
             # Enclosing-set update.
             meas, _ = measurement_ellipsoid(y, model, None, opts, rng)
             params = optimize_rho(prior, meas, np.eye(2), "logdet")
             _, shape, _ = fuse(prior, meas, np.eye(2), params.rho)
             ld_new.append(_logdet(shape))
             # Linearizing update.
-            jac = h_jac(prior_center)
-            r_eff = add_remainder(r_shape, remainder_bound_h(prior, model, rng))
-            z = y - h(prior_center) + jac @ prior_center
-            meas_lin = Ellipsoid(z, r_eff)
-            params = optimize_rho(prior, meas_lin, jac, "logdet")
-            _, shape, _ = fuse(prior, meas_lin, jac, params.rho)
-            ld_lin.append(_logdet(shape))
+            updated, _ = esmf_update(prior, model, y, 0, rng, "logdet")
+            ld_lin.append(_logdet(updated.shape))
         results.append({
             "sigma": float(sigma),
             "dsmf_logdet": float(np.mean(ld_new)),

@@ -23,24 +23,8 @@ from .ellipsoid import Ellipsoid, PointCloud, symmetrize
 from .errors import RankDeficiencyError
 
 DEFAULT_TOL = 1e-7
-# Containment checks on solver output allow this multiple of the solve tol
-# (the convergence certificate guarantees quadratic forms <= 1 + 2 tol).
-CONTAINMENT_SLACK_FACTOR = 10.0
 # Refresh M^{-1} and kappa from scratch this often to cap rank-one drift.
 _REFRESH_EVERY = 512
-
-
-@dataclass(frozen=True)
-class LiftedPoint:
-    """A point y together with its homogeneous lift [y^T, 1]^T."""
-
-    y: np.ndarray
-    lifted: np.ndarray
-
-    @classmethod
-    def from_point(cls, y: np.ndarray) -> "LiftedPoint":
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return cls(y=y, lifted=np.concatenate([y, [1.0]]))
 
 
 def lift(points: np.ndarray) -> np.ndarray:
@@ -74,17 +58,21 @@ class SolveStats:
     iterations: int
     duality_gap: float
     converged: bool
+    coverage_scale: float
 
 
 @dataclass(frozen=True)
 class MveeSolution:
     """Solver output: the enclosing ellipsoid plus dual diagnostics.
 
-    `ellipsoid.shape` is n * raw_shape so that the cloud satisfies the
-    quadratic form <= 1 convention used everywhere else; `raw_shape` is the
-    weighted second moment sum_i mu_i y_i y_i^T - c c^T as produced by the
-    dual weights.  `objective_path` holds the dual objective after each
-    iteration (index 0 is the starting value)."""
+    `ellipsoid.shape` is coverage_scale * n * raw_shape so that the cloud
+    satisfies the quadratic form <= 1 convention used everywhere else;
+    `raw_shape` is the weighted second moment sum_i mu_i y_i y_i^T - c c^T
+    as produced by the dual weights.  coverage_scale is 1.0 for a converged
+    solve, whose certificate bounds every quadratic form q_i by 1 + 2 tol,
+    and max(1, max_i q_i) for one stopped at max_iter, which has no bound.
+    `objective_path` holds the dual objective after each iteration (index
+    0 is the starting value)."""
 
     ellipsoid: Ellipsoid
     weights: SimplexWeights
@@ -93,9 +81,11 @@ class MveeSolution:
     converged: bool
     raw_shape: np.ndarray
     objective_path: np.ndarray
+    coverage_scale: float
 
     def stats(self) -> SolveStats:
-        return SolveStats(self.iterations, self.duality_gap, self.converged)
+        return SolveStats(self.iterations, self.duality_gap, self.converged,
+                          self.coverage_scale)
 
 
 def _as_points(points) -> np.ndarray:
@@ -201,7 +191,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
     max_iter : iteration cap, default 100 * m
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
-    reached.  Clouds that do not affinely span get one isotropic jitter of
+    reached, in which case the shape is scaled up to cover every point.
+    Clouds that do not affinely span get one isotropic jitter of
     magnitude 1e-9 * diameter added to the initial moment matrix; if that is
     still singular a RankDeficiencyError carrying the rank is raised.
     """
@@ -371,6 +362,10 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
     second = pts.T @ (mu[:, None] * pts) - np.outer(center, center)
     second = symmetrize(second)
     ellipsoid = Ellipsoid(center, n * second)
+    coverage_scale = 1.0
+    if not converged:
+        coverage_scale = max(1.0, float(np.max(ellipsoid.quadratic_form(pts))))
+        ellipsoid = Ellipsoid(center, coverage_scale * n * second)
     return MveeSolution(
         ellipsoid=ellipsoid,
         weights=SimplexWeights(mu),
@@ -379,6 +374,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         converged=converged,
         raw_shape=second,
         objective_path=np.asarray(path),
+        coverage_scale=coverage_scale,
     )
 
 

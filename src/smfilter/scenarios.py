@@ -17,6 +17,41 @@ from .errors import MeasurementDomainError
 
 
 @dataclass(frozen=True)
+class RangeBearing:
+    """Range and atan2 bearing of the planar positions x[..., :2] seen from
+    an origin: the measurement, its 2x2 Jacobian, and the polar inverse."""
+
+    origin: tuple[float, float]
+
+    def measure(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        dx = x[..., 0] - self.origin[0]
+        dy = x[..., 1] - self.origin[1]
+        return np.stack([np.hypot(dx, dy), np.arctan2(dy, dx)], axis=-1)
+
+    def jacobian(self, x) -> np.ndarray:
+        dx = x[0] - self.origin[0]
+        dy = x[1] - self.origin[1]
+        rho2 = dx * dx + dy * dy
+        rho = np.sqrt(rho2)
+        return np.array([[dx / rho, dy / rho], [-dy / rho2, dx / rho2]])
+
+    def invert(self, y, v: np.ndarray, bearing) -> np.ndarray:
+        """Positions at ranges y[0] - v[:, 0] and the given bearings; a
+        negative range raises MeasurementDomainError naming its noise row."""
+        rng_val = y[0] - v[:, 0]
+        if np.any(rng_val < 0.0):
+            bad = v[int(np.argmax(rng_val < 0.0))]
+            raise MeasurementDomainError(
+                f"negative range {rng_val.min():.6g} after subtracting noise "
+                f"sample {bad}",
+                sample=bad,
+            )
+        return np.stack([rng_val * np.cos(bearing) + self.origin[0],
+                         rng_val * np.sin(bearing) + self.origin[1]], axis=-1)
+
+
+@dataclass(frozen=True)
 class RadarScenario:
     """Constant-velocity target tracked by a range/bearing sensor.
 
@@ -120,7 +155,7 @@ def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
     the position components."""
     sc = scenario or RadarScenario()
     f_mat = sc.F
-    a, b = sc.sensor
+    sensor = RangeBearing(sc.sensor)
 
     def f(x, k):
         return np.asarray(x, dtype=float) @ f_mat.T
@@ -128,39 +163,16 @@ def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
     def f_jac(x, k):
         return f_mat
 
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        dx = x[..., 0] - a
-        dy = x[..., 1] - b
-        return np.stack([np.hypot(dx, dy), np.arctan2(dy, dx)], axis=-1)
-
     def h_jac(x):
-        x = np.asarray(x, dtype=float)
-        dx = x[0] - a
-        dy = x[1] - b
-        rho2 = dx * dx + dy * dy
-        rho = np.sqrt(rho2)
-        return np.array([
-            [dx / rho, dy / rho, 0.0, 0.0],
-            [-dy / rho2, dx / rho2, 0.0, 0.0],
-        ])
+        return np.hstack([sensor.jacobian(x), np.zeros((2, 2))])
 
     def h_inv(y, v, aux):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        rng_val = y[0] - v[:, 0]
-        if np.any(rng_val < 0.0):
-            bad = v[int(np.argmax(rng_val < 0.0))]
-            raise MeasurementDomainError(
-                f"negative range {rng_val.min():.6g} after subtracting noise "
-                f"sample {bad}",
-                sample=bad,
-            )
-        ang = y[1] - v[:, 1]
-        return np.stack([rng_val * np.cos(ang) + a, rng_val * np.sin(ang) + b], axis=-1)
+        return sensor.invert(y, v, y[1] - v[:, 1])
 
     e_p = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return SystemModel(
-        state_dim=4, meas_dim=2, f=f, h=h, h_inv=h_inv,
+        state_dim=4, meas_dim=2, f=f, h=sensor.measure, h_inv=h_inv,
         E_p=e_p, Q=sc.Q, R=sc.R, f_jac=f_jac, h_jac=h_jac,
     )
 
@@ -173,7 +185,7 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
     heading, which the filter bounds by the predicted heading interval.
     """
     sc = scenario or RobotScenario()
-    sx, sy = sc.landmark
+    landmark = RangeBearing(sc.landmark)
     ratio = sc.u_p / sc.u_r
     dtheta = sc.T0 * sc.u_r
 
@@ -194,36 +206,19 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
 
     def h(x):
         x = np.asarray(x, dtype=float)
-        dx = x[..., 0] - sx
-        dy = x[..., 1] - sy
-        return np.stack(
-            [np.hypot(dx, dy), x[..., 2] - np.arctan2(dy, dx)], axis=-1
-        )
+        out = landmark.measure(x)
+        out[..., 1] = x[..., 2] - out[..., 1]
+        return out
 
     def h_jac(x):
-        dx = x[0] - sx
-        dy = x[1] - sy
-        rho2 = dx * dx + dy * dy
-        rho = np.sqrt(rho2)
-        return np.array([
-            [dx / rho, dy / rho, 0.0],
-            [dy / rho2, -dx / rho2, 1.0],
-        ])
+        jac = landmark.jacobian(x)
+        jac[1] *= -1.0
+        return np.hstack([jac, [[0.0], [1.0]]])
 
     def h_inv(y, v, aux):
         v = np.atleast_2d(np.asarray(v, dtype=float))
         (theta,) = aux
-        theta = np.asarray(theta, dtype=float)
-        rng_val = y[0] - v[:, 0]
-        if np.any(rng_val < 0.0):
-            bad = v[int(np.argmax(rng_val < 0.0))]
-            raise MeasurementDomainError(
-                f"negative range {rng_val.min():.6g} after subtracting noise "
-                f"sample {bad}",
-                sample=bad,
-            )
-        ang = theta - y[1] - v[:, 1]
-        return np.stack([rng_val * np.cos(ang) + sx, rng_val * np.sin(ang) + sy], axis=-1)
+        return landmark.invert(y, v, np.asarray(theta, dtype=float) - y[1] - v[:, 1])
 
     def aux_from_predicted(pred: Ellipsoid) -> np.ndarray:
         theta_hat = pred.center[2]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smfilter import baselines, dsmf
 from smfilter.baselines import (
     GaussianBelief,
     RemainderBound,
@@ -198,6 +199,22 @@ class TestEsmf:
         center, shape, _ = fuse(pred, Ellipsoid(y, r), h_mat, params.rho)
         np.testing.assert_allclose(updated.center, center, atol=1e-10)
         np.testing.assert_allclose(updated.shape, shape, atol=1e-10)
+
+    def test_one_fuse_call_per_update(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fuse(*args)
+
+        monkeypatch.setattr(dsmf, "fuse", counted)
+        monkeypatch.setattr(baselines, "fuse", counted)
+        rng = np.random.default_rng(9)
+        h_mat = np.array([[1.0, 0.0]])
+        model = linear_model(np.eye(2), h_mat, 0.01 * np.eye(2), 0.1 * np.eye(1))
+        pred = Ellipsoid([0.0, 0.0], np.eye(2))
+        esmf_update(pred, model, np.array([0.2]), 0, rng)
+        assert len(calls) == 1
 
     def test_nonlinear_step_runs_and_contains(self):
         # Mildly quadratic dynamics: the remainder inflation keeps the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smfilter import dsmf
 from smfilter.dsmf import (
     FilterOptions,
     SystemModel,
@@ -24,6 +25,19 @@ from smfilter.errors import EmptyIntersectionError, MeasurementDomainError
 def random_spd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return symmetrize(a @ a.T + n * scale * np.eye(n))
+
+
+def reference_fuse(pred, meas, e_p, rho):
+    """The fusion in matrix form: the gram matrix G, two inverses and the
+    information bracket, without the joint diagonalisation."""
+    p, p_z = pred.shape, meas.shape
+    gram = e_p @ p @ e_p.T / (1.0 - rho) + p_z / rho
+    innov = meas.center - e_p @ pred.center
+    sol = np.linalg.solve(gram, innov)
+    delta = float(innov @ sol)
+    center = pred.center + p @ e_p.T @ sol / (1.0 - rho)
+    bracket = (1.0 - rho) * np.linalg.inv(p) + rho * e_p.T @ np.linalg.inv(p_z) @ e_p
+    return center, (1.0 - delta) * np.linalg.inv(bracket), delta
 
 
 def linear_model(n=2, e_p=None, q_scale=1e-2, r_scale=1e-2):
@@ -237,8 +251,52 @@ class TestFuse:
         assert inter.shape[0] >= 1000
         assert contains(fused, inter[:1000], 1e-9).all()
 
+    # E_p: a selector with r < n, a square one, and the radar range/bearing
+    # Jacobian as the linearizing filter passes it.
+    @pytest.mark.parametrize("e_p", [
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        np.eye(3)[[2]],
+        np.eye(2),
+        np.array([[-0.6, -0.8, 0.0, 0.0], [0.0016, -0.0012, 0.0, 0.0]]),
+    ])
+    @pytest.mark.parametrize("rho", [1e-6, 0.3, 0.7, 1.0 - 1e-6])
+    def test_matches_matrix_reference(self, e_p, rho):
+        # The reference inverts the information bracket, whose condition
+        # number grows like 1/rho and 1/(1 - rho): at the rho edges it
+        # loses up to ~1e6 * eps * cond(P) * cond(P_z) ~ 1e-7 relative.
+        rng = np.random.default_rng(16)
+        r, n = e_p.shape
+        for _ in range(20):
+            witness = rng.standard_normal(n)
+            pred = Ellipsoid(witness + 0.2 * rng.standard_normal(n), random_spd(rng, n))
+            meas = Ellipsoid(e_p @ witness + 0.01 * rng.standard_normal(r),
+                             np.abs(e_p).max() ** 2 * random_spd(rng, r))
+            center, shape, delta = fuse(pred, meas, e_p, rho)
+            want_c, want_s, want_d = reference_fuse(pred, meas, e_p, rho)
+            np.testing.assert_allclose(shape, want_s, rtol=0, atol=1e-6 * np.abs(want_s).max())
+            np.testing.assert_allclose(center, want_c, rtol=0, atol=1e-9 * np.abs(want_c).max())
+            assert delta == pytest.approx(want_d, rel=1e-9, abs=1e-14)
+
+    def test_rejects_more_rows_than_columns(self):
+        pred = Ellipsoid([0.0], [[1.0]])
+        meas = Ellipsoid([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError):
+            fuse(pred, meas, [[1.0], [1.0]], 0.5)
+
 
 class TestOptimizeRho:
+    @pytest.mark.parametrize("criterion", ["trace", "logdet"])
+    def test_delta_is_the_fused_delta(self, criterion):
+        rng = np.random.default_rng(17)
+        e_p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        for _ in range(20):
+            witness = rng.standard_normal(3)
+            pred = Ellipsoid(witness + 0.2 * rng.standard_normal(3), random_spd(rng, 3))
+            meas = Ellipsoid(e_p @ witness + 0.2 * rng.standard_normal(2),
+                             random_spd(rng, 2))
+            params = optimize_rho(pred, meas, e_p, criterion)
+            assert params.delta == fuse(pred, meas, e_p, params.rho)[2]
+
     def test_symmetric_case(self):
         # Equal shapes, identity projection, nonzero innovation: the fused
         # size is symmetric in rho <-> 1-rho, so the optimum is 1/2.
@@ -354,6 +412,20 @@ class TestStep:
         assert rec.params.delta < 1
         assert rec.elapsed > 0
         assert len(rec.solver_stats) == 2
+
+    def test_one_fuse_call_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fuse(*args)
+
+        monkeypatch.setattr(dsmf, "fuse", counted)
+        rng = np.random.default_rng(18)
+        model, _ = linear_model(q_scale=0.1, r_scale=0.1)
+        e0 = Ellipsoid([0.0, 0.0], np.eye(2))
+        dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions(), rng)
+        assert len(calls) == 1
 
     def test_containment_over_noisy_run(self):
         # Truth simulated inside all bounds stays inside the filter set.

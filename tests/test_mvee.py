@@ -4,7 +4,6 @@ import pytest
 from smfilter.ellipsoid import Ellipsoid, contains, sample_boundary
 from smfilter.errors import RankDeficiencyError
 from smfilter.mvee import (
-    LiftedPoint,
     MveeSolution,
     SimplexWeights,
     dual_objective,
@@ -24,11 +23,6 @@ class TestLifting:
     def test_lift_appends_one(self):
         out = lift(np.array([[2.0, 3.0]]))
         np.testing.assert_array_equal(out, [[2.0, 3.0, 1.0]])
-
-    def test_lifted_point(self):
-        lp = LiftedPoint.from_point([1.5, -2.0])
-        assert lp.lifted[-1] == 1.0
-        np.testing.assert_array_equal(lp.lifted[:-1], lp.y)
 
 
 class TestSimplexWeights:
@@ -118,6 +112,19 @@ class TestFwSolve:
         assert not sol.converged
         assert sol.iterations == 3
         assert sol.duality_gap > 0
+
+    def test_capped_solve_covers_its_cloud(self):
+        # Without a convergence certificate the dual ellipsoid can leave
+        # points outside; the capped solve scales its shape to cover them.
+        rng = np.random.default_rng(1)
+        pts = rng.standard_normal((50, 3))
+        sol = fw_solve(pts, tol=1e-12, max_iter=3)
+        assert not sol.converged
+        assert contains(sol.ellipsoid, pts, 1e-12).all()
+        assert sol.coverage_scale > 1.0
+        np.testing.assert_allclose(
+            sol.ellipsoid.shape, sol.coverage_scale * 3 * sol.raw_shape, rtol=1e-12
+        )
 
     def test_singleton_cloud_errors(self):
         with pytest.raises(RankDeficiencyError):
@@ -265,4 +272,5 @@ def test_solution_stats_roundtrip():
     assert stats.converged == sol.converged
     assert stats.iterations == sol.iterations
     assert stats.duality_gap == sol.duality_gap
+    assert stats.coverage_scale == sol.coverage_scale == 1.0
     assert isinstance(sol, MveeSolution)
