@@ -88,9 +88,10 @@ class FilterOptions:
     solves ("boundary" is the default; images of the boundary carry the
     active constraints for the smooth invertible maps used here).  The
     solver budget (tol, max_iter) is looser than the standalone solver
-    default: the enclosing shape saturates orders of magnitude before the
-    dual weights fully polish, and a filter run performs thousands of
-    solves.
+    default: tol = 1e-5 already bounds every quadratic form of the cloud by
+    1 + 2e-5, and a filter run performs thousands of solves.  Filter clouds
+    converge in tens of iterations; max_iter only bounds a pathological
+    cloud, whose capped solve is scaled to cover it.
     """
 
     m_samples: int = 200
@@ -152,6 +153,16 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
+class Prediction(tuple):
+    """What predict returns: the pair (predicted, solution), which also
+    carries p_star, the covering-sum parameter the prediction used."""
+
+    def __new__(cls, predicted: Ellipsoid, solution: MveeSolution, p_star: float):
+        pair = super().__new__(cls, (predicted, solution))
+        pair.p_star = p_star
+        return pair
+
+
 def _sample_state(e: Ellipsoid, m: int, rng, sampling: str) -> PointCloud:
     if sampling == "interior":
         return sample_interior(e, m, rng)
@@ -159,12 +170,14 @@ def _sample_state(e: Ellipsoid, m: int, rng, sampling: str) -> PointCloud:
 
 
 def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
-            rng: np.random.Generator) -> tuple[Ellipsoid, MveeSolution]:
+            rng: np.random.Generator) -> Prediction:
     """Propagate the state ellipsoid through the dynamics.
 
     Samples e_k, maps the samples through f(., k), encloses the image, and
     adds the process-noise bound with the trace-optimal covering sum.  The
     center is the enclosing-ellipsoid center; the covering sum never moves it.
+    Returns the pair (predicted ellipsoid, enclosing solve), with the
+    covering-sum parameter as its p_star.
     """
     if opts.m_samples < model.state_dim + 1:
         raise ValueError("m_samples must be at least state_dim + 1")
@@ -178,7 +191,7 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
         ) from err
     e_f = sol.ellipsoid
     p_star = optimal_p(e_f.shape, model.Q)
-    return minkowski_outer(e_f, model.Q, p_star), sol
+    return Prediction(minkowski_outer(e_f, model.Q, p_star), sol, p_star)
 
 
 def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
@@ -331,7 +344,8 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
     fuse.  Wall time excludes nothing; solver stats for both enclosing
     solves are kept in the record."""
     t0 = time.perf_counter()
-    predicted, sol_pred = predict(e_k, model, k, opts, rng)
+    prediction = predict(e_k, model, k, opts, rng)
+    predicted, sol_pred = prediction
     aux = None
     if model.aux_from_predicted is not None:
         aux = model.aux_from_predicted(predicted)
@@ -343,7 +357,6 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         raise EmptyIntersectionError(
             f"step {k}: {err}", delta=err.delta
         ) from err
-    p_star = optimal_p(sol_pred.ellipsoid.shape, model.Q)
     updated = Ellipsoid(center, shape)
     elapsed = time.perf_counter() - t0
     return StepRecord(
@@ -351,7 +364,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         predicted=predicted,
         measurement=meas,
         updated=updated,
-        params=replace(params, p_star=p_star),
+        params=replace(params, p_star=prediction.p_star),
         solver_stats=(sol_pred.stats(), sol_meas.stats()),
         elapsed=elapsed,
     )

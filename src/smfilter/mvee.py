@@ -1,20 +1,27 @@
 """Frank-Wolfe solver for the minimum-volume enclosing ellipsoid.
 
 The enclosing-ellipsoid problem over a point cloud is solved through its
-dual: maximize logdet(sum_i mu_i yt_i yt_i^T) over the probability simplex,
-where yt = [y^T, 1]^T is the lifted point and d = n + 1.  Iterations move
-along lines mu + gamma (e_i - mu): toward the vertex with the largest
-gradient component kappa_i = yt_i^T M(mu)^{-1} yt_i (gamma > 0), or away
-from the worst currently-weighted vertex (gamma < 0, a "drop" step when the
-weight hits zero).  The exact line-search step has the single closed form
-gamma = (kappa_i - d) / (d (kappa_i - 1)) on the extended range; away steps
-are what make the tail of the iteration linearly convergent instead of
-O(1/t).  The inverse moment matrix and the gradient are maintained by
-rank-one updates, so one iteration costs O(n^2 + (n+1) m).
+dual: maximize logdet M(mu), M(mu) = sum_i mu_i yt_i yt_i^T, over the
+probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
+The solve starts on the <= 2n points holding the extremes of each whitened
+coordinate (a small core set, after Kumar & Yildirim 2005), or on every
+point when those do not span.  Each iteration takes one Frank-Wolfe step
+along mu + gamma (e_i - mu): toward the vertex with the largest gradient
+component kappa_i = yt_i^T M^{-1} yt_i, or away from the weighted vertex
+with the smallest (a "drop" step when its weight hits zero), with the exact
+line-search step gamma = (kappa_i - d) / (d (kappa_i - 1)).  Frank-Wolfe
+finds the support but zig-zags for thousands of iterations while weighing
+it, so while at most d(d+1)/2 points carry weight (the most an optimal
+support needs) each iteration also tries one Newton step for the dual on
+their face (Sun & Freund 2004), kept when it raises the objective.  A
+Frank-Wolfe step costs O(n^2 + (n+1) m) by rank-one updates of M^{-1} and
+kappa; an accepted Newton step rebuilds them, O((n+1)^2 m).  Iterations
+are heavier than plain Frank-Wolfe's, and far fewer: tens per filter cloud.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,16 +178,48 @@ def _unclamped_gain(kappa_i: float, d: int) -> float:
     Equals d*log(kappa/d) - (d-1)*log((kappa-1)/(d-1)), written with log1p
     so the O(gap^2) gain survives floating point near convergence."""
     gap = kappa_i - d
-    return d * np.log1p(gap / d) - (d - 1) * np.log1p(gap / (d - 1))
+    return d * math.log1p(gap / d) - (d - 1) * math.log1p(gap / (d - 1))
 
 
-def _cloud_diameter(pts: np.ndarray) -> float:
-    spread = pts.max(axis=0) - pts.min(axis=0)
-    return float(np.linalg.norm(spread))
+def _face_newton(yt: np.ndarray, mu: np.ndarray, minv: np.ndarray,
+                 jitter: float, floor: float):
+    """One Newton step for the dual restricted to the face of the weighted
+    points A, as (weights, objective), or None unless it beats floor.
+
+    With K = Y_A M^{-1} Y_A^T the Hessian on the face is -(K o K), and
+    (K o K) mu_A = kappa_A, so the Newton point on the face's affine hull is
+    2 mu_A - z / 1^T z with (K o K) z = 1.  A weight that would cross zero
+    stops the step at the first zero, and that point is dropped."""
+    act = np.flatnonzero(mu)
+    ya = yt[act]
+    k = ya @ minv @ ya.T
+    try:
+        z = np.linalg.solve(k * k, np.ones(act.size))
+    except np.linalg.LinAlgError:
+        return None
+    mu_a = mu[act]
+    # A nearly singular K o K gives a non-finite step, which fails the
+    # objective test below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = mu_a - z / z.sum()
+        room = mu_a / np.maximum(-step, 0.0)
+        j = room.argmin()
+        new = np.maximum(mu_a + min(1.0, room[j]) * step, 0.0)
+        if room[j] < 1.0:
+            new[j] = 0.0
+        mm = _moment_matrix(ya, new) + jitter * np.eye(yt.shape[1])
+        sign, obj = np.linalg.slogdet(mm)
+    if not (sign > 0.0 and floor < obj < np.inf):
+        return None
+    out = np.zeros_like(mu)
+    out[act] = new
+    return out, float(obj)
 
 
 def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> MveeSolution:
-    """Solve the enclosing-ellipsoid dual over a cloud by Frank-Wolfe ascent.
+    """Solve the enclosing-ellipsoid dual over a cloud by Frank-Wolfe ascent
+    from the axis extremes, with Newton steps on the support (see the module
+    docstring).  The certificate is always checked on fresh kappa.
 
     Parameters
     ----------
@@ -188,7 +227,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
     tol : termination threshold on max_i kappa_i / (n+1) - 1 (the same
         threshold is applied to the away gap over weighted points, which is
         what makes the returned KKT certificate tight)
-    max_iter : iteration cap, default 100 * m
+    max_iter : iteration cap (a Frank-Wolfe step and at most one Newton
+        step each), default 100 * m
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
     reached, in which case the shape is scaled up to cover every point.
@@ -224,50 +264,52 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         work = centered
 
     yt = lift(work)
-    mu = np.full(m, 1.0 / m)
-    mmat = _moment_matrix(yt, mu)
+    # Start on the <= 2n points holding the min and max of each whitened
+    # coordinate.
+    mu = np.zeros(m)
+    mu[np.concatenate([work.argmin(axis=0), work.argmax(axis=0)])] = 1.0
     # One-shot regularization for clouds that do not affinely span; kept in
     # every moment-matrix rebuild so the optimized objective stays fixed.
     jitter = 0.0
-    try:
-        minv = _inverse_or_raise(mmat, d)
-    except RankDeficiencyError:
-        jitter = 1e-9 * _cloud_diameter(work)
-        mmat = mmat + jitter * np.eye(d)
-        minv = _inverse_or_raise(mmat, d)
-
-    kappa = np.einsum("ij,jk,ik->i", yt, minv, yt)
-    _, obj = np.linalg.slogdet(mmat)
-    path = [float(obj)]
-    threshold = tol * d
-
-    # Hot-loop buffers: w holds cross terms yt_j^T M^{-1} yt_i, masked holds
-    # kappa with non-weighted entries pushed to +inf for the away argmin.
+    # Hot-loop buffers: w holds cross terms yt_j^T M^{-1} yt_i; penalty is 0
+    # on weighted points and +inf elsewhere, and masked = kappa + penalty
+    # is what the away step takes its argmin over.
     w = np.empty(m)
     masked = np.empty(m)
-    inactive = np.zeros(m, dtype=bool)
+    penalty = np.empty(m)
 
     def refresh():
-        nonlocal minv, kappa
+        nonlocal minv, kappa, n_active
         np.divide(mu, mu.sum(), out=mu)
         mm = _moment_matrix(yt, mu)
         if jitter:
             mm += jitter * np.eye(d)
         minv = _inverse_or_raise(mm, d)
         kappa = np.einsum("ij,jk,ik->i", yt, minv, yt)
-        np.less_equal(mu, 0.0, out=inactive)
+        penalty[:] = np.where(mu > 0.0, 0.0, np.inf)
+        n_active = int(np.count_nonzero(mu))
 
+    try:
+        refresh()
+    except RankDeficiencyError:
+        # The extremes repeat points or do not span: start from every point.
+        mu[:] = 1.0
+        try:
+            refresh()
+        except RankDeficiencyError:
+            jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
+            refresh()
+
+    path = [-float(np.linalg.slogdet(minv)[1])]
+    threshold = tol * d
+    face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0
     converged = False
     certified = True  # kappa freshly recomputed since the last weight update
-    n_active = m
-    gap = float(np.max(kappa)) - d
     while True:
-        ip = int(np.argmax(kappa))
+        ip = kappa.argmax()
         gap = kappa[ip] - d
-        np.copyto(masked, kappa)
-        masked[inactive] = np.inf
-        ia = int(np.argmin(masked))
+        ia = np.add(kappa, penalty, out=masked).argmin()
         away_gap = d - kappa[ia]
         if gap <= threshold and away_gap <= threshold:
             if certified:
@@ -279,11 +321,11 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         if it >= max_iter:
             break
         if gap >= away_gap:
-            i, ki = ip, kappa[ip]
+            i, ki = ip, float(kappa[ip])
             gamma = line_search_step(ki, d)
             dropped = False
         else:
-            i, ki = ia, kappa[ia]
+            i, ki = ia, float(kappa[ia])
             room = 1.0 - mu[i]
             if room < 1e-12:
                 # All weight on a single point: the cloud is effectively
@@ -318,44 +360,48 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
             it += 1
             continue
         if dropped:
-            gain = d * np.log1p(-gamma) + np.log1p(gamma * ki / (1.0 - gamma))
+            gain = d * math.log1p(-gamma) + math.log1p(gamma * ki / (1.0 - gamma))
         else:
             gain = _unclamped_gain(ki, d)
         path.append(path[-1] + gain)
         v = minv @ yt[i]
         np.dot(yt, v, out=w)
         scale = c / denom
-        minv -= scale * np.outer(v, v)
+        minv -= scale * (v[:, None] * v)
         minv /= 1.0 - gamma
         np.multiply(w, w, out=w)
         w *= scale
         kappa -= w
         kappa /= 1.0 - gamma
         mu *= 1.0 - gamma
-        if dropped:
+        if dropped:  # always a weighted point: the away argmin skips the rest
             mu[i] = 0.0
-            if not inactive[i]:
-                inactive[i] = True
-                n_active -= 1
+            penalty[i] = np.inf
+            n_active -= 1
         else:
             mu[i] += gamma
-            if inactive[i]:
-                inactive[i] = False
+            if penalty[i] != 0.0:
+                penalty[i] = 0.0
                 n_active += 1
         certified = False
+        if n_active <= face_max:
+            newton = _face_newton(yt, mu, minv, jitter, path[-1])
+            if newton is not None:
+                mu[:], path[-1] = newton
+                refresh()
+                certified = True
         it += 1
         if it % _REFRESH_EVERY == 0:
             refresh()
-            n_active = int(m - inactive.sum())
             certified = True
 
     if not converged:
         # Honest certificate at the final iterate (against the jittered
         # objective when regularization was applied).
         refresh()
-        gap = float(np.max(kappa)) - d
-        ia = int(np.argmin(np.where(mu > 0.0, kappa, np.inf)))
-        converged = gap <= threshold and (d - kappa[ia]) <= threshold
+        gap = kappa.max() - d
+        away_gap = d - np.add(kappa, penalty, out=masked).min()
+        converged = gap <= threshold and away_gap <= threshold
 
     mu /= mu.sum()
     center = mu @ pts

@@ -427,6 +427,22 @@ class TestStep:
         dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions(), rng)
         assert len(calls) == 1
 
+    def test_one_optimal_p_call_per_step(self, monkeypatch):
+        # The covering-sum parameter is computed by predict and reused.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return optimal_p(*args)
+
+        monkeypatch.setattr(dsmf, "optimal_p", counted)
+        rng = np.random.default_rng(18)
+        model, _ = linear_model(q_scale=0.1, r_scale=0.1)
+        e0 = Ellipsoid([0.0, 0.0], np.eye(2))
+        rec = dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions(), rng)
+        assert len(calls) == 1
+        assert rec.params.p_star == optimal_p(*calls[0])
+
     def test_containment_over_noisy_run(self):
         # Truth simulated inside all bounds stays inside the filter set.
         rng = np.random.default_rng(13)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfilter.ellipsoid import Ellipsoid, contains, sample_boundary
 from smfilter.errors import RankDeficiencyError
@@ -179,6 +181,61 @@ class TestFwSolve:
         flat = np.stack([t, 2 * t + 1], axis=1)
         sol = fw_solve(flat, tol=1e-7)
         assert contains(sol.ellipsoid, flat, 1e-5).all()
+
+    def test_unicycle_boundary_image_converges(self):
+        # A prediction cloud of the robot kind: plain away-step Frank-Wolfe
+        # zig-zags between the eight points of its optimal support for
+        # about 1500 iterations.
+        rng = np.random.default_rng(0)
+        e = Ellipsoid([1.0, 2.0, 0.3], np.diag([0.5, 0.3, 0.8]))
+        s = sample_boundary(e, 200, rng).points
+        pts = np.stack([s[:, 0] + 0.5 * np.cos(s[:, 2]),
+                        s[:, 1] + 0.5 * np.sin(s[:, 2]), s[:, 2]], axis=1)
+        sol = fw_solve(pts, tol=1e-5, max_iter=1000)
+        assert sol.converged
+        assert contains(sol.ellipsoid, pts, 2e-5).all()
+
+    def test_singular_extreme_start_falls_back(self):
+        # Two tips hold the min and max of both principal coordinates, so
+        # the points holding the axis extremes do not span the plane.
+        s = np.array([0.4, 0.5, 0.6, np.sqrt(0.23)])
+        inner = np.concatenate([np.stack([s, -s], 1), np.stack([-s, s], 1)])
+        pts = np.vstack([[[-1.0, -1.0], [1.0, 1.0]], inner]) * [2.0, 1.0]
+        centered = pts - pts.mean(axis=0)
+        _, vec = np.linalg.eigh(centered.T @ centered)
+        coords = centered @ vec
+        assert set(coords.argmin(axis=0)) | set(coords.argmax(axis=0)) == {0, 1}
+        tol = 1e-9
+        sol = fw_solve(pts, tol=tol)
+        assert sol.converged
+        assert contains(sol.ellipsoid, pts, 2 * tol).all()
+        assert kkt_residual(sol, pts) <= 10 * tol * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    extra=st.integers(min_value=1, max_value=79),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    boundary=st.booleans(),
+    tol=st.sampled_from([1e-5, 1e-7, 1e-9]),
+)
+def test_solve_invariants_on_spanning_clouds(n, extra, seed, boundary, tol):
+    # The small start and the face Newton step must never turn a spanning
+    # cloud into a collapsed-support error, leave the simplex, or lower
+    # the objective; a converged solve covers its cloud.
+    rng = np.random.default_rng(seed)
+    m = min(n + 1 + extra, 80)
+    pts = rng.standard_normal((m, n))
+    if boundary and n > 1:  # the 1-D "sphere" is two points
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = pts @ rng.standard_normal((n, n)) + rng.standard_normal(n)
+    sol = fw_solve(pts, tol=tol)
+    mu = sol.weights.mu
+    assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(sol.objective_path) >= 0)
+    if sol.converged:
+        assert contains(sol.ellipsoid, pts, 2 * tol).all()
 
 
 class TestLineSearch:
