@@ -103,6 +103,10 @@ class FilterOptions:
     def __post_init__(self):
         if self.m_samples < 2:
             raise ValueError("m_samples must be at least 2")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
         if self.sampling not in ("boundary", "interior"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
         if self.size_criterion not in ("trace", "logdet"):

@@ -79,7 +79,7 @@ class RunConfig:
             raise ConfigError(f"unknown size criterion {self.size_criterion!r}")
         if self.m_samples < 4:
             raise ConfigError("m_samples must be >= 4")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("tol must be positive")
         return self
 

@@ -5,18 +5,22 @@ dual: maximize logdet M(mu), M(mu) = sum_i mu_i yt_i yt_i^T, over the
 probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
 The solve starts on the <= 2n points holding the extremes of each whitened
 coordinate (a small core set, after Kumar & Yildirim 2005), or on every
-point when those do not span.  Each iteration takes one Frank-Wolfe step
+point when those do not span.  Each pass takes one Frank-Wolfe step
 along mu + gamma (e_i - mu): toward the vertex with the largest gradient
 component kappa_i = yt_i^T M^{-1} yt_i, or away from the weighted vertex
 with the smallest (a "drop" step when its weight hits zero), with the exact
 line-search step gamma = (kappa_i - d) / (d (kappa_i - 1)).  Frank-Wolfe
-finds the support but zig-zags for thousands of iterations while weighing
-it, so while at most d(d+1)/2 points carry weight (the most an optimal
-support needs) each iteration also tries one Newton step for the dual on
-their face (Sun & Freund 2004), kept when it raises the objective.  A
+finds the support but zig-zags for thousands of passes while weighing it
+(its convergence is only linear; Ahipasaoglu, Sun & Todd 2008), so while
+at most d(d+1)/2 points carry weight (the most an optimal support needs)
+each pass then takes Newton steps for the dual on their face (Sun & Freund
+2004) up to the face optimum: a step that would take a weight below zero
+stops there, drops that point and goes on on the smaller face.  A
 Frank-Wolfe step costs O(n^2 + (n+1) m) by rank-one updates of M^{-1} and
-kappa; an accepted Newton step rebuilds them, O((n+1)^2 m).  Iterations
-are heavier than plain Frank-Wolfe's, and far fewer: tens per filter cloud.
+kappa.  The Newton steps are s x s and d x d algebra over the s weighted
+points, and the last one kept hands its M^{-1} on, so fresh kappa costs
+one O(d^2 m) product over the cloud.  Filter clouds take one to a few
+dozen passes.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class MveeSolution:
     as produced by the dual weights.  coverage_scale is 1.0 for a converged
     solve, whose certificate bounds every quadratic form q_i by 1 + 2 tol,
     and max(1, max_i q_i) for one stopped at max_iter, which has no bound.
-    `objective_path` holds the dual objective after each iteration (index
+    `objective_path` holds the dual objective after each pass (index
     0 is the starting value)."""
 
     ellipsoid: Ellipsoid
@@ -108,20 +112,24 @@ def _moment_matrix(yt: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return symmetrize(yt.T @ (mu[:, None] * yt))
 
 
-def _inverse_or_raise(mmat: np.ndarray, d: int) -> np.ndarray:
-    # The moment matrix is PSD by construction but can be singular to
-    # machine precision, where both cholesky and inv may silently succeed
-    # with garbage; an explicit relative eigenvalue margin is the reliable
-    # detector.
-    inv = None
-    if np.all(np.isfinite(mmat)):
-        eigs = np.linalg.eigvalsh(mmat)
-        if eigs[0] > eigs[-1] * d * 1e-14:
-            try:
-                inv = np.linalg.inv(mmat)
-            except np.linalg.LinAlgError:  # pragma: no cover
-                inv = None
-    if inv is None or not np.all(np.isfinite(inv)):
+def _factor(mmat: np.ndarray, d: int):
+    """(M^{-1}, logdet M) of a d x d moment matrix from one eigh, or None
+    when M is singular.
+
+    The moment matrix is PSD by construction but can be singular to machine
+    precision, where cholesky and inv may silently succeed with garbage; an
+    explicit relative eigenvalue margin is the reliable detector."""
+    if not np.all(np.isfinite(mmat)):
+        return None
+    lam, vec = np.linalg.eigh(mmat)
+    if not lam[0] > lam[-1] * d * 1e-14:
+        return None
+    return (vec / lam) @ vec.T, float(np.log(lam).sum())
+
+
+def _factor_or_raise(mmat: np.ndarray, d: int):
+    factor = _factor(mmat, d)
+    if factor is None:
         finite = np.all(np.isfinite(mmat))
         rank = int(np.linalg.matrix_rank(mmat)) if finite else None
         raise RankDeficiencyError(
@@ -130,25 +138,18 @@ def _inverse_or_raise(mmat: np.ndarray, d: int) -> np.ndarray:
             rank=rank,
             required=d,
         )
-    return inv
+    return factor
 
 
 def dual_objective(points, mu) -> float:
-    """logdet of the weighted lifted moment matrix M(mu)."""
+    """logdet of the weighted lifted moment matrix M(mu).
+
+    Raises RankDeficiencyError when M is singular, by the same eigenvalue
+    margin as fw_gradient and fw_solve."""
     pts = _as_points(points)
     mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
     yt = lift(pts)
-    d = yt.shape[1]
-    mmat = _moment_matrix(yt, mu)
-    sign, logdet = np.linalg.slogdet(mmat)
-    if sign <= 0 or not np.isfinite(logdet):
-        rank = int(np.linalg.matrix_rank(mmat))
-        raise RankDeficiencyError(
-            f"weighted moment matrix is singular (rank {rank} < {d})",
-            rank=rank,
-            required=d,
-        )
-    return float(logdet)
+    return _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])[1]
 
 
 def fw_gradient(points, mu) -> np.ndarray:
@@ -159,8 +160,8 @@ def fw_gradient(points, mu) -> np.ndarray:
     pts = _as_points(points)
     mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
     yt = lift(pts)
-    minv = _inverse_or_raise(_moment_matrix(yt, mu), yt.shape[1])
-    return np.einsum("ij,jk,ik->i", yt, minv, yt)
+    minv, _ = _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])
+    return np.einsum("ij,ij->i", yt @ minv, yt)
 
 
 def line_search_step(kappa_i: float, d: int) -> float:
@@ -181,39 +182,61 @@ def _unclamped_gain(kappa_i: float, d: int) -> float:
     return d * math.log1p(gap / d) - (d - 1) * math.log1p(gap / (d - 1))
 
 
-def _face_newton(yt: np.ndarray, mu: np.ndarray, minv: np.ndarray,
+def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
                  jitter: float, floor: float):
-    """One Newton step for the dual restricted to the face of the weighted
-    points A, as (weights, objective), or None unless it beats floor.
+    """Newton steps for the dual restricted to the face of the weighted
+    points A (rows ya, weights mu_a, current M^{-1}), as (weights over A,
+    (M^{-1}, logdet M)) at the last step that beat floor, or None.
 
     With K = Y_A M^{-1} Y_A^T the Hessian on the face is -(K o K), and
     (K o K) mu_A = kappa_A, so the Newton point on the face's affine hull is
     2 mu_A - z / 1^T z with (K o K) z = 1.  A weight that would cross zero
-    stops the step at the first zero, and that point is dropped."""
-    act = np.flatnonzero(mu)
-    ya = yt[act]
-    k = ya @ minv @ ya.T
-    try:
-        z = np.linalg.solve(k * k, np.ones(act.size))
-    except np.linalg.LinAlgError:
-        return None
-    mu_a = mu[act]
-    # A nearly singular K o K gives a non-finite step, which fails the
-    # objective test below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = mu_a - z / z.sum()
-        room = mu_a / np.maximum(-step, 0.0)
+    stops the step at the first zero; that point is dropped and the next
+    step is taken on the smaller face.  The steps end at a full step (the
+    face optimum, to Newton accuracy), at a step that does not raise the
+    objective, or when only d points are left."""
+    d = ya.shape[1]
+    out = np.zeros(mu_a.size)
+    keep = np.arange(mu_a.size)  # positions in A of the face's points
+    factor = None
+    while True:
+        k = ya @ minv @ ya.T
+        try:
+            z = np.linalg.solve(k * k, np.ones(mu_a.size))
+        except np.linalg.LinAlgError:
+            break
+        total = z.sum()
+        # 1^T z > 0 for a positive definite K o K; a nearly singular one
+        # gives anything.
+        if not 0.0 < total < np.inf:
+            break
+        step = mu_a - z / total
+        neg = np.flatnonzero(step < 0.0)
+        # Ratio test over the falling weights; the appended 1 is the full step.
+        room = np.append(mu_a[neg] / -step[neg], 1.0)
         j = room.argmin()
-        new = np.maximum(mu_a + min(1.0, room[j]) * step, 0.0)
-        if room[j] < 1.0:
-            new[j] = 0.0
-        mm = _moment_matrix(ya, new) + jitter * np.eye(yt.shape[1])
-        sign, obj = np.linalg.slogdet(mm)
-    if not (sign > 0.0 and floor < obj < np.inf):
-        return None
-    out = np.zeros_like(mu)
-    out[act] = new
-    return out, float(obj)
+        new = mu_a + room[j] * step
+        full = j == neg.size
+        if not full:
+            new[neg[j]] = 0.0
+        np.maximum(new, 0.0, out=new)
+        new /= new.sum()
+        mm = _moment_matrix(ya, new)
+        if jitter:
+            mm += jitter * np.eye(d)
+        trial = _factor(mm, d)
+        if trial is None or not trial[1] > floor:
+            break
+        factor = trial
+        minv, floor = factor
+        out[keep] = new
+        if full:
+            break
+        live = new > 0.0
+        if np.count_nonzero(live) <= d:
+            break
+        ya, mu_a, keep = ya[live], new[live], keep[live]
+    return None if factor is None else (out, factor)
 
 
 def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> MveeSolution:
@@ -227,8 +250,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
     tol : termination threshold on max_i kappa_i / (n+1) - 1 (the same
         threshold is applied to the away gap over weighted points, which is
         what makes the returned KKT certificate tight)
-    max_iter : iteration cap (a Frank-Wolfe step and at most one Newton
-        step each), default 100 * m
+    max_iter : cap on passes (a Frank-Wolfe step, then Newton steps to the
+        optimum of the support's face), default 100 * m
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
     reached, in which case the shape is scaled up to cover every point.
@@ -236,8 +259,10 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
     magnitude 1e-9 * diameter added to the initial moment matrix; if that is
     still singular a RankDeficiencyError carrying the rank is raised.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     pts = _as_points(points)
     m, n = pts.shape
     d = n + 1
@@ -278,29 +303,34 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
     masked = np.empty(m)
     penalty = np.empty(m)
 
-    def refresh():
+    def refresh(factor=None):
+        # factor: (M^{-1}, logdet M) of the current weights when the caller
+        # already has it.  Returns logdet M.
         nonlocal minv, kappa, n_active
-        np.divide(mu, mu.sum(), out=mu)
-        mm = _moment_matrix(yt, mu)
-        if jitter:
-            mm += jitter * np.eye(d)
-        minv = _inverse_or_raise(mm, d)
-        kappa = np.einsum("ij,jk,ik->i", yt, minv, yt)
+        if factor is None:
+            np.divide(mu, mu.sum(), out=mu)
+            mm = _moment_matrix(yt, mu)
+            if jitter:
+                mm += jitter * np.eye(d)
+            factor = _factor_or_raise(mm, d)
+        minv, logdet = factor
+        kappa = np.einsum("ij,ij->i", yt @ minv, yt)
         penalty[:] = np.where(mu > 0.0, 0.0, np.inf)
         n_active = int(np.count_nonzero(mu))
+        return logdet
 
     try:
-        refresh()
+        start = refresh()
     except RankDeficiencyError:
         # The extremes repeat points or do not span: start from every point.
         mu[:] = 1.0
         try:
-            refresh()
+            start = refresh()
         except RankDeficiencyError:
             jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
-            refresh()
+            start = refresh()
 
-    path = [-float(np.linalg.slogdet(minv)[1])]
+    path = [start]
     threshold = tol * d
     face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0
@@ -385,10 +415,11 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
                 n_active += 1
         certified = False
         if n_active <= face_max:
-            newton = _face_newton(yt, mu, minv, jitter, path[-1])
+            act = np.flatnonzero(mu)
+            newton = _face_newton(yt[act], mu[act], minv, jitter, path[-1])
             if newton is not None:
-                mu[:], path[-1] = newton
-                refresh()
+                mu[act], factor = newton
+                path[-1] = refresh(factor)
                 certified = True
         it += 1
         if it % _REFRESH_EVERY == 0:
@@ -401,7 +432,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         refresh()
         gap = kappa.max() - d
         away_gap = d - np.add(kappa, penalty, out=masked).min()
-        converged = gap <= threshold and away_gap <= threshold
+        converged = bool(gap <= threshold and away_gap <= threshold)
 
     mu /= mu.sum()
     center = mu @ pts

@@ -59,6 +59,16 @@ def linear_model(n=2, e_p=None, q_scale=1e-2, r_scale=1e-2):
     ), f_mat
 
 
+class TestFilterOptions:
+    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1e-5},
+                                     {"max_iter": -3}])
+    def test_rejects_bad_solver_budget(self, bad):
+        # Caught at construction, not inside the first solve (or, for a
+        # negative max_iter, never: it used to run zero passes).
+        with pytest.raises(ValueError):
+            FilterOptions(**bad)
+
+
 class TestGoldenSection:
     def test_quadratic(self):
         assert golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-8) == \

@@ -58,6 +58,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(runs=0).validate()
 
+    def test_validate_rejects_nan_tol(self):
+        # A NaN tol never meets the certificate; the filter options reject it.
+        with pytest.raises(ConfigError):
+            RunConfig(tol=float("nan")).validate()
+
 
 class TestParseConfig:
     def test_full_file(self, tmp_path):
@@ -266,6 +271,25 @@ class TestCli:
         np.testing.assert_allclose(
             out["shape"], [[4 / 9, -2 / 9], [-2 / 9, 4 / 9]], atol=1e-8
         )
+
+    def test_mvee_capped_solve_prints_json(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        np.savetxt(path, np.random.default_rng(1).standard_normal((50, 3)),
+                   delimiter=",")
+        code = self.run_cli("mvee", "--points", str(path), "--tol", "1e-12",
+                            "--max-iter", "3")
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["converged"] is False
+        assert out["iterations"] == 3
+
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"),
+                                            ("--max-iter", "-3")])
+    def test_mvee_bad_solver_budget_exit_2(self, tmp_path, capsys, flag, value):
+        pts = tmp_path / "tri.csv"
+        pts.write_text("0,0\n1,0\n0,1\n")
+        assert self.run_cli("mvee", "--points", str(pts), flag, value) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_mvee_numerical_failure_exit_3(self, tmp_path):
         pts = tmp_path / "same.csv"

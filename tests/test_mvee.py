@@ -115,6 +115,11 @@ class TestFwSolve:
         assert sol.iterations == 3
         assert sol.duality_gap > 0
 
+    def test_negative_max_iter_rejected(self):
+        # It used to run zero passes and return the start ellipsoid.
+        with pytest.raises(ValueError):
+            fw_solve(CROSS, max_iter=-3)
+
     def test_capped_solve_covers_its_cloud(self):
         # Without a convergence certificate the dual ellipsoid can leave
         # points outside; the capped solve scales its shape to cover them.
@@ -194,6 +199,24 @@ class TestFwSolve:
         sol = fw_solve(pts, tol=1e-5, max_iter=1000)
         assert sol.converged
         assert contains(sol.ellipsoid, pts, 2e-5).all()
+
+    def test_unicycle_boundary_images_pass_count_and_certificate(self):
+        # Newton steps taken to the face optimum, dropping points on the
+        # way, weigh each new support in one pass; a single step per pass,
+        # stopped at the first zero weight, needs 380 passes here.
+        tol = 1e-5
+        passes = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            e = Ellipsoid([1.0, 2.0, 0.3], np.diag([0.5, 0.3, 0.8]))
+            s = sample_boundary(e, 200, rng).points
+            pts = np.stack([s[:, 0] + 0.5 * np.cos(s[:, 2]),
+                            s[:, 1] + 0.5 * np.sin(s[:, 2]), s[:, 2]], axis=1)
+            sol = fw_solve(pts, tol=tol, max_iter=1000)
+            assert sol.converged
+            assert kkt_residual(sol, pts) <= 2 * tol * 4
+            passes += sol.iterations
+        assert passes <= 320
 
     def test_singular_extreme_start_falls_back(self):
         # Two tips hold the min and max of both principal coordinates, so
