@@ -22,7 +22,6 @@ from .dsmf import (
     StepRecord,
     SystemModel,
     fuse,
-    golden_section,
     measurement_ellipsoid,
     optimize_rho,
     predict,
@@ -58,7 +57,6 @@ from .mvee import (
     MveeSolution,
     SimplexWeights,
     dual_objective,
-    enclose,
     fw_gradient,
     fw_solve,
     kkt_residual,

@@ -6,7 +6,7 @@ the parametric covering sum.  The measurement update encloses the
 inverse-measurement set the same way and fuses it with the prediction using
 the classical linear set-membership update, written on one joint
 diagonalisation per update, with the mixing parameter rho chosen by a
-one-dimensional golden-section search on the closed-form fused size.
+vectorised grid search on the closed-form fused size.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .ellipsoid import (
     minkowski_outer,
     optimal_p,
     sample_boundary,
-    sample_interior,
     spd_cholesky,
     symmetrize,
 )
@@ -84,20 +83,19 @@ class SystemModel:
 class FilterOptions:
     """Knobs shared by the filter steps.
 
-    sampling picks how state ellipsoids are discretized for the enclosing
-    solves ("boundary" is the default; images of the boundary carry the
-    active constraints for the smooth invertible maps used here).  The
-    solver budget (tol, max_iter) is looser than the standalone solver
-    default: tol = 1e-5 already bounds every quadratic form of the cloud by
-    1 + 2e-5, and a filter run performs thousands of solves.  Filter clouds
-    converge in tens of iterations; max_iter only bounds a pathological
-    cloud, whose capped solve is scaled to cover it.
+    m_samples is the number of points each enclosing solve encloses; state
+    ellipsoids are sampled on their boundary, whose images carry the active
+    constraints for the smooth invertible maps used here.  The solver
+    budget (tol, max_iter) is looser than the standalone solver default:
+    tol = 1e-5 already bounds every quadratic form of the cloud by 1 + 2e-5,
+    and a filter run performs thousands of solves.  Filter clouds converge
+    in tens of iterations; max_iter only bounds a pathological cloud, whose
+    capped solve is scaled to cover it.
     """
 
     m_samples: int = 200
     tol: float = 1e-5
     max_iter: int | None = 1000
-    sampling: str = "boundary"
     size_criterion: str = "trace"  # or "logdet"
 
     def __post_init__(self):
@@ -107,8 +105,6 @@ class FilterOptions:
             raise ValueError("tol must be positive")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.sampling not in ("boundary", "interior"):
-            raise ValueError(f"unknown sampling {self.sampling!r}")
         if self.size_criterion not in ("trace", "logdet"):
             raise ValueError(f"unknown size criterion {self.size_criterion!r}")
 
@@ -137,26 +133,6 @@ class StepRecord:
     elapsed: float
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-6) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to absolute tol."""
-    invphi = (sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 class Prediction(tuple):
     """What predict returns: the pair (predicted, solution), which also
     carries p_star, the covering-sum parameter the prediction used."""
@@ -165,12 +141,6 @@ class Prediction(tuple):
         pair = super().__new__(cls, (predicted, solution))
         pair.p_star = p_star
         return pair
-
-
-def _sample_state(e: Ellipsoid, m: int, rng, sampling: str) -> PointCloud:
-    if sampling == "interior":
-        return sample_interior(e, m, rng)
-    return sample_boundary(e, m, rng)
 
 
 def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
@@ -185,8 +155,8 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
     """
     if opts.m_samples < model.state_dim + 1:
         raise ValueError("m_samples must be at least state_dim + 1")
-    cloud = _sample_state(e_k, opts.m_samples, rng, opts.sampling)
-    image = PointCloud(model.f(cloud.points, k), "image")
+    cloud = sample_boundary(e_k, opts.m_samples, rng)
+    image = PointCloud(model.f(cloud.points, k))
     try:
         sol = fw_solve(image, tol=opts.tol, max_iter=opts.max_iter)
     except RankDeficiencyError as err:
@@ -233,7 +203,7 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
         v_rep = np.repeat(v, side, axis=0)
         aux_rep = tuple(np.tile(g, side) for g in grids)
         pts = model.h_inv(y, v_rep, aux_rep)
-    cloud = PointCloud(pts, "image")
+    cloud = PointCloud(pts)
     try:
         sol = fw_solve(cloud, tol=opts.tol, max_iter=opts.max_iter)
     except RankDeficiencyError as err:
@@ -307,39 +277,36 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
 
     On the joint diagonalisation of fuse the size is a sum of scalars:
     trace = (1-delta) sum_i a_i / d_i with a_i = ||L u_i||^2, logdet =
-    n log(1-delta) - sum_i log d_i + logdet P (a constant, left out).  It
-    is evaluated on a coarse bracketing grid first (delta >= 1 can carve
-    infeasible sub-intervals out of (0, 1)), then refined with golden-section
-    search to RHO_TOL.  The returned delta is the one fuse gives at the
-    chosen rho.
+    n log(1-delta) - sum_i log d_i + logdet P (a constant, left out), and
+    +inf where delta >= 1, which can carve infeasible sub-intervals out of
+    (0, 1).  Each pass evaluates it on 65 points of the bracket at once and
+    narrows the bracket to the grid points either side of the argmin: five
+    passes from [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Returns the best
+    point of the last grid, with the delta fuse gives there.
     """
     basis, _, at_rho = _joint_diag(pred, meas, e_p)
     a = (basis * basis).sum(axis=0)
-
-    def size(rho):
-        delta, d = at_rho(rho)
+    lo, hi = RHO_EDGE, 1.0 - RHO_EDGE
+    while True:
+        grid = np.linspace(lo, hi, 65)
+        delta, d = at_rho(grid)
         if size_criterion == "logdet":
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
+                size = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
         else:
-            val = (1.0 - delta) * (a / d).sum(axis=-1)
-        return np.where(delta < 1.0, val, np.inf)
-
-    grid = np.linspace(RHO_EDGE, 1.0 - RHO_EDGE, 65)
-    vals = size(grid)
-    if not np.any(np.isfinite(vals)):
-        raise EmptyIntersectionError(
-            "every fusion weight gives delta >= 1; prediction and "
-            "measurement sets are disjoint",
-            delta=None,
-        )
-    j = int(np.argmin(vals))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, grid.size - 1)]
-    rho = golden_section(size, lo, hi, tol=RHO_TOL)
-    if not np.isfinite(size(rho)):  # pragma: no cover - edge of bracket
-        rho = grid[j]
-    return FusionParams(rho=float(rho), delta=float(at_rho(rho)[0]))
+            size = (1.0 - delta) * (a / d).sum(axis=-1)
+        size[delta >= 1.0] = np.inf
+        j = int(np.argmin(size))
+        if not np.isfinite(size[j]):
+            raise EmptyIntersectionError(
+                "every fusion weight gives delta >= 1; prediction and "
+                "measurement sets are disjoint",
+                delta=None,
+            )
+        if hi - lo <= RHO_TOL:
+            rho = float(grid[j])
+            return FusionParams(rho=rho, delta=float(at_rho(rho)[0]))
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,

@@ -99,10 +99,9 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A set of m points of common dimension, tagged with how it was made."""
+    """A set of m points of common dimension."""
 
     points: np.ndarray
-    provenance: str = "image"  # boundary | interior | image
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -110,8 +109,6 @@ class PointCloud:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (m, n) array")
-        if self.provenance not in ("boundary", "interior", "image"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -151,7 +148,7 @@ def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointClou
         raise ValueError("m must be >= 1")
     u = _sphere(m, e.dim, rng)
     pts = e.center + u @ e.factor().T
-    return PointCloud(pts, "boundary")
+    return PointCloud(pts)
 
 
 def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointCloud:
@@ -162,7 +159,7 @@ def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointClou
     u = _sphere(m, n, rng)
     r = rng.random(m) ** (1.0 / n)
     pts = e.center + (u * r[:, None]) @ e.factor().T
-    return PointCloud(pts, "interior")
+    return PointCloud(pts)
 
 
 def minkowski_outer(ef: Ellipsoid, q: np.ndarray, p: float) -> Ellipsoid:

@@ -58,7 +58,6 @@ class RunConfig:
     out_dir: str = "out"
     on_empty: str = "carry"  # carry | raise
     record_timing: bool = False
-    sampling: str = "boundary"
     scenario_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
@@ -81,6 +80,10 @@ class RunConfig:
             raise ConfigError("m_samples must be >= 4")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
+        try:
+            build_model(build_scenario(self.scenario, **self.scenario_overrides))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad [scenario] override for {self.scenario}: {err}") from None
         return self
 
 
@@ -91,11 +94,14 @@ _FLOAT_KEYS = {"tol"}
 
 def parse_config(path: str | Path) -> RunConfig:
     """Read a flat key = value config file with one optional [scenario]
-    section holding preset-field overrides (values are Python literals)."""
+    section holding preset-field overrides (values are Python literals).
+    Top-level keys are case-insensitive; [scenario] keys are preset field
+    names and keep their case (T, T0)."""
     import ast
 
     text = Path(path).read_text()
     parser = ConfigParser()
+    parser.optionxform = str
     try:
         parser.read_string("[run]\n" + text)
     except Exception as err:
@@ -103,6 +109,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
     kwargs: dict = {}
     for key, raw in parser["run"].items():
+        key = key.lower()
+        if key in kwargs:
+            raise ConfigError(f"config key {key!r} is given twice")
         if key == "filters":
             kwargs["filters"] = tuple(s.strip() for s in raw.split(",") if s.strip())
         elif key in _BOOL_KEYS:
@@ -111,7 +120,7 @@ def parse_config(path: str | Path) -> RunConfig:
             kwargs[key] = int(raw)
         elif key in _FLOAT_KEYS:
             kwargs[key] = float(raw)
-        elif key in ("scenario", "size_criterion", "out_dir", "on_empty", "sampling"):
+        elif key in ("scenario", "size_criterion", "out_dir", "on_empty"):
             kwargs[key] = raw.strip()
         else:
             raise ConfigError(f"unknown config key {key!r}")
@@ -205,7 +214,6 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
     opts = FilterOptions(
         m_samples=config.m_samples,
         tol=config.tol,
-        sampling=config.sampling,
         size_criterion=criterion,
     )
     estimates = np.empty((steps, n))

@@ -34,8 +34,6 @@ from .ellipsoid import Ellipsoid, PointCloud, symmetrize
 from .errors import RankDeficiencyError
 
 DEFAULT_TOL = 1e-7
-# Refresh M^{-1} and kappa from scratch this often to cap rank-one drift.
-_REFRESH_EVERY = 512
 
 
 def lift(points: np.ndarray) -> np.ndarray:
@@ -422,9 +420,6 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
                 path[-1] = refresh(factor)
                 certified = True
         it += 1
-        if it % _REFRESH_EVERY == 0:
-            refresh()
-            certified = True
 
     if not converged:
         # Honest certificate at the final iterate (against the jittered
@@ -470,7 +465,3 @@ def kkt_residual(solution: MveeSolution, points) -> float:
     comp = float(np.max(mu * np.abs(kappa - d)))
     return max(primal, comp)
 
-
-def enclose(cloud, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> Ellipsoid:
-    """Convenience wrapper over fw_solve returning only the ellipsoid."""
-    return fw_solve(cloud, tol=tol, max_iter=max_iter).ellipsoid

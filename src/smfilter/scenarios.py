@@ -118,7 +118,6 @@ class RobotScenario:
     r_diag: tuple[float, float] = (1.0, 1.0)
     p0_diag: tuple[float, ...] = (1.0, 1.0, 0.1)
     steps: int = 100
-    runs: int = 50
     sqrt_heading: bool = False
     # The initial estimate is a small bias around the true state while P0
     # stays the stated conservative bound; the heading component of the

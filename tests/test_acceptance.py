@@ -225,7 +225,7 @@ def test_criterion_06_fusion_containment_and_rho_oracle():
             if not contains(Ellipsoid(center, shape), inter, 1e-9).all():
                 containment_ok = False
 
-    # Golden-section vs brute-force grid argmin (20 of the pairs).
+    # The rho search vs brute-force grid argmin (20 of the pairs).
     grid = np.linspace(1e-6, 1 - 1e-6, 10_000)
     oracle_ok = True
     for pair in range(20):

@@ -6,7 +6,6 @@ from smfilter.dsmf import (
     FilterOptions,
     SystemModel,
     fuse,
-    golden_section,
     measurement_ellipsoid,
     optimize_rho,
     predict,
@@ -67,15 +66,6 @@ class TestFilterOptions:
         # negative max_iter, never: it used to run zero passes).
         with pytest.raises(ValueError):
             FilterOptions(**bad)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        assert golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-8) == \
-            pytest.approx(0.3, abs=1e-6)
-
-    def test_edge_minimum(self):
-        assert golden_section(lambda x: x, 0.0, 1.0, 1e-8) < 1e-6
 
 
 class TestPredict:
@@ -336,6 +326,49 @@ class TestOptimizeRho:
 
             best = grid[int(np.argmin([obj(r) for r in grid]))]
             assert abs(params.rho - best) <= 1e-4
+
+    @staticmethod
+    def fused_logdets(pred, meas, e_p, rhos):
+        """slogdet of fuse's shape at each rho, +inf where delta >= 1."""
+        out = []
+        for rho in rhos:
+            try:
+                out.append(np.linalg.slogdet(fuse(pred, meas, e_p, rho)[1])[1])
+            except EmptyIntersectionError:
+                out.append(np.inf)
+        return np.array(out)
+
+    def test_logdet_grid_oracle(self):
+        rng = np.random.default_rng(23)
+        e_p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        grid = np.linspace(1e-6, 1 - 1e-6, 2000)
+        for _ in range(8):
+            witness = rng.standard_normal(3)
+            pred = Ellipsoid(witness + 0.3 * rng.standard_normal(3), random_spd(rng, 3))
+            meas = Ellipsoid(e_p @ witness + 0.3 * rng.standard_normal(2),
+                             random_spd(rng, 2, 0.3))
+            params = optimize_rho(pred, meas, e_p, "logdet")
+            vals = self.fused_logdets(pred, meas, e_p, grid)
+            assert abs(params.rho - grid[np.argmin(vals)]) <= 1e-3
+            assert self.fused_logdets(pred, meas, e_p, [params.rho])[0] <= vals.min()
+
+    def test_logdet_beside_an_infeasible_subinterval(self):
+        # delta >= 1 on a middle stretch of (0, 1) only.  The fused size
+        # falls to -inf at either end of that stretch, so the search must
+        # end on one of them, no larger than any feasible grid point.
+        pred = Ellipsoid([0.0, 0.0], np.diag([1.0, 4.0]))
+        meas = Ellipsoid([2.2, 0.5], np.diag([0.3, 1.0]))
+        grid = np.linspace(1e-6, 1 - 1e-6, 2000)
+        vals = self.fused_logdets(pred, meas, np.eye(2), grid)
+        cut = np.flatnonzero(~np.isfinite(vals))
+        assert 0 < cut[0] and cut[-1] < grid.size - 1
+        assert cut.size == cut[-1] - cut[0] + 1
+        params = optimize_rho(pred, meas, np.eye(2), "logdet")
+        assert params.delta < 1.0
+        assert self.fused_logdets(pred, meas, np.eye(2), [params.rho])[0] <= vals.min()
+        step = grid[1] - grid[0]
+        assert (grid[cut[0]] - step <= params.rho < grid[cut[0]]
+                or grid[cut[-1]] < params.rho <= grid[cut[-1]] + step)
 
     def test_uninformative_measurement_pushes_rho_to_edge(self):
         pred = Ellipsoid([0.0, 0.0], np.eye(2))

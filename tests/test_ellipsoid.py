@@ -61,14 +61,10 @@ class TestEllipsoidType:
 class TestPointCloud:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            PointCloud(np.zeros((0, 2)), "boundary")
-
-    def test_rejects_unknown_provenance(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((3, 2)), "other")
+            PointCloud(np.zeros((0, 2)))
 
     def test_len_and_dim(self):
-        pc = PointCloud(np.zeros((5, 3)), "interior")
+        pc = PointCloud(np.zeros((5, 3)))
         assert len(pc) == 5 and pc.dim == 3
 
 
@@ -113,7 +109,6 @@ class TestSampling:
         e = Ellipsoid([1.0, -2.0, 0.5], random_spd(rng, 3))
         pc = sample_boundary(e, 500, rng)
         np.testing.assert_allclose(e.quadratic_form(pc.points), 1.0, atol=1e-9)
-        assert pc.provenance == "boundary"
 
     def test_boundary_mean_near_center(self):
         rng = np.random.default_rng(3)
@@ -130,7 +125,6 @@ class TestSampling:
         e = Ellipsoid([3.0, 4.0], random_spd(rng, 2))
         pc = sample_interior(e, 2000, rng)
         assert contains(e, pc.points, 0.0).all()
-        assert pc.provenance == "interior"
 
     def test_single_interior_point(self):
         rng = np.random.default_rng(6)

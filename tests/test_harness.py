@@ -18,6 +18,7 @@ from smfilter.harness import (
     parse_config,
     run_experiment,
 )
+from smfilter.scenarios import build_scenario
 
 TINY = dict(scenario="radar", filters=("dsmf", "esmf", "ukf"), runs=2, steps=3,
             master_seed=11)
@@ -99,6 +100,35 @@ class TestParseConfig:
     def test_bad_literal_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("scenario = robot\n[scenario]\nu_p = not a number\n")
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
+    @pytest.mark.parametrize("preset,field", [("radar", "T"), ("robot", "T0")])
+    def test_sampling_interval_override_keeps_its_case(self, tmp_path, preset, field):
+        # ConfigParser lowercases keys by default, which turned T into an
+        # unknown preset field t and crashed with a TypeError.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scenario = {preset}\n[scenario]\n{field} = 2.0\n")
+        cfg = parse_config(path)
+        assert cfg.scenario_overrides == {field: 2.0}
+        assert getattr(build_scenario(cfg.scenario, **cfg.scenario_overrides),
+                       field) == 2.0
+
+    def test_top_level_keys_stay_case_insensitive(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("Scenario = robot\nRUNS = 3\n")
+        cfg = parse_config(path)
+        assert cfg.scenario == "robot" and cfg.runs == 3
+        path.write_text("runs = 2\nRUNS = 3\n")
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
+    @pytest.mark.parametrize("override", ["bogus = 1", "u_r = 0.0", "T = 2.0"])
+    def test_override_the_preset_rejects(self, tmp_path, override):
+        # An unknown field (T is radar's, not robot's) or a value the preset
+        # refuses is a configuration error, not a traceback.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scenario = robot\n[scenario]\n{override}\n")
         with pytest.raises(ConfigError):
             parse_config(path)
 
@@ -259,6 +289,24 @@ class TestCli:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario = nothing\n")
         assert self.run_cli("simulate", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("override", ["bogus = 1", "u_r = 0.0"])
+    def test_simulate_bad_override_exit_2(self, tmp_path, capsys, override):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = robot\nruns = 1\nsteps = 1\n"
+                       f"[scenario]\n{override}\n")
+        code = self.run_cli("simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_simulate_override_checked_against_flag_scenario(self, tmp_path):
+        # T0 is a robot field; --scenario radar makes it an unknown one.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = robot\nruns = 1\nsteps = 1\n[scenario]\nT0 = 2.0\n")
+        code = self.run_cli("simulate", "--config", str(cfg), "--scenario", "radar",
+                            "--out", str(tmp_path / "out"))
+        assert code == 2
 
     def test_mvee_subcommand(self, tmp_path, capsys):
         pts = tmp_path / "tri.csv"

@@ -9,7 +9,6 @@ from smfilter.mvee import (
     MveeSolution,
     SimplexWeights,
     dual_objective,
-    enclose,
     fw_gradient,
     fw_solve,
     kkt_residual,
@@ -328,7 +327,7 @@ class TestEnclose:
         e = Ellipsoid([1.0, -1.0], np.array([[2.0, 0.3], [0.3, 1.0]]))
         f_mat = np.array([[1.2, -0.4], [0.5, 0.9]])
         pts = sample_boundary(e, 500, rng).points @ f_mat.T
-        out = enclose(pts, tol=1e-8)
+        out = fw_solve(pts, tol=1e-8).ellipsoid
         want_shape = f_mat @ e.shape @ f_mat.T
         want_center = f_mat @ e.center
         np.testing.assert_allclose(out.center, want_center, atol=0.05)
@@ -338,12 +337,12 @@ class TestEnclose:
     def test_all_points_contained(self):
         rng = np.random.default_rng(11)
         pts = rng.standard_normal((100, 3))
-        out = enclose(pts, tol=1e-7)
+        out = fw_solve(pts, tol=1e-7).ellipsoid
         assert contains(out, pts, 1e-6).all()
 
     def test_degenerate_singleton_errors(self):
         with pytest.raises(RankDeficiencyError):
-            enclose(np.ones((8, 2)))
+            fw_solve(np.ones((8, 2)))
 
 
 def test_solution_stats_roundtrip():
