@@ -10,7 +10,6 @@ Monte Carlo harness with a CLI.
 from .baselines import (
     GaussianBelief,
     RemainderBound,
-    UkfOptions,
     esmf_predict,
     esmf_step,
     esmf_update,

@@ -51,21 +51,6 @@ class GaussianBelief:
 
 
 @dataclass(frozen=True)
-class UkfOptions:
-    """noise_cov_scale: factor turning a noise-bound shape matrix into the
-    covariance handed to the UKF.  None means the covariance of a uniform
-    draw over the bound, shape/(dim+2); 1.0 treats the shape itself as the
-    covariance."""
-
-    noise_cov_scale: float | None = None
-
-    def scale_for(self, dim: int) -> float:
-        if self.noise_cov_scale is None:
-            return 1.0 / (dim + 2.0)
-        return float(self.noise_cov_scale)
-
-
-@dataclass(frozen=True)
 class RemainderBound:
     """Axis-aligned ellipsoidal bound on the linearization remainder, to be
     added to a noise bound.  The matrix is SPD or exactly zero."""
@@ -276,16 +261,17 @@ def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
     return pts, weights
 
 
-def ukf_step(belief: GaussianBelief, model: SystemModel, y: np.ndarray, k: int,
-             opts: UkfOptions = UkfOptions()) -> GaussianBelief:
+def ukf_step(belief: GaussianBelief, model: SystemModel, y: np.ndarray,
+             k: int) -> GaussianBelief:
     """One unscented predict/update cycle.
 
-    Noise covariances are the bound shape matrices scaled per opts; the
-    measurement update uses the standard cross-covariance gain.
+    The noise covariances are those of uniform draws over the bounds,
+    shape / (dim + 2); the measurement update uses the standard
+    cross-covariance gain.
     """
     y = np.asarray(y, dtype=float)
-    q_cov = model.Q * opts.scale_for(model.state_dim)
-    r_cov = model.R * opts.scale_for(model.meas_dim)
+    q_cov = model.Q * (1.0 / (model.state_dim + 2.0))
+    r_cov = model.R * (1.0 / (model.meas_dim + 2.0))
 
     pts, w = _sigma_points(belief.mean, belief.cov)
     xp = model.f(pts, k)

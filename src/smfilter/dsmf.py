@@ -1,18 +1,22 @@
 """Dual set-membership filter: the two-phase ellipsoidal recursion.
 
-Prediction covers the nonlinear image of the current state ellipsoid with a
-sampled enclosing-ellipsoid solve, then adds the process-noise bound through
-the parametric covering sum.  The measurement update encloses the
-inverse-measurement set the same way and fuses it with the prediction using
-the classical linear set-membership update, written on one joint
-diagonalisation per update, with the mixing parameter rho chosen by a
-vectorised grid search on the closed-form fused size.
+Prediction covers the nonlinear image of the current state ellipsoid with
+an enclosing-ellipsoid solve over the image of a fixed design of boundary
+points, then adds the process-noise bound through the parametric covering
+sum.  The measurement update encloses the inverse-measurement set the same
+way, over the same kind of design on the noise boundary, and fuses it with
+the prediction using the classical linear set-membership update, written
+on one joint diagonalisation per update, with the mixing parameter rho
+chosen by a vectorised grid search on the closed-form fused size.  The
+filter draws no random numbers: one state and measurement sequence always
+gives the same sets.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import ceil, sqrt
 from typing import Callable
 
@@ -23,7 +27,6 @@ from .ellipsoid import (
     PointCloud,
     minkowski_outer,
     optimal_p,
-    sample_boundary,
     spd_cholesky,
     symmetrize,
 )
@@ -83,9 +86,10 @@ class SystemModel:
 class FilterOptions:
     """Knobs shared by the filter steps.
 
-    m_samples is the number of points each enclosing solve encloses; state
-    ellipsoids are sampled on their boundary, whose images carry the active
-    constraints for the smooth invertible maps used here.  The solver
+    m_samples is the number of design points of each enclosing solve; they
+    lie on the boundary of the state or noise ellipsoid, whose images carry
+    the active constraints for the smooth invertible maps used here.  The
+    design is fixed per (m_samples, dimension) (see _design).  The solver
     budget (tol, max_iter) is looser than the standalone solver default:
     tol = 1e-5 already bounds every quadratic form of the cloud by 1 + 2e-5,
     and a filter run performs thousands of solves.  Filter clouds converge
@@ -133,83 +137,74 @@ class StepRecord:
     elapsed: float
 
 
-class Prediction(tuple):
-    """What predict returns: the pair (predicted, solution), which also
-    carries p_star, the covering-sum parameter the prediction used."""
+@lru_cache(maxsize=16)
+def _design(m: int, n: int) -> np.ndarray:
+    """The fixed design of every enclosing solve: m unit directions in R^n,
+    read-only.  For n = 2 they are m equispaced angles; otherwise one
+    normalised standard-normal draw seeded by (m, n), the same on every
+    call."""
+    if n == 2:
+        ang = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        u = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    else:
+        u = np.random.Generator(np.random.PCG64([m, n])).standard_normal((m, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u.setflags(write=False)
+    return u
 
-    def __new__(cls, predicted: Ellipsoid, solution: MveeSolution, p_star: float):
-        pair = super().__new__(cls, (predicted, solution))
-        pair.p_star = p_star
-        return pair
+
+def _enclose(points: np.ndarray, opts: FilterOptions, what: str) -> MveeSolution:
+    """The enclosing solve of a cloud, its rank errors prefixed with what."""
+    try:
+        return fw_solve(PointCloud(points), tol=opts.tol, max_iter=opts.max_iter)
+    except RankDeficiencyError as err:
+        raise RankDeficiencyError(
+            f"{what}: {err}", rank=err.rank, required=err.required
+        ) from err
 
 
-def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
-            rng: np.random.Generator) -> Prediction:
+def predict(e_k: Ellipsoid, model: SystemModel, k: int,
+            opts: FilterOptions) -> tuple[Ellipsoid, MveeSolution, float]:
     """Propagate the state ellipsoid through the dynamics.
 
-    Samples e_k, maps the samples through f(., k), encloses the image, and
-    adds the process-noise bound with the trace-optimal covering sum.  The
-    center is the enclosing-ellipsoid center; the covering sum never moves it.
-    Returns the pair (predicted ellipsoid, enclosing solve), with the
-    covering-sum parameter as its p_star.
+    Maps the design points c + E u of the boundary of e_k through f(., k),
+    encloses the image, and adds the process-noise bound with the
+    trace-optimal covering sum.  The center is the enclosing-ellipsoid
+    center; the covering sum never moves it.  Returns (predicted ellipsoid,
+    enclosing solve, covering-sum parameter p_star).
     """
     if opts.m_samples < model.state_dim + 1:
         raise ValueError("m_samples must be at least state_dim + 1")
-    cloud = sample_boundary(e_k, opts.m_samples, rng)
-    image = PointCloud(model.f(cloud.points, k))
-    try:
-        sol = fw_solve(image, tol=opts.tol, max_iter=opts.max_iter)
-    except RankDeficiencyError as err:
-        raise RankDeficiencyError(
-            f"prediction at step {k}: {err}", rank=err.rank, required=err.required
-        ) from err
-    e_f = sol.ellipsoid
-    p_star = optimal_p(e_f.shape, model.Q)
-    return Prediction(minkowski_outer(e_f, model.Q, p_star), sol, p_star)
+    boundary = e_k.center + _design(opts.m_samples, model.state_dim) @ e_k.factor().T
+    sol = _enclose(model.f(boundary, k), opts, f"prediction at step {k}")
+    p_star = optimal_p(sol.ellipsoid.shape, model.Q)
+    return minkowski_outer(sol.ellipsoid, model.Q, p_star), sol, p_star
 
 
 def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
-                          opts: FilterOptions,
-                          rng: np.random.Generator) -> tuple[Ellipsoid, MveeSolution]:
+                          opts: FilterOptions) -> tuple[Ellipsoid, MveeSolution]:
     """Enclose the inverse-measurement set for a received measurement.
 
-    Noise samples are drawn from the boundary of the measurement-noise
-    ellipsoid.  When the inverse needs auxiliary bounded parameters (aux is
-    an (n_aux, 2) array of intervals), noise and parameters are sampled
-    independently and combined as a product grid of ceil(sqrt(m)) x
-    ceil(sqrt(m)) points.
+    The cloud is the product grid of noise directions of the design on the
+    boundary of the measurement-noise ellipsoid times one equispaced grid
+    per auxiliary parameter interval (aux is an (n_aux, 2) array of [lo, hi]
+    bounds, or None).  Without aux there are m_samples noise directions;
+    with it, the noise and every interval get ceil(sqrt(m_samples)) points,
+    rounded up to even so that opposite noise extremes are both hit, and
+    each interval grid includes its endpoints.
     """
     y = np.asarray(y, dtype=float)
-    noise_ball = Ellipsoid(np.zeros(model.meas_dim), model.R)
-    aux = None if aux is None or len(aux) == 0 else np.atleast_2d(aux)
-    if aux is None:
-        v = sample_boundary(noise_ball, opts.m_samples, rng).points
-        pts = model.h_inv(y, v, ())
-    else:
-        # Product grid of noise boundary x parameter intervals.  Both grids
-        # are deterministic covering grids (interval endpoints and noise
-        # extremes included): random gaps in the hull of this genuinely
-        # two-dimensional image set can leave the true state just outside
-        # the enclosing ellipsoid, which the fusion then amplifies.
-        side = ceil(sqrt(opts.m_samples))
-        side += side % 2  # even, so opposite noise extremes are both hit
-        if model.meas_dim == 2:
-            ang = np.linspace(0.0, 2.0 * np.pi, side, endpoint=False)
-            u = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            v = u @ noise_ball.factor().T
-        else:
-            v = sample_boundary(noise_ball, side, rng).points
-        grids = [np.linspace(lo, hi, side) for lo, hi in aux]
-        v_rep = np.repeat(v, side, axis=0)
-        aux_rep = tuple(np.tile(g, side) for g in grids)
-        pts = model.h_inv(y, v_rep, aux_rep)
-    cloud = PointCloud(pts)
-    try:
-        sol = fw_solve(cloud, tol=opts.tol, max_iter=opts.max_iter)
-    except RankDeficiencyError as err:
-        raise RankDeficiencyError(
-            f"measurement set for y={y}: {err}", rank=err.rank, required=err.required
-        ) from err
+    aux = np.empty((0, 2)) if aux is None else np.reshape(aux, (-1, 2))
+    count = opts.m_samples
+    if len(aux):
+        count = ceil(sqrt(opts.m_samples))
+        count += count % 2
+    grids = [np.linspace(lo, hi, count) for lo, hi in aux]
+    noise = _design(count, model.meas_dim) @ spd_cholesky(model.R)[0].T
+    # Noise direction slowest, then each parameter grid in turn.
+    mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
+    pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
+    sol = _enclose(pts, opts, f"measurement set for y={y}")
     return sol.ellipsoid, sol
 
 
@@ -277,12 +272,15 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
 
     On the joint diagonalisation of fuse the size is a sum of scalars:
     trace = (1-delta) sum_i a_i / d_i with a_i = ||L u_i||^2, logdet =
-    n log(1-delta) - sum_i log d_i + logdet P (a constant, left out), and
-    +inf where delta >= 1, which can carve infeasible sub-intervals out of
-    (0, 1).  Each pass evaluates it on 65 points of the bracket at once and
-    narrows the bracket to the grid points either side of the argmin: five
-    passes from [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Returns the best
-    point of the last grid, with the delta fuse gives there.
+    n log(1-delta) - sum_i log d_i + logdet P (a constant, left out).  Each
+    pass evaluates it on 65 points of the bracket at once and narrows the
+    bracket to the grid points either side of the argmin: five passes from
+    [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Returns the best point of the
+    last grid, with the delta fuse gives there.
+
+    The fused set at any rho contains the intersection of the two sets, and
+    delta >= 1 leaves it at most one point; so EmptyIntersectionError is
+    raised as soon as any grid point has delta >= 1.
     """
     basis, _, at_rho = _joint_diag(pred, meas, e_p)
     a = (basis * basis).sum(axis=0)
@@ -290,19 +288,18 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     while True:
         grid = np.linspace(lo, hi, 65)
         delta, d = at_rho(grid)
+        worst = int(np.argmax(delta))
+        if delta[worst] >= 1.0:
+            raise EmptyIntersectionError(
+                f"delta = {delta[worst]:.6g} >= 1 at rho = {grid[worst]:.6g}: "
+                "prediction and measurement sets meet in at most one point",
+                delta=float(delta[worst]),
+            )
         if size_criterion == "logdet":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                size = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
+            size = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
         else:
             size = (1.0 - delta) * (a / d).sum(axis=-1)
-        size[delta >= 1.0] = np.inf
         j = int(np.argmin(size))
-        if not np.isfinite(size[j]):
-            raise EmptyIntersectionError(
-                "every fusion weight gives delta >= 1; prediction and "
-                "measurement sets are disjoint",
-                delta=None,
-            )
         if hi - lo <= RHO_TOL:
             rho = float(grid[j])
             return FusionParams(rho=rho, delta=float(at_rho(rho)[0]))
@@ -310,17 +307,16 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
-         opts: FilterOptions, rng: np.random.Generator) -> StepRecord:
+         opts: FilterOptions) -> StepRecord:
     """One full filter step: predict, enclose the measurement set, pick rho,
     fuse.  Wall time excludes nothing; solver stats for both enclosing
     solves are kept in the record."""
     t0 = time.perf_counter()
-    prediction = predict(e_k, model, k, opts, rng)
-    predicted, sol_pred = prediction
+    predicted, sol_pred, p_star = predict(e_k, model, k, opts)
     aux = None
     if model.aux_from_predicted is not None:
         aux = model.aux_from_predicted(predicted)
-    meas, sol_meas = measurement_ellipsoid(y, model, aux, opts, rng)
+    meas, sol_meas = measurement_ellipsoid(y, model, aux, opts)
     try:
         params = optimize_rho(predicted, meas, model.E_p, opts.size_criterion)
         center, shape, _ = fuse(predicted, meas, model.E_p, params.rho)
@@ -335,7 +331,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         predicted=predicted,
         measurement=meas,
         updated=updated,
-        params=replace(params, p_star=prediction.p_star),
+        params=replace(params, p_star=p_star),
         solver_stats=(sol_pred.stats(), sol_meas.stats()),
         elapsed=elapsed,
     )

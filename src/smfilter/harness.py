@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios as sc
-from .baselines import GaussianBelief, UkfOptions, esmf_predict, esmf_step, ukf_step
+from .baselines import GaussianBelief, esmf_predict, esmf_step, ukf_step
 from .dsmf import FilterOptions, predict, step
 from .ellipsoid import Ellipsoid, contains, sample_interior
 from .errors import ConfigError, NumericalError
@@ -81,7 +81,11 @@ class RunConfig:
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
         try:
-            build_model(build_scenario(self.scenario, **self.scenario_overrides))
+            # One truth step and the initial estimate read every preset field.
+            scenario = build_scenario(self.scenario, **self.scenario_overrides)
+            probe = np.random.default_rng(0)
+            simulate_truth(scenario, probe, steps=1)
+            initial_estimate(scenario, probe)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad [scenario] override for {self.scenario}: {err}") from None
         return self
@@ -226,7 +230,8 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
     failures = 0
 
     if name == "ukf":
-        belief = GaussianBelief(e0.center, e0.shape * UkfOptions().scale_for(n))
+        # The covariance of a uniform draw over the bound: shape / (n + 2).
+        belief = GaussianBelief(e0.center, e0.shape * (1.0 / (n + 2.0)))
         for k in range(steps):
             t0 = time.perf_counter()
             belief = ukf_step(belief, model, measurements[k], k)
@@ -245,7 +250,7 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
         t0 = time.perf_counter()
         try:
             if name == "dsmf":
-                rec = step(e, model, measurements[k], k, opts, rng)
+                rec = step(e, model, measurements[k], k, opts)
                 e = rec.updated
                 records.append(rec)
             else:
@@ -257,7 +262,7 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
             failures += 1
             # Fall back to carrying the prediction for this step.
             if name == "dsmf":
-                e, _ = predict(e, model, k, opts, rng)
+                e = predict(e, model, k, opts)[0]
                 records.append(None)
             else:
                 e = esmf_predict(e, model, k, rng)
@@ -312,7 +317,8 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     """Simulate truth and run every requested filter for each replicate.
 
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
-    for its truth and an independent, filter-indexed stream for each filter.
+    for its truth and an independent, filter-indexed stream for each filter,
+    which only esmf draws from (its sampled remainder bounds).
     """
     config.validate()
     scenario = build_scenario(config.scenario, **config.scenario_overrides)
@@ -531,7 +537,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
             v_true = sample_interior(v_ball, 1, rng).points[0]
             y = sensor.measure(x_true) + v_true
             # Enclosing-set update.
-            meas, _ = measurement_ellipsoid(y, model, None, opts, rng)
+            meas, _ = measurement_ellipsoid(y, model, None, opts)
             params = optimize_rho(prior, meas, np.eye(2), "logdet")
             _, shape, _ = fuse(prior, meas, np.eye(2), params.rho)
             ld_new.append(_logdet(shape))

@@ -276,7 +276,7 @@ def test_criterion_07_linear_model_degeneration():
 
     # Full sampled filter step at m = 500.
     rec = step(e0, model, y, 0, FilterOptions(m_samples=500, tol=1e-8,
-                                              max_iter=None), rng)
+                                              max_iter=None))
     oracle_params = optimize_rho(pred, meas, e_p, "trace")
     center, shape, _ = fuse(pred, meas, e_p, oracle_params.rho)
     dsmf_err = np.linalg.norm(rec.updated.shape - shape) / np.linalg.norm(shape)

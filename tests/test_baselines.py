@@ -5,7 +5,6 @@ from smfilter import baselines, dsmf
 from smfilter.baselines import (
     GaussianBelief,
     RemainderBound,
-    UkfOptions,
     add_remainder,
     esmf_step,
     esmf_update,
@@ -106,10 +105,12 @@ class TestUkf:
         model = linear_model(f_mat, h_mat, q, r)
         belief = GaussianBelief([1.0, 0.5], 0.2 * np.eye(2))
         y = np.array([1.3])
-        opts = UkfOptions(noise_cov_scale=1.0)
-        out = ukf_step(belief, model, y, 0, opts)
+        out = ukf_step(belief, model, y, 0)
 
-        # Kalman-filter oracle.
+        # Kalman-filter oracle on the covariances of uniform draws over the
+        # noise bounds, shape / (dim + 2).
+        q = q / 4.0
+        r = r / 3.0
         mean_p = f_mat @ belief.mean
         cov_p = f_mat @ belief.cov @ f_mat.T + q
         s = h_mat @ cov_p @ h_mat.T + r
@@ -124,8 +125,7 @@ class TestUkf:
         h_mat = np.eye(2)
         model = linear_model(f_mat, h_mat, 0.01 * np.eye(2), 0.1 * np.eye(2))
         belief = GaussianBelief([2.0, -1.0], 0.3 * np.eye(2))
-        out = ukf_step(belief, model, np.array([2.0, -1.0]), 0,
-                       UkfOptions(noise_cov_scale=1.0))
+        out = ukf_step(belief, model, np.array([2.0, -1.0]), 0)
         np.testing.assert_allclose(out.mean, [2.0, -1.0], atol=1e-10)
 
     def test_covariance_stays_symmetric(self):
@@ -140,8 +140,14 @@ class TestUkf:
             assert np.linalg.eigvalsh(belief.cov).min() > 0
 
     def test_default_noise_scale_is_uniform_covariance(self):
-        assert UkfOptions().scale_for(4) == pytest.approx(1.0 / 6.0)
-        assert UkfOptions(noise_cov_scale=1.0).scale_for(4) == 1.0
+        # Identity dynamics in R^4 and an uninformative measurement: the
+        # step adds the process covariance of a uniform draw over the
+        # bound, Q / (4 + 2), and the update leaves it.
+        model = linear_model(np.eye(4), np.eye(4)[:1], 6.0 * np.eye(4),
+                             np.array([[1e12]]))
+        belief = GaussianBelief(np.zeros(4), 0.2 * np.eye(4))
+        out = ukf_step(belief, model, np.array([0.0]), 0)
+        np.testing.assert_allclose(out.cov, 1.2 * np.eye(4), atol=1e-9)
 
     def test_sigma_points_reproduce_moments(self):
         from smfilter.baselines import _sigma_points

@@ -19,6 +19,8 @@ from smfilter.ellipsoid import (
     symmetrize,
 )
 from smfilter.errors import EmptyIntersectionError, MeasurementDomainError
+from smfilter.harness import RunConfig, run_experiment
+from smfilter.scenarios import radar_model
 
 
 def random_spd(rng, n, scale=1.0):
@@ -71,7 +73,6 @@ class TestFilterOptions:
 class TestPredict:
     def test_identity_map_recovers_set(self):
         # f = identity with negligible process noise: prediction ~ input set.
-        rng = np.random.default_rng(0)
         e = Ellipsoid([1.0, 2.0], np.array([[2.0, 0.5], [0.5, 1.0]]))
         model = SystemModel(
             state_dim=2, meas_dim=2,
@@ -81,18 +82,17 @@ class TestPredict:
             E_p=np.eye(2), Q=1e-12 * np.eye(2), R=np.eye(2),
         )
         opts = FilterOptions(m_samples=500, tol=1e-8, max_iter=None)
-        out, sol = predict(e, model, 0, opts, rng)
+        out, sol, _ = predict(e, model, 0, opts)
         assert sol.converged
         err = np.linalg.norm(out.shape - e.shape) / np.linalg.norm(e.shape)
         assert err <= 0.05
         np.testing.assert_allclose(out.center, e.center, atol=0.05)
 
     def test_linear_map_oracle(self):
-        rng = np.random.default_rng(1)
         model, f_mat = linear_model(q_scale=0.5)
         e = Ellipsoid([0.0, 0.0], np.eye(2))
         opts = FilterOptions(m_samples=500, tol=1e-8, max_iter=None)
-        out, sol = predict(e, model, 0, opts, rng)
+        out, sol, _ = predict(e, model, 0, opts)
         image_shape = f_mat @ e.shape @ f_mat.T
         p_star = optimal_p(sol.ellipsoid.shape, model.Q)
         want = (1 + 1 / p_star) * sol.ellipsoid.shape + (1 + p_star) * model.Q
@@ -107,16 +107,15 @@ class TestPredict:
         rng = np.random.default_rng(2)
         model, _ = linear_model(q_scale=0.2)
         e = Ellipsoid([1.0, -1.0], random_spd(rng, 2))
-        out, sol = predict(e, model, 0, FilterOptions(), rng)
+        out, sol, _ = predict(e, model, 0, FilterOptions())
         want = (np.sqrt(np.trace(sol.ellipsoid.shape))
                 + np.sqrt(np.trace(model.Q))) ** 2
         assert np.trace(out.shape) == pytest.approx(want, rel=1e-10)
 
     def test_center_equals_enclosure_center(self):
-        rng = np.random.default_rng(3)
         model, _ = linear_model()
         e = Ellipsoid([2.0, 3.0], np.eye(2))
-        out, sol = predict(e, model, 0, FilterOptions(), rng)
+        out, sol, _ = predict(e, model, 0, FilterOptions())
         np.testing.assert_array_equal(out.center, sol.ellipsoid.center)
 
 
@@ -146,10 +145,9 @@ class TestMeasurementEllipsoid:
         )
 
     def test_noiseless_polar_inverse(self):
-        rng = np.random.default_rng(4)
         model = self.polar_model(r_scale=1e-12)
         y = np.array([5.0, np.pi / 2])
-        out, _ = measurement_ellipsoid(y, model, None, FilterOptions(), rng)
+        out, _ = measurement_ellipsoid(y, model, None, FilterOptions())
         np.testing.assert_allclose(out.center, [0.0, 5.0], atol=1e-4)
         assert np.trace(out.shape) < 1e-9
 
@@ -163,7 +161,7 @@ class TestMeasurementEllipsoid:
         v_ball = Ellipsoid(np.zeros(2), model.R)
         y = model.h(x_true) + sample_interior(v_ball, 1, rng).points[0]
         out, sol = measurement_ellipsoid(
-            y, model, None, FilterOptions(m_samples=400, tol=1e-8), rng
+            y, model, None, FilterOptions(m_samples=400, tol=1e-8)
         )
         fresh = sample_interior(v_ball, 1000, rng).points
         pts = model.h_inv(y, fresh, ())
@@ -171,16 +169,14 @@ class TestMeasurementEllipsoid:
         assert frac >= 0.99
 
     def test_domain_violation_reported(self):
-        rng = np.random.default_rng(6)
         model = self.polar_model(r_scale=100.0)
         y = np.array([0.5, 0.0])  # range noise bound 10 >> range
         with pytest.raises(MeasurementDomainError) as exc:
-            measurement_ellipsoid(y, model, None, FilterOptions(), rng)
+            measurement_ellipsoid(y, model, None, FilterOptions())
         assert exc.value.sample is not None
 
     def test_zero_width_aux_matches_no_aux(self):
         # A width-zero parameter interval reduces to noise-only sampling.
-        rng = np.random.default_rng(7)
 
         def h_inv(y, v, aux):
             v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -200,8 +196,24 @@ class TestMeasurementEllipsoid:
         )
         y = np.array([1.0, 2.0])
         aux = np.array([[0.7, 0.7]])
-        out, _ = measurement_ellipsoid(y, model, aux, FilterOptions(), rng)
+        out, _ = measurement_ellipsoid(y, model, aux, FilterOptions())
         np.testing.assert_allclose(out.center, [1.7, 2.0], atol=0.05)
+
+    def test_radar_sets_cover_the_noise_circle(self):
+        # Each radar measurement ellipsoid must cover the continuous image
+        # of the noise boundary, probed on 20k angles, not only its own
+        # design points: random noise directions missed it by up to 1.7e-2.
+        result = run_experiment(RunConfig(scenario="radar", filters=("dsmf",),
+                                          runs=5, steps=20))
+        model = radar_model(result.scenario)
+        ang = np.linspace(0.0, 2.0 * np.pi, 20_000, endpoint=False)
+        noise = np.stack([np.cos(ang), np.sin(ang)], axis=-1) @ np.linalg.cholesky(model.R).T
+        worst = 0.0
+        for run in result.runs:
+            for y, rec in zip(run.measurements, run.filters["dsmf"].records):
+                pts = model.h_inv(y, noise, ())
+                worst = max(worst, rec.measurement.quadratic_form(pts).max())
+        assert worst <= 1.0 + 1e-3
 
 
 class TestFuse:
@@ -353,9 +365,9 @@ class TestOptimizeRho:
             assert self.fused_logdets(pred, meas, e_p, [params.rho])[0] <= vals.min()
 
     def test_logdet_beside_an_infeasible_subinterval(self):
-        # delta >= 1 on a middle stretch of (0, 1) only.  The fused size
-        # falls to -inf at either end of that stretch, so the search must
-        # end on one of them, no larger than any feasible grid point.
+        # delta >= 1 on a middle stretch of (0, 1) only.  Any rho there
+        # leaves the intersection at most one point, so the search must
+        # raise, not end beside the stretch on a collapsed fused set.
         pred = Ellipsoid([0.0, 0.0], np.diag([1.0, 4.0]))
         meas = Ellipsoid([2.2, 0.5], np.diag([0.3, 1.0]))
         grid = np.linspace(1e-6, 1 - 1e-6, 2000)
@@ -363,12 +375,10 @@ class TestOptimizeRho:
         cut = np.flatnonzero(~np.isfinite(vals))
         assert 0 < cut[0] and cut[-1] < grid.size - 1
         assert cut.size == cut[-1] - cut[0] + 1
-        params = optimize_rho(pred, meas, np.eye(2), "logdet")
-        assert params.delta < 1.0
-        assert self.fused_logdets(pred, meas, np.eye(2), [params.rho])[0] <= vals.min()
-        step = grid[1] - grid[0]
-        assert (grid[cut[0]] - step <= params.rho < grid[cut[0]]
-                or grid[cut[-1]] < params.rho <= grid[cut[-1]] + step)
+        for criterion in ("logdet", "trace"):
+            with pytest.raises(EmptyIntersectionError) as exc:
+                optimize_rho(pred, meas, np.eye(2), criterion)
+            assert exc.value.delta >= 1.0
 
     def test_uninformative_measurement_pushes_rho_to_edge(self):
         pred = Ellipsoid([0.0, 0.0], np.eye(2))
@@ -400,13 +410,12 @@ class TestStep:
         # Linear f and h = E_p x: the full sampled step must match the same
         # fusion formulas evaluated on the exact prediction and measurement
         # ellipsoids (the inverse-measurement set is exactly {y, R}).
-        rng = np.random.default_rng(10)
         e_p = np.array([[1.0, 0.0]])
         model, f_mat = linear_model(n=2, e_p=e_p, q_scale=0.05, r_scale=0.1)
         e0 = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
         y = np.array([1.1])
         opts = FilterOptions(m_samples=500, tol=1e-8, max_iter=None)
-        rec = step(e0, model, y, 0, opts, rng)
+        rec = step(e0, model, y, 0, opts)
 
         # Oracle: exact linear propagation, measurement set {y, R}, same
         # rho optimization on the exact ellipsoids.
@@ -425,7 +434,6 @@ class TestStep:
 
     def test_noiseless_consistency_contracts(self):
         # Exact model, negligible noise: the set collapses toward the truth.
-        rng = np.random.default_rng(11)
         model = SystemModel(
             state_dim=2, meas_dim=2,
             f=lambda x, k: np.asarray(x),
@@ -438,17 +446,16 @@ class TestStep:
         opts = FilterOptions(m_samples=200, tol=1e-7)
         traces = [np.trace(e.shape)]
         for k in range(10):
-            rec = step(e, model, truth, k, opts, rng)
+            rec = step(e, model, truth, k, opts)
             e = rec.updated
             traces.append(np.trace(e.shape))
         assert traces[-1] < 1e-6 * traces[0]
         assert np.linalg.norm(e.center - truth) < 1e-4
 
     def test_record_fields(self):
-        rng = np.random.default_rng(12)
         model, _ = linear_model(q_scale=0.1, r_scale=0.1)
         e0 = Ellipsoid([0.0, 0.0], np.eye(2))
-        rec = step(e0, model, np.array([0.1, 0.0]), 3, FilterOptions(), rng)
+        rec = step(e0, model, np.array([0.1, 0.0]), 3, FilterOptions())
         assert rec.k == 3
         assert rec.params.p_star > 0
         assert 0 < rec.params.rho < 1
@@ -464,10 +471,9 @@ class TestStep:
             return fuse(*args)
 
         monkeypatch.setattr(dsmf, "fuse", counted)
-        rng = np.random.default_rng(18)
         model, _ = linear_model(q_scale=0.1, r_scale=0.1)
         e0 = Ellipsoid([0.0, 0.0], np.eye(2))
-        dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions(), rng)
+        dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions())
         assert len(calls) == 1
 
     def test_one_optimal_p_call_per_step(self, monkeypatch):
@@ -479,16 +485,14 @@ class TestStep:
             return optimal_p(*args)
 
         monkeypatch.setattr(dsmf, "optimal_p", counted)
-        rng = np.random.default_rng(18)
         model, _ = linear_model(q_scale=0.1, r_scale=0.1)
         e0 = Ellipsoid([0.0, 0.0], np.eye(2))
-        rec = dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions(), rng)
+        rec = dsmf.step(e0, model, np.array([0.1, 0.0]), 0, FilterOptions())
         assert len(calls) == 1
         assert rec.params.p_star == optimal_p(*calls[0])
 
     def test_containment_over_noisy_run(self):
         # Truth simulated inside all bounds stays inside the filter set.
-        rng = np.random.default_rng(13)
         model, f_mat = linear_model(n=2, q_scale=0.05, r_scale=0.1)
         opts = FilterOptions(m_samples=200, tol=1e-6)
         hits = total = 0
@@ -501,7 +505,7 @@ class TestStep:
             for k in range(15):
                 x = model.f(x, k) + sample_interior(w_ball, 1, run_rng).points[0]
                 y = model.h(x) + sample_interior(v_ball, 1, run_rng).points[0]
-                rec = step(e, model, y, k, opts, run_rng)
+                rec = step(e, model, y, k, opts)
                 e = rec.updated
                 hits += bool(contains(e, x, 1e-6))
                 total += 1

@@ -165,6 +165,16 @@ class TestRunExperiment:
                           "contained"):
                 assert getattr(ra, field) == getattr(rb, field)
 
+    def test_dsmf_does_not_depend_on_the_filter_order(self):
+        # The dual filter draws no random numbers, so the per-filter stream
+        # its position in `filters` selects cannot change its sets.
+        base = dict(scenario="radar", runs=1, steps=3, master_seed=3)
+        first = run_experiment(RunConfig(filters=("dsmf", "esmf"), **base))
+        second = run_experiment(RunConfig(filters=("esmf", "dsmf"), **base))
+        a, b = first.runs[0].filters["dsmf"], second.runs[0].filters["dsmf"]
+        np.testing.assert_array_equal(a.estimates, b.estimates)
+        np.testing.assert_array_equal(a.traces, b.traces)
+
     def test_seeds_recorded(self, tiny_result):
         assert tiny_result.seeds == [mix_seed(11, 0), mix_seed(11, 1)]
 
@@ -294,6 +304,25 @@ class TestCli:
     def test_simulate_bad_override_exit_2(self, tmp_path, capsys, override):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"scenario = robot\nruns = 1\nsteps = 1\n"
+                       f"[scenario]\n{override}\n")
+        code = self.run_cli("simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset,override", [
+        ("radar", "x0 = (1.0, 2.0)"),
+        ("radar", "r_diag = (1.0, 2.0, 3.0)"),
+        ("robot", "x0 = (1.0,)"),
+        ("robot", "q_diag = (1e-6, 1e-6)"),
+        ("robot", "p0_diag = (1.0, 1.0)"),
+    ])
+    def test_simulate_wrong_length_override_exit_2(self, tmp_path, capsys,
+                                                   preset, override):
+        # Fields the model does not read are checked by one truth step and
+        # the initial estimate; they used to fail inside the run (exit 1).
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = {preset}\nruns = 1\nsteps = 1\n"
                        f"[scenario]\n{override}\n")
         code = self.run_cli("simulate", "--config", str(cfg),
                             "--out", str(tmp_path / "out"))
