@@ -92,9 +92,10 @@ class FilterOptions:
     design is fixed per (m_samples, dimension) (see _design).  The solver
     budget (tol, max_iter) is looser than the standalone solver default:
     tol = 1e-5 already bounds every quadratic form of the cloud by 1 + 2e-5,
-    and a filter run performs thousands of solves.  Filter clouds converge
-    in tens of iterations; max_iter only bounds a pathological cloud, whose
-    capped solve is scaled to cover it.
+    and a filter run performs thousands of solves.  Cold solves converge in
+    tens of iterations, those started from the last step's weights in a
+    few; max_iter only bounds a pathological cloud, whose capped solve is
+    scaled to cover it.
     """
 
     m_samples: int = 200
@@ -135,6 +136,7 @@ class StepRecord:
     params: FusionParams
     solver_stats: tuple
     elapsed: float
+    weights: tuple  # of the (prediction, measurement) solves: the next step's start
 
 
 @lru_cache(maxsize=16)
@@ -153,36 +155,40 @@ def _design(m: int, n: int) -> np.ndarray:
     return u
 
 
-def _enclose(points: np.ndarray, opts: FilterOptions, what: str) -> MveeSolution:
-    """The enclosing solve of a cloud, its rank errors prefixed with what."""
+def _enclose(points: np.ndarray, opts: FilterOptions, what: str, start) -> MveeSolution:
+    """The enclosing solve of a cloud from start weights (None: cold), its
+    rank errors prefixed with what."""
     try:
-        return fw_solve(PointCloud(points), tol=opts.tol, max_iter=opts.max_iter)
+        return fw_solve(PointCloud(points), tol=opts.tol, max_iter=opts.max_iter,
+                        start=start)
     except RankDeficiencyError as err:
         raise RankDeficiencyError(
             f"{what}: {err}", rank=err.rank, required=err.required
         ) from err
 
 
-def predict(e_k: Ellipsoid, model: SystemModel, k: int,
-            opts: FilterOptions) -> tuple[Ellipsoid, MveeSolution, float]:
+def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
+            start=None) -> tuple[Ellipsoid, MveeSolution, float]:
     """Propagate the state ellipsoid through the dynamics.
 
     Maps the design points c + E u of the boundary of e_k through f(., k),
     encloses the image, and adds the process-noise bound with the
     trace-optimal covering sum.  The center is the enclosing-ellipsoid
-    center; the covering sum never moves it.  Returns (predicted ellipsoid,
-    enclosing solve, covering-sum parameter p_star).
+    center; the covering sum never moves it.  The solve starts from the
+    start weights over the design when given (see fw_solve).  Returns
+    (predicted ellipsoid, enclosing solve, covering-sum parameter p_star).
     """
     if opts.m_samples < model.state_dim + 1:
         raise ValueError("m_samples must be at least state_dim + 1")
     boundary = e_k.center + _design(opts.m_samples, model.state_dim) @ e_k.factor().T
-    sol = _enclose(model.f(boundary, k), opts, f"prediction at step {k}")
+    sol = _enclose(model.f(boundary, k), opts, f"prediction at step {k}", start)
     p_star = optimal_p(sol.ellipsoid.shape, model.Q)
     return minkowski_outer(sol.ellipsoid, model.Q, p_star), sol, p_star
 
 
 def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
-                          opts: FilterOptions) -> tuple[Ellipsoid, MveeSolution]:
+                          opts: FilterOptions,
+                          start=None) -> tuple[Ellipsoid, MveeSolution]:
     """Enclose the inverse-measurement set for a received measurement.
 
     The cloud is the product grid of noise directions of the design on the
@@ -191,7 +197,8 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     bounds, or None).  Without aux there are m_samples noise directions;
     with it, the noise and every interval get ceil(sqrt(m_samples)) points,
     rounded up to even so that opposite noise extremes are both hit, and
-    each interval grid includes its endpoints.
+    each interval grid includes its endpoints.  The solve starts from the
+    start weights over that cloud when given.
     """
     y = np.asarray(y, dtype=float)
     aux = np.empty((0, 2)) if aux is None else np.reshape(aux, (-1, 2))
@@ -204,7 +211,7 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     # Noise direction slowest, then each parameter grid in turn.
     mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
     pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
-    sol = _enclose(pts, opts, f"measurement set for y={y}")
+    sol = _enclose(pts, opts, f"measurement set for y={y}", start)
     return sol.ellipsoid, sol
 
 
@@ -307,16 +314,18 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
-         opts: FilterOptions) -> StepRecord:
+         opts: FilterOptions, start=None) -> StepRecord:
     """One full filter step: predict, enclose the measurement set, pick rho,
-    fuse.  Wall time excludes nothing; solver stats for both enclosing
+    fuse.  Both solves start cold, or from start: the last step's weights.
+    Wall time excludes nothing; solver stats and weights for both enclosing
     solves are kept in the record."""
     t0 = time.perf_counter()
-    predicted, sol_pred, p_star = predict(e_k, model, k, opts)
+    pred_start, meas_start = (None, None) if start is None else start
+    predicted, sol_pred, p_star = predict(e_k, model, k, opts, pred_start)
     aux = None
     if model.aux_from_predicted is not None:
         aux = model.aux_from_predicted(predicted)
-    meas, sol_meas = measurement_ellipsoid(y, model, aux, opts)
+    meas, sol_meas = measurement_ellipsoid(y, model, aux, opts, meas_start)
     try:
         params = optimize_rho(predicted, meas, model.E_p, opts.size_criterion)
         center, shape, _ = fuse(predicted, meas, model.E_p, params.rho)
@@ -334,4 +343,5 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         params=replace(params, p_star=p_star),
         solver_stats=(sol_pred.stats(), sol_meas.stats()),
         elapsed=elapsed,
+        weights=(sol_pred.weights.mu, sol_meas.weights.mu),
     )

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import time
 from configparser import ConfigParser
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,15 @@ class RunConfig:
     scenario_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
+        self._check_fields()
+        with self._preset_errors():  # a truth step and e0 read every preset field
+            scenario = build_scenario(self.scenario, **self.scenario_overrides)
+            probe = np.random.default_rng(0)
+            simulate_truth(scenario, probe, steps=1)
+            initial_estimate(scenario, probe)
+        return self
+
+    def _check_fields(self) -> None:
         if self.scenario not in sc.PRESETS:
             raise ConfigError(f"unknown scenario preset {self.scenario!r}")
         if not self.filters:
@@ -80,15 +90,14 @@ class RunConfig:
             raise ConfigError("m_samples must be >= 4")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
+
+    @contextmanager
+    def _preset_errors(self):
+        """A TypeError or ValueError of the preset becomes a ConfigError."""
         try:
-            # One truth step and the initial estimate read every preset field.
-            scenario = build_scenario(self.scenario, **self.scenario_overrides)
-            probe = np.random.default_rng(0)
-            simulate_truth(scenario, probe, steps=1)
-            initial_estimate(scenario, probe)
+            yield
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad [scenario] override for {self.scenario}: {err}") from None
-        return self
 
 
 _BOOL_KEYS = {"record_timing"}
@@ -246,12 +255,13 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
                             times, failures, records)
 
     e = e0
+    start = None  # the last dsmf step's solve weights; None starts cold
     for k in range(steps):
         t0 = time.perf_counter()
         try:
             if name == "dsmf":
-                rec = step(e, model, measurements[k], k, opts)
-                e = rec.updated
+                rec = step(e, model, measurements[k], k, opts, start)
+                e, start = rec.updated, rec.weights
                 records.append(rec)
             else:
                 e = esmf_step(e, model, measurements[k], k, rng,
@@ -262,7 +272,7 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
             failures += 1
             # Fall back to carrying the prediction for this step.
             if name == "dsmf":
-                e = predict(e, model, k, opts)[0]
+                e, start = predict(e, model, k, opts)[0], None
                 records.append(None)
             else:
                 e = esmf_predict(e, model, k, rng)
@@ -318,10 +328,12 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
     for its truth and an independent, filter-indexed stream for each filter,
-    which only esmf draws from (its sampled remainder bounds).
+    which only esmf draws from (its sampled remainder bounds).  An override
+    the preset or its truth cannot use raises ConfigError, as in validate.
     """
-    config.validate()
-    scenario = build_scenario(config.scenario, **config.scenario_overrides)
+    config._check_fields()
+    with config._preset_errors():
+        scenario = build_scenario(config.scenario, **config.scenario_overrides)
     model = build_model(scenario)
     steps = config.steps if config.steps is not None else scenario.steps
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
@@ -329,8 +341,9 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     failures = {name: 0 for name in config.filters}
     for r, seed in enumerate(seeds):
         truth_rng = np.random.default_rng([seed, 0])
-        truth, measurements = simulate_truth(scenario, truth_rng, steps=steps)
-        e0 = initial_estimate(scenario, truth_rng)
+        with config._preset_errors():
+            truth, measurements = simulate_truth(scenario, truth_rng, steps=steps)
+            e0 = initial_estimate(scenario, truth_rng)
         logs = {}
         for j, name in enumerate(config.filters):
             filt_rng = np.random.default_rng([seed, 1 + j])

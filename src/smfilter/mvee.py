@@ -3,9 +3,11 @@
 The enclosing-ellipsoid problem over a point cloud is solved through its
 dual: maximize logdet M(mu), M(mu) = sum_i mu_i yt_i yt_i^T, over the
 probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
-The solve starts on the <= 2n points holding the extremes of each whitened
-coordinate (a small core set, after Kumar & Yildirim 2005), or on every
-point when those do not span.  Each pass takes one Frank-Wolfe step
+The solve starts on given weights, such as the optimum of a nearby cloud
+(they are invariant under an affine map of it; Todd 2016), else on the <= 2n
+points holding the extremes of each whitened coordinate (a small core set,
+after Kumar & Yildirim 2005), else on every point: the first of these that
+spans.  Each pass takes one Frank-Wolfe step
 along mu + gamma (e_i - mu): toward the vertex with the largest gradient
 component kappa_i = yt_i^T M^{-1} yt_i, or away from the weighted vertex
 with the smallest (a "drop" step when its weight hits zero), with the exact
@@ -19,8 +21,8 @@ stops there, drops that point and goes on on the smaller face.  A
 Frank-Wolfe step costs O(n^2 + (n+1) m) by rank-one updates of M^{-1} and
 kappa.  The Newton steps are s x s and d x d algebra over the s weighted
 points, and the last one kept hands its M^{-1} on, so fresh kappa costs
-one O(d^2 m) product over the cloud.  Filter clouds take one to a few
-dozen passes.
+one O(d^2 m) product over the cloud.  Cold filter solves take one to a
+few dozen passes; one warm-started from the last filter step takes a few.
 """
 
 from __future__ import annotations
@@ -237,10 +239,11 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
     return None if factor is None else (out, factor)
 
 
-def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> MveeSolution:
+def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
+             start=None) -> MveeSolution:
     """Solve the enclosing-ellipsoid dual over a cloud by Frank-Wolfe ascent
-    from the axis extremes, with Newton steps on the support (see the module
-    docstring).  The certificate is always checked on fresh kappa.
+    from start or the axis extremes, with Newton steps on the support (see
+    the module docstring).  The certificate is always checked on fresh kappa.
 
     Parameters
     ----------
@@ -250,6 +253,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         what makes the returned KKT certificate tight)
     max_iter : cap on passes (a Frank-Wolfe step, then Newton steps to the
         optimum of the support's face), default 100 * m
+    start : optional (m,) start weights: finite, nonnegative, with a
+        positive sum (else ValueError), normalised here; a start whose
+        weighted points do not span falls back to the axis extremes
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
     reached, in which case the shape is scaled up to cover every point.
@@ -270,6 +276,11 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         )
     if max_iter is None:
         max_iter = 100 * m
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        # NaN fails the sign test, an infinite entry the sum test.
+        if not (start.shape == (m,) and np.all(start >= 0.0) and 0.0 < start.sum() < np.inf):
+            raise ValueError("start must be m finite nonnegative weights with a positive sum")
 
     # Affine preconditioning: iterate on a centered, whitened copy of the
     # cloud.  The problem is affine-equivariant (weights, gradient values
@@ -287,10 +298,10 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         work = centered
 
     yt = lift(work)
-    # Start on the <= 2n points holding the min and max of each whitened
-    # coordinate.
-    mu = np.zeros(m)
-    mu[np.concatenate([work.argmin(axis=0), work.argmax(axis=0)])] = 1.0
+    # The <= 2n points holding the min and max of each whitened coordinate.
+    extremes = np.zeros(m)
+    extremes[np.concatenate([work.argmin(axis=0), work.argmax(axis=0)])] = 1.0
+    mu = np.empty(m)
     # One-shot regularization for clouds that do not affinely span; kept in
     # every moment-matrix rebuild so the optimized objective stays fixed.
     jitter = 0.0
@@ -317,18 +328,18 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> M
         n_active = int(np.count_nonzero(mu))
         return logdet
 
-    try:
-        start = refresh()
-    except RankDeficiencyError:
-        # The extremes repeat points or do not span: start from every point.
-        mu[:] = 1.0
+    # The given start, the extremes, then every point (1.0).
+    for guess in (extremes, 1.0) if start is None else (start, extremes, 1.0):
+        mu[:] = guess
         try:
-            start = refresh()
-        except RankDeficiencyError:
-            jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
-            start = refresh()
+            path = [refresh()]
+            break
+        except RankDeficiencyError:  # the weighted points do not span
+            pass
+    else:
+        jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
+        path = [refresh()]
 
-    path = [start]
     threshold = tol * d
     face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0

@@ -20,7 +20,13 @@ from smfilter.ellipsoid import (
 )
 from smfilter.errors import EmptyIntersectionError, MeasurementDomainError
 from smfilter.harness import RunConfig, run_experiment
-from smfilter.scenarios import radar_model
+from smfilter.scenarios import (
+    build_model,
+    build_scenario,
+    initial_estimate,
+    radar_model,
+    simulate_truth,
+)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -510,6 +516,45 @@ class TestStep:
                 hits += bool(contains(e, x, 1e-6))
                 total += 1
         assert hits / total >= 0.99
+
+
+class TestWarmStartedSteps:
+    STEPS = 8
+
+    def robot_run(self):
+        """Records of a seeded robot run whose steps start from the last
+        step's weights, with a cold step from the same e_k beside each."""
+        scenario = build_scenario("robot")
+        model = build_model(scenario)
+        rng = np.random.default_rng([21, 0])
+        _, ys = simulate_truth(scenario, rng, steps=self.STEPS)
+        e = initial_estimate(scenario, rng)
+        opts = FilterOptions(size_criterion=scenario.size_criterion)
+        pairs, start = [], None
+        for k in range(self.STEPS):
+            rec = step(e, model, ys[k], k, opts, start)
+            pairs.append((rec, step(e, model, ys[k], k, opts)))
+            e, start = rec.updated, rec.weights
+        return pairs, model.state_dim * np.log1p(2 * opts.tol)
+
+    def test_warm_solves_are_short_and_agree_with_cold_ones(self):
+        pairs, bound = self.robot_run()
+        iters = [warm.solver_stats[0].iterations for warm, _ in pairs[1:]]
+        assert np.median(iters) <= 5  # cold: 18
+        for warm, cold in pairs:
+            assert all(s.converged for s in warm.solver_stats)
+            for field in ("predicted", "updated"):
+                a, b = getattr(warm, field).shape, getattr(cold, field).shape
+                assert abs(np.linalg.slogdet(a)[1] - np.linalg.slogdet(b)[1]) <= bound
+
+    def test_repeated_run_is_identical(self):
+        first, _ = self.robot_run()
+        second, _ = self.robot_run()
+        for (a, _), (b, _) in zip(first, second):
+            for field in ("predicted", "measurement", "updated"):
+                ea, eb = getattr(a, field), getattr(b, field)
+                np.testing.assert_array_equal(ea.center, eb.center)
+                np.testing.assert_array_equal(ea.shape, eb.shape)
 
 
 class TestUpdateFormulaLimits:

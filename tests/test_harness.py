@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from smfilter import harness
 from smfilter.cli import main as cli_main
 from smfilter.errors import ConfigError
 from smfilter.harness import (
@@ -18,7 +19,7 @@ from smfilter.harness import (
     parse_config,
     run_experiment,
 )
-from smfilter.scenarios import build_scenario
+from smfilter.scenarios import build_scenario, simulate_truth
 
 TINY = dict(scenario="radar", filters=("dsmf", "esmf", "ukf"), runs=2, steps=3,
             master_seed=11)
@@ -174,6 +175,23 @@ class TestRunExperiment:
         a, b = first.runs[0].filters["dsmf"], second.runs[0].filters["dsmf"]
         np.testing.assert_array_equal(a.estimates, b.estimates)
         np.testing.assert_array_equal(a.traces, b.traces)
+
+    def test_one_truth_simulation_per_run(self, monkeypatch):
+        # The config's truth probe belongs to validate, not to every call.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_truth(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_truth", counted)
+        run_experiment(RunConfig(filters=("ukf",), runs=3, steps=2))
+        assert len(calls) == 3
+
+    def test_unvalidated_wrong_length_override_is_a_config_error(self):
+        config = RunConfig(runs=1, steps=1, scenario_overrides={"x0": (1.0, 2.0)})
+        with pytest.raises(ConfigError):
+            run_experiment(config)
 
     def test_seeds_recorded(self, tiny_result):
         assert tiny_result.seeds == [mix_seed(11, 0), mix_seed(11, 1)]

@@ -234,6 +234,40 @@ class TestFwSolve:
         assert kkt_residual(sol, pts) <= 10 * tol * 3
 
 
+class TestWarmStart:
+    def test_restart_from_the_optimum_takes_no_pass(self):
+        rng = np.random.default_rng(12)
+        pts = rng.standard_normal((60, 3))
+        tol = 1e-7
+        cold = fw_solve(pts, tol=tol)
+        warm = fw_solve(pts, tol=tol, start=cold.weights.mu)
+        assert cold.converged and warm.converged
+        assert warm.iterations == 0
+        np.testing.assert_allclose(warm.ellipsoid.center, cold.ellipsoid.center,
+                                   atol=1e-12)
+        np.testing.assert_allclose(warm.ellipsoid.shape, cold.ellipsoid.shape,
+                                   rtol=1e-10)
+        logdets = [np.linalg.slogdet(s.ellipsoid.shape)[1] for s in (cold, warm)]
+        assert abs(logdets[0] - logdets[1]) <= 3 * np.log1p(2 * tol)
+
+    @pytest.mark.parametrize("start", [
+        np.full(3, 0.25), [0.5, 0.5, -0.1, 0.1], [0.5, np.nan, 0.25, 0.25], np.zeros(4),
+    ])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError):
+            fw_solve(CROSS, start=start)
+
+    def test_start_on_two_points_falls_back(self):
+        # Two weighted points of a plane cloud cannot span its lifted space.
+        rng = np.random.default_rng(13)
+        pts = rng.standard_normal((30, 2))
+        start = np.zeros(30)
+        start[[3, 7]] = 1.0
+        sol = fw_solve(pts, tol=1e-9, start=start)
+        assert sol.converged
+        assert kkt_residual(sol, pts) <= 10 * 1e-9 * 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=5),
@@ -241,18 +275,23 @@ class TestFwSolve:
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     boundary=st.booleans(),
     tol=st.sampled_from([1e-5, 1e-7, 1e-9]),
+    warm=st.booleans(),
 )
-def test_solve_invariants_on_spanning_clouds(n, extra, seed, boundary, tol):
-    # The small start and the face Newton step must never turn a spanning
-    # cloud into a collapsed-support error, leave the simplex, or lower
-    # the objective; a converged solve covers its cloud.
+def test_solve_invariants_on_spanning_clouds(n, extra, seed, boundary, tol, warm):
+    # The small start, a random sparse start and the face Newton step must
+    # never turn a spanning cloud into a collapsed-support error, leave the
+    # simplex, or lower the objective; a converged solve covers its cloud.
     rng = np.random.default_rng(seed)
     m = min(n + 1 + extra, 80)
     pts = rng.standard_normal((m, n))
     if boundary and n > 1:  # the 1-D "sphere" is two points
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts = pts @ rng.standard_normal((n, n)) + rng.standard_normal(n)
-    sol = fw_solve(pts, tol=tol)
+    start = None
+    if warm:
+        start = rng.random(m) * (rng.random(m) < 0.3)
+        start[rng.integers(m)] = 1.0  # a positive sum
+    sol = fw_solve(pts, tol=tol, start=start)
     mu = sol.weights.mu
     assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(sol.objective_path) >= 0)
