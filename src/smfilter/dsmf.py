@@ -91,11 +91,12 @@ class FilterOptions:
     the active constraints for the smooth invertible maps used here.  The
     design is fixed per (m_samples, dimension) (see _design).  The solver
     budget (tol, max_iter) is looser than the standalone solver default:
-    tol = 1e-5 already bounds every quadratic form of the cloud by 1 + 2e-5,
-    and a filter run performs thousands of solves.  Cold solves converge in
-    tens of iterations, those started from the last step's weights in a
-    few; max_iter only bounds a pathological cloud, whose capped solve is
-    scaled to cover it.
+    every solve scales its shape to cover its cloud, tol = 1e-5 already
+    keeps that scale of a converged solve within 1 + 2e-5, and a filter run
+    performs thousands of solves.  Cold solves converge in tens of
+    iterations, those started from the last step's weights in a few;
+    max_iter only bounds a pathological cloud, whose capped solve may need
+    a larger scale.
     """
 
     m_samples: int = 200
@@ -134,9 +135,8 @@ class StepRecord:
     measurement: Ellipsoid
     updated: Ellipsoid
     params: FusionParams
-    solver_stats: tuple
+    solves: tuple  # the (prediction, measurement) MveeSolutions
     elapsed: float
-    weights: tuple  # of the (prediction, measurement) solves: the next step's start
 
 
 @lru_cache(maxsize=16)
@@ -317,8 +317,8 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
          opts: FilterOptions, start=None) -> StepRecord:
     """One full filter step: predict, enclose the measurement set, pick rho,
     fuse.  Both solves start cold, or from start: the last step's weights.
-    Wall time excludes nothing; solver stats and weights for both enclosing
-    solves are kept in the record."""
+    Wall time excludes nothing; both enclosing solves are kept in the
+    record."""
     t0 = time.perf_counter()
     pred_start, meas_start = (None, None) if start is None else start
     predicted, sol_pred, p_star = predict(e_k, model, k, opts, pred_start)
@@ -341,7 +341,6 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         measurement=meas,
         updated=updated,
         params=replace(params, p_star=p_star),
-        solver_stats=(sol_pred.stats(), sol_meas.stats()),
+        solves=(sol_pred, sol_meas),
         elapsed=elapsed,
-        weights=(sol_pred.weights.mu, sol_meas.weights.mu),
     )

@@ -261,7 +261,7 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
         try:
             if name == "dsmf":
                 rec = step(e, model, measurements[k], k, opts, start)
-                e, start = rec.updated, rec.weights
+                e, start = rec.updated, [s.weights.mu for s in rec.solves]
                 records.append(rec)
             else:
                 e = esmf_step(e, model, measurements[k], k, rng,

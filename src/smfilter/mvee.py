@@ -17,12 +17,14 @@ finds the support but zig-zags for thousands of passes while weighing it
 at most d(d+1)/2 points carry weight (the most an optimal support needs)
 each pass then takes Newton steps for the dual on their face (Sun & Freund
 2004) up to the face optimum: a step that would take a weight below zero
-stops there, drops that point and goes on on the smaller face.  A
-Frank-Wolfe step costs O(n^2 + (n+1) m) by rank-one updates of M^{-1} and
-kappa.  The Newton steps are s x s and d x d algebra over the s weighted
-points, and the last one kept hands its M^{-1} on, so fresh kappa costs
-one O(d^2 m) product over the cloud.  Cold filter solves take one to a
-few dozen passes; one warm-started from the last filter step takes a few.
+stops there, drops that point and goes on on the smaller face.  The Newton
+steps start from a rank-one update of M^{-1} and are s x s and d x d
+algebra over the s weighted points.  Each pass ends on fresh kappa, one
+O(d^2 m) product over the cloud with the d x d factor of the current
+weights: the last Newton step's, else one from the moment matrix over the
+support.  So the certificate and the coverage scale of every solve are
+read from the kappa of its final weights.  Cold filter solves take one to
+a few dozen passes; one warm-started from the last filter step takes a few.
 """
 
 from __future__ import annotations
@@ -63,25 +65,16 @@ class SimplexWeights:
 
 
 @dataclass(frozen=True)
-class SolveStats:
-    """Light summary of a solve, cheap to keep per filter step."""
-
-    iterations: int
-    duality_gap: float
-    converged: bool
-    coverage_scale: float
-
-
-@dataclass(frozen=True)
 class MveeSolution:
     """Solver output: the enclosing ellipsoid plus dual diagnostics.
 
     `ellipsoid.shape` is coverage_scale * n * raw_shape so that the cloud
     satisfies the quadratic form <= 1 convention used everywhere else;
     `raw_shape` is the weighted second moment sum_i mu_i y_i y_i^T - c c^T
-    as produced by the dual weights.  coverage_scale is 1.0 for a converged
-    solve, whose certificate bounds every quadratic form q_i by 1 + 2 tol,
-    and max(1, max_i q_i) for one stopped at max_iter, which has no bound.
+    as produced by the dual weights.  coverage_scale = max(1, max_i q_i),
+    with q_i = (kappa_i - 1) / n the quadratic form of the unscaled shape,
+    read from the final kappa of every solve: a converged one's certificate
+    keeps it within 1 + (n + 1) tol / n, a capped one has no such bound.
     `objective_path` holds the dual objective after each pass (index
     0 is the starting value)."""
 
@@ -93,10 +86,6 @@ class MveeSolution:
     raw_shape: np.ndarray
     objective_path: np.ndarray
     coverage_scale: float
-
-    def stats(self) -> SolveStats:
-        return SolveStats(self.iterations, self.duality_gap, self.converged,
-                          self.coverage_scale)
 
 
 def _as_points(points) -> np.ndarray:
@@ -160,7 +149,10 @@ def fw_gradient(points, mu) -> np.ndarray:
     pts = _as_points(points)
     mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
     yt = lift(pts)
-    minv, _ = _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])
+    return _gradient(yt, _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])[0])
+
+
+def _gradient(yt: np.ndarray, minv: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", yt @ minv, yt)
 
 
@@ -243,7 +235,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
              start=None) -> MveeSolution:
     """Solve the enclosing-ellipsoid dual over a cloud by Frank-Wolfe ascent
     from start or the axis extremes, with Newton steps on the support (see
-    the module docstring).  The certificate is always checked on fresh kappa.
+    the module docstring).  Every pass ends on fresh kappa, so the
+    certificate and the coverage scale are read from the final weights.
 
     Parameters
     ----------
@@ -258,8 +251,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         weighted points do not span falls back to the axis extremes
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
-    reached, in which case the shape is scaled up to cover every point.
-    Clouds that do not affinely span get one isotropic jitter of
+    reached.  Either way the shape is scaled up, if need be, to cover every
+    point.  Clouds that do not affinely span get one isotropic jitter of
     magnitude 1e-9 * diameter added to the initial moment matrix; if that is
     still singular a RankDeficiencyError carrying the rank is raised.
     """
@@ -283,19 +276,16 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             raise ValueError("start must be m finite nonnegative weights with a positive sum")
 
     # Affine preconditioning: iterate on a centered, whitened copy of the
-    # cloud.  The problem is affine-equivariant (weights, gradient values
-    # and gap are identical in exact arithmetic), and whitening keeps the
-    # moment matrices well conditioned for very thin clouds such as images
-    # of nearly collapsed ellipsoids.
+    # cloud, x = mean + axes w.  The problem is affine-equivariant (weights,
+    # gradient values and gap are identical in exact arithmetic), and
+    # whitening keeps the moment matrices well conditioned for very thin
+    # clouds such as images of nearly collapsed ellipsoids.
     mean = pts.mean(axis=0)
     centered = pts - mean
-    cov = symmetrize(centered.T @ centered / m)
-    lam, vec = np.linalg.eigh(cov)
-    if lam[-1] > 0.0:
-        axis_scale = np.sqrt(np.maximum(lam, lam[-1] * 1e-24))
-        work = (centered @ vec) / axis_scale
-    else:
-        work = centered
+    lam, vec = np.linalg.eigh(symmetrize(centered.T @ centered / m))
+    scale = np.sqrt(np.maximum(lam, lam[-1] * 1e-24)) if lam[-1] > 0.0 else np.ones(n)
+    axes = vec * scale
+    work = (centered @ vec) / scale
 
     yt = lift(work)
     # The <= 2n points holding the min and max of each whitened coordinate.
@@ -303,61 +293,44 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     extremes[np.concatenate([work.argmin(axis=0), work.argmax(axis=0)])] = 1.0
     mu = np.empty(m)
     # One-shot regularization for clouds that do not affinely span; kept in
-    # every moment-matrix rebuild so the optimized objective stays fixed.
+    # every moment matrix so the optimized objective stays fixed.
     jitter = 0.0
-    # Hot-loop buffers: w holds cross terms yt_j^T M^{-1} yt_i; penalty is 0
-    # on weighted points and +inf elsewhere, and masked = kappa + penalty
-    # is what the away step takes its argmin over.
-    w = np.empty(m)
-    masked = np.empty(m)
-    penalty = np.empty(m)
 
-    def refresh(factor=None):
-        # factor: (M^{-1}, logdet M) of the current weights when the caller
-        # already has it.  Returns logdet M.
-        nonlocal minv, kappa, n_active
-        if factor is None:
-            np.divide(mu, mu.sum(), out=mu)
-            mm = _moment_matrix(yt, mu)
-            if jitter:
-                mm += jitter * np.eye(d)
-            factor = _factor_or_raise(mm, d)
-        minv, logdet = factor
-        kappa = np.einsum("ij,ij->i", yt @ minv, yt)
-        penalty[:] = np.where(mu > 0.0, 0.0, np.inf)
-        n_active = int(np.count_nonzero(mu))
-        return logdet
+    def support_factor():
+        # (M^{-1}, logdet M) of the current weights from the d x d moment
+        # matrix over the weighted points.
+        np.divide(mu, mu.sum(), out=mu)
+        act = np.flatnonzero(mu)
+        mm = _moment_matrix(yt[act], mu[act])
+        if jitter:
+            mm += jitter * np.eye(d)
+        return _factor_or_raise(mm, d)
 
     # The given start, the extremes, then every point (1.0).
     for guess in (extremes, 1.0) if start is None else (start, extremes, 1.0):
         mu[:] = guess
         try:
-            path = [refresh()]
+            minv, logdet = support_factor()
             break
         except RankDeficiencyError:  # the weighted points do not span
             pass
     else:
         jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
-        path = [refresh()]
+        minv, logdet = support_factor()
+    path = [logdet]
 
     threshold = tol * d
     face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0
-    converged = False
-    certified = True  # kappa freshly recomputed since the last weight update
     while True:
+        kappa = _gradient(yt, minv)
+        act = np.flatnonzero(mu)
         ip = kappa.argmax()
+        ia = act[kappa[act].argmin()]
         gap = kappa[ip] - d
-        ia = np.add(kappa, penalty, out=masked).argmin()
         away_gap = d - kappa[ia]
-        if gap <= threshold and away_gap <= threshold:
-            if certified:
-                converged = True
-                break
-            refresh()
-            certified = True
-            continue
-        if it >= max_iter:
+        converged = bool(gap <= threshold and away_gap <= threshold)
+        if converged or it >= max_iter:
             break
         if gap >= away_gap:
             i, ki = ip, float(kappa[ip])
@@ -375,82 +348,55 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             # line-search formula degenerates and the full drop is optimal.
             gamma = limit if ki <= 1.0 + 1e-15 else line_search_step(ki, d)
             dropped = gamma <= limit
-            if dropped and n_active <= d:
+            if dropped and act.size <= d:
                 # Dropping another point could not leave a spanning support:
                 # the stationarity condition kappa = d is unattainable, which
                 # happens exactly when the cloud is effectively flat.
                 raise RankDeficiencyError(
                     "cloud is effectively degenerate: the solver support "
-                    f"collapsed to {n_active} points (need more than {d})",
-                    rank=n_active,
+                    f"collapsed to {act.size} points (need more than {d})",
+                    rank=act.size,
                     required=d,
                 )
             if dropped:
                 gamma = limit
-        # Rank-one update of M^{-1} and kappa for
-        # M <- (1-gamma) M + gamma yt_i yt_i^T.
+        # M <- (1-gamma) M + gamma yt_i yt_i^T.  On fresh kappa the line
+        # search keeps 1 + c kappa_i >= (1 - mu_i) / d > 0, so M stays
+        # positive definite; its closed-form logdet gain is the path step.
         c = gamma / (1.0 - gamma)
-        denom = 1.0 + c * ki
-        if denom <= 1e-12:  # pragma: no cover - exact line search avoids this
-            # The step would make the moment matrix singular (stale kappa
-            # after rank-one drift); recompute and retry the selection.
-            refresh()
-            certified = True
-            it += 1
-            continue
         if dropped:
-            gain = d * math.log1p(-gamma) + math.log1p(gamma * ki / (1.0 - gamma))
+            gain = d * math.log1p(-gamma) + math.log1p(c * ki)
         else:
             gain = _unclamped_gain(ki, d)
         path.append(path[-1] + gain)
-        v = minv @ yt[i]
-        np.dot(yt, v, out=w)
-        scale = c / denom
-        minv -= scale * (v[:, None] * v)
-        minv /= 1.0 - gamma
-        np.multiply(w, w, out=w)
-        w *= scale
-        kappa -= w
-        kappa /= 1.0 - gamma
         mu *= 1.0 - gamma
-        if dropped:  # always a weighted point: the away argmin skips the rest
-            mu[i] = 0.0
-            penalty[i] = np.inf
-            n_active -= 1
-        else:
-            mu[i] += gamma
-            if penalty[i] != 0.0:
-                penalty[i] = 0.0
-                n_active += 1
-        certified = False
-        if n_active <= face_max:
-            act = np.flatnonzero(mu)
+        mu[i] = 0.0 if dropped else mu[i] + gamma
+        act = np.flatnonzero(mu)
+        factor = None
+        if act.size <= face_max:
+            # Sherman-Morrison update of M^{-1} to seed the Newton steps.
+            v = minv @ yt[i]
+            minv = (minv - (c / (1.0 + c * ki)) * np.outer(v, v)) / (1.0 - gamma)
             newton = _face_newton(yt[act], mu[act], minv, jitter, path[-1])
             if newton is not None:
                 mu[act], factor = newton
-                path[-1] = refresh(factor)
-                certified = True
+                path[-1] = factor[1]
+        if factor is None:
+            factor = support_factor()
+        minv = factor[0]
         it += 1
 
-    if not converged:
-        # Honest certificate at the final iterate (against the jittered
-        # objective when regularization was applied).
-        refresh()
-        gap = kappa.max() - d
-        away_gap = d - np.add(kappa, penalty, out=masked).min()
-        converged = bool(gap <= threshold and away_gap <= threshold)
-
-    mu /= mu.sum()
-    center = mu @ pts
-    second = pts.T @ (mu[:, None] * pts) - np.outer(center, center)
-    second = symmetrize(second)
-    ellipsoid = Ellipsoid(center, n * second)
-    coverage_scale = 1.0
-    if not converged:
-        coverage_scale = max(1.0, float(np.max(ellipsoid.quadratic_form(pts))))
-        ellipsoid = Ellipsoid(center, coverage_scale * n * second)
+    # The ellipsoid in whitened coordinates, mapped back.  There q_i =
+    # (kappa_i - 1) / n for the shape n * second, so the coverage scale
+    # comes from the fresh kappa at no cost.
+    w, mu_w = work[act], mu[act]
+    center_w = mu_w @ w
+    second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
+    center = mean + axes @ center_w
+    second = symmetrize(axes @ second_w @ axes.T)
+    coverage_scale = max(1.0, (float(kappa.max()) - 1.0) / n)
     return MveeSolution(
-        ellipsoid=ellipsoid,
+        ellipsoid=Ellipsoid(center, coverage_scale * n * second),
         weights=SimplexWeights(mu),
         duality_gap=float(gap),
         iterations=it,

@@ -467,7 +467,7 @@ class TestStep:
         assert 0 < rec.params.rho < 1
         assert rec.params.delta < 1
         assert rec.elapsed > 0
-        assert len(rec.solver_stats) == 2
+        assert len(rec.solves) == 2
 
     def test_one_fuse_call_per_step(self, monkeypatch):
         calls = []
@@ -534,15 +534,15 @@ class TestWarmStartedSteps:
         for k in range(self.STEPS):
             rec = step(e, model, ys[k], k, opts, start)
             pairs.append((rec, step(e, model, ys[k], k, opts)))
-            e, start = rec.updated, rec.weights
+            e, start = rec.updated, [s.weights.mu for s in rec.solves]
         return pairs, model.state_dim * np.log1p(2 * opts.tol)
 
     def test_warm_solves_are_short_and_agree_with_cold_ones(self):
         pairs, bound = self.robot_run()
-        iters = [warm.solver_stats[0].iterations for warm, _ in pairs[1:]]
+        iters = [warm.solves[0].iterations for warm, _ in pairs[1:]]
         assert np.median(iters) <= 5  # cold: 18
         for warm, cold in pairs:
-            assert all(s.converged for s in warm.solver_stats)
+            assert all(s.converged for s in warm.solves)
             for field in ("predicted", "updated"):
                 a, b = getattr(warm, field).shape, getattr(cold, field).shape
                 assert abs(np.linalg.slogdet(a)[1] - np.linalg.slogdet(b)[1]) <= bound

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smfilter.ellipsoid import Ellipsoid, contains, sample_boundary
 from smfilter.errors import RankDeficiencyError
 from smfilter.mvee import (
-    MveeSolution,
     SimplexWeights,
     dual_objective,
     fw_gradient,
@@ -121,7 +120,8 @@ class TestFwSolve:
 
     def test_capped_solve_covers_its_cloud(self):
         # Without a convergence certificate the dual ellipsoid can leave
-        # points outside; the capped solve scales its shape to cover them.
+        # points well outside; every solve scales its shape by its final
+        # kappa to cover them, which a capped solve needs most.
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((50, 3))
         sol = fw_solve(pts, tol=1e-12, max_iter=3)
@@ -233,6 +233,25 @@ class TestFwSolve:
         assert contains(sol.ellipsoid, pts, 2 * tol).all()
         assert kkt_residual(sol, pts) <= 10 * tol * 3
 
+    def test_converged_thin_clouds_cover_their_points(self):
+        # One axis shrunk by 10^-U(1, 2) before a random linear map: a shape
+        # formed in the original coordinates, with no coverage scale, left
+        # points of 4 of these clouds up to 1 + 58 tol outside.
+        tol = 1e-7
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(n + 3, 80))
+            pts = rng.standard_normal((m, n))
+            pts[:, 0] *= 10.0 ** -rng.uniform(1, 2)
+            pts = pts @ rng.standard_normal((n, n))
+            for offset in (0.0, 10.0):
+                cloud = pts + offset * rng.standard_normal(n)
+                sol = fw_solve(cloud, tol=tol)
+                assert sol.converged
+                assert 1.0 <= sol.coverage_scale <= 1.0 + (n + 1) * tol / n
+                assert contains(sol.ellipsoid, cloud, 2 * tol).all(), (seed, offset)
+
 
 class TestWarmStart:
     def test_restart_from_the_optimum_takes_no_pass(self):
@@ -277,6 +296,7 @@ class TestWarmStart:
     tol=st.sampled_from([1e-5, 1e-7, 1e-9]),
     warm=st.booleans(),
 )
+@example(n=5, extra=32, seed=4521978, boundary=False, tol=1e-7, warm=False)
 def test_solve_invariants_on_spanning_clouds(n, extra, seed, boundary, tol, warm):
     # The small start, a random sparse start and the face Newton step must
     # never turn a spanning cloud into a collapsed-support error, leave the
@@ -382,13 +402,3 @@ class TestEnclose:
     def test_degenerate_singleton_errors(self):
         with pytest.raises(RankDeficiencyError):
             fw_solve(np.ones((8, 2)))
-
-
-def test_solution_stats_roundtrip():
-    sol = fw_solve(CROSS, tol=1e-9)
-    stats = sol.stats()
-    assert stats.converged == sol.converged
-    assert stats.iterations == sol.iterations
-    assert stats.duality_gap == sol.duality_gap
-    assert stats.coverage_scale == sol.coverage_scale == 1.0
-    assert isinstance(sol, MveeSolution)
