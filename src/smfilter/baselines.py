@@ -6,6 +6,7 @@ bounds by a sampled bound on the linearization remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,38 +131,45 @@ def _remainder_samples(e: Ellipsoid, m: int, rng) -> np.ndarray:
     return np.vstack(pts)
 
 
+@lru_cache(maxsize=8)
+def _hessian_stencil(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed unit offsets of the central-difference Hessian stencil in R^n,
+    read-only: 0, then +e_a and -e_a for every a, then e_a + e_b, e_a - e_b,
+    -e_a + e_b and -e_a - e_b for every pair a < b; and the pair indices
+    (a, b)."""
+    eye = np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    ea, eb = eye[a], eye[b]
+    offsets = np.vstack([np.zeros((1, n)), eye, -eye, ea + eb, ea - eb, -ea + eb, -ea - eb])
+    for arr in (offsets, a, b):
+        arr.setflags(write=False)
+    return offsets, a, b
+
+
 def hessian_abs_max(fn, pts: np.ndarray, out_dim: int,
                     rel_step: float = 1e-4) -> np.ndarray:
     """Entrywise maximum |Hessian| of each output of fn over sample points.
 
-    fn maps (..., n) -> (..., out_dim) batches.  Second differences below
-    the finite-difference noise floor are zeroed, so exactly linear maps
-    report zero curvature.  Returns an (out_dim, n, n) array.
+    fn maps (..., n) -> (..., out_dim) batches; it is called once, on the
+    whole central-difference stencil around every point (step rel_step *
+    max(1, |x_a|) along axis a).  Second differences below the
+    finite-difference noise floor are zeroed, so exactly linear maps report
+    zero curvature.  Returns an (out_dim, n, n) array.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = pts.shape
     steps = rel_step * np.maximum(1.0, np.abs(pts))  # (m, n)
-    f0 = np.atleast_2d(fn(pts))
-    hess = np.zeros((m, out_dim, n, n))
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = 1.0
-        ha = steps[:, a:a + 1]
-        fpa = np.atleast_2d(fn(pts + ha * ea))
-        fma = np.atleast_2d(fn(pts - ha * ea))
-        hess[:, :, a, a] = (fpa - 2.0 * f0 + fma) / ha**2
-        for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = 1.0
-            hb = steps[:, b:b + 1]
-            fpp = np.atleast_2d(fn(pts + ha * ea + hb * eb))
-            fpm = np.atleast_2d(fn(pts + ha * ea - hb * eb))
-            fmp = np.atleast_2d(fn(pts - ha * ea + hb * eb))
-            fmm = np.atleast_2d(fn(pts - ha * ea - hb * eb))
-            mixed = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
-            hess[:, :, a, b] = mixed
-            hess[:, :, b, a] = mixed
-    out = np.abs(hess).max(axis=0)  # (out_dim, n, n)
+    offsets, a, b = _hessian_stencil(n)
+    vals = np.reshape(fn((pts + offsets[:, None, :] * steps).reshape(-1, n)),
+                      (len(offsets), m, out_dim))
+    f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
+    fpp, fpm, fmp, fmm = np.split(vals[2 * n + 1:], 4)
+    h = steps.T[:, :, None]  # (n, m, 1)
+    diag = (fp - 2.0 * f0 + fm) / h**2
+    mixed = (fpp - fpm - fmp + fmm) / (4.0 * h[a] * h[b])
+    out = np.empty((out_dim, n, n))
+    out[:, range(n), range(n)] = np.abs(diag).max(axis=1).T
+    out[:, a, b] = out[:, b, a] = np.abs(mixed).max(axis=1).T
     # Noise floor: second differences of a flat function leave cancellation
     # residue of order eps * |f| / h^2.
     scale = np.abs(f0).max(axis=0) + 1e-30
@@ -171,15 +179,18 @@ def hessian_abs_max(fn, pts: np.ndarray, out_dim: int,
     return out
 
 
-def _remainder_halfwidths(e: Ellipsoid, fn, jac: np.ndarray, k_args,
+def _remainder_halfwidths(e: Ellipsoid, fn, jac: np.ndarray,
                           rng, n_samples: int) -> np.ndarray:
     """Per-axis remainder bound over the ellipsoid: the larger of the
     sampled remainder maxima and the worst-case quadratic completion
     0.5 * sum_ab max|H_j[a,b]| r_a r_b over the enclosing box (the
-    classical curvature bound, with the Hessians sampled numerically)."""
+    classical curvature bound, with the Hessians sampled numerically).
+    fn is called twice: once on the center and the samples together, once
+    on the Hessian stencil."""
     c = e.center
     x = _remainder_samples(e, n_samples, rng)
-    rem = np.atleast_2d(fn(x)) - np.atleast_2d(fn(c)) - (x - c) @ jac.T
+    vals = np.atleast_2d(fn(np.vstack([c, x])))
+    rem = vals[1:] - vals[:1] - (x - c) @ jac.T
     direct = np.abs(rem).max(axis=0)
     h_pts = _remainder_samples(e, N_HESSIAN, rng)
     h_max = hessian_abs_max(fn, h_pts, out_dim=jac.shape[0])
@@ -192,9 +203,7 @@ def remainder_bound_f(e: Ellipsoid, model: SystemModel, k: int,
                       rng, n_samples: int = N_REMAINDER) -> RemainderBound:
     """Sampled bound on f(x) - f(c) - J (x - c) over the ellipsoid."""
     jac = _f_jacobian(model, e.center, k)
-    half = _remainder_halfwidths(
-        e, lambda x: model.f(x, k), jac, k, rng, n_samples
-    )
+    half = _remainder_halfwidths(e, lambda x: model.f(x, k), jac, rng, n_samples)
     return RemainderBound.from_halfwidths(half)
 
 
@@ -202,7 +211,7 @@ def remainder_bound_h(e: Ellipsoid, model: SystemModel,
                       rng, n_samples: int = N_REMAINDER) -> RemainderBound:
     """Sampled bound on h(x) - h(c) - J (x - c) over the ellipsoid."""
     jac = _h_jacobian(model, e.center)
-    half = _remainder_halfwidths(e, model.h, jac, None, rng, n_samples)
+    half = _remainder_halfwidths(e, model.h, jac, rng, n_samples)
     return RemainderBound.from_halfwidths(half)
 
 

@@ -155,15 +155,16 @@ def _design(m: int, n: int) -> np.ndarray:
     return u
 
 
-def _enclose(points: np.ndarray, opts: FilterOptions, what: str, start) -> MveeSolution:
+def _enclose(points: np.ndarray, opts: FilterOptions, what: Callable[[], str],
+             start) -> MveeSolution:
     """The enclosing solve of a cloud from start weights (None: cold), its
-    rank errors prefixed with what."""
+    rank errors prefixed with what(), built only when one is raised."""
     try:
         return fw_solve(PointCloud(points), tol=opts.tol, max_iter=opts.max_iter,
                         start=start)
     except RankDeficiencyError as err:
         raise RankDeficiencyError(
-            f"{what}: {err}", rank=err.rank, required=err.required
+            f"{what()}: {err}", rank=err.rank, required=err.required
         ) from err
 
 
@@ -181,7 +182,7 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
     if opts.m_samples < model.state_dim + 1:
         raise ValueError("m_samples must be at least state_dim + 1")
     boundary = e_k.center + _design(opts.m_samples, model.state_dim) @ e_k.factor().T
-    sol = _enclose(model.f(boundary, k), opts, f"prediction at step {k}", start)
+    sol = _enclose(model.f(boundary, k), opts, lambda: f"prediction at step {k}", start)
     p_star = optimal_p(sol.ellipsoid.shape, model.Q)
     return minkowski_outer(sol.ellipsoid, model.Q, p_star), sol, p_star
 
@@ -211,7 +212,7 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     # Noise direction slowest, then each parameter grid in turn.
     mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
     pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
-    sol = _enclose(pts, opts, f"measurement set for y={y}", start)
+    sol = _enclose(pts, opts, lambda: f"measurement set for y={y}", start)
     return sol.ellipsoid, sol
 
 
@@ -230,9 +231,9 @@ def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
         raise ValueError(f"E_p is {e_p.shape}, expected ({r}, {n}) with {r} <= {n}")
     chol_p = pred.factor()
     chol_z = meas.factor()
-    v, s, ut = np.linalg.svd(np.linalg.solve(chol_z, e_p @ chol_p))
-    h = v.T @ np.linalg.solve(chol_z, meas.center - e_p @ pred.center)
-    s, h = np.pad(s, (0, n - r)), np.pad(h, (0, n - r))
+    v, s_r, ut = np.linalg.svd(np.linalg.solve(chol_z, e_p @ chol_p))
+    s, h = np.zeros(n), np.zeros(n)
+    s[:r], h[:r] = s_r, v.T @ np.linalg.solve(chol_z, meas.center - e_p @ pred.center)
 
     def at_rho(rho):
         rho = np.asarray(rho, dtype=float)[..., None]

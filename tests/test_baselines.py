@@ -1,19 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smfilter import baselines, dsmf
 from smfilter.baselines import (
+    N_HESSIAN,
     GaussianBelief,
     RemainderBound,
     add_remainder,
     esmf_step,
     esmf_update,
+    hessian_abs_max,
     numerical_jacobian,
     remainder_bound_f,
+    remainder_bound_h,
     ukf_step,
 )
 from smfilter.dsmf import SystemModel, fuse, optimize_rho
 from smfilter.ellipsoid import Ellipsoid, symmetrize
+from smfilter.harness import RunConfig, run_experiment
+from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
 
 def random_spd(rng, n, scale=1.0):
@@ -30,6 +37,128 @@ def linear_model(f_mat, h_mat, q, r):
         E_p=h_mat, Q=q, R=r,
         f_jac=lambda x, k: f_mat, h_jac=lambda x: h_mat,
     )
+
+
+def reference_hessian_abs_max(fn, pts, out_dim, rel_step=1e-4):
+    """The Hessian bound one stencil offset at a time: one fn call per
+    offset, each on the whole point batch."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    m, n = pts.shape
+    steps = rel_step * np.maximum(1.0, np.abs(pts))
+    f0 = np.atleast_2d(fn(pts))
+    hess = np.zeros((m, out_dim, n, n))
+    for a in range(n):
+        ea = np.zeros(n)
+        ea[a] = 1.0
+        ha = steps[:, a:a + 1]
+        fpa = np.atleast_2d(fn(pts + ha * ea))
+        fma = np.atleast_2d(fn(pts - ha * ea))
+        hess[:, :, a, a] = (fpa - 2.0 * f0 + fma) / ha**2
+        for b in range(a + 1, n):
+            eb = np.zeros(n)
+            eb[b] = 1.0
+            hb = steps[:, b:b + 1]
+            fpp = np.atleast_2d(fn(pts + ha * ea + hb * eb))
+            fpm = np.atleast_2d(fn(pts + ha * ea - hb * eb))
+            fmp = np.atleast_2d(fn(pts - ha * ea + hb * eb))
+            fmm = np.atleast_2d(fn(pts - ha * ea - hb * eb))
+            mixed = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
+            hess[:, :, a, b] = mixed
+            hess[:, :, b, a] = mixed
+    out = np.abs(hess).max(axis=0)
+    scale = np.abs(f0).max(axis=0) + 1e-30
+    floor = 64.0 * np.finfo(float).eps * scale / steps.min()**2
+    out[out <= floor[:, None, None]] = 0.0
+    return out
+
+
+def reference_remainder_halfwidths(e, fn, jac, rng, n_samples):
+    """The remainder half-widths with fn called separately on the samples,
+    the center and each Hessian stencil offset."""
+    c = e.center
+    x = baselines._remainder_samples(e, n_samples, rng)
+    rem = np.atleast_2d(fn(x)) - np.atleast_2d(fn(c)) - (x - c) @ jac.T
+    h_pts = baselines._remainder_samples(e, N_HESSIAN, rng)
+    h_max = reference_hessian_abs_max(fn, h_pts, out_dim=jac.shape[0])
+    radii = np.sqrt(np.diag(e.shape))
+    quad = 0.5 * np.einsum("jab,a,b->j", h_max, radii, radii)
+    return np.maximum(np.abs(rem).max(axis=0), quad)
+
+
+class TestHessianAbsMax:
+    @pytest.mark.parametrize("name, which", [("radar", "h"), ("robot", "f"), ("robot", "h")])
+    def test_matches_reference_loop(self, name, which):
+        model = build_model(build_scenario(name))
+        fn = model.h if which == "h" else (lambda x: model.f(x, 0))
+        rng = np.random.default_rng(21)
+        e = initial_estimate(build_scenario(name), rng)
+        for _ in range(5):
+            pts = baselines._remainder_samples(e, N_HESSIAN, rng)
+            out_dim = np.atleast_2d(fn(pts)).shape[1]
+            got = hessian_abs_max(fn, pts, out_dim)
+            assert got.shape == (out_dim, model.state_dim, model.state_dim)
+            np.testing.assert_array_equal(got, reference_hessian_abs_max(fn, pts, out_dim))
+
+    def test_quadratic_map_gives_its_hessian(self):
+        # f_j(x) = x^T A_j x + b_j x has the constant Hessian 2 A_j (A_j
+        # symmetric) at every point.
+        rng = np.random.default_rng(22)
+        quad = rng.standard_normal((2, 3, 3))
+        quad = quad + quad.transpose(0, 2, 1)
+        lin = rng.standard_normal((2, 3))
+
+        def fn(x):
+            return np.einsum("jab,...a,...b->...j", quad, x, x) + x @ lin.T
+
+        got = hessian_abs_max(fn, rng.standard_normal((N_HESSIAN, 3)), 2)
+        np.testing.assert_allclose(got, 2.0 * np.abs(quad), rtol=1e-6)
+
+    def test_linear_map_gives_exactly_zero(self):
+        rng = np.random.default_rng(23)
+        mat = rng.standard_normal((2, 4))
+        pts = 50.0 * rng.standard_normal((N_HESSIAN, 4))
+        got = hessian_abs_max(lambda x: x @ mat.T + 3.0, pts, 2)
+        assert not np.any(got)
+
+
+class TestBatchedRemainderBound:
+    @staticmethod
+    def counted(model):
+        """The model with f and h wrapped to count their calls."""
+        calls = {"f": 0, "h": 0}
+
+        def f(x, k):
+            calls["f"] += 1
+            return model.f(x, k)
+
+        def h(x):
+            calls["h"] += 1
+            return model.h(x)
+
+        return replace(model, f=f, h=h), calls
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_each_bound_calls_the_model_at_most_twice(self, name):
+        model, calls = self.counted(build_model(build_scenario(name)))
+        rng = np.random.default_rng(24)
+        e = initial_estimate(build_scenario(name), rng)
+        remainder_bound_f(e, model, 0, rng)
+        f_calls = calls["f"]
+        remainder_bound_h(e, model, rng)
+        assert 0 < f_calls <= 2 and f_calls == calls["f"]
+        assert 0 < calls["h"] <= 2
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_esmf_sets_match_the_per_offset_reference(self, name, monkeypatch):
+        config = RunConfig(scenario=name, filters=("esmf",), runs=2, master_seed=25)
+        got = run_experiment(config)
+        monkeypatch.setattr(baselines, "_remainder_halfwidths", reference_remainder_halfwidths)
+        want = run_experiment(config)
+        for run_got, run_want in zip(got.runs, want.runs, strict=True):
+            for a, b in zip(run_got.filters["esmf"].sets, run_want.filters["esmf"].sets,
+                            strict=True):
+                np.testing.assert_array_equal(a.center, b.center)
+                np.testing.assert_array_equal(a.shape, b.shape)
 
 
 class TestNumericalJacobian:

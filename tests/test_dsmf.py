@@ -18,7 +18,7 @@ from smfilter.ellipsoid import (
     sample_interior,
     symmetrize,
 )
-from smfilter.errors import EmptyIntersectionError, MeasurementDomainError
+from smfilter.errors import EmptyIntersectionError, MeasurementDomainError, RankDeficiencyError
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import (
     build_model,
@@ -180,6 +180,21 @@ class TestMeasurementEllipsoid:
         with pytest.raises(MeasurementDomainError) as exc:
             measurement_ellipsoid(y, model, None, FilterOptions())
         assert exc.value.sample is not None
+
+    def test_rank_deficient_set_names_the_measurement(self):
+        # A noise-blind inverse maps the whole noise set to y: one point,
+        # which no jitter can make span R^2.  The error names the
+        # measurement.
+        model = SystemModel(
+            state_dim=2, meas_dim=2,
+            f=lambda x, k: np.asarray(x), h=lambda x: np.asarray(x),
+            h_inv=lambda y, v, aux: np.tile(y, (len(v), 1)),
+            E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
+        )
+        y = np.array([0.5, 1.5])
+        with pytest.raises(RankDeficiencyError) as exc:
+            measurement_ellipsoid(y, model, None, FilterOptions())
+        assert str(exc.value).startswith("measurement set for y=[0.5 1.5]: ")
 
     def test_zero_width_aux_matches_no_aux(self):
         # A width-zero parameter interval reduces to noise-only sampling.
