@@ -9,7 +9,6 @@ Monte Carlo harness with a CLI.
 
 from .baselines import (
     GaussianBelief,
-    RemainderBound,
     esmf_predict,
     esmf_step,
     esmf_update,

@@ -51,49 +51,26 @@ class GaussianBelief:
         return self.mean.size
 
 
-@dataclass(frozen=True)
-class RemainderBound:
-    """Axis-aligned ellipsoidal bound on the linearization remainder, to be
-    added to a noise bound.  The matrix is SPD or exactly zero."""
-
-    matrix: np.ndarray
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.matrix)
-
-    @classmethod
-    def from_halfwidths(cls, half: np.ndarray,
-                        safety: float = REMAINDER_SAFETY) -> "RemainderBound":
-        """Axis-aligned ellipsoid covering the box of the given per-axis
-        half-widths, scaled by the safety factor (shape is
-        diag(dim * (safety*halfwidth)^2) so box corners are covered).  Axes
-        with no observed remainder get a negligible floor so the matrix
-        stays SPD; all-zero half-widths give the zero bound."""
-        half = safety * np.atleast_1d(np.asarray(half, dtype=float))
-        top = half.max()
-        if top == 0.0:
-            return cls(np.zeros((half.size, half.size)))
-        half = np.maximum(half, 1e-12 * top)
-        dim = half.size
-        return cls(np.diag(dim * half**2))
-
-    @classmethod
-    def from_samples(cls, remainders: np.ndarray,
-                     safety: float = REMAINDER_SAFETY) -> "RemainderBound":
-        """Bound a sampled remainder cloud by its per-axis maxima."""
-        remainders = np.atleast_2d(np.asarray(remainders, dtype=float))
-        return cls.from_halfwidths(np.abs(remainders).max(axis=0), safety)
+def uniform_covariance(shape: np.ndarray) -> np.ndarray:
+    """Covariance of a uniform draw over the centered ellipsoid with this
+    shape: shape / (dim + 2)."""
+    return shape * (1.0 / (shape.shape[0] + 2.0))
 
 
-def add_remainder(noise_shape: np.ndarray, bound: RemainderBound) -> np.ndarray:
-    """Inflate a noise bound by a remainder bound via the trace-optimal
-    covering sum; the zero bound is a no-op."""
-    if bound.is_zero:
+def add_remainder(noise_shape: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Inflate a noise bound by the trace-optimal covering sum with a
+    linearization remainder: the box of the per-axis half-widths, scaled by
+    REMAINDER_SAFETY, inside diag(dim * half^2) with its corners.  Axes with
+    no remainder get a floor of 1e-12 of the largest half-width, so that
+    shape stays SPD; all-zero half-widths are a no-op."""
+    half = REMAINDER_SAFETY * np.atleast_1d(np.asarray(half, dtype=float))
+    top = half.max()
+    if top == 0.0:
         return noise_shape
+    half = np.maximum(half, 1e-12 * top)
+    bound = np.diag(half.size * half**2)
     base = Ellipsoid(np.zeros(noise_shape.shape[0]), noise_shape)
-    p = optimal_p(noise_shape, bound.matrix)
-    return minkowski_outer(base, bound.matrix, p).shape
+    return minkowski_outer(base, bound, optimal_p(noise_shape, bound)).shape
 
 
 def numerical_jacobian(fn, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -200,19 +177,17 @@ def _remainder_halfwidths(e: Ellipsoid, fn, jac: np.ndarray,
 
 
 def remainder_bound_f(e: Ellipsoid, model: SystemModel, k: int,
-                      rng, n_samples: int = N_REMAINDER) -> RemainderBound:
-    """Sampled bound on f(x) - f(c) - J (x - c) over the ellipsoid."""
+                      rng, n_samples: int = N_REMAINDER) -> np.ndarray:
+    """Per-axis half-widths bounding f(x) - f(c) - J (x - c) over e."""
     jac = _f_jacobian(model, e.center, k)
-    half = _remainder_halfwidths(e, lambda x: model.f(x, k), jac, rng, n_samples)
-    return RemainderBound.from_halfwidths(half)
+    return _remainder_halfwidths(e, lambda x: model.f(x, k), jac, rng, n_samples)
 
 
 def remainder_bound_h(e: Ellipsoid, model: SystemModel,
-                      rng, n_samples: int = N_REMAINDER) -> RemainderBound:
-    """Sampled bound on h(x) - h(c) - J (x - c) over the ellipsoid."""
+                      rng, n_samples: int = N_REMAINDER) -> np.ndarray:
+    """Per-axis half-widths bounding h(x) - h(c) - J (x - c) over e."""
     jac = _h_jacobian(model, e.center)
-    half = _remainder_halfwidths(e, model.h, jac, rng, n_samples)
-    return RemainderBound.from_halfwidths(half)
+    return _remainder_halfwidths(e, model.h, jac, rng, n_samples)
 
 
 def esmf_predict(e_k: Ellipsoid, model: SystemModel, k: int,
@@ -274,13 +249,13 @@ def ukf_step(belief: GaussianBelief, model: SystemModel, y: np.ndarray,
              k: int) -> GaussianBelief:
     """One unscented predict/update cycle.
 
-    The noise covariances are those of uniform draws over the bounds,
-    shape / (dim + 2); the measurement update uses the standard
+    The noise covariances are those of uniform draws over the bounds
+    (uniform_covariance); the measurement update uses the standard
     cross-covariance gain.
     """
     y = np.asarray(y, dtype=float)
-    q_cov = model.Q * (1.0 / (model.state_dim + 2.0))
-    r_cov = model.R * (1.0 / (model.meas_dim + 2.0))
+    q_cov = uniform_covariance(model.Q)
+    r_cov = uniform_covariance(model.R)
 
     pts, w = _sigma_points(belief.mean, belief.cov)
     xp = model.f(pts, k)

@@ -23,6 +23,7 @@ from .errors import ConfigError, NumericalError
 from .harness import (
     RunConfig,
     affine_fit_r2,
+    aggregate,
     bench_mvee,
     emit_outputs,
     parse_config,
@@ -107,13 +108,9 @@ def cmd_simulate(args) -> int:
     result = run_experiment(config)
     emit_outputs(result, config.out_dir)
     agg = {
-        name: {
-            "containment_rate": round(float(np.mean([
-                log.filters[name].contained.mean() for log in result.runs
-            ])), 6),
-            "failures": result.failures[name],
-        }
-        for name in config.filters
+        name: {"containment_rate": round(figures["containment_rate"], 6),
+               "failures": result.failures[name]}
+        for name, figures in aggregate(result).items()
     }
     print(json.dumps({"out_dir": config.out_dir, "runs": config.runs,
                       "aggregate": agg}, indent=2, sort_keys=True))

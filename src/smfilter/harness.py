@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios as sc
-from .baselines import GaussianBelief, esmf_predict, esmf_step, ukf_step
+from .baselines import GaussianBelief, esmf_predict, esmf_step, ukf_step, uniform_covariance
 from .dsmf import FilterOptions, predict, step
 from .ellipsoid import Ellipsoid, contains, sample_interior
 from .errors import ConfigError, NumericalError
@@ -152,7 +152,8 @@ def parse_config(path: str | Path) -> RunConfig:
 
 @dataclass
 class FilterRunLog:
-    """Per-step artifacts of one filter on one run."""
+    """Per-step artifacts of one filter on one run.  The figures of a ukf
+    step are those of its three-sigma set."""
 
     estimates: np.ndarray  # (steps, n) centers / means
     sets: list  # Ellipsoid (dsmf/esmf) or GaussianBelief (ukf) per step
@@ -161,7 +162,7 @@ class FilterRunLog:
     logdets: np.ndarray
     times: np.ndarray
     failures: int
-    records: list  # StepRecord for dsmf, None otherwise
+    records: list  # per step: the dsmf StepRecord; None for a carried step or another filter
 
 
 @dataclass
@@ -186,16 +187,14 @@ class MetricsRow:
 
 
 @dataclass
-class MetricsTable:
-    rows: list[MetricsRow]
-
-
-@dataclass
 class ExperimentResult:
+    """The runs of one experiment; metrics holds one MetricsRow per
+    (filter, step), filter-major."""
+
     config: RunConfig
     scenario: object
     runs: list[RunLog]
-    metrics: MetricsTable
+    metrics: list[MetricsRow]
     failures: dict[str, int]
     seeds: list[int]
 
@@ -221,84 +220,73 @@ def effective_criterion(config: RunConfig, scenario) -> str:
 def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
                 truth: np.ndarray, measurements: np.ndarray,
                 rng: np.random.Generator) -> FilterRunLog:
-    steps = measurements.shape[0]
-    n = model.state_dim
+    """Step one filter through a run.  A step that raises NumericalError
+    is carried by its prediction, unless on_empty is raise or the filter
+    is ukf, whose errors propagate."""
     criterion = effective_criterion(config, scenario)
-    opts = FilterOptions(
-        m_samples=config.m_samples,
-        tol=config.tol,
-        size_criterion=criterion,
-    )
-    estimates = np.empty((steps, n))
-    sets: list = []
-    records: list = []
-    contained = np.zeros(steps, dtype=bool)
-    traces = np.empty(steps)
-    logdets = np.empty(steps)
-    times = np.empty(steps)
-    failures = 0
+    opts = FilterOptions(m_samples=config.m_samples, tol=config.tol,
+                         size_criterion=criterion)
+    state, carry = e0, None
+    if name == "dsmf":
+        def advance(e, k, last):
+            # Warm start from the last step's solve weights, if it solved.
+            start = None if last is None else [s.weights.mu for s in last.solves]
+            rec = step(e, model, measurements[k], k, opts, start)
+            return rec.updated, rec
 
-    if name == "ukf":
-        # The covariance of a uniform draw over the bound: shape / (n + 2).
-        belief = GaussianBelief(e0.center, e0.shape * (1.0 / (n + 2.0)))
-        for k in range(steps):
-            t0 = time.perf_counter()
-            belief = ukf_step(belief, model, measurements[k], k)
-            times[k] = time.perf_counter() - t0
-            conf = _ukf_set(belief)
-            estimates[k] = belief.mean
-            sets.append(belief)
-            contained[k] = bool(contains(conf, truth[k + 1], CONTAINMENT_SLACK))
-            traces[k] = float(np.trace(conf.shape))
-            logdets[k] = _logdet(conf.shape)
-        return FilterRunLog(estimates, sets, contained, traces, logdets,
-                            times, failures, records)
+        def carry(e, k):
+            return predict(e, model, k, opts)[0]
+    elif name == "esmf":
+        def advance(e, k, last):
+            return esmf_step(e, model, measurements[k], k, rng, size_criterion=criterion), None
 
-    e = e0
-    start = None  # the last dsmf step's solve weights; None starts cold
+        def carry(e, k):
+            return esmf_predict(e, model, k, rng)
+    else:
+        state = GaussianBelief(e0.center, uniform_covariance(e0.shape))
+
+        def advance(belief, k, last):
+            return ukf_step(belief, model, measurements[k], k), None
+
+    steps = measurements.shape[0]
+    sets, records, times, failures = [], [], np.empty(steps), 0
+    rec = None  # the last step's record: None at the start and after a carry
     for k in range(steps):
         t0 = time.perf_counter()
         try:
-            if name == "dsmf":
-                rec = step(e, model, measurements[k], k, opts, start)
-                e, start = rec.updated, [s.weights.mu for s in rec.solves]
-                records.append(rec)
-            else:
-                e = esmf_step(e, model, measurements[k], k, rng,
-                              size_criterion=criterion)
+            state, rec = advance(state, k, rec)
         except NumericalError:
-            if config.on_empty == "raise":
+            if carry is None or config.on_empty == "raise":
                 raise
             failures += 1
-            # Fall back to carrying the prediction for this step.
-            if name == "dsmf":
-                e, start = predict(e, model, k, opts)[0], None
-                records.append(None)
-            else:
-                e = esmf_predict(e, model, k, rng)
+            state, rec = carry(state, k), None
         times[k] = time.perf_counter() - t0
-        estimates[k] = e.center
-        sets.append(e)
-        contained[k] = bool(contains(e, truth[k + 1], CONTAINMENT_SLACK))
-        traces[k] = float(np.trace(e.shape))
-        logdets[k] = _logdet(e.shape)
-    return FilterRunLog(estimates, sets, contained, traces, logdets,
-                        times, failures, records)
+        sets.append(state)
+        records.append(rec)
 
-
-def _theta_index(scenario) -> int | None:
-    return 2 if isinstance(scenario, sc.RobotScenario) else None
+    bounds = [_ukf_set(s) if isinstance(s, GaussianBelief) else s for s in sets]
+    return FilterRunLog(
+        estimates=np.array([e.center for e in bounds]),
+        sets=sets,
+        contained=np.array([contains(e, truth[k + 1], CONTAINMENT_SLACK)
+                            for k, e in enumerate(bounds)], dtype=bool),
+        traces=np.array([np.trace(e.shape) for e in bounds]),
+        logdets=np.array([_logdet(e.shape) for e in bounds]),
+        times=times,
+        failures=failures,
+        records=records,
+    )
 
 
 def compute_metrics(config: RunConfig, scenario, runs: list[RunLog],
-                    steps: int) -> MetricsTable:
+                    steps: int) -> list[MetricsRow]:
     """Aggregate per-step, per-filter metrics over the Monte Carlo runs.
 
     RMSE_k per component is sqrt(mean over runs of squared estimate error);
     trace/logdet/time are means over runs; contained is the fraction of
     runs whose true state lies in the filter set at that step.
     """
-    th = _theta_index(scenario)
+    th = 2 if isinstance(scenario, sc.RobotScenario) else None  # the heading
     rows = []
     for name in config.filters:
         err = np.stack([
@@ -320,7 +308,23 @@ def compute_metrics(config: RunConfig, scenario, runs: list[RunLog],
                 contained=float(cont[:, k].mean()),
                 time_s=float(times[:, k].mean()),
             ))
-    return MetricsTable(rows)
+    return rows
+
+
+def aggregate(result: ExperimentResult) -> dict[str, dict[str, float]]:
+    """Per-filter figures over the whole experiment: the share of
+    (run, step) pairs whose set contains the truth, the mean trace, and the
+    time-averaged RMSE of the first state component."""
+    out = {}
+    for name in result.config.filters:
+        logs = [log.filters[name] for log in result.runs]
+        out[name] = {
+            "containment_rate": float(np.mean([f.contained.mean() for f in logs])),
+            "mean_trace": float(np.mean([f.traces.mean() for f in logs])),
+            "time_avg_rmse_x": float(np.mean([
+                row.rmse_x for row in result.metrics if row.filter == name])),
+        }
+    return out
 
 
 def run_experiment(config: RunConfig) -> ExperimentResult:
@@ -383,7 +387,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     metrics_path = out / "metrics.csv"
     with open(metrics_path, "w", newline="") as fh:
         fh.write("k,filter,trace,logdet,rmse_x,rmse_theta,contained,time_s\n")
-        for row in result.metrics.rows:
+        for row in result.metrics:
             time_field = _fmt(row.time_s) if config.record_timing else ""
             fh.write(
                 f"{row.k},{row.filter},{_fmt(row.trace)},{_fmt(row.logdet)},"
@@ -398,23 +402,10 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
             "filters": list(config.filters),
             "size_criterion_effective": effective_criterion(config, result.scenario),
         },
-        "steps": int(result.metrics.rows[-1].k) if result.metrics.rows else 0,
+        "steps": int(result.metrics[-1].k) if result.metrics else 0,
         "seeds": [int(s) for s in result.seeds],
         "failures": result.failures,
-        "aggregate": {
-            name: {
-                "containment_rate": float(np.mean([
-                    log.filters[name].contained.mean() for log in result.runs
-                ])),
-                "mean_trace": float(np.mean([
-                    log.filters[name].traces.mean() for log in result.runs
-                ])),
-                "time_avg_rmse_x": float(np.mean([
-                    row.rmse_x for row in result.metrics.rows if row.filter == name
-                ])),
-            }
-            for name in config.filters
-        },
+        "aggregate": aggregate(result),
     }
     if config.record_timing:
         summary["timing"] = {
@@ -427,9 +418,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    scenario = result.scenario
-    model = build_model(scenario)
-    e_p = model.E_p
+    e_p = build_model(result.scenario).E_p
     ellipse_dir = out / "ellipses"
     ellipse_dir.mkdir(exist_ok=True)
     phase = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_POINTS, endpoint=False)
@@ -438,9 +427,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         for name, flog in log.filters.items():
             for k, obj in enumerate(flog.sets):
                 e = _ukf_set(obj) if isinstance(obj, GaussianBelief) else obj
-                center = e_p @ e.center
-                proj = e_p @ e.shape @ e_p.T
-                ell = Ellipsoid(center, proj)
+                ell = Ellipsoid(e_p @ e.center, e_p @ e.shape @ e_p.T)
                 pts = ell.center[:, None] + ell.factor() @ circle
                 path = ellipse_dir / f"run{log.run_index}_k{k + 1}_{name}.csv"
                 with open(path, "w", newline="") as fh:

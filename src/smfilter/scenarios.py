@@ -104,9 +104,8 @@ class RobotScenario:
     measuring range and relative bearing to one landmark.
 
     State [px, py, theta]; u_r must be nonzero (the motion model divides by
-    it).  The heading interval handed to the inverse-measurement map uses
-    the raw (3,3) entry of the predicted shape as its half-width;
-    sqrt_heading switches to the square root of that entry.
+    it).  The heading interval handed to the inverse-measurement map is the
+    projection of the predicted set onto the heading, theta_hat +- sqrt(P33).
     """
 
     T0: float = 1.0
@@ -118,7 +117,6 @@ class RobotScenario:
     r_diag: tuple[float, float] = (1.0, 1.0)
     p0_diag: tuple[float, ...] = (1.0, 1.0, 0.1)
     steps: int = 100
-    sqrt_heading: bool = False
     # The initial estimate is a small bias around the true state while P0
     # stays the stated conservative bound; the heading component of the
     # bias is never directly corrected by the position-projected update,
@@ -220,10 +218,8 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
         return landmark.invert(y, v, np.asarray(theta, dtype=float) - y[1] - v[:, 1])
 
     def aux_from_predicted(pred: Ellipsoid) -> np.ndarray:
-        theta_hat = pred.center[2]
-        width = pred.shape[2, 2]
-        if sc.sqrt_heading:
-            width = np.sqrt(width)
+        # The heading projection of the predicted set: every heading it admits.
+        theta_hat, width = pred.center[2], np.sqrt(pred.shape[2, 2])
         return np.array([[theta_hat - width, theta_hat + width]])
 
     e_p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -302,7 +302,7 @@ def test_criterion_07_linear_model_degeneration():
 
 def test_criterion_08_radar_scenario(radar_experiment):
     result, elapsed = radar_experiment
-    rows = result.metrics.rows
+    rows = result.metrics
     tr_dsmf = np.mean([r.trace for r in rows if r.filter == "dsmf" and r.k > 10])
     tr_esmf = np.mean([r.trace for r in rows if r.filter == "esmf" and r.k > 10])
     cont = np.mean([r.contained for r in rows if r.filter == "dsmf"])
@@ -316,7 +316,7 @@ def test_criterion_08_radar_scenario(radar_experiment):
 
 def test_criterion_09_robot_scenario(robot_experiment):
     result, elapsed = robot_experiment
-    rows = result.metrics.rows
+    rows = result.metrics
 
     def avg(name, attr):
         return float(np.mean([getattr(r, attr) for r in rows

@@ -7,7 +7,6 @@ from smfilter import baselines, dsmf
 from smfilter.baselines import (
     N_HESSIAN,
     GaussianBelief,
-    RemainderBound,
     add_remainder,
     esmf_step,
     esmf_update,
@@ -18,7 +17,7 @@ from smfilter.baselines import (
     ukf_step,
 )
 from smfilter.dsmf import SystemModel, fuse, optimize_rho
-from smfilter.ellipsoid import Ellipsoid, symmetrize
+from smfilter.ellipsoid import Ellipsoid, minkowski_outer, optimal_p, symmetrize
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
@@ -173,36 +172,56 @@ class TestNumericalJacobian:
 
 
 class TestRemainderBound:
+    """add_remainder on a negligible noise bound shows the remainder
+    ellipsoid itself: the covering sum of shapes q and R is
+    (sqrt(q) + sqrt(R))^2 per axis when both are diagonal and proportional."""
+
     def test_zero_samples_give_zero_bound(self):
-        bound = RemainderBound.from_samples(np.zeros((10, 2)))
-        assert bound.is_zero
-
-    def test_quadratic_scalar_example(self):
-        # f(x) = x^2 on [-1, 1] linearized at 0: remainder is x^2, the
-        # sampled maximum is 1 and the safety-inflated half width 1.1.
-        xs = np.linspace(-1.0, 1.0, 201)[:, None]
-        rem = xs**2
-        bound = RemainderBound.from_samples(rem)
-        assert bound.matrix[0, 0] == pytest.approx(1.1**2)
-
-    def test_box_coverage_factor(self):
-        # In d dimensions the covering shape is diag(d * halfwidth^2) so
-        # the whole remainder box (corners included) is inside.
-        rem = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        bound = RemainderBound.from_samples(rem, safety=1.0)
-        corner = np.array([1.0, 2.0])
-        val = corner @ np.linalg.solve(bound.matrix, corner)
-        assert val <= 1.0 + 1e-12
-
-    def test_zero_axis_floored(self):
-        rem = np.stack([np.linspace(-1, 1, 50), np.zeros(50)], axis=1)
-        bound = RemainderBound.from_samples(rem)
-        assert np.linalg.eigvalsh(bound.matrix).min() > 0
+        # A linear map has no remainder: the sampled half-widths are at
+        # rounding level and the curvature term is exactly zero.
+        f_mat = np.array([[1.0, 0.5], [0.0, 1.0]])
+        model = linear_model(f_mat, np.eye(2), np.eye(2), np.eye(2))
+        e = Ellipsoid([3.0, -1.0], np.diag([4.0, 0.5]))
+        half = remainder_bound_f(e, model, 0, np.random.default_rng(2))
+        assert half.shape == (2,) and np.all(half <= 1e-12)
 
     def test_add_remainder_zero_is_noop(self):
         q = np.diag([2.0, 3.0])
-        out = add_remainder(q, RemainderBound(np.zeros((2, 2))))
+        out = add_remainder(q, np.zeros(2))
         np.testing.assert_array_equal(out, q)
+
+    def test_quadratic_scalar_example(self):
+        # f(x) = x^2 on [-1, 1] linearized at 0: the remainder is x^2, its
+        # sampled maximum 1 and the safety-inflated half-width 1.1.
+        xs = np.linspace(-1.0, 1.0, 201)
+        out = add_remainder(np.array([[1e-16]]), [np.abs(xs**2).max()])
+        assert out[0, 0] == pytest.approx(1.1**2, rel=1e-6)
+
+    def test_box_coverage_factor(self):
+        # In d dimensions the remainder shape is diag(d * (1.1 half)^2), so
+        # the whole inflated box, corners included, is inside the sum.
+        half = np.array([1.0, 2.0])
+        out = add_remainder(1e-16 * np.eye(2), half)
+        for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
+            corner = 1.1 * half * np.array(signs)
+            assert corner @ np.linalg.solve(out, corner) <= 1.0 + 1e-12
+
+    def test_zero_axis_floored(self):
+        # An axis with no remainder is floored at 1e-12 of the largest
+        # (inflated) half-width, so the remainder shape stays SPD: on a
+        # noise axis of 1e-30 the sum then reaches above (1.1e-12)^2.
+        out = add_remainder(np.diag([1.0, 1e-30]), [1.0, 0.0])
+        assert out[1, 1] > (1.1e-12) ** 2
+        assert np.linalg.eigvalsh(out).min() > 0
+
+    def test_esmf_inflation_matches_the_covering_sum(self):
+        # add_remainder is the covering sum of the noise bound and
+        # diag(d * (1.1 half)^2) at the trace-optimal p.
+        q = np.diag([2.0, 3.0])
+        half = np.array([0.5, 0.25])
+        bound = np.diag(2 * (1.1 * half) ** 2)
+        want = minkowski_outer(Ellipsoid(np.zeros(2), q), bound, optimal_p(q, bound))
+        np.testing.assert_array_equal(add_remainder(q, half), want.shape)
 
     def test_monotone_in_input_set(self):
         # Doubling the sampled set never shrinks the bound (quadratic map).
@@ -220,9 +239,9 @@ class TestRemainderBound:
         )
         small = Ellipsoid([0.0, 0.0], np.eye(2))
         big = Ellipsoid([0.0, 0.0], 2.0 * np.eye(2))
-        b_small = remainder_bound_f(small, model, 0, np.random.default_rng(1))
-        b_big = remainder_bound_f(big, model, 0, np.random.default_rng(1))
-        assert np.all(np.diag(b_big.matrix) >= np.diag(b_small.matrix) - 1e-12)
+        h_small = remainder_bound_f(small, model, 0, np.random.default_rng(1))
+        h_big = remainder_bound_f(big, model, 0, np.random.default_rng(1))
+        assert np.all(h_big >= h_small - 1e-12)
 
 
 class TestUkf:

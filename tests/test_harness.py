@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import stat
@@ -9,7 +10,9 @@ import pytest
 
 from smfilter import harness
 from smfilter.cli import main as cli_main
-from smfilter.errors import ConfigError
+from smfilter.baselines import esmf_predict, esmf_step
+from smfilter.dsmf import FilterOptions, StepRecord, predict, step
+from smfilter.errors import ConfigError, EmptyIntersectionError, SpdError
 from smfilter.harness import (
     RunConfig,
     affine_fit_r2,
@@ -19,7 +22,7 @@ from smfilter.harness import (
     parse_config,
     run_experiment,
 )
-from smfilter.scenarios import build_scenario, simulate_truth
+from smfilter.scenarios import build_model, build_scenario, simulate_truth
 
 TINY = dict(scenario="radar", filters=("dsmf", "esmf", "ukf"), runs=2, steps=3,
             master_seed=11)
@@ -136,7 +139,7 @@ class TestParseConfig:
 
 class TestRunExperiment:
     def test_metrics_shape(self, tiny_result):
-        rows = tiny_result.metrics.rows
+        rows = tiny_result.metrics
         assert len(rows) == 3 * 3  # filters x steps
         assert {r.filter for r in rows} == {"dsmf", "esmf", "ukf"}
 
@@ -153,7 +156,7 @@ class TestRunExperiment:
             centers[i] - log.truth[1:] for i, log in enumerate(res.runs)
         ])
         rmse0 = np.sqrt((err[:, :, 0] ** 2).mean(axis=0))
-        got = [r.rmse_x for r in res.metrics.rows if r.filter == "dsmf"]
+        got = [r.rmse_x for r in res.metrics if r.filter == "dsmf"]
         assert len(got) == steps
         np.testing.assert_allclose(got, rmse0, atol=1e-12)
 
@@ -161,7 +164,7 @@ class TestRunExperiment:
         # Everything except measured wall time must repeat exactly.
         a = run_experiment(RunConfig(**TINY))
         b = run_experiment(RunConfig(**TINY))
-        for ra, rb in zip(a.metrics.rows, b.metrics.rows):
+        for ra, rb in zip(a.metrics, b.metrics):
             for field in ("k", "filter", "trace", "logdet", "rmse_x",
                           "contained"):
                 assert getattr(ra, field) == getattr(rb, field)
@@ -197,7 +200,71 @@ class TestRunExperiment:
         assert tiny_result.seeds == [mix_seed(11, 0), mix_seed(11, 1)]
 
     def test_radar_rmse_theta_is_nan(self, tiny_result):
-        assert all(np.isnan(r.rmse_theta) for r in tiny_result.metrics.rows)
+        assert all(np.isnan(r.rmse_theta) for r in tiny_result.metrics)
+
+
+class TestCarriedFailure:
+    """A dsmf or esmf step that raises is carried by its prediction."""
+
+    CONFIG = dict(scenario="radar", filters=("dsmf", "esmf"), runs=1, steps=4,
+                  master_seed=6)
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """dsmf and esmf raise EmptyIntersectionError at k = 1; returns the
+        start weights of every dsmf call and the esmf generator at k = 1."""
+        starts, esmf_rng = {}, {}
+
+        def dsmf_step(e, model, y, k, opts, start=None):
+            starts[k] = start
+            if k == 1:
+                raise EmptyIntersectionError("disjoint", delta=1.0)
+            return step(e, model, y, k, opts, start)
+
+        def esmf(e, model, y, k, rng, size_criterion="trace"):
+            if k == 1:
+                esmf_rng[k] = copy.deepcopy(rng)
+                raise EmptyIntersectionError("disjoint", delta=1.0)
+            return esmf_step(e, model, y, k, rng, size_criterion=size_criterion)
+
+        monkeypatch.setattr(harness, "step", dsmf_step)
+        monkeypatch.setattr(harness, "esmf_step", esmf)
+        return starts, esmf_rng
+
+    def test_the_prediction_is_carried(self, failing):
+        starts, esmf_rng = failing
+        config = RunConfig(**self.CONFIG)
+        res = run_experiment(config)
+        assert res.failures == {"dsmf": 1, "esmf": 1}
+        model = build_model(res.scenario)
+        opts = FilterOptions(m_samples=config.m_samples, tol=config.tol,
+                             size_criterion="trace")
+        dsmf_log, esmf_log = (res.runs[0].filters[n] for n in ("dsmf", "esmf"))
+        want = {"dsmf": predict(dsmf_log.sets[0], model, 1, opts)[0],
+                "esmf": esmf_predict(esmf_log.sets[0], model, 1, esmf_rng[1])}
+        for name, log in (("dsmf", dsmf_log), ("esmf", esmf_log)):
+            np.testing.assert_array_equal(log.sets[1].center, want[name].center)
+            np.testing.assert_array_equal(log.sets[1].shape, want[name].shape)
+            np.testing.assert_array_equal(log.estimates[1], want[name].center)
+            assert len(log.sets) == 4
+        assert [r is None for r in dsmf_log.records] == [False, True, False, False]
+        assert isinstance(dsmf_log.records[0], StepRecord)
+        # A carried step leaves no weights, so the next step starts cold.
+        assert starts[0] is None and starts[2] is None
+        assert starts[1] is not None and starts[3] is not None
+
+    def test_raise_reraises(self, failing):
+        with pytest.raises(EmptyIntersectionError):
+            run_experiment(RunConfig(on_empty="raise", **self.CONFIG))
+
+    def test_ukf_error_propagates(self, monkeypatch):
+        def broken(belief, model, y, k):
+            raise SpdError("innovation covariance is not positive definite")
+
+        monkeypatch.setattr(harness, "ukf_step", broken)
+        with pytest.raises(SpdError):
+            run_experiment(RunConfig(scenario="radar", filters=("ukf",), runs=1,
+                                     steps=4, on_empty="carry"))
 
 
 class TestEmitOutputs:
@@ -275,7 +342,7 @@ class TestZeroNoiseContraction:
         )
         res = run_experiment(cfg)
         initial_trace = 4 * 200.0
-        assert res.metrics.rows[0].trace <= initial_trace
+        assert res.metrics[0].trace <= initial_trace
 
 
 class TestBench:

@@ -103,17 +103,27 @@ class TestRobotModel:
         np.testing.assert_allclose(z[0], [12.0, 9.0], atol=1e-12)
 
     def test_heading_interval_from_predicted(self):
+        # The half-width is sqrt(P33), the heading projection of the set.
         from smfilter.ellipsoid import Ellipsoid
 
-        sc = RobotScenario()
-        model = robot_model(sc)
+        model = robot_model(RobotScenario())
         pred = Ellipsoid([10.0, 10.0, 1.0], np.diag([1.0, 1.0, 0.09]))
-        aux = model.aux_from_predicted(pred)
-        np.testing.assert_allclose(aux, [[1.0 - 0.09, 1.0 + 0.09]])
-        sc2 = RobotScenario(sqrt_heading=True)
-        model2 = robot_model(sc2)
-        aux2 = model2.aux_from_predicted(pred)
-        np.testing.assert_allclose(aux2, [[0.7, 1.3]])
+        np.testing.assert_allclose(model.aux_from_predicted(pred), [[0.7, 1.3]])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_heading_interval_covers_the_predicted_set(self, seed):
+        # Every heading the predicted set admits is in the interval handed
+        # to the inverse map, and the interval is no wider than that.
+        from smfilter.ellipsoid import Ellipsoid, sample_boundary
+
+        rng = np.random.default_rng([7, seed])
+        a = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-2.0, 0.0, size=3)
+        pred = Ellipsoid(rng.uniform(-5.0, 5.0, size=3), a @ a.T + 1e-6 * np.eye(3))
+        (lo, hi), = robot_model(RobotScenario()).aux_from_predicted(pred)
+        headings = sample_boundary(pred, 4000, rng).points[:, 2]
+        slack = 1e-12 * (1.0 + abs(pred.center[2]))
+        assert lo - slack <= headings.min() and headings.max() <= hi + slack
+        assert headings.max() - headings.min() >= 0.95 * (hi - lo)
 
     def test_width_zero_noiseless_is_single_point(self):
         sc = RobotScenario()
