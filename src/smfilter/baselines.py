@@ -13,7 +13,6 @@ import numpy as np
 from .dsmf import FusionParams, SystemModel, fuse, optimize_rho
 from .ellipsoid import (
     Ellipsoid,
-    minkowski_outer,
     optimal_p,
     sample_boundary,
     sample_interior,
@@ -68,9 +67,14 @@ def add_remainder(noise_shape: np.ndarray, half: np.ndarray) -> np.ndarray:
     if top == 0.0:
         return noise_shape
     half = np.maximum(half, 1e-12 * top)
-    bound = np.diag(half.size * half**2)
-    base = Ellipsoid(np.zeros(noise_shape.shape[0]), noise_shape)
-    return minkowski_outer(base, bound, optimal_p(noise_shape, bound)).shape
+    return _covering_sum(noise_shape, np.diag(half.size * half**2))
+
+
+def _covering_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Shape of the trace-optimal covering sum of two centered ellipsoids
+    with SPD shapes a and b: the minkowski_outer shape at optimal_p(a, b)."""
+    p = optimal_p(a, b)
+    return symmetrize((1.0 + 1.0 / p) * a + (1.0 + p) * b)
 
 
 def numerical_jacobian(fn, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -193,13 +197,20 @@ def remainder_bound_h(e: Ellipsoid, model: SystemModel,
 def esmf_predict(e_k: Ellipsoid, model: SystemModel, k: int,
                  rng: np.random.Generator) -> Ellipsoid:
     """Linearized prediction: propagate the shape through the Jacobian and
-    cover the sum with the remainder-inflated process noise."""
+    cover the sum with the remainder-inflated process noise.
+
+    On a model that declares linear dynamics F the prediction is exact:
+    center F c, shape F P F^T, and the trace-optimal covering sum with Q.
+    That path bounds no remainder and draws nothing from rng.
+    """
     c = e_k.center
-    jac = _f_jacobian(model, c, k)
+    if model.F is None:
+        jac, center = _f_jacobian(model, c, k), model.f(c, k)
+        noise = add_remainder(model.Q, remainder_bound_f(e_k, model, k, rng))
+    else:
+        jac, center, noise = model.F, model.F @ c, model.Q
     lin_shape = symmetrize(jac @ e_k.shape @ jac.T)
-    q_eff = add_remainder(model.Q, remainder_bound_f(e_k, model, k, rng))
-    base = Ellipsoid(model.f(c, k), lin_shape)
-    return minkowski_outer(base, q_eff, optimal_p(lin_shape, q_eff))
+    return Ellipsoid(center, _covering_sum(lin_shape, noise))
 
 
 def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,

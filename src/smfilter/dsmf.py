@@ -47,10 +47,13 @@ class SystemModel:
     projected-state points with E_p x = h_inv(y - v).
 
     f_jac / h_jac are optional analytic Jacobians used by the linearizing
-    baseline (finite differences otherwise).  aux_from_predicted maps a
-    predicted ellipsoid to an (n_aux, 2) array of [lo, hi] parameter bounds
-    for models whose inverse needs extra state information (None when the
-    inverse depends on y and v only).
+    baseline (finite differences otherwise).  F, when given, declares the
+    dynamics linear, f(x, k) = x F^T for every k: an (n, n) finite matrix,
+    stored read-only, with which the linearizing baseline predicts exactly
+    (no remainder bound).  aux_from_predicted maps a predicted ellipsoid to
+    an (n_aux, 2) array of [lo, hi] parameter bounds for models whose
+    inverse needs extra state information (None when the inverse depends
+    on y and v only).
     """
 
     state_dim: int
@@ -64,8 +67,18 @@ class SystemModel:
     f_jac: Callable[[np.ndarray, int], np.ndarray] | None = None
     h_jac: Callable[[np.ndarray], np.ndarray] | None = None
     aux_from_predicted: Callable[[Ellipsoid], np.ndarray] | None = None
+    F: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.F is not None:
+            f_mat = np.array(self.F, dtype=float)
+            if f_mat.shape != (self.state_dim, self.state_dim):
+                raise ValueError(f"F is {f_mat.shape}, expected "
+                                 f"({self.state_dim}, {self.state_dim})")
+            if not np.all(np.isfinite(f_mat)):
+                raise ValueError("F has a non-finite entry")
+            f_mat.setflags(write=False)
+            object.__setattr__(self, "F", f_mat)
         ep = np.atleast_2d(np.asarray(self.E_p, dtype=float))
         if ep.shape[1] != self.state_dim:
             raise ValueError(f"E_p has {ep.shape[1]} columns, expected {self.state_dim}")
@@ -234,11 +247,12 @@ def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
     v, s_r, ut = np.linalg.svd(np.linalg.solve(chol_z, e_p @ chol_p))
     s, h = np.zeros(n), np.zeros(n)
     s[:r], h[:r] = s_r, v.T @ np.linalg.solve(chol_z, meas.center - e_p @ pred.center)
+    s2, h2 = s**2, h**2
 
     def at_rho(rho):
         rho = np.asarray(rho, dtype=float)[..., None]
-        d = 1.0 - rho + rho * s**2
-        return (rho * (1.0 - rho) * h**2 / d).sum(axis=-1), d
+        d = 1.0 - rho + rho * s2
+        return (rho * (1.0 - rho) * h2 / d).sum(axis=-1), d
 
     return chol_p @ ut.T, s * h, at_rho
 
@@ -283,8 +297,10 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     n log(1-delta) - sum_i log d_i + logdet P (a constant, left out).  Each
     pass evaluates it on 65 points of the bracket at once and narrows the
     bracket to the grid points either side of the argmin: five passes from
-    [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Returns the best point of the
-    last grid, with the delta fuse gives there.
+    [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Each grid is the
+    np.linspace(lo, hi, 65) of its bracket, formed as linspace forms it
+    from one arange per search.  Returns the best point of the last grid,
+    with the delta fuse gives there.
 
     The fused set at any rho contains the intersection of the two sets, and
     delta >= 1 leaves it at most one point; so EmptyIntersectionError is
@@ -293,8 +309,10 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     basis, _, at_rho = _joint_diag(pred, meas, e_p)
     a = (basis * basis).sum(axis=0)
     lo, hi = RHO_EDGE, 1.0 - RHO_EDGE
+    offsets = np.arange(65.0)
     while True:
-        grid = np.linspace(lo, hi, 65)
+        grid = offsets * ((hi - lo) / (offsets.size - 1)) + lo
+        grid[-1] = hi
         delta, d = at_rho(grid)
         worst = int(np.argmax(delta))
         if delta[worst] >= 1.0:

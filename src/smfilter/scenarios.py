@@ -146,10 +146,10 @@ class RobotScenario:
 
 
 def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
-    """SystemModel for the radar preset: linear dynamics x' = F x and
-    measurement (range, bearing) to the sensor; the inverse map is
-    h_inv(r, theta) = (r cos theta + a, r sin theta + b), and E_p selects
-    the position components."""
+    """SystemModel for the radar preset: linear dynamics x' = F x, declared
+    as the model's F, and measurement (range, bearing) to the sensor; the
+    inverse map is h_inv(r, theta) = (r cos theta + a, r sin theta + b),
+    and E_p selects the position components."""
     sc = scenario or RadarScenario()
     f_mat = sc.F
     sensor = RangeBearing(sc.sensor)
@@ -170,7 +170,7 @@ def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
     e_p = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return SystemModel(
         state_dim=4, meas_dim=2, f=f, h=sensor.measure, h_inv=h_inv,
-        E_p=e_p, Q=sc.Q, R=sc.R, f_jac=f_jac, h_jac=h_jac,
+        E_p=e_p, Q=sc.Q, R=sc.R, f_jac=f_jac, h_jac=h_jac, F=f_mat,
     )
 
 

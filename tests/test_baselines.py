@@ -8,6 +8,7 @@ from smfilter.baselines import (
     N_HESSIAN,
     GaussianBelief,
     add_remainder,
+    esmf_predict,
     esmf_step,
     esmf_update,
     hessian_abs_max,
@@ -82,6 +83,127 @@ def reference_remainder_halfwidths(e, fn, jac, rng, n_samples):
     radii = np.sqrt(np.diag(e.shape))
     quad = 0.5 * np.einsum("jab,a,b->j", h_max, radii, radii)
     return np.maximum(np.abs(rem).max(axis=0), quad)
+
+
+def reference_add_remainder(noise_shape, half):
+    """The remainder inflation on Ellipsoid values: minkowski_outer of the
+    noise set and the remainder box's covering ellipsoid."""
+    half = baselines.REMAINDER_SAFETY * np.atleast_1d(np.asarray(half, dtype=float))
+    top = half.max()
+    if top == 0.0:
+        return noise_shape
+    half = np.maximum(half, 1e-12 * top)
+    bound = np.diag(half.size * half**2)
+    base = Ellipsoid(np.zeros(noise_shape.shape[0]), noise_shape)
+    return minkowski_outer(base, bound, optimal_p(noise_shape, bound)).shape
+
+
+def reference_esmf_predict(e_k, model, k, rng):
+    """The linearized prediction on Ellipsoid values, with the sampled
+    remainder bound whether or not the model declares F."""
+    c = e_k.center
+    jac = baselines._f_jacobian(model, c, k)
+    lin_shape = symmetrize(jac @ e_k.shape @ jac.T)
+    q_eff = reference_add_remainder(model.Q, remainder_bound_f(e_k, model, k, rng))
+    base = Ellipsoid(model.f(c, k), lin_shape)
+    return minkowski_outer(base, q_eff, optimal_p(lin_shape, q_eff))
+
+
+class TestMatrixCoveringSums:
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_add_remainder_matches_the_ellipsoid_reference(self, name):
+        scenario = build_scenario(name)
+        model = build_model(scenario)
+        rng = np.random.default_rng(27)
+        for _ in range(4):
+            e = initial_estimate(scenario, rng)
+            e = Ellipsoid(e.center, e.shape * rng.uniform(0.01, 2.0))
+            halves = [(model.Q, remainder_bound_f(e, model, 0, rng)),
+                      (model.R, remainder_bound_h(e, model, rng))]
+            for noise in (model.Q, model.R):
+                half = rng.uniform(0.0, 3.0, noise.shape[0]) * 10.0 ** rng.integers(-6, 2)
+                half[rng.integers(noise.shape[0])] = 0.0
+                halves.append((noise, half))
+            for noise, half in halves:
+                assert np.array_equal(add_remainder(noise, half),
+                                      reference_add_remainder(noise, half))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_robot_esmf_prediction_matches_the_ellipsoid_reference(self, seed):
+        scenario = build_scenario("robot")
+        model = build_model(scenario)
+        e = initial_estimate(scenario, np.random.default_rng(seed))
+        got = esmf_predict(e, model, seed, np.random.default_rng(seed))
+        want = reference_esmf_predict(e, model, seed, np.random.default_rng(seed))
+        assert np.array_equal(got.center, want.center)
+        assert np.array_equal(got.shape, want.shape)
+
+
+class TestExactLinearPrediction:
+    @staticmethod
+    def closed_form(e, model):
+        """Center F c and the trace-optimal covering sum of F P F^T with Q."""
+        f_mat = model.F
+        lin_shape = symmetrize(f_mat @ e.shape @ f_mat.T)
+        p = optimal_p(lin_shape, model.Q)
+        return f_mat @ e.center, symmetrize((1 + 1 / p) * lin_shape + (1 + p) * model.Q)
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the calls of the remainder bound of f and of add_remainder."""
+        calls = {"remainder_bound_f": 0, "add_remainder": 0}
+        for name in calls:
+            original = getattr(baselines, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(baselines, name, wrapper)
+        return calls
+
+    def test_radar_prediction_is_the_closed_form(self):
+        scenario = build_scenario("radar")
+        model = build_model(scenario)
+        rng = np.random.default_rng(28)
+        for k in range(6):
+            e = initial_estimate(scenario, rng)
+            e = Ellipsoid(e.center, random_spd(rng, 4, rng.uniform(1.0, 300.0)))
+            got = esmf_predict(e, model, k, rng)
+            center, shape = self.closed_form(e, model)
+            assert np.array_equal(got.center, center)
+            assert np.array_equal(got.shape, shape)
+
+    def test_declared_linear_model_is_the_closed_form(self):
+        f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
+        model = replace(linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2),
+                                     np.array([[0.1]])), F=f_mat)
+        e = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
+        got = esmf_predict(e, model, 0, np.random.default_rng(29))
+        center, shape = self.closed_form(e, model)
+        assert np.array_equal(got.center, center)
+        assert np.array_equal(got.shape, shape)
+
+    def test_declared_dynamics_bound_no_remainder(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        scenario = build_scenario("radar")
+        rng = np.random.default_rng(30)
+        e = initial_estimate(scenario, rng)
+        before = rng.bit_generator.state
+        esmf_predict(e, build_model(scenario), 0, rng)
+        assert rng.bit_generator.state == before
+        assert calls == {"remainder_bound_f": 0, "add_remainder": 0}
+
+    def test_undeclared_linear_model_samples_its_remainder(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
+        model = linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2), np.array([[0.1]]))
+        assert model.F is None
+        rng = np.random.default_rng(31)
+        before = rng.bit_generator.state
+        esmf_predict(Ellipsoid([1.0, -0.5], 0.5 * np.eye(2)), model, 0, rng)
+        assert rng.bit_generator.state != before
+        assert calls == {"remainder_bound_f": 1, "add_remainder": 1}
 
 
 class TestHessianAbsMax:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from smfilter.ellipsoid import (
     symmetrize,
 )
 from smfilter.errors import EmptyIntersectionError, MeasurementDomainError, RankDeficiencyError
-from smfilter.harness import RunConfig, run_experiment
+from smfilter.harness import RunConfig, effective_criterion, run_experiment
 from smfilter.scenarios import (
     build_model,
     build_scenario,
@@ -74,6 +76,31 @@ class TestFilterOptions:
         # negative max_iter, never: it used to run zero passes).
         with pytest.raises(ValueError):
             FilterOptions(**bad)
+
+
+class TestDeclaredDynamics:
+    @pytest.mark.parametrize("bad", [np.eye(3), np.ones(2), np.eye(2)[:1], np.eye(4)])
+    def test_wrong_shape_rejected(self, bad):
+        model, _ = linear_model()
+        with pytest.raises(ValueError, match="F is"):
+            replace(model, F=bad)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        model, f_mat = linear_model()
+        bad = f_mat.copy()
+        bad[0, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            replace(model, F=bad)
+
+    def test_stored_as_a_read_only_copy(self):
+        model, f_mat = linear_model()
+        given = f_mat.tolist()
+        declared = replace(model, F=given)
+        assert model.F is None
+        assert declared.F.dtype == float and not declared.F.flags.writeable
+        given[0][0] = 5.0
+        np.testing.assert_array_equal(declared.F, f_mat)
 
 
 class TestPredict:
@@ -317,7 +344,63 @@ class TestFuse:
             fuse(pred, meas, [[1.0], [1.0]], 0.5)
 
 
+def reference_optimize_rho(pred, meas, e_p, size_criterion):
+    """The rho search on np.linspace grids, with its own joint
+    diagonalisation squaring s and h at every evaluation: (rho, delta)."""
+    e_p = np.atleast_2d(np.asarray(e_p, dtype=float))
+    n, r = pred.dim, meas.dim
+    chol_p, chol_z = pred.factor(), meas.factor()
+    v, s_r, ut = np.linalg.svd(np.linalg.solve(chol_z, e_p @ chol_p))
+    s, h = np.zeros(n), np.zeros(n)
+    s[:r], h[:r] = s_r, v.T @ np.linalg.solve(chol_z, meas.center - e_p @ pred.center)
+
+    def at_rho(rho):
+        rho = np.asarray(rho, dtype=float)[..., None]
+        d = 1.0 - rho + rho * s**2
+        return (rho * (1.0 - rho) * h**2 / d).sum(axis=-1), d
+
+    basis = chol_p @ ut.T
+    a = (basis * basis).sum(axis=0)
+    lo, hi = dsmf.RHO_EDGE, 1.0 - dsmf.RHO_EDGE
+    while True:
+        grid = np.linspace(lo, hi, 65)
+        delta, d = at_rho(grid)
+        assert delta.max() < 1.0
+        if size_criterion == "logdet":
+            size = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
+        else:
+            size = (1.0 - delta) * (a / d).sum(axis=-1)
+        j = int(np.argmin(size))
+        if hi - lo <= dsmf.RHO_TOL:
+            rho = float(grid[j])
+            return rho, float(at_rho(rho)[0])
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+
+
 class TestOptimizeRho:
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_bit_identical_to_the_linspace_search(self, name):
+        # Seeded (prediction, measurement) pairs of a dsmf run, both
+        # criteria: rho, delta and the step's fused set match exactly.
+        config = RunConfig(scenario=name, filters=("dsmf",), runs=1, steps=25,
+                           master_seed=41)
+        scenario = build_scenario(name)
+        model, criterion_used = build_model(scenario), effective_criterion(config, scenario)
+        records = [rec for rec in run_experiment(config).runs[0].filters["dsmf"].records
+                   if rec is not None]
+        assert len(records) >= 20
+        for rec in records:
+            for criterion in ("trace", "logdet"):
+                params = optimize_rho(rec.predicted, rec.measurement, model.E_p, criterion)
+                rho, delta = reference_optimize_rho(rec.predicted, rec.measurement,
+                                                    model.E_p, criterion)
+                assert params.rho == rho and params.delta == delta
+            rho, _ = reference_optimize_rho(rec.predicted, rec.measurement, model.E_p,
+                                            criterion_used)
+            center, shape, _ = fuse(rec.predicted, rec.measurement, model.E_p, rho)
+            assert np.array_equal(rec.updated.center, center)
+            assert np.array_equal(rec.updated.shape, shape)
+
     @pytest.mark.parametrize("criterion", ["trace", "logdet"])
     def test_delta_is_the_fused_delta(self, criterion):
         rng = np.random.default_rng(17)

@@ -3,6 +3,7 @@ import pytest
 
 from smfilter.ellipsoid import contains
 from smfilter.errors import MeasurementDomainError
+from smfilter.harness import parse_config
 from smfilter.scenarios import (
     RadarScenario,
     RobotScenario,
@@ -64,6 +65,27 @@ class TestRadarModel:
         with pytest.raises(MeasurementDomainError) as exc:
             model.h_inv(np.array([1.0, 0.0]), np.array([[5.0, 0.0]]), ())
         assert exc.value.sample is not None
+
+    def test_declared_dynamics_matrix(self):
+        model = radar_model()
+        np.testing.assert_array_equal(model.F, RadarScenario().F)
+        states = np.random.default_rng(6).uniform(-300.0, 300.0, size=(50, 4))
+        np.testing.assert_array_equal(model.f(states, 3), states @ model.F.T)
+        for k, x in enumerate(states[:5]):
+            np.testing.assert_array_equal(model.f(x, k), x @ model.F.T)
+            np.testing.assert_array_equal(model.f_jac(x, k), model.F)
+
+    def test_sampling_interval_override_sets_f(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = radar\n[scenario]\nT = 0.5\n")
+        config = parse_config(path)
+        model = build_model(build_scenario(config.scenario, **config.scenario_overrides))
+        want = np.eye(4)
+        want[0, 2] = want[1, 3] = 0.5
+        np.testing.assert_array_equal(model.F, want)
+        x = np.array([10.0, 20.0, 2.0, -4.0])
+        np.testing.assert_array_equal(model.f(x, 0), [11.0, 18.0, 2.0, -4.0])
+        np.testing.assert_array_equal(model.f_jac(x, 0), want)
 
     def test_jacobians_match_finite_differences(self):
         from smfilter.baselines import numerical_jacobian
