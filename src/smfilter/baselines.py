@@ -1,6 +1,7 @@
 """Comparison filters: an unscented Kalman filter and the extended
 set-membership filter that linearizes the model and inflates the noise
-bounds by a sampled bound on the linearization remainder.
+bounds by a sampled bound on the linearization remainder.  The remainder is
+sampled on a fixed design, so neither filter draws random numbers.
 """
 
 from __future__ import annotations
@@ -10,18 +11,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsmf import FusionParams, SystemModel, fuse, optimize_rho
-from .ellipsoid import (
-    Ellipsoid,
-    optimal_p,
-    sample_boundary,
-    sample_interior,
-    spd_cholesky,
-    symmetrize,
-)
+from .dsmf import FusionParams, SystemModel, _design, fuse, optimize_rho
+from .ellipsoid import Ellipsoid, covering_sum, optimal_p, spd_cholesky, symmetrize
 
-# Sampled remainder bounds: number of samples, boundary fraction, and the
-# multiplicative safety margin on the per-axis maxima.
+# Sampled remainder bounds: number of design points, boundary fraction, and
+# the multiplicative safety margin on the per-axis maxima.
 N_REMAINDER = 500
 BOUNDARY_FRACTION = 0.8
 REMAINDER_SAFETY = 1.1
@@ -67,14 +61,8 @@ def add_remainder(noise_shape: np.ndarray, half: np.ndarray) -> np.ndarray:
     if top == 0.0:
         return noise_shape
     half = np.maximum(half, 1e-12 * top)
-    return _covering_sum(noise_shape, np.diag(half.size * half**2))
-
-
-def _covering_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shape of the trace-optimal covering sum of two centered ellipsoids
-    with SPD shapes a and b: the minkowski_outer shape at optimal_p(a, b)."""
-    p = optimal_p(a, b)
-    return symmetrize((1.0 + 1.0 / p) * a + (1.0 + p) * b)
+    box = np.diag(half.size * half**2)
+    return covering_sum(noise_shape, box, optimal_p(noise_shape, box))
 
 
 def numerical_jacobian(fn, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -102,14 +90,20 @@ def _h_jacobian(model: SystemModel, x: np.ndarray) -> np.ndarray:
     return np.atleast_2d(numerical_jacobian(model.h, x))
 
 
-def _remainder_samples(e: Ellipsoid, m: int, rng) -> np.ndarray:
-    """Boundary-biased sample of an ellipsoid (boundary points maximize
-    quadratic remainders)."""
+@lru_cache(maxsize=8)
+def _remainder_design(m: int, n: int) -> np.ndarray:
+    """The fixed, boundary-biased design of the remainder bounds (boundary
+    points maximize quadratic remainders): m points of the unit ball in
+    R^n, read-only.  The first n_bound = round(BOUNDARY_FRACTION m) are the
+    _design directions on the sphere; the remaining rest = m - n_bound are
+    _design(rest, n) directions at radii ((j + 1/2) / rest)^(1/n), the
+    quantiles of the radius of a uniform draw over the ball."""
     n_bound = max(1, int(round(BOUNDARY_FRACTION * m)))
-    pts = [sample_boundary(e, n_bound, rng).points]
-    if m - n_bound > 0:
-        pts.append(sample_interior(e, m - n_bound, rng).points)
-    return np.vstack(pts)
+    rest = m - n_bound
+    radii = ((np.arange(rest) + 0.5) / rest) ** (1.0 / n)
+    u = np.vstack([_design(n_bound, n), _design(rest, n) * radii[:, None]])
+    u.setflags(write=False)
+    return u
 
 
 @lru_cache(maxsize=8)
@@ -160,61 +154,58 @@ def hessian_abs_max(fn, pts: np.ndarray, out_dim: int,
     return out
 
 
-def _remainder_halfwidths(e: Ellipsoid, fn, jac: np.ndarray,
-                          rng, n_samples: int) -> np.ndarray:
+def _remainder_halfwidths(e: Ellipsoid, fn, jac: np.ndarray) -> np.ndarray:
     """Per-axis remainder bound over the ellipsoid: the larger of the
-    sampled remainder maxima and the worst-case quadratic completion
-    0.5 * sum_ab max|H_j[a,b]| r_a r_b over the enclosing box (the
-    classical curvature bound, with the Hessians sampled numerically).
-    fn is called twice: once on the center and the samples together, once
-    on the Hessian stencil."""
-    c = e.center
-    x = _remainder_samples(e, n_samples, rng)
+    remainder maxima over the N_REMAINDER points c + U L^T of
+    _remainder_design (L the factor of e) and the worst-case quadratic
+    completion 0.5 * sum_ab max|H_j[a,b]| r_a r_b over the enclosing box
+    (the classical curvature bound, with the Hessians taken numerically at
+    the N_HESSIAN points of the same kind of design).  fn is called twice:
+    once on the center and the samples together, once on the Hessian
+    stencil."""
+    c, lt = e.center, e.factor().T
+    x = c + _remainder_design(N_REMAINDER, e.dim) @ lt
     vals = np.atleast_2d(fn(np.vstack([c, x])))
     rem = vals[1:] - vals[:1] - (x - c) @ jac.T
     direct = np.abs(rem).max(axis=0)
-    h_pts = _remainder_samples(e, N_HESSIAN, rng)
+    h_pts = c + _remainder_design(N_HESSIAN, e.dim) @ lt
     h_max = hessian_abs_max(fn, h_pts, out_dim=jac.shape[0])
     radii = np.sqrt(np.diag(e.shape))
     quad = 0.5 * np.einsum("jab,a,b->j", h_max, radii, radii)
     return np.maximum(direct, quad)
 
 
-def remainder_bound_f(e: Ellipsoid, model: SystemModel, k: int,
-                      rng, n_samples: int = N_REMAINDER) -> np.ndarray:
+def remainder_bound_f(e: Ellipsoid, model: SystemModel, k: int) -> np.ndarray:
     """Per-axis half-widths bounding f(x) - f(c) - J (x - c) over e."""
     jac = _f_jacobian(model, e.center, k)
-    return _remainder_halfwidths(e, lambda x: model.f(x, k), jac, rng, n_samples)
+    return _remainder_halfwidths(e, lambda x: model.f(x, k), jac)
 
 
-def remainder_bound_h(e: Ellipsoid, model: SystemModel,
-                      rng, n_samples: int = N_REMAINDER) -> np.ndarray:
+def remainder_bound_h(e: Ellipsoid, model: SystemModel) -> np.ndarray:
     """Per-axis half-widths bounding h(x) - h(c) - J (x - c) over e."""
     jac = _h_jacobian(model, e.center)
-    return _remainder_halfwidths(e, model.h, jac, rng, n_samples)
+    return _remainder_halfwidths(e, model.h, jac)
 
 
-def esmf_predict(e_k: Ellipsoid, model: SystemModel, k: int,
-                 rng: np.random.Generator) -> Ellipsoid:
+def esmf_predict(e_k: Ellipsoid, model: SystemModel, k: int) -> Ellipsoid:
     """Linearized prediction: propagate the shape through the Jacobian and
     cover the sum with the remainder-inflated process noise.
 
     On a model that declares linear dynamics F the prediction is exact:
     center F c, shape F P F^T, and the trace-optimal covering sum with Q.
-    That path bounds no remainder and draws nothing from rng.
+    That path bounds no remainder.
     """
     c = e_k.center
     if model.F is None:
         jac, center = _f_jacobian(model, c, k), model.f(c, k)
-        noise = add_remainder(model.Q, remainder_bound_f(e_k, model, k, rng))
+        noise = add_remainder(model.Q, remainder_bound_f(e_k, model, k))
     else:
         jac, center, noise = model.F, model.F @ c, model.Q
     lin_shape = symmetrize(jac @ e_k.shape @ jac.T)
-    return Ellipsoid(center, _covering_sum(lin_shape, noise))
+    return Ellipsoid(center, covering_sum(lin_shape, noise, optimal_p(lin_shape, noise)))
 
 
 def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
-                rng: np.random.Generator,
                 size_criterion: str = "trace") -> tuple[Ellipsoid, FusionParams]:
     """Linearized measurement update via the shared fusion formulas.
 
@@ -226,7 +217,7 @@ def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
     y = np.asarray(y, dtype=float)
     c = e_pred.center
     jac = _h_jacobian(model, c)
-    r_eff = add_remainder(model.R, remainder_bound_h(e_pred, model, rng))
+    r_eff = add_remainder(model.R, remainder_bound_h(e_pred, model))
     z = y - np.atleast_1d(model.h(c)) + jac @ c
     meas = Ellipsoid(z, r_eff)
     params = optimize_rho(e_pred, meas, jac, size_criterion)
@@ -235,11 +226,10 @@ def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
 
 
 def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
-              rng: np.random.Generator,
               size_criterion: str = "trace") -> Ellipsoid:
     """One extended set-membership filter step."""
-    e_pred = esmf_predict(e_k, model, k, rng)
-    updated, _ = esmf_update(e_pred, model, y, k, rng, size_criterion)
+    e_pred = esmf_predict(e_k, model, k)
+    updated, _ = esmf_update(e_pred, model, y, k, size_criterion)
     return updated
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .ellipsoid import (
     Ellipsoid,
     PointCloud,
-    minkowski_outer,
+    covering_sum,
     optimal_p,
     spd_cholesky,
     symmetrize,
@@ -196,8 +196,9 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
         raise ValueError("m_samples must be at least state_dim + 1")
     boundary = e_k.center + _design(opts.m_samples, model.state_dim) @ e_k.factor().T
     sol = _enclose(model.f(boundary, k), opts, lambda: f"prediction at step {k}", start)
-    p_star = optimal_p(sol.ellipsoid.shape, model.Q)
-    return minkowski_outer(sol.ellipsoid, model.Q, p_star), sol, p_star
+    center, shape = sol.ellipsoid.center, sol.ellipsoid.shape
+    p_star = optimal_p(shape, model.Q)
+    return Ellipsoid(center, covering_sum(shape, model.Q, p_star)), sol, p_star
 
 
 def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,

@@ -187,3 +187,10 @@ def optimal_p(pf: np.ndarray, q: np.ndarray) -> float:
     if tp <= 0 or tq <= 0:
         raise ValueError("both matrices must have positive trace")
     return np.sqrt(tp / tq)
+
+
+def covering_sum(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Shape of the covering sum of two centered ellipsoids with SPD shapes
+    a and b at parameter p > 0: the minkowski_outer shape, without its
+    checks of b."""
+    return symmetrize((1.0 + 1.0 / p) * a + (1.0 + p) * b)

@@ -218,8 +218,7 @@ def effective_criterion(config: RunConfig, scenario) -> str:
 
 
 def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
-                truth: np.ndarray, measurements: np.ndarray,
-                rng: np.random.Generator) -> FilterRunLog:
+                truth: np.ndarray, measurements: np.ndarray) -> FilterRunLog:
     """Step one filter through a run.  A step that raises NumericalError
     is carried by its prediction, unless on_empty is raise or the filter
     is ukf, whose errors propagate."""
@@ -238,10 +237,10 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
             return predict(e, model, k, opts)[0]
     elif name == "esmf":
         def advance(e, k, last):
-            return esmf_step(e, model, measurements[k], k, rng, size_criterion=criterion), None
+            return esmf_step(e, model, measurements[k], k, size_criterion=criterion), None
 
         def carry(e, k):
-            return esmf_predict(e, model, k, rng)
+            return esmf_predict(e, model, k)
     else:
         state = GaussianBelief(e0.center, uniform_covariance(e0.shape))
 
@@ -331,9 +330,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     """Simulate truth and run every requested filter for each replicate.
 
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
-    for its truth and an independent, filter-indexed stream for each filter,
-    which only esmf draws from (its sampled remainder bounds).  An override
-    the preset or its truth cannot use raises ConfigError, as in validate.
+    for its truth and initial set.  No filter draws random numbers, so the
+    sets of a filter do not depend on which other filters run, or in which
+    order.  An override the preset or its truth cannot use raises
+    ConfigError, as in validate.
     """
     config._check_fields()
     with config._preset_errors():
@@ -349,10 +349,8 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             truth, measurements = simulate_truth(scenario, truth_rng, steps=steps)
             e0 = initial_estimate(scenario, truth_rng)
         logs = {}
-        for j, name in enumerate(config.filters):
-            filt_rng = np.random.default_rng([seed, 1 + j])
-            log = _run_filter(name, config, scenario, model, e0, truth,
-                              measurements, filt_rng)
+        for name in config.filters:
+            log = _run_filter(name, config, scenario, model, e0, truth, measurements)
             failures[name] += log.failures
             logs[name] = log
         runs.append(RunLog(r, seed, truth, measurements, logs))
@@ -542,7 +540,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
             _, shape, _ = fuse(prior, meas, np.eye(2), params.rho)
             ld_new.append(_logdet(shape))
             # Linearizing update.
-            updated, _ = esmf_update(prior, model, y, 0, rng, "logdet")
+            updated, _ = esmf_update(prior, model, y, 0, "logdet")
             ld_lin.append(_logdet(updated.shape))
         results.append({
             "sigma": float(sigma),

@@ -6,6 +6,7 @@ import pytest
 from smfilter import baselines, dsmf
 from smfilter.baselines import (
     N_HESSIAN,
+    N_REMAINDER,
     GaussianBelief,
     add_remainder,
     esmf_predict,
@@ -18,7 +19,13 @@ from smfilter.baselines import (
     ukf_step,
 )
 from smfilter.dsmf import SystemModel, fuse, optimize_rho
-from smfilter.ellipsoid import Ellipsoid, minkowski_outer, optimal_p, symmetrize
+from smfilter.ellipsoid import (
+    Ellipsoid,
+    minkowski_outer,
+    optimal_p,
+    sample_boundary,
+    symmetrize,
+)
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
@@ -72,13 +79,13 @@ def reference_hessian_abs_max(fn, pts, out_dim, rel_step=1e-4):
     return out
 
 
-def reference_remainder_halfwidths(e, fn, jac, rng, n_samples):
+def reference_remainder_halfwidths(e, fn, jac):
     """The remainder half-widths with fn called separately on the samples,
     the center and each Hessian stencil offset."""
     c = e.center
-    x = baselines._remainder_samples(e, n_samples, rng)
+    x = c + baselines._remainder_design(N_REMAINDER, e.dim) @ e.factor().T
     rem = np.atleast_2d(fn(x)) - np.atleast_2d(fn(c)) - (x - c) @ jac.T
-    h_pts = baselines._remainder_samples(e, N_HESSIAN, rng)
+    h_pts = c + baselines._remainder_design(N_HESSIAN, e.dim) @ e.factor().T
     h_max = reference_hessian_abs_max(fn, h_pts, out_dim=jac.shape[0])
     radii = np.sqrt(np.diag(e.shape))
     quad = 0.5 * np.einsum("jab,a,b->j", h_max, radii, radii)
@@ -98,13 +105,13 @@ def reference_add_remainder(noise_shape, half):
     return minkowski_outer(base, bound, optimal_p(noise_shape, bound)).shape
 
 
-def reference_esmf_predict(e_k, model, k, rng):
+def reference_esmf_predict(e_k, model, k):
     """The linearized prediction on Ellipsoid values, with the sampled
     remainder bound whether or not the model declares F."""
     c = e_k.center
     jac = baselines._f_jacobian(model, c, k)
     lin_shape = symmetrize(jac @ e_k.shape @ jac.T)
-    q_eff = reference_add_remainder(model.Q, remainder_bound_f(e_k, model, k, rng))
+    q_eff = reference_add_remainder(model.Q, remainder_bound_f(e_k, model, k))
     base = Ellipsoid(model.f(c, k), lin_shape)
     return minkowski_outer(base, q_eff, optimal_p(lin_shape, q_eff))
 
@@ -118,8 +125,8 @@ class TestMatrixCoveringSums:
         for _ in range(4):
             e = initial_estimate(scenario, rng)
             e = Ellipsoid(e.center, e.shape * rng.uniform(0.01, 2.0))
-            halves = [(model.Q, remainder_bound_f(e, model, 0, rng)),
-                      (model.R, remainder_bound_h(e, model, rng))]
+            halves = [(model.Q, remainder_bound_f(e, model, 0)),
+                      (model.R, remainder_bound_h(e, model))]
             for noise in (model.Q, model.R):
                 half = rng.uniform(0.0, 3.0, noise.shape[0]) * 10.0 ** rng.integers(-6, 2)
                 half[rng.integers(noise.shape[0])] = 0.0
@@ -133,8 +140,8 @@ class TestMatrixCoveringSums:
         scenario = build_scenario("robot")
         model = build_model(scenario)
         e = initial_estimate(scenario, np.random.default_rng(seed))
-        got = esmf_predict(e, model, seed, np.random.default_rng(seed))
-        want = reference_esmf_predict(e, model, seed, np.random.default_rng(seed))
+        got = esmf_predict(e, model, seed)
+        want = reference_esmf_predict(e, model, seed)
         assert np.array_equal(got.center, want.center)
         assert np.array_equal(got.shape, want.shape)
 
@@ -169,7 +176,7 @@ class TestExactLinearPrediction:
         for k in range(6):
             e = initial_estimate(scenario, rng)
             e = Ellipsoid(e.center, random_spd(rng, 4, rng.uniform(1.0, 300.0)))
-            got = esmf_predict(e, model, k, rng)
+            got = esmf_predict(e, model, k)
             center, shape = self.closed_form(e, model)
             assert np.array_equal(got.center, center)
             assert np.array_equal(got.shape, shape)
@@ -179,7 +186,7 @@ class TestExactLinearPrediction:
         model = replace(linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2),
                                      np.array([[0.1]])), F=f_mat)
         e = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
-        got = esmf_predict(e, model, 0, np.random.default_rng(29))
+        got = esmf_predict(e, model, 0)
         center, shape = self.closed_form(e, model)
         assert np.array_equal(got.center, center)
         assert np.array_equal(got.shape, shape)
@@ -187,11 +194,8 @@ class TestExactLinearPrediction:
     def test_declared_dynamics_bound_no_remainder(self, monkeypatch):
         calls = self.counted(monkeypatch)
         scenario = build_scenario("radar")
-        rng = np.random.default_rng(30)
-        e = initial_estimate(scenario, rng)
-        before = rng.bit_generator.state
-        esmf_predict(e, build_model(scenario), 0, rng)
-        assert rng.bit_generator.state == before
+        e = initial_estimate(scenario, np.random.default_rng(30))
+        esmf_predict(e, build_model(scenario), 0)
         assert calls == {"remainder_bound_f": 0, "add_remainder": 0}
 
     def test_undeclared_linear_model_samples_its_remainder(self, monkeypatch):
@@ -199,10 +203,7 @@ class TestExactLinearPrediction:
         f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
         model = linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2), np.array([[0.1]]))
         assert model.F is None
-        rng = np.random.default_rng(31)
-        before = rng.bit_generator.state
-        esmf_predict(Ellipsoid([1.0, -0.5], 0.5 * np.eye(2)), model, 0, rng)
-        assert rng.bit_generator.state != before
+        esmf_predict(Ellipsoid([1.0, -0.5], 0.5 * np.eye(2)), model, 0)
         assert calls == {"remainder_bound_f": 1, "add_remainder": 1}
 
 
@@ -214,7 +215,7 @@ class TestHessianAbsMax:
         rng = np.random.default_rng(21)
         e = initial_estimate(build_scenario(name), rng)
         for _ in range(5):
-            pts = baselines._remainder_samples(e, N_HESSIAN, rng)
+            pts = sample_boundary(e, N_HESSIAN, rng).points
             out_dim = np.atleast_2d(fn(pts)).shape[1]
             got = hessian_abs_max(fn, pts, out_dim)
             assert got.shape == (out_dim, model.state_dim, model.state_dim)
@@ -261,11 +262,10 @@ class TestBatchedRemainderBound:
     @pytest.mark.parametrize("name", ["radar", "robot"])
     def test_each_bound_calls_the_model_at_most_twice(self, name):
         model, calls = self.counted(build_model(build_scenario(name)))
-        rng = np.random.default_rng(24)
-        e = initial_estimate(build_scenario(name), rng)
-        remainder_bound_f(e, model, 0, rng)
+        e = initial_estimate(build_scenario(name), np.random.default_rng(24))
+        remainder_bound_f(e, model, 0)
         f_calls = calls["f"]
-        remainder_bound_h(e, model, rng)
+        remainder_bound_h(e, model)
         assert 0 < f_calls <= 2 and f_calls == calls["f"]
         assert 0 < calls["h"] <= 2
 
@@ -280,6 +280,36 @@ class TestBatchedRemainderBound:
                             strict=True):
                 np.testing.assert_array_equal(a.center, b.center)
                 np.testing.assert_array_equal(a.shape, b.shape)
+
+
+class TestRemainderDesign:
+    @pytest.mark.parametrize("m, n", [(N_REMAINDER, 4), (N_HESSIAN, 5), (7, 2), (1, 3)])
+    def test_read_only_and_cached_per_shape(self, m, n):
+        design = baselines._remainder_design(m, n)
+        assert design.shape == (m, n) and not design.flags.writeable
+        assert baselines._remainder_design(m, n) is design
+        assert baselines._remainder_design(m + 1, n) is not design
+        with pytest.raises(ValueError):
+            design[0, 0] = 0.0
+
+    def test_boundary_then_interior_radii(self):
+        design = baselines._remainder_design(N_REMAINDER, 4)
+        n_bound = round(baselines.BOUNDARY_FRACTION * N_REMAINDER)
+        radii = np.linalg.norm(design, axis=1)
+        np.testing.assert_allclose(radii[:n_bound], 1.0, rtol=1e-12)
+        rest = N_REMAINDER - n_bound
+        np.testing.assert_allclose(radii[n_bound:],
+                                   ((np.arange(rest) + 0.5) / rest) ** 0.25, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_bounds_repeat_on_one_set(self, name):
+        scenario = build_scenario(name)
+        model = build_model(scenario)
+        e = initial_estimate(scenario, np.random.default_rng(26))
+        np.testing.assert_array_equal(remainder_bound_h(e, model),
+                                      remainder_bound_h(e, model))
+        np.testing.assert_array_equal(remainder_bound_f(e, model, 2),
+                                      remainder_bound_f(e, model, 2))
 
 
 class TestNumericalJacobian:
@@ -304,7 +334,7 @@ class TestRemainderBound:
         f_mat = np.array([[1.0, 0.5], [0.0, 1.0]])
         model = linear_model(f_mat, np.eye(2), np.eye(2), np.eye(2))
         e = Ellipsoid([3.0, -1.0], np.diag([4.0, 0.5]))
-        half = remainder_bound_f(e, model, 0, np.random.default_rng(2))
+        half = remainder_bound_f(e, model, 0)
         assert half.shape == (2,) and np.all(half <= 1e-12)
 
     def test_add_remainder_zero_is_noop(self):
@@ -361,8 +391,8 @@ class TestRemainderBound:
         )
         small = Ellipsoid([0.0, 0.0], np.eye(2))
         big = Ellipsoid([0.0, 0.0], 2.0 * np.eye(2))
-        h_small = remainder_bound_f(small, model, 0, np.random.default_rng(1))
-        h_big = remainder_bound_f(big, model, 0, np.random.default_rng(1))
+        h_small = remainder_bound_f(small, model, 0)
+        h_big = remainder_bound_f(big, model, 0)
         assert np.all(h_big >= h_small - 1e-12)
 
 
@@ -443,11 +473,10 @@ class TestEsmf:
         model = linear_model(f_mat, h_mat, q, r)
         e0 = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
         y = np.array([1.2])
-        rng = np.random.default_rng(3)
         updated, params = esmf_update(
             Ellipsoid(f_mat @ e0.center,
                       symmetrize(f_mat @ e0.shape @ f_mat.T) + 0.0), model,
-            y, 0, rng,
+            y, 0,
         )
         # Oracle at the same rho on the same prediction.
         pred = Ellipsoid(f_mat @ e0.center, f_mat @ e0.shape @ f_mat.T)
@@ -465,7 +494,7 @@ class TestEsmf:
         model = linear_model(f_mat, h_mat, q, r)
         e0 = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
         y = np.array([1.2])
-        updated = esmf_step(e0, model, y, 0, np.random.default_rng(4))
+        updated = esmf_step(e0, model, y, 0)
 
         lin_shape = f_mat @ e0.shape @ f_mat.T
         p_star = optimal_p(lin_shape, q)
@@ -485,11 +514,10 @@ class TestEsmf:
 
         monkeypatch.setattr(dsmf, "fuse", counted)
         monkeypatch.setattr(baselines, "fuse", counted)
-        rng = np.random.default_rng(9)
         h_mat = np.array([[1.0, 0.0]])
         model = linear_model(np.eye(2), h_mat, 0.01 * np.eye(2), 0.1 * np.eye(1))
         pred = Ellipsoid([0.0, 0.0], np.eye(2))
-        esmf_update(pred, model, np.array([0.2]), 0, rng)
+        esmf_update(pred, model, np.array([0.2]), 0)
         assert len(calls) == 1
 
     def test_nonlinear_step_runs_and_contains(self):
@@ -512,7 +540,7 @@ class TestEsmf:
 
         rng = np.random.default_rng(5)
         e0 = Ellipsoid([0.5, -0.2], 0.4 * np.eye(2))
-        pred = esmf_predict(e0, model, 0, rng)
+        pred = esmf_predict(e0, model, 0)
         pts = sample_interior(e0, 500, rng).points
         w = sample_interior(Ellipsoid(np.zeros(2), model.Q), 500, rng).points
         prop = model.f(pts, 0) + w

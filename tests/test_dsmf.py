@@ -16,6 +16,7 @@ from smfilter.dsmf import (
 from smfilter.ellipsoid import (
     Ellipsoid,
     contains,
+    minkowski_outer,
     optimal_p,
     sample_interior,
     symmetrize,
@@ -47,6 +48,20 @@ def reference_fuse(pred, meas, e_p, rho):
     center = pred.center + p @ e_p.T @ sol / (1.0 - rho)
     bracket = (1.0 - rho) * np.linalg.inv(p) + rho * e_p.T @ np.linalg.inv(p_z) @ e_p
     return center, (1.0 - delta) * np.linalg.inv(bracket), delta
+
+
+def reference_fused_traces(pred, meas, e_p, rhos):
+    """The trace of reference_fuse's shape at every rho of a grid, in one
+    stacked call; +inf where delta >= 1 (the sets cannot intersect)."""
+    rho = np.asarray(rhos, dtype=float)[:, None, None]
+    p, p_z = pred.shape, meas.shape
+    gram = e_p @ p @ e_p.T / (1.0 - rho) + p_z / rho
+    innov = meas.center - e_p @ pred.center
+    sol = np.linalg.solve(gram, np.broadcast_to(innov[:, None], gram.shape[:-1] + (1,)))
+    delta = (innov @ sol)[:, 0]
+    bracket = (1.0 - rho) * np.linalg.inv(p) + rho * (e_p.T @ np.linalg.inv(p_z) @ e_p)
+    traces = (1.0 - delta) * np.trace(np.linalg.inv(bracket), axis1=1, axis2=2)
+    return np.where(delta >= 1.0, np.inf, traces)
 
 
 def linear_model(n=2, e_p=None, q_scale=1e-2, r_scale=1e-2):
@@ -150,6 +165,21 @@ class TestPredict:
         e = Ellipsoid([2.0, 3.0], np.eye(2))
         out, sol, _ = predict(e, model, 0, FilterOptions())
         np.testing.assert_array_equal(out.center, sol.ellipsoid.center)
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_covering_sum_is_minkowski_outer(self, name):
+        # predict forms the covering sum as a matrix; minkowski_outer, with
+        # its checks of Q, is the reference and must agree bit for bit.
+        scenario = build_scenario(name)
+        model = build_model(scenario)
+        rng = np.random.default_rng(33)
+        for k in range(3):
+            e = initial_estimate(scenario, rng)
+            out, sol, p_star = predict(e, model, k, FilterOptions())
+            want = minkowski_outer(sol.ellipsoid, model.Q, p_star)
+            assert p_star == optimal_p(sol.ellipsoid.shape, model.Q)
+            assert np.array_equal(out.center, want.center)
+            assert np.array_equal(out.shape, want.shape)
 
 
 class TestMeasurementEllipsoid:
@@ -432,15 +462,7 @@ class TestOptimizeRho:
             meas = Ellipsoid(witness + 0.2 * rng.standard_normal(2),
                              random_spd(rng, 2))
             params = optimize_rho(pred, meas, e_p, "trace")
-
-            def obj(rho):
-                try:
-                    _, shape, _ = fuse(pred, meas, e_p, rho)
-                except EmptyIntersectionError:
-                    return np.inf
-                return np.trace(shape)
-
-            best = grid[int(np.argmin([obj(r) for r in grid]))]
+            best = grid[int(np.argmin(reference_fused_traces(pred, meas, e_p, grid)))]
             assert abs(params.rho - best) <= 1e-4
 
     @staticmethod

@@ -7,6 +7,7 @@ from smfilter.ellipsoid import (
     Ellipsoid,
     PointCloud,
     contains,
+    covering_sum,
     minkowski_outer,
     optimal_p,
     sample_boundary,
@@ -179,6 +180,17 @@ class TestMinkowskiOuter:
         xs = sample_boundary(ef, 1000, rng).points
         ws = sample_boundary(Ellipsoid(np.zeros(2), q), 1000, rng).points
         assert contains(out, xs + ws, 1e-9).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_covering_sum_is_its_shape(self, n):
+        # The matrix form skips minkowski_outer's checks of q, not its value.
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            ef = Ellipsoid(rng.standard_normal(n), random_spd(rng, n))
+            q = random_spd(rng, n, scale=rng.uniform(0.01, 3.0))
+            p = float(rng.uniform(0.05, 20.0))
+            np.testing.assert_array_equal(covering_sum(ef.shape, q, p),
+                                          minkowski_outer(ef, q, p).shape)
 
 
 class TestOptimalP:
