@@ -205,14 +205,15 @@ def esmf_predict(e_k: Ellipsoid, model: SystemModel, k: int) -> Ellipsoid:
     return Ellipsoid(center, covering_sum(lin_shape, noise, optimal_p(lin_shape, noise)))
 
 
-def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
-                size_criterion: str = "trace") -> tuple[Ellipsoid, FusionParams]:
+def esmf_update(e_pred: Ellipsoid, model: SystemModel,
+                y: np.ndarray) -> tuple[Ellipsoid, FusionParams]:
     """Linearized measurement update via the shared fusion formulas.
 
     With y = h(x) + v linearized at the predicted center c, the
     measurement-consistent set is {x : (C x - z)^T R_eff^{-1} (C x - z) <= 1}
     with C the Jacobian, z = y - h(c) + C c, and R_eff the noise bound
-    inflated by the sampled remainder bound.
+    inflated by the sampled remainder bound.  It is fused with the
+    prediction at the trace-minimising rho, as in the dsmf update.
     """
     y = np.asarray(y, dtype=float)
     c = e_pred.center
@@ -220,16 +221,15 @@ def esmf_update(e_pred: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
     r_eff = add_remainder(model.R, remainder_bound_h(e_pred, model))
     z = y - np.atleast_1d(model.h(c)) + jac @ c
     meas = Ellipsoid(z, r_eff)
-    params = optimize_rho(e_pred, meas, jac, size_criterion)
+    params = optimize_rho(e_pred, meas, jac)
     center, shape, _ = fuse(e_pred, meas, jac, params.rho)
     return Ellipsoid(center, shape), params
 
 
-def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
-              size_criterion: str = "trace") -> Ellipsoid:
+def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Ellipsoid:
     """One extended set-membership filter step."""
     e_pred = esmf_predict(e_k, model, k)
-    updated, _ = esmf_update(e_pred, model, y, k, size_criterion)
+    updated, _ = esmf_update(e_pred, model, y)
     return updated
 
 

@@ -7,14 +7,13 @@ sum.  The measurement update encloses the inverse-measurement set the same
 way, over the same kind of design on the noise boundary, and fuses it with
 the prediction using the classical linear set-membership update, written
 on one joint diagonalisation per update, with the mixing parameter rho
-chosen by a vectorised grid search on the closed-form fused size.  The
+chosen by a vectorised grid search on the closed-form fused trace.  The
 filter draws no random numbers: one state and measurement sequence always
 gives the same sets.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil, sqrt
@@ -109,13 +108,13 @@ class FilterOptions:
     performs thousands of solves.  Cold solves converge in tens of
     iterations, those started from the last step's weights in a few;
     max_iter only bounds a pathological cloud, whose capped solve may need
-    a larger scale.
+    a larger scale.  Fusion has no knob: every update takes the rho that
+    minimises the fused trace (optimize_rho).
     """
 
     m_samples: int = 200
     tol: float = 1e-5
     max_iter: int | None = 1000
-    size_criterion: str = "trace"  # or "logdet"
 
     def __post_init__(self):
         if self.m_samples < 2:
@@ -124,8 +123,6 @@ class FilterOptions:
             raise ValueError("tol must be positive")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.size_criterion not in ("trace", "logdet"):
-            raise ValueError(f"unknown size criterion {self.size_criterion!r}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,6 @@ class StepRecord:
     updated: Ellipsoid
     params: FusionParams
     solves: tuple  # the (prediction, measurement) MveeSolutions
-    elapsed: float
 
 
 @lru_cache(maxsize=16)
@@ -289,14 +285,12 @@ def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     return center, shape, delta
 
 
-def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
-                 size_criterion: str = "trace") -> FusionParams:
-    """Pick the fusion weight minimizing the fused-ellipsoid size.
+def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionParams:
+    """Pick the fusion weight minimizing the trace of the fused ellipsoid.
 
-    On the joint diagonalisation of fuse the size is a sum of scalars:
-    trace = (1-delta) sum_i a_i / d_i with a_i = ||L u_i||^2, logdet =
-    n log(1-delta) - sum_i log d_i + logdet P (a constant, left out).  Each
-    pass evaluates it on 65 points of the bracket at once and narrows the
+    On the joint diagonalisation of fuse the trace is a sum of scalars,
+    (1-delta) sum_i a_i / d_i with a_i = ||L u_i||^2.  Each pass
+    evaluates it on 65 points of the bracket at once and narrows the
     bracket to the grid points either side of the argmin: five passes from
     [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Each grid is the
     np.linspace(lo, hi, 65) of its bracket, formed as linspace forms it
@@ -322,11 +316,7 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
                 "prediction and measurement sets meet in at most one point",
                 delta=float(delta[worst]),
             )
-        if size_criterion == "logdet":
-            size = a.size * np.log1p(-delta) - np.log(d).sum(axis=-1)
-        else:
-            size = (1.0 - delta) * (a / d).sum(axis=-1)
-        j = int(np.argmin(size))
+        j = int(np.argmin((1.0 - delta) * (a / d).sum(axis=-1)))
         if hi - lo <= RHO_TOL:
             rho = float(grid[j])
             return FusionParams(rho=rho, delta=float(at_rho(rho)[0]))
@@ -337,9 +327,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
          opts: FilterOptions, start=None) -> StepRecord:
     """One full filter step: predict, enclose the measurement set, pick rho,
     fuse.  Both solves start cold, or from start: the last step's weights.
-    Wall time excludes nothing; both enclosing solves are kept in the
-    record."""
-    t0 = time.perf_counter()
+    Both enclosing solves are kept in the record."""
     pred_start, meas_start = (None, None) if start is None else start
     predicted, sol_pred, p_star = predict(e_k, model, k, opts, pred_start)
     aux = None
@@ -347,20 +335,17 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         aux = model.aux_from_predicted(predicted)
     meas, sol_meas = measurement_ellipsoid(y, model, aux, opts, meas_start)
     try:
-        params = optimize_rho(predicted, meas, model.E_p, opts.size_criterion)
+        params = optimize_rho(predicted, meas, model.E_p)
         center, shape, _ = fuse(predicted, meas, model.E_p, params.rho)
     except EmptyIntersectionError as err:
         raise EmptyIntersectionError(
             f"step {k}: {err}", delta=err.delta
         ) from err
-    updated = Ellipsoid(center, shape)
-    elapsed = time.perf_counter() - t0
     return StepRecord(
         k=k,
         predicted=predicted,
         measurement=meas,
-        updated=updated,
+        updated=Ellipsoid(center, shape),
         params=replace(params, p_star=p_star),
         solves=(sol_pred, sol_meas),
-        elapsed=elapsed,
     )

@@ -55,7 +55,6 @@ class RunConfig:
     master_seed: int = 0
     m_samples: int = 200
     tol: float = 1e-5
-    size_criterion: str | None = None  # None: scenario preference, else trace
     out_dir: str = "out"
     on_empty: str = "carry"  # carry | raise
     record_timing: bool = False
@@ -65,9 +64,11 @@ class RunConfig:
         self._check_fields()
         with self._preset_errors():  # a truth step and e0 read every preset field
             scenario = build_scenario(self.scenario, **self.scenario_overrides)
+            model = build_model(scenario)
             probe = np.random.default_rng(0)
             simulate_truth(scenario, probe, steps=1)
             initial_estimate(scenario, probe)
+        self._check_m_samples(model)
         return self
 
     def _check_fields(self) -> None:
@@ -84,12 +85,14 @@ class RunConfig:
             raise ConfigError("steps must be >= 1")
         if self.on_empty not in ("carry", "raise"):
             raise ConfigError(f"on_empty must be carry or raise, got {self.on_empty!r}")
-        if self.size_criterion not in (None, "trace", "logdet"):
-            raise ConfigError(f"unknown size criterion {self.size_criterion!r}")
-        if self.m_samples < 4:
-            raise ConfigError("m_samples must be >= 4")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
+
+    def _check_m_samples(self, model) -> None:
+        """A design of fewer than state_dim + 1 points cannot span the state."""
+        if self.m_samples < model.state_dim + 1:
+            raise ConfigError(f"m_samples must be >= {model.state_dim + 1} "
+                              f"(state_dim + 1) for {self.scenario}")
 
     @contextmanager
     def _preset_errors(self):
@@ -133,7 +136,7 @@ def parse_config(path: str | Path) -> RunConfig:
             kwargs[key] = int(raw)
         elif key in _FLOAT_KEYS:
             kwargs[key] = float(raw)
-        elif key in ("scenario", "size_criterion", "out_dir", "on_empty"):
+        elif key in ("scenario", "out_dir", "on_empty"):
             kwargs[key] = raw.strip()
         else:
             raise ConfigError(f"unknown config key {key!r}")
@@ -209,22 +212,12 @@ def _ukf_set(belief: GaussianBelief) -> Ellipsoid:
     return Ellipsoid(belief.mean, 9.0 * belief.cov)
 
 
-def effective_criterion(config: RunConfig, scenario) -> str:
-    """The fusion size criterion actually used: explicit config value,
-    else the scenario's preference, else trace."""
-    return (config.size_criterion
-            or getattr(scenario, "size_criterion", None)
-            or "trace")
-
-
-def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
+def _run_filter(name: str, config: RunConfig, model, e0: Ellipsoid,
                 truth: np.ndarray, measurements: np.ndarray) -> FilterRunLog:
     """Step one filter through a run.  A step that raises NumericalError
     is carried by its prediction, unless on_empty is raise or the filter
     is ukf, whose errors propagate."""
-    criterion = effective_criterion(config, scenario)
-    opts = FilterOptions(m_samples=config.m_samples, tol=config.tol,
-                         size_criterion=criterion)
+    opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
     state, carry = e0, None
     if name == "dsmf":
         def advance(e, k, last):
@@ -237,7 +230,7 @@ def _run_filter(name: str, config: RunConfig, scenario, model, e0: Ellipsoid,
             return predict(e, model, k, opts)[0]
     elif name == "esmf":
         def advance(e, k, last):
-            return esmf_step(e, model, measurements[k], k, size_criterion=criterion), None
+            return esmf_step(e, model, measurements[k], k), None
 
         def carry(e, k):
             return esmf_predict(e, model, k)
@@ -332,13 +325,16 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
     for its truth and initial set.  No filter draws random numbers, so the
     sets of a filter do not depend on which other filters run, or in which
-    order.  An override the preset or its truth cannot use raises
-    ConfigError, as in validate.
+    order.  An override the preset or its truth cannot use, or an
+    m_samples below the preset's state_dim + 1, raises ConfigError, as in
+    validate.  Every set-membership update fuses at the rho that minimises
+    the fused trace.
     """
     config._check_fields()
     with config._preset_errors():
         scenario = build_scenario(config.scenario, **config.scenario_overrides)
     model = build_model(scenario)
+    config._check_m_samples(model)
     steps = config.steps if config.steps is not None else scenario.steps
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
     runs: list[RunLog] = []
@@ -350,7 +346,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             e0 = initial_estimate(scenario, truth_rng)
         logs = {}
         for name in config.filters:
-            log = _run_filter(name, config, scenario, model, e0, truth, measurements)
+            log = _run_filter(name, config, model, e0, truth, measurements)
             failures[name] += log.failures
             logs[name] = log
         runs.append(RunLog(r, seed, truth, measurements, logs))
@@ -398,7 +394,6 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         "config": {
             **dataclasses.asdict(config),
             "filters": list(config.filters),
-            "size_criterion_effective": effective_criterion(config, result.scenario),
         },
         "steps": int(result.metrics[-1].k) if result.metrics else 0,
         "seeds": [int(s) for s in result.seeds],
@@ -502,8 +497,8 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
 
     For each sigma the prior is {(10, 20), sigma I}; a true position is
     drawn from it, measured with noise bounded by diag(10, 1), and both
-    updates are applied; the mean posterior logdet over the replicates is
-    recorded.
+    updates are applied, each fusing at the trace-minimising rho; the mean
+    posterior logdet over the replicates is recorded.
     """
     from .baselines import esmf_update
     from .dsmf import SystemModel, fuse, measurement_ellipsoid, optimize_rho
@@ -523,7 +518,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
         E_p=np.eye(2), Q=1e-9 * np.eye(2), R=r_shape,
         h_jac=sensor.jacobian,
     )
-    opts = FilterOptions(m_samples=m_samples, tol=tol, size_criterion="logdet")
+    opts = FilterOptions(m_samples=m_samples, tol=tol)
     v_ball = Ellipsoid(np.zeros(2), r_shape)
 
     for sigma in sigmas:
@@ -536,11 +531,11 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
             y = sensor.measure(x_true) + v_true
             # Enclosing-set update.
             meas, _ = measurement_ellipsoid(y, model, None, opts)
-            params = optimize_rho(prior, meas, np.eye(2), "logdet")
+            params = optimize_rho(prior, meas, np.eye(2))
             _, shape, _ = fuse(prior, meas, np.eye(2), params.rho)
             ld_new.append(_logdet(shape))
             # Linearizing update.
-            updated, _ = esmf_update(prior, model, y, 0, "logdet")
+            updated, _ = esmf_update(prior, model, y)
             ld_lin.append(_logdet(updated.shape))
         results.append({
             "sigma": float(sigma),

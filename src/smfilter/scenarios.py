@@ -123,10 +123,6 @@ class RobotScenario:
     # so it must be commensurate with the heading accuracy the scenario
     # expects of the filters.
     init_offset: float = 0.02
-    # Preferred fusion size criterion: minimum volume engages the weakly
-    # informative bearing geometry, where the trace criterion mostly skips
-    # the update.
-    size_criterion: str = "logdet"
 
     def __post_init__(self):
         if self.u_r == 0.0:

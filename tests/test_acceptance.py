@@ -250,7 +250,7 @@ def test_criterion_06_fusion_containment_and_rho_oracle():
                          random_spd(rng, 3))
         meas = Ellipsoid(e_p @ witness + 0.15 * rng.standard_normal(2),
                          random_spd(rng, 2))
-        params = optimize_rho(pred, meas, e_p, "trace")
+        params = optimize_rho(pred, meas, e_p)
         best = grid[int(np.argmin(fused_traces(pred, meas, e_p, grid)))]
         if abs(params.rho - best) > 1e-4:
             oracle_ok = False
@@ -285,7 +285,7 @@ def test_criterion_07_linear_model_degeneration():
     # Full sampled filter step at m = 500.
     rec = step(e0, model, y, 0, FilterOptions(m_samples=500, tol=1e-8,
                                               max_iter=None))
-    oracle_params = optimize_rho(pred, meas, e_p, "trace")
+    oracle_params = optimize_rho(pred, meas, e_p)
     center, shape, _ = fuse(pred, meas, e_p, oracle_params.rho)
     dsmf_err = np.linalg.norm(rec.updated.shape - shape) / np.linalg.norm(shape)
 
@@ -295,7 +295,7 @@ def test_criterion_07_linear_model_degeneration():
 
     e_pred = esmf_predict(e0, model, 0)
     pred_err = np.linalg.norm(e_pred.shape - pred.shape)
-    updated, params = esmf_update(e_pred, model, y, 0)
+    updated, params = esmf_update(e_pred, model, y)
     center2, shape2, _ = fuse(pred, meas, e_p, params.rho)
     esmf_err = max(
         pred_err,

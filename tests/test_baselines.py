@@ -475,8 +475,7 @@ class TestEsmf:
         y = np.array([1.2])
         updated, params = esmf_update(
             Ellipsoid(f_mat @ e0.center,
-                      symmetrize(f_mat @ e0.shape @ f_mat.T) + 0.0), model,
-            y, 0,
+                      symmetrize(f_mat @ e0.shape @ f_mat.T) + 0.0), model, y,
         )
         # Oracle at the same rho on the same prediction.
         pred = Ellipsoid(f_mat @ e0.center, f_mat @ e0.shape @ f_mat.T)
@@ -500,7 +499,7 @@ class TestEsmf:
         p_star = optimal_p(lin_shape, q)
         pred = Ellipsoid(f_mat @ e0.center,
                          (1 + 1 / p_star) * lin_shape + (1 + p_star) * q)
-        params = optimize_rho(pred, Ellipsoid(y, r), h_mat, "trace")
+        params = optimize_rho(pred, Ellipsoid(y, r), h_mat)
         center, shape, _ = fuse(pred, Ellipsoid(y, r), h_mat, params.rho)
         np.testing.assert_allclose(updated.center, center, atol=1e-10)
         np.testing.assert_allclose(updated.shape, shape, atol=1e-10)
@@ -517,7 +516,7 @@ class TestEsmf:
         h_mat = np.array([[1.0, 0.0]])
         model = linear_model(np.eye(2), h_mat, 0.01 * np.eye(2), 0.1 * np.eye(1))
         pred = Ellipsoid([0.0, 0.0], np.eye(2))
-        esmf_update(pred, model, np.array([0.2]), 0)
+        esmf_update(pred, model, np.array([0.2]))
         assert len(calls) == 1
 
     def test_nonlinear_step_runs_and_contains(self):

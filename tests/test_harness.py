@@ -67,6 +67,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(tol=float("nan")).validate()
 
+    @pytest.mark.parametrize("preset,floor", [("radar", 5), ("robot", 4)])
+    def test_m_samples_floor_is_state_dim_plus_one(self, preset, floor):
+        # Fewer design points than state_dim + 1 used to pass the constant
+        # floor of 4 and fail inside the first prediction (radar, 4).
+        config = RunConfig(scenario=preset, runs=1, steps=1, m_samples=floor - 1)
+        with pytest.raises(ConfigError, match="m_samples"):
+            config.validate()
+        with pytest.raises(ConfigError, match="m_samples"):
+            run_experiment(config)
+        RunConfig(scenario=preset, m_samples=floor).validate()
+
 
 class TestParseConfig:
     def test_full_file(self, tmp_path):
@@ -79,7 +90,6 @@ class TestParseConfig:
             "master_seed = 99\n"
             "m_samples = 150\n"
             "tol = 1e-6\n"
-            "size_criterion = trace\n"
             "out_dir = results\n"
             "\n"
             "[scenario]\n"
@@ -233,10 +243,10 @@ class TestCarriedFailure:
                 raise EmptyIntersectionError("disjoint", delta=1.0)
             return step(e, model, y, k, opts, start)
 
-        def esmf(e, model, y, k, size_criterion="trace"):
+        def esmf(e, model, y, k):
             if k == 1:
                 raise EmptyIntersectionError("disjoint", delta=1.0)
-            return esmf_step(e, model, y, k, size_criterion=size_criterion)
+            return esmf_step(e, model, y, k)
 
         monkeypatch.setattr(harness, "step", dsmf_step)
         monkeypatch.setattr(harness, "esmf_step", esmf)
@@ -248,8 +258,7 @@ class TestCarriedFailure:
         res = run_experiment(config)
         assert res.failures == {"dsmf": 1, "esmf": 1}
         model = build_model(res.scenario)
-        opts = FilterOptions(m_samples=config.m_samples, tol=config.tol,
-                             size_criterion="trace")
+        opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
         dsmf_log, esmf_log = (res.runs[0].filters[n] for n in ("dsmf", "esmf"))
         want = {"dsmf": predict(dsmf_log.sets[0], model, 1, opts)[0],
                 "esmf": esmf_predict(esmf_log.sets[0], model, 1)}
@@ -424,6 +433,14 @@ class TestCli:
                             "--out", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_simulate_too_few_design_points_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = radar\nm_samples = 4\nruns = 1\nsteps = 1\n")
+        code = self.run_cli("simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "m_samples must be >= 5" in capsys.readouterr().err
 
     def test_simulate_override_checked_against_flag_scenario(self, tmp_path):
         # T0 is a robot field; --scenario radar makes it an unknown one.

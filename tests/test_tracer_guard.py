@@ -1,0 +1,38 @@
+"""The benchmark's per-layer figures stay computable from the package.
+
+smbench/tracer.py reads the package by function name (dsmf.fuse,
+dsmf.optimize_rho, mvee.fw_solve under dsmf.predict, ...).  This test runs
+a tiny traced round and checks that every per-layer figure BENCHMARK.json
+declares comes out, so that a change which drops or stops calling one of
+those functions fails here rather than only in the benchmark.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "smbench"))
+
+import source  # noqa: E402
+import tracer  # noqa: E402
+
+
+def test_layer_metrics_cover_the_declared_figures(tmp_path):
+    mods = {name: importlib.import_module(f"smfilter.{name}") for name in source.MODULES}
+    harness = mods["harness"]
+    with tracer.Tracer(mods) as tr:
+        for preset in ("radar", "robot"):
+            for name in harness.KNOWN_FILTERS:
+                config = harness.RunConfig(scenario=preset, filters=(name,), runs=1,
+                                           steps=3, master_seed=0).validate()
+                harness.emit_outputs(harness.run_experiment(config),
+                                     tmp_path / preset / name)
+        mods["mvee"].fw_solve(np.random.default_rng(0).standard_normal((40, 3)))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
+    metrics = tracer.layer_metrics(tr, mods["dsmf"].RHO_EDGE + 2 * mods["dsmf"].RHO_TOL)
+    assert not wanted - set(metrics)
