@@ -22,6 +22,10 @@ REMAINDER_SAFETY = 1.1
 # Points at which the curvature (Hessian) of the model maps is sampled for
 # the worst-case quadratic completion of the remainder bound.
 N_HESSIAN = 40
+# Relative central-difference steps, times max(1, |x_a|) along axis a, of
+# numerical_jacobian and hessian_abs_max.
+JACOBIAN_STEP = 1e-6
+HESSIAN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,6 @@ class GaussianBelief:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
 
 def uniform_covariance(shape: np.ndarray) -> np.ndarray:
@@ -65,11 +65,11 @@ def add_remainder(noise_shape: np.ndarray, half: np.ndarray) -> np.ndarray:
     return covering_sum(noise_shape, box, optimal_p(noise_shape, box))
 
 
-def numerical_jacobian(fn, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
+def numerical_jacobian(fn, x: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian with per-component step
-    rel_step * max(1, |x_i|)."""
+    JACOBIAN_STEP * max(1, |x_i|)."""
     x = np.asarray(x, dtype=float)
-    steps = rel_step * np.maximum(1.0, np.abs(x))
+    steps = JACOBIAN_STEP * np.maximum(1.0, np.abs(x))
     cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -79,6 +79,8 @@ def numerical_jacobian(fn, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
 
 
 def _f_jacobian(model: SystemModel, x: np.ndarray, k: int) -> np.ndarray:
+    if model.F is not None:
+        return model.F
     if model.f_jac is not None:
         return np.asarray(model.f_jac(x, k), dtype=float)
     return numerical_jacobian(lambda z: model.f(z, k), x)
@@ -121,19 +123,18 @@ def _hessian_stencil(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, a, b
 
 
-def hessian_abs_max(fn, pts: np.ndarray, out_dim: int,
-                    rel_step: float = 1e-4) -> np.ndarray:
+def hessian_abs_max(fn, pts: np.ndarray, out_dim: int) -> np.ndarray:
     """Entrywise maximum |Hessian| of each output of fn over sample points.
 
     fn maps (..., n) -> (..., out_dim) batches; it is called once, on the
-    whole central-difference stencil around every point (step rel_step *
-    max(1, |x_a|) along axis a).  Second differences below the
+    whole central-difference stencil around every point (step HESSIAN_STEP
+    * max(1, |x_a|) along axis a).  Second differences below the
     finite-difference noise floor are zeroed, so exactly linear maps report
     zero curvature.  Returns an (out_dim, n, n) array.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = pts.shape
-    steps = rel_step * np.maximum(1.0, np.abs(pts))  # (m, n)
+    steps = HESSIAN_STEP * np.maximum(1.0, np.abs(pts))  # (m, n)
     offsets, a, b = _hessian_stencil(n)
     vals = np.reshape(fn((pts + offsets[:, None, :] * steps).reshape(-1, n)),
                       (len(offsets), m, out_dim))

@@ -28,11 +28,12 @@ from .harness import (
     emit_outputs,
     parse_config,
     run_experiment,
+    split_filters,
     sweep_sigma,
     write_bench_csv,
     write_sweep_csv,
 )
-from .mvee import fw_solve
+from .mvee import DEFAULT_TOL, fw_solve
 
 
 def _int_list(text: str) -> list[int]:
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mv = sub.add_parser("mvee", help="enclose a CSV point cloud")
     mv.add_argument("--points", required=True, help="CSV, one point per row, no header")
-    mv.add_argument("--tol", type=float, default=1e-7)
+    mv.add_argument("--tol", type=float, default=DEFAULT_TOL)
     mv.add_argument("--max-iter", type=int, default=None)
 
     be = sub.add_parser("bench", help="solver timing table")
@@ -89,9 +90,7 @@ def _config_from_args(args) -> RunConfig:
     if args.scenario:
         updates["scenario"] = args.scenario
     if args.filters:
-        updates["filters"] = tuple(
-            s.strip() for s in args.filters.split(",") if s.strip()
-        )
+        updates["filters"] = split_filters(args.filters)
     for key in ("runs", "steps", "master_seed", "out_dir"):
         val = getattr(args, key)
         if val is not None:

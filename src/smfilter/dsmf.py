@@ -24,6 +24,7 @@ import numpy as np
 from .ellipsoid import (
     Ellipsoid,
     PointCloud,
+    _sphere,
     covering_sum,
     optimal_p,
     spd_cholesky,
@@ -45,18 +46,18 @@ class SystemModel:
     and a tuple of (...,) auxiliary parameter arrays, returning (..., r)
     projected-state points with E_p x = h_inv(y - v).
 
-    f_jac / h_jac are optional analytic Jacobians used by the linearizing
-    baseline (finite differences otherwise).  F, when given, declares the
-    dynamics linear, f(x, k) = x F^T for every k: an (n, n) finite matrix,
-    stored read-only, with which the linearizing baseline predicts exactly
-    (no remainder bound).  aux_from_predicted maps a predicted ellipsoid to
-    an (n_aux, 2) array of [lo, hi] parameter bounds for models whose
-    inverse needs extra state information (None when the inverse depends
-    on y and v only).
+    The sizes are those of the noise bounds: state_dim n is the order of Q,
+    meas_dim l that of R.  f_jac / h_jac are optional analytic Jacobians
+    used by the linearizing baseline (finite differences otherwise).  F,
+    when given, declares the dynamics linear, f(x, k) = x F^T for every k:
+    an (n, n) finite matrix, stored read-only, which is then the Jacobian
+    of f and with which the linearizing baseline predicts exactly (no
+    remainder bound).  aux_from_predicted maps a predicted ellipsoid to an
+    (n_aux, 2) array of [lo, hi] parameter bounds for models whose inverse
+    needs extra state information (None when the inverse depends on y and
+    v only).
     """
 
-    state_dim: int
-    meas_dim: int
     f: Callable[[np.ndarray, int], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
     h_inv: Callable[[np.ndarray, np.ndarray, tuple], np.ndarray]
@@ -69,29 +70,38 @@ class SystemModel:
     F: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, what in (("Q", "process noise shape"), ("R", "measurement noise shape")):
+            bound = np.asarray(getattr(self, name), dtype=float)
+            if bound.ndim != 2 or bound.shape[0] != bound.shape[1]:
+                raise ValueError(f"{name} is {bound.shape}, expected a square matrix")
+            bound = symmetrize(bound)
+            spd_cholesky(bound, what=what)
+            bound.setflags(write=False)
+            object.__setattr__(self, name, bound)
+        n = self.state_dim
         if self.F is not None:
             f_mat = np.array(self.F, dtype=float)
-            if f_mat.shape != (self.state_dim, self.state_dim):
-                raise ValueError(f"F is {f_mat.shape}, expected "
-                                 f"({self.state_dim}, {self.state_dim})")
+            if f_mat.shape != (n, n):
+                raise ValueError(f"F is {f_mat.shape}, expected ({n}, {n}) as Q")
             if not np.all(np.isfinite(f_mat)):
                 raise ValueError("F has a non-finite entry")
             f_mat.setflags(write=False)
             object.__setattr__(self, "F", f_mat)
         ep = np.atleast_2d(np.asarray(self.E_p, dtype=float))
-        if ep.shape[1] != self.state_dim:
-            raise ValueError(f"E_p has {ep.shape[1]} columns, expected {self.state_dim}")
+        if ep.shape[1] != n:
+            raise ValueError(f"E_p has {ep.shape[1]} columns, expected {n} as Q")
         if np.linalg.matrix_rank(ep) != ep.shape[0]:
             raise ValueError("E_p must have full row rank")
-        q = symmetrize(np.asarray(self.Q, dtype=float))
-        r = symmetrize(np.asarray(self.R, dtype=float))
-        spd_cholesky(q, what="process noise shape")
-        spd_cholesky(r, what="measurement noise shape")
-        for arr in (ep, q, r):
-            arr.setflags(write=False)
+        ep.setflags(write=False)
         object.__setattr__(self, "E_p", ep)
-        object.__setattr__(self, "Q", q)
-        object.__setattr__(self, "R", r)
+
+    @property
+    def state_dim(self) -> int:
+        return self.Q.shape[0]
+
+    @property
+    def meas_dim(self) -> int:
+        return self.R.shape[0]
 
 
 @dataclass(frozen=True)
@@ -151,15 +161,13 @@ class StepRecord:
 @lru_cache(maxsize=16)
 def _design(m: int, n: int) -> np.ndarray:
     """The fixed design of every enclosing solve: m unit directions in R^n,
-    read-only.  For n = 2 they are m equispaced angles; otherwise one
-    normalised standard-normal draw seeded by (m, n), the same on every
-    call."""
+    read-only.  For n = 2 they are m equispaced angles; otherwise the
+    _sphere draw of a generator seeded by (m, n), the same on every call."""
     if n == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
         u = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     else:
-        u = np.random.Generator(np.random.PCG64([m, n])).standard_normal((m, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = _sphere(m, n, np.random.Generator(np.random.PCG64([m, n])))
     u.setflags(write=False)
     return u
 

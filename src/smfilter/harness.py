@@ -17,13 +17,14 @@ import time
 from configparser import ConfigParser
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import scenarios as sc
 from .baselines import GaussianBelief, esmf_predict, esmf_step, ukf_step, uniform_covariance
-from .dsmf import FilterOptions, predict, step
+from .dsmf import FilterOptions, _design, predict, step
 from .ellipsoid import Ellipsoid, contains, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
@@ -53,8 +54,8 @@ class RunConfig:
     runs: int = 1
     steps: int | None = None  # None: scenario default
     master_seed: int = 0
-    m_samples: int = 200
-    tol: float = 1e-5
+    m_samples: int = FilterOptions.m_samples
+    tol: float = FilterOptions.tol
     out_dir: str = "out"
     on_empty: str = "carry"  # carry | raise
     record_timing: bool = False
@@ -108,6 +109,11 @@ _INT_KEYS = {"runs", "steps", "master_seed", "m_samples"}
 _FLOAT_KEYS = {"tol"}
 
 
+def split_filters(text: str) -> tuple[str, ...]:
+    """The filter names of a comma list, blanks dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read a flat key = value config file with one optional [scenario]
     section holding preset-field overrides (values are Python literals).
@@ -129,7 +135,7 @@ def parse_config(path: str | Path) -> RunConfig:
         if key in kwargs:
             raise ConfigError(f"config key {key!r} is given twice")
         if key == "filters":
-            kwargs["filters"] = tuple(s.strip() for s in raw.split(",") if s.strip())
+            kwargs["filters"] = split_filters(raw)
         elif key in _BOOL_KEYS:
             kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
         elif key in _INT_KEYS:
@@ -354,8 +360,16 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     return ExperimentResult(config, scenario, runs, metrics, failures, seeds)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write header and rows as CSV with LF line ends: floats as repr (the
+    shortest string that reads back to the same double), every other value
+    (ints, names, blanks) as str."""
+    lines = [header]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
@@ -378,17 +392,11 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     config = result.config
     written = []
 
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        fh.write("k,filter,trace,logdet,rmse_x,rmse_theta,contained,time_s\n")
-        for row in result.metrics:
-            time_field = _fmt(row.time_s) if config.record_timing else ""
-            fh.write(
-                f"{row.k},{row.filter},{_fmt(row.trace)},{_fmt(row.logdet)},"
-                f"{_fmt(row.rmse_x)},{_fmt(row.rmse_theta)},"
-                f"{_fmt(row.contained)},{time_field}\n"
-            )
-    written.append(metrics_path)
+    written.append(_write_csv(
+        out / "metrics.csv", "k,filter,trace,logdet,rmse_x,rmse_theta,contained,time_s",
+        [(row.k, row.filter, row.trace, row.logdet, row.rmse_x, row.rmse_theta,
+          row.contained, row.time_s if config.record_timing else "")
+         for row in result.metrics]))
 
     summary = {
         "config": {
@@ -414,8 +422,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     e_p = build_model(result.scenario).E_p
     ellipse_dir = out / "ellipses"
     ellipse_dir.mkdir(exist_ok=True)
-    phase = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_POINTS, endpoint=False)
-    circle = np.stack([np.cos(phase), np.sin(phase)], axis=0)  # (2, 128)
+    circle = _design(ELLIPSE_POINTS, 2).T  # (2, 128): equispaced angles
     for log in result.runs:
         for name, flog in log.filters.items():
             for k, obj in enumerate(flog.sets):
@@ -423,17 +430,13 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
                 ell = Ellipsoid(e_p @ e.center, e_p @ e.shape @ e_p.T)
                 pts = ell.center[:, None] + ell.factor() @ circle
                 path = ellipse_dir / f"run{log.run_index}_k{k + 1}_{name}.csv"
-                with open(path, "w", newline="") as fh:
-                    fh.write("x,y\n")
-                    for col in pts.T:
-                        fh.write(f"{_fmt(col[0])},{_fmt(col[1])}\n")
-                written.append(path)
+                written.append(_write_csv(path, "x,y", pts.T.tolist()))
     return written
 
 
-def bench_mvee(n_list, m_list, trials: int, master_seed: int = 0,
-               tol: float = 1e-7) -> list[dict]:
-    """Mean solver wall time over standard-uniform clouds per (n, m) cell.
+def bench_mvee(n_list, m_list, trials: int, master_seed: int = 0) -> list[dict]:
+    """Mean solver wall time over standard-uniform clouds per (n, m) cell,
+    at the solver's default tol (mvee.DEFAULT_TOL).
 
     Also reports mean iteration counts and per-iteration time, which is the
     quantity expected to grow affinely in m at fixed n.
@@ -447,7 +450,7 @@ def bench_mvee(n_list, m_list, trials: int, master_seed: int = 0,
             for _ in range(trials):
                 pts = rng.random((m, n))
                 t0 = time.perf_counter()
-                sol = fw_solve(pts, tol=tol)
+                sol = fw_solve(pts)
                 times.append(time.perf_counter() - t0)
                 iters.append(max(sol.iterations, 1))
             times = np.asarray(times)
@@ -465,15 +468,8 @@ def bench_mvee(n_list, m_list, trials: int, master_seed: int = 0,
 
 
 def write_bench_csv(rows: list[dict], path: str | Path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("n,m,fw_time_s,iterations,time_per_iter_s\n")
-        for r in rows:
-            fh.write(
-                f"{r['n']},{r['m']},{_fmt(r['fw_time_s'])},"
-                f"{_fmt(r['iterations'])},{_fmt(r['time_per_iter_s'])}\n"
-            )
-    return path
+    header = "n,m,fw_time_s,iterations,time_per_iter_s"
+    return _write_csv(Path(path), header, map(itemgetter(*header.split(",")), rows))
 
 
 def affine_fit_r2(x, y) -> tuple[float, float, float]:
@@ -489,8 +485,7 @@ def affine_fit_r2(x, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
-                m_samples: int = 200, tol: float = 1e-5) -> list[dict]:
+def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict]:
     """Single-update study of how the posterior volume scales with the
     prior size, comparing the enclosing-set update against the linearizing
     update on the range/bearing geometry with the sensor at the origin.
@@ -498,7 +493,8 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
     For each sigma the prior is {(10, 20), sigma I}; a true position is
     drawn from it, measured with noise bounded by diag(10, 1), and both
     updates are applied, each fusing at the trace-minimising rho; the mean
-    posterior logdet over the replicates is recorded.
+    posterior logdet over the replicates is recorded.  The enclosing solves
+    use the FilterOptions defaults.
     """
     from .baselines import esmf_update
     from .dsmf import SystemModel, fuse, measurement_ellipsoid, optimize_rho
@@ -507,18 +503,12 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
     prior_center = np.array([10.0, 20.0])
     r_shape = np.diag([10.0, 1.0])
     sensor = RangeBearing((0.0, 0.0))
-
-    def h_inv(y, v, aux):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        return sensor.invert(y, v, y[1] - v[:, 1])
-
     model = SystemModel(
-        state_dim=2, meas_dim=2,
-        f=lambda x, k: x, h=sensor.measure, h_inv=h_inv,
+        f=lambda x, k: x, h=sensor.measure, h_inv=sensor.h_inv,
         E_p=np.eye(2), Q=1e-9 * np.eye(2), R=r_shape,
         h_jac=sensor.jacobian,
     )
-    opts = FilterOptions(m_samples=m_samples, tol=tol)
+    opts = FilterOptions()
     v_ball = Ellipsoid(np.zeros(2), r_shape)
 
     for sigma in sigmas:
@@ -546,12 +536,5 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0,
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("sigma,dsmf_logdet,esmf_logdet\n")
-        for r in rows:
-            fh.write(
-                f"{_fmt(r['sigma'])},{_fmt(r['dsmf_logdet'])},"
-                f"{_fmt(r['esmf_logdet'])}\n"
-            )
-    return path
+    header = "sigma,dsmf_logdet,esmf_logdet"
+    return _write_csv(Path(path), header, map(itemgetter(*header.split(",")), rows))

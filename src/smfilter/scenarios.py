@@ -36,9 +36,11 @@ class RangeBearing:
         rho = np.sqrt(rho2)
         return np.array([[dx / rho, dy / rho], [-dy / rho2, dx / rho2]])
 
-    def invert(self, y, v: np.ndarray, bearing) -> np.ndarray:
-        """Positions at ranges y[0] - v[:, 0] and the given bearings; a
-        negative range raises MeasurementDomainError naming its noise row."""
+    def invert(self, y, v, bearing) -> np.ndarray:
+        """Positions at ranges y[0] - v[:, 0] (v a noise sample or a batch
+        of them) and the given bearings; a negative range raises
+        MeasurementDomainError naming its noise row."""
+        v = np.atleast_2d(np.asarray(v, dtype=float))
         rng_val = y[0] - v[:, 0]
         if np.any(rng_val < 0.0):
             bad = v[int(np.argmax(rng_val < 0.0))]
@@ -49,6 +51,12 @@ class RangeBearing:
             )
         return np.stack([rng_val * np.cos(bearing) + self.origin[0],
                          rng_val * np.sin(bearing) + self.origin[1]], axis=-1)
+
+    def h_inv(self, y, v, aux) -> np.ndarray:
+        """The polar inverse of measure, in the SystemModel.h_inv form:
+        positions at range y[0] - v[..., 0] and bearing y[1] - v[..., 1];
+        aux is unused."""
+        return self.invert(y, v, y[1] - np.asarray(v, dtype=float)[..., 1])
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,10 @@ class RobotScenario:
 
 def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
     """SystemModel for the radar preset: linear dynamics x' = F x, declared
-    as the model's F, and measurement (range, bearing) to the sensor; the
-    inverse map is h_inv(r, theta) = (r cos theta + a, r sin theta + b),
-    and E_p selects the position components."""
+    as the model's F (also its Jacobian), and measurement (range, bearing)
+    to the sensor; the inverse map is the sensor's polar inverse
+    h_inv(r, theta) = (r cos theta + a, r sin theta + b), and E_p selects
+    the position components."""
     sc = scenario or RadarScenario()
     f_mat = sc.F
     sensor = RangeBearing(sc.sensor)
@@ -153,20 +162,13 @@ def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
     def f(x, k):
         return np.asarray(x, dtype=float) @ f_mat.T
 
-    def f_jac(x, k):
-        return f_mat
-
     def h_jac(x):
         return np.hstack([sensor.jacobian(x), np.zeros((2, 2))])
 
-    def h_inv(y, v, aux):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        return sensor.invert(y, v, y[1] - v[:, 1])
-
     e_p = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return SystemModel(
-        state_dim=4, meas_dim=2, f=f, h=sensor.measure, h_inv=h_inv,
-        E_p=e_p, Q=sc.Q, R=sc.R, f_jac=f_jac, h_jac=h_jac, F=f_mat,
+        f=f, h=sensor.measure, h_inv=sensor.h_inv,
+        E_p=e_p, Q=sc.Q, R=sc.R, h_jac=h_jac, F=f_mat,
     )
 
 
@@ -209,9 +211,9 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
         return np.hstack([jac, [[0.0], [1.0]]])
 
     def h_inv(y, v, aux):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
         (theta,) = aux
-        return landmark.invert(y, v, np.asarray(theta, dtype=float) - y[1] - v[:, 1])
+        bearing = np.asarray(theta, dtype=float) - y[1] - np.asarray(v, dtype=float)[..., 1]
+        return landmark.invert(y, v, bearing)
 
     def aux_from_predicted(pred: Ellipsoid) -> np.ndarray:
         # The heading projection of the predicted set: every heading it admits.
@@ -220,7 +222,7 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
 
     e_p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     return SystemModel(
-        state_dim=3, meas_dim=2, f=f, h=h, h_inv=h_inv,
+        f=f, h=h, h_inv=h_inv,
         E_p=e_p, Q=sc.Q, R=sc.R, f_jac=f_jac, h_jac=h_jac,
         aux_from_predicted=aux_from_predicted,
     )

@@ -264,7 +264,6 @@ def test_criterion_07_linear_model_degeneration():
     q = 0.05 * np.eye(2)
     r = np.array([[0.1]])
     model = SystemModel(
-        state_dim=2, meas_dim=1,
         f=lambda x, k: np.asarray(x) @ f_mat.T,
         h=lambda x: np.asarray(x) @ e_p.T,
         h_inv=lambda y, v, aux: y - np.atleast_2d(v),

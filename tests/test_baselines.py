@@ -37,7 +37,6 @@ def random_spd(rng, n, scale=1.0):
 
 def linear_model(f_mat, h_mat, q, r):
     return SystemModel(
-        state_dim=f_mat.shape[0], meas_dim=h_mat.shape[0],
         f=lambda x, k: np.asarray(x) @ f_mat.T,
         h=lambda x: np.asarray(x) @ h_mat.T,
         h_inv=lambda y, v, aux: y - np.atleast_2d(v),
@@ -385,7 +384,7 @@ class TestRemainderBound:
             return np.einsum("ijk,...j,...k->...i", quad, x, x)
 
         model = SystemModel(
-            state_dim=2, meas_dim=2, f=f, h=lambda x: np.atleast_2d(x),
+            f=f, h=lambda x: np.atleast_2d(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),
             E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
         )
@@ -528,7 +527,6 @@ class TestEsmf:
                              0.9 * x[..., 1]], axis=-1)
 
         model = SystemModel(
-            state_dim=2, meas_dim=2,
             f=f,
             h=lambda x: np.asarray(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),

@@ -70,8 +70,6 @@ def linear_model(n=2, e_p=None, q_scale=1e-2, r_scale=1e-2):
     e_p = np.eye(n) if e_p is None else np.atleast_2d(e_p)
     r = e_p.shape[0]
     return SystemModel(
-        state_dim=n,
-        meas_dim=r,
         f=lambda x, k: np.asarray(x) @ f_mat.T,
         h=lambda x: np.asarray(x) @ e_p.T,
         h_inv=lambda y, v, aux: y - np.atleast_2d(v),
@@ -91,6 +89,14 @@ class TestFilterOptions:
         # negative max_iter, never: it used to run zero passes).
         with pytest.raises(ValueError):
             FilterOptions(**bad)
+
+
+class TestDesign:
+    @pytest.mark.parametrize("m, n", [(40, 3), (200, 3), (500, 4), (100, 5)])
+    def test_seeded_normalised_draw_above_two_dimensions(self, m, n):
+        u = np.random.Generator(np.random.PCG64([m, n])).standard_normal((m, n))
+        want = u / np.linalg.norm(u, axis=1, keepdims=True)
+        np.testing.assert_array_equal(dsmf._design(m, n), want)
 
 
 class TestDeclaredDynamics:
@@ -123,7 +129,6 @@ class TestPredict:
         # f = identity with negligible process noise: prediction ~ input set.
         e = Ellipsoid([1.0, 2.0], np.array([[2.0, 0.5], [0.5, 1.0]]))
         model = SystemModel(
-            state_dim=2, meas_dim=2,
             f=lambda x, k: np.asarray(x),
             h=lambda x: np.asarray(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),
@@ -202,7 +207,6 @@ class TestMeasurementEllipsoid:
                             axis=-1)
 
         return SystemModel(
-            state_dim=2, meas_dim=2,
             f=lambda x, k: np.asarray(x), h=h, h_inv=h_inv,
             E_p=np.eye(2), Q=np.eye(2), R=r_scale * np.eye(2),
         )
@@ -243,7 +247,6 @@ class TestMeasurementEllipsoid:
         # which no jitter can make span R^2.  The error names the
         # measurement.
         model = SystemModel(
-            state_dim=2, meas_dim=2,
             f=lambda x, k: np.asarray(x), h=lambda x: np.asarray(x),
             h_inv=lambda y, v, aux: np.tile(y, (len(v), 1)),
             E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
@@ -268,7 +271,6 @@ class TestMeasurementEllipsoid:
             return out
 
         model = SystemModel(
-            state_dim=2, meas_dim=2,
             f=lambda x, k: np.asarray(x), h=lambda x: np.asarray(x),
             h_inv=h_inv, E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
         )
@@ -525,7 +527,6 @@ class TestStep:
     def test_noiseless_consistency_contracts(self):
         # Exact model, negligible noise: the set collapses toward the truth.
         model = SystemModel(
-            state_dim=2, meas_dim=2,
             f=lambda x, k: np.asarray(x),
             h=lambda x: np.asarray(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),

@@ -309,6 +309,24 @@ class TestEmitOutputs:
         lines = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",") for line in lines)
 
+    @pytest.mark.parametrize("how", ["config key", "flag"])
+    def test_timing_recorded_on_request(self, tmp_path, capsys, how):
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", "radar", "--filters", "dsmf,ukf",
+                "--runs", "2", "--steps", "2", "--out", str(out)]
+        if how == "flag":
+            argv.append("--timing")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("record_timing = true\n")
+            argv += ["--config", str(cfg)]
+        assert cli_main(argv) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        times = [float(line.rsplit(",", 1)[1]) for line in rows]
+        assert len(times) == 4 and all(t > 0 for t in times)
+        timing = json.loads((out / "summary.json").read_text())["timing"]
+        assert set(timing) == {"dsmf", "ukf"} and all(t > 0 for t in timing.values())
+
     def test_polyline_points_on_projected_ellipsoid(self, tiny_result, tmp_path):
         from smfilter.scenarios import build_model
 

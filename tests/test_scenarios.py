@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from smfilter.baselines import _f_jacobian
+from smfilter.dsmf import SystemModel
 from smfilter.ellipsoid import contains
 from smfilter.errors import MeasurementDomainError
 from smfilter.harness import parse_config
 from smfilter.scenarios import (
     RadarScenario,
+    RangeBearing,
     RobotScenario,
     build_model,
     build_scenario,
@@ -14,6 +17,53 @@ from smfilter.scenarios import (
     robot_model,
     simulate_truth,
 )
+
+
+def plain_model(**given):
+    """A model on the identity maps, with the given fields replaced."""
+    fields = dict(f=lambda x, k: x, h=lambda x: x, h_inv=lambda y, v, aux: y - v,
+                  E_p=np.eye(2), Q=np.eye(2), R=np.eye(2))
+    return SystemModel(**{**fields, **given})
+
+
+class TestSystemModel:
+    def test_sizes_are_those_of_the_noise_bounds(self):
+        assert (radar_model().state_dim, radar_model().meas_dim) == (4, 2)
+        assert (robot_model().state_dim, robot_model().meas_dim) == (3, 2)
+        model = plain_model(E_p=np.eye(3)[:2], Q=np.eye(3), R=np.eye(1))
+        assert (model.state_dim, model.meas_dim) == (3, 1)
+
+    @pytest.mark.parametrize("given, match", [
+        ({"Q": np.ones((2, 3))}, "Q is"),
+        ({"Q": np.ones(2)}, "Q is"),
+        ({"R": np.ones((1, 2))}, "R is"),
+        # A size that differs from Q's used to pass, and the first step
+        # then failed with a broadcasting error.
+        ({"Q": np.eye(3)}, "E_p has 2 columns, expected 3"),
+        ({"F": np.eye(3)}, "F is"),
+        ({"Q": np.eye(3), "E_p": np.eye(3)[:2], "F": np.eye(2)}, "F is"),
+    ], ids=["Q not square", "Q a vector", "R not square", "E_p against Q", "F against Q",
+            "F against a larger Q"])
+    def test_inconsistent_sizes_rejected(self, given, match):
+        with pytest.raises(ValueError, match=match):
+            plain_model(**given)
+
+
+class TestRangeBearing:
+    def test_polar_inverse_takes_one_noise_row_or_a_batch(self):
+        sensor = RangeBearing((3.0, -2.0))
+        x = np.array([10.0, 4.0])
+        y = sensor.measure(x)
+        v = np.array([[0.5, 0.01], [-0.2, 0.03]])
+        np.testing.assert_array_equal(sensor.h_inv(y, v[1], ()), sensor.h_inv(y, v, ())[1:])
+        np.testing.assert_allclose(sensor.h_inv(y, np.zeros(2), ())[0], x, atol=1e-12)
+
+    def test_robot_inverse_takes_one_noise_row(self):
+        model = robot_model()
+        y, theta = np.array([15.0, 0.2]), (np.array([0.8]),)
+        v = np.array([[0.3, -0.1], [0.0, 0.4]])
+        np.testing.assert_array_equal(model.h_inv(y, v[1], theta),
+                                      model.h_inv(y, v, theta)[1:])
 
 
 class TestRadarScenarioConstants:
@@ -71,9 +121,10 @@ class TestRadarModel:
         np.testing.assert_array_equal(model.F, RadarScenario().F)
         states = np.random.default_rng(6).uniform(-300.0, 300.0, size=(50, 4))
         np.testing.assert_array_equal(model.f(states, 3), states @ model.F.T)
+        assert model.f_jac is None  # a declared F is the Jacobian
         for k, x in enumerate(states[:5]):
             np.testing.assert_array_equal(model.f(x, k), x @ model.F.T)
-            np.testing.assert_array_equal(model.f_jac(x, k), model.F)
+            np.testing.assert_array_equal(_f_jacobian(model, x, k), model.F)
 
     def test_sampling_interval_override_sets_f(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -85,7 +136,7 @@ class TestRadarModel:
         np.testing.assert_array_equal(model.F, want)
         x = np.array([10.0, 20.0, 2.0, -4.0])
         np.testing.assert_array_equal(model.f(x, 0), [11.0, 18.0, 2.0, -4.0])
-        np.testing.assert_array_equal(model.f_jac(x, 0), want)
+        np.testing.assert_array_equal(_f_jacobian(model, x, 0), want)
 
     def test_jacobians_match_finite_differences(self):
         from smfilter.baselines import numerical_jacobian
@@ -96,7 +147,7 @@ class TestRadarModel:
             model.h_jac(x), numerical_jacobian(model.h, x), atol=1e-6
         )
         np.testing.assert_allclose(
-            model.f_jac(x, 0),
+            _f_jacobian(model, x, 0),
             numerical_jacobian(lambda z: model.f(z, 0), x),
             atol=1e-6,
         )
