@@ -6,15 +6,17 @@ points, then adds the process-noise bound through the parametric covering
 sum.  The measurement update encloses the inverse-measurement set the same
 way, over the same kind of design on the noise boundary, and fuses it with
 the prediction using the classical linear set-membership update, written
-on one joint diagonalisation per update, with the mixing parameter rho
-chosen by a vectorised grid search on the closed-form fused trace.  The
-filter draws no random numbers: one state and measurement sequence always
-gives the same sets.
+on one joint diagonalisation per update.  There the fused trace and the
+consistency delta are sums of n scalars in the mixing parameter rho, with
+closed-form derivatives: rho is found by Newton steps on the trace's
+derivative from the best point of a fixed grid, and emptiness by the
+maximum of the concave delta.  The filter draws no random numbers: one
+state and measurement sequence always gives the same sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import ceil, sqrt
 from typing import Callable
@@ -34,7 +36,7 @@ from .errors import EmptyIntersectionError, RankDeficiencyError
 from .mvee import MveeSolution, fw_solve
 
 RHO_EDGE = 1e-6  # the update formulas divide by rho and 1-rho
-RHO_TOL = 1e-6
+RHO_TOL = 1e-6  # the accuracy the rho search is held to
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,8 @@ class SystemModel:
     h_jac: Callable[[np.ndarray], np.ndarray] | None = None
     aux_from_predicted: Callable[[Ellipsoid], np.ndarray] | None = None
     F: np.ndarray | None = None
+    # The Cholesky factor of R, from the check of R in __post_init__.
+    _r_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, what in (("Q", "process noise shape"), ("R", "measurement noise shape")):
@@ -75,9 +79,11 @@ class SystemModel:
             if bound.ndim != 2 or bound.shape[0] != bound.shape[1]:
                 raise ValueError(f"{name} is {bound.shape}, expected a square matrix")
             bound = symmetrize(bound)
-            spd_cholesky(bound, what=what)
+            factor = spd_cholesky(bound, what=what)[0]
             bound.setflags(write=False)
             object.__setattr__(self, name, bound)
+        factor.setflags(write=False)
+        object.__setattr__(self, "_r_factor", factor)  # R is checked last
         n = self.state_dim
         if self.F is not None:
             f_mat = np.array(self.F, dtype=float)
@@ -226,7 +232,7 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
         count = ceil(sqrt(opts.m_samples))
         count += count % 2
     grids = [np.linspace(lo, hi, count) for lo, hi in aux]
-    noise = _design(count, model.meas_dim) @ spd_cholesky(model.R)[0].T
+    noise = _design(count, model.meas_dim) @ model._r_factor.T
     # Noise direction slowest, then each parameter grid in turn.
     mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
     pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
@@ -239,27 +245,29 @@ def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
 
     With L = chol(P), M = chol(P_z), the SVD M^{-1} E_p L = V diag(s) U^T
     and h = V^T M^{-1} (z - E_p x), s and h zero-padded to length n (E_p
-    has r <= n rows), returns (L U, s h, at_rho): at_rho(rho) gives delta
-    and the scales d_i = 1 - rho + rho s_i^2 for a scalar rho or an array
-    of them (delta then has the shape of rho, d one more axis).
+    has r <= n rows), returns (L U, s^2, h^2, s h).  One solve with M takes
+    both right-hand sides.
     """
     e_p = np.atleast_2d(np.asarray(e_p, dtype=float))
     n, r = pred.dim, meas.dim
     if e_p.shape != (r, n) or r > n:
         raise ValueError(f"E_p is {e_p.shape}, expected ({r}, {n}) with {r} <= {n}")
     chol_p = pred.factor()
-    chol_z = meas.factor()
-    v, s_r, ut = np.linalg.svd(np.linalg.solve(chol_z, e_p @ chol_p))
+    rhs = np.empty((r, n + 1))
+    rhs[:, :n] = e_p @ chol_p
+    rhs[:, n] = meas.center - e_p @ pred.center
+    whitened = np.linalg.solve(meas.factor(), rhs)
+    v, s_r, ut = np.linalg.svd(whitened[:, :n])
     s, h = np.zeros(n), np.zeros(n)
-    s[:r], h[:r] = s_r, v.T @ np.linalg.solve(chol_z, meas.center - e_p @ pred.center)
-    s2, h2 = s**2, h**2
+    s[:r], h[:r] = s_r, v.T @ whitened[:, n]
+    return chol_p @ ut.T, s**2, h**2, s * h
 
-    def at_rho(rho):
-        rho = np.asarray(rho, dtype=float)[..., None]
-        d = 1.0 - rho + rho * s2
-        return (rho * (1.0 - rho) * h2 / d).sum(axis=-1), d
 
-    return chol_p @ ut.T, s * h, at_rho
+def _fused_delta(rho: float, s2: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray]:
+    """delta and the scales d_i = 1 - rho + rho s_i^2 at one rho: the one
+    formula of delta, for fuse and for the delta optimize_rho returns."""
+    d = 1.0 - rho + rho * s2
+    return float((rho * (1.0 - rho) * h2 / d).sum()), d
 
 
 def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
@@ -280,9 +288,8 @@ def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    basis, gain, at_rho = _joint_diag(pred, meas, e_p)
-    delta, d = at_rho(rho)
-    delta = float(delta)
+    basis, s2, h2, gain = _joint_diag(pred, meas, e_p)
+    delta, d = _fused_delta(rho, s2, h2)
     if delta >= 1.0:
         raise EmptyIntersectionError(
             f"prediction and measurement sets are disjoint (delta={delta:.6g})",
@@ -293,42 +300,129 @@ def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     return center, shape, delta
 
 
+# The rho search: one grid over [RHO_EDGE, 1 - RHO_EDGE], then Newton in
+# the cells beside its best point until a step is at most _NEWTON_STEP.
+_GRID = np.linspace(RHO_EDGE, 1.0 - RHO_EDGE, 65)
+_GRID.setflags(write=False)
+_GRID_WEIGHT = _GRID * (1.0 - _GRID)
+_GRID_WEIGHT.setflags(write=False)
+_NEWTON_STEP = 1e-9
+
+
+def _scalars(rho: float, terms: list) -> tuple:
+    """delta, S = sum_i a_i / d_i and their first two derivatives in rho,
+    (delta, delta', delta'', S, S', S''), in Python floats over the terms
+    (a_i, h_i^2, e_i = s_i^2 - 1, s_i^2), with d_i = 1 + rho e_i."""
+    weight, slope = rho * (1.0 - rho), 1.0 - 2.0 * rho
+    delta = delta1 = delta2 = size = size1 = size2 = 0.0
+    for a, h2, e, s2 in terms:
+        inv = 1.0 / (1.0 + rho * e)
+        inv2 = inv * inv
+        delta += weight * h2 * inv
+        delta1 += h2 * (slope - rho * rho * e) * inv2
+        delta2 -= 2.0 * h2 * s2 * inv2 * inv
+        size += a * inv
+        size1 -= a * e * inv2
+        size2 += 2.0 * a * e * e * inv2 * inv
+    return delta, delta1, delta2, size, size1, size2
+
+
+def _delta_slope(rho: float, terms: list) -> tuple[float, float]:
+    """-delta' and -delta'': a rising slope through the maximum of the
+    concave delta (delta'' = -2 sum_i h_i^2 s_i^2 / d_i^3 <= 0)."""
+    _, delta1, delta2, _, _, _ = _scalars(rho, terms)
+    return -delta1, -delta2
+
+
+def _trace_slope(rho: float, terms: list) -> tuple[float, float]:
+    """T' and T'' of the fused trace T = (1 - delta) S."""
+    delta, delta1, delta2, size, size1, size2 = _scalars(rho, terms)
+    return (-delta1 * size + (1.0 - delta) * size1,
+            -delta2 * size - 2.0 * delta1 * size1 + (1.0 - delta) * size2)
+
+
+def _newton(slope: Callable, terms: list, j: int) -> float:
+    """A zero of a rising slope(rho, terms) -> (f, f') in a grid cell beside
+    _GRID[j], by safeguarded Newton steps from _GRID[j].
+
+    The cell is the one the slope at _GRID[j] points into.  When it points
+    out of the grid, or the slope has the same sign at both ends of the
+    cell, _GRID[j] is returned.  Otherwise the cell brackets the zero: a
+    Newton step is taken when it lands inside the bracket and is at most
+    half the last step, else the bracket is bisected, until a step is at
+    most _NEWTON_STEP.
+    """
+    x = float(_GRID[j])
+    f, df = slope(x, terms)
+    k = j + 1 if f < 0.0 else j - 1
+    if f == 0.0 or not 0 <= k < _GRID.size:
+        return x
+    other = float(_GRID[k])
+    if (slope(other, terms)[0] < 0.0) == (f < 0.0):
+        return x
+    lo, hi = (x, other) if f < 0.0 else (other, x)
+    step = hi - lo
+    while True:
+        if df > 0.0 and lo <= x - f / df <= hi and abs(f) <= 0.5 * step * df:
+            new = x - f / df
+        else:
+            new = 0.5 * (lo + hi)
+        step = abs(new - x)
+        x = new
+        if step <= _NEWTON_STEP:
+            return x
+        f, df = slope(x, terms)
+        if f < 0.0:
+            lo = x
+        elif f > 0.0:
+            hi = x
+        else:
+            return x
+
+
 def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionParams:
     """Pick the fusion weight minimizing the trace of the fused ellipsoid.
 
-    On the joint diagonalisation of fuse the trace is a sum of scalars,
-    (1-delta) sum_i a_i / d_i with a_i = ||L u_i||^2.  Each pass
-    evaluates it on 65 points of the bracket at once and narrows the
-    bracket to the grid points either side of the argmin: five passes from
-    [RHO_EDGE, 1 - RHO_EDGE] reach RHO_TOL.  Each grid is the
-    np.linspace(lo, hi, 65) of its bracket, formed as linspace forms it
-    from one arange per search.  Returns the best point of the last grid,
-    with the delta fuse gives there.
+    On the joint diagonalisation of fuse, with d_i = 1 + rho e_i and e_i =
+    s_i^2 - 1, the fused trace is T = (1 - delta) S with S = sum_i a_i /
+    d_i and a_i = ||L u_i||^2, and delta = rho (1-rho) sum_i h_i^2 / d_i;
+    both have closed-form first and second derivatives in rho.  One array
+    operation evaluates T and delta on a fixed 65-point grid over
+    [RHO_EDGE, 1 - RHO_EDGE].  Newton steps on T' from the grid's best
+    point then find the minimum in the cell beside it (see _newton); rho
+    stays at the search edge when T rises from it, as on most robot
+    updates.  Returns that rho, with the delta fuse gives there.
 
     The fused set at any rho contains the intersection of the two sets, and
-    delta >= 1 leaves it at most one point; so EmptyIntersectionError is
-    raised as soon as any grid point has delta >= 1.
+    delta >= 1 leaves it at most one point.  No rho gives a delta above
+    sum_i h_i^2 / (1 + s_i)^2; when that bound reaches 1, Newton steps on
+    delta' from the grid's largest delta find the maximum of delta over the
+    search interval, which is concave in rho (delta'' = -2 sum_i h_i^2 s_i^2
+    / d_i^3).  EmptyIntersectionError is raised if and only if that maximum
+    is >= 1.
     """
-    basis, _, at_rho = _joint_diag(pred, meas, e_p)
+    basis, s2, h2, _ = _joint_diag(pred, meas, e_p)
     a = (basis * basis).sum(axis=0)
-    lo, hi = RHO_EDGE, 1.0 - RHO_EDGE
-    offsets = np.arange(65.0)
-    while True:
-        grid = offsets * ((hi - lo) / (offsets.size - 1)) + lo
-        grid[-1] = hi
-        delta, d = at_rho(grid)
-        worst = int(np.argmax(delta))
-        if delta[worst] >= 1.0:
+    e = s2 - 1.0
+    inv = 1.0 / (1.0 + _GRID[:, None] * e)
+    delta = _GRID_WEIGHT * (inv @ h2)
+    terms = list(zip(a.tolist(), h2.tolist(), e.tolist(), s2.tolist()))
+    # rho (1-rho) / d_i peaks at 1 / (1 + s_i)^2, so delta never exceeds
+    # sum_i h_i^2 / (1 + s_i)^2.
+    if (h2 / (1.0 + np.sqrt(s2)) ** 2).sum() >= 1.0:
+        peak = int(np.argmax(delta))
+        worst, at = float(delta[peak]), float(_GRID[peak])
+        if worst < 1.0:
+            at = _newton(_delta_slope, terms, peak)
+            worst = _fused_delta(at, s2, h2)[0]
+        if worst >= 1.0:
             raise EmptyIntersectionError(
-                f"delta = {delta[worst]:.6g} >= 1 at rho = {grid[worst]:.6g}: "
+                f"delta = {worst:.6g} >= 1 at rho = {at:.6g}: "
                 "prediction and measurement sets meet in at most one point",
-                delta=float(delta[worst]),
+                delta=worst,
             )
-        j = int(np.argmin((1.0 - delta) * (a / d).sum(axis=-1)))
-        if hi - lo <= RHO_TOL:
-            rho = float(grid[j])
-            return FusionParams(rho=rho, delta=float(at_rho(rho)[0]))
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+    rho = _newton(_trace_slope, terms, int(np.argmin((1.0 - delta) * (inv @ a))))
+    return FusionParams(rho=rho, delta=_fused_delta(rho, s2, h2)[0])
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,

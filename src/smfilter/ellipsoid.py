@@ -9,6 +9,7 @@ E such that E E^T = P, it is {c + E u : ||u|| <= 1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
@@ -84,6 +85,22 @@ class Ellipsoid:
     def factor(self) -> np.ndarray:
         """A matrix E with E E^T = shape (here the Cholesky factor)."""
         return self._chol
+
+    def scaled(self, factor: float) -> "Ellipsoid":
+        """The ellipsoid with this center and shape factor * P (factor > 0).
+
+        Its Cholesky factor is sqrt(factor) L, not a new factorisation, so
+        each of its quadratic forms is this one's divided by factor, up to
+        the rounding of one product per entry of L.  A new factorisation of
+        an ill-conditioned shape would move them by far more."""
+        if not factor > 0.0:
+            raise ValueError(f"factor must be positive, got {factor}")
+        out = object.__new__(Ellipsoid)
+        object.__setattr__(out, "center", self.center)
+        for name, arr in (("shape", factor * self.shape), ("_chol", sqrt(factor) * self._chol)):
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out
 
     def quadratic_form(self, x: np.ndarray) -> np.ndarray:
         """(x - c)^T P^{-1} (x - c) for a point (n,) or batch (m, n)."""

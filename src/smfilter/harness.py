@@ -441,30 +441,29 @@ def bench_mvee(n_list, m_list, trials: int, master_seed: int = 0) -> list[dict]:
     Also reports mean iteration counts and per-iteration time, which is the
     quantity expected to grow affinely in m at fixed n.
     """
-    rows = []
-    for n in n_list:
-        for m in m_list:
-            rng = np.random.default_rng([master_seed, n, m])
-            times = []
-            iters = []
-            for _ in range(trials):
-                pts = rng.random((m, n))
-                t0 = time.perf_counter()
-                sol = fw_solve(pts)
-                times.append(time.perf_counter() - t0)
-                iters.append(max(sol.iterations, 1))
-            times = np.asarray(times)
-            iters = np.asarray(iters, dtype=float)
-            rows.append({
-                "n": n,
-                "m": m,
-                "fw_time_s": float(times.mean()),
-                "iterations": float(iters.mean()),
-                # Minimum over trials: the least scheduler-contaminated
-                # estimate of the clean per-iteration cost.
-                "time_per_iter_s": float(np.min(times / iters)),
-            })
-    return rows
+    cells = [(n, m) for n in n_list for m in m_list]
+    rngs = [np.random.default_rng([master_seed, n, m]) for n, m in cells]
+    times = np.empty((len(cells), trials))
+    iters = np.empty((len(cells), trials))
+    # Each trial visits every cell, so a slow stretch of the machine spreads
+    # over the cells instead of landing on one; each cell keeps its own
+    # stream of clouds.
+    for t in range(trials):
+        for c, (rng, (n, m)) in enumerate(zip(rngs, cells)):
+            pts = rng.random((m, n))
+            t0 = time.perf_counter()
+            sol = fw_solve(pts)
+            times[c, t] = time.perf_counter() - t0
+            iters[c, t] = max(sol.iterations, 1)
+    return [{
+        "n": n,
+        "m": m,
+        "fw_time_s": float(times[c].mean()),
+        "iterations": float(iters[c].mean()),
+        # Minimum over trials: the least scheduler-contaminated estimate of
+        # the clean per-iteration cost.
+        "time_per_iter_s": float(np.min(times[c] / iters[c])),
+    } for c, (n, m) in enumerate(cells)]
 
 
 def write_bench_csv(rows: list[dict], path: str | Path) -> Path:

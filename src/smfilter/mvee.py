@@ -22,8 +22,9 @@ steps start from a rank-one update of M^{-1} and are s x s and d x d
 algebra over the s weighted points.  Each pass ends on fresh kappa, one
 O(d^2 m) product over the cloud with the d x d factor of the current
 weights: the last Newton step's, else one from the moment matrix over the
-support.  So the certificate and the coverage scale of every solve are
-read from the kappa of its final weights.  Cold filter solves take one to
+support.  So the certificate of every solve is read from the kappa of its
+final weights; its coverage scale comes from the quadratic form of the
+shape it returns, over the cloud.  Cold filter solves take one to
 a few dozen passes; one warm-started from the last filter step takes a few.
 """
 
@@ -72,9 +73,12 @@ class MveeSolution:
     satisfies the quadratic form <= 1 convention used everywhere else;
     `raw_shape` is the weighted second moment sum_i mu_i y_i y_i^T - c c^T
     as produced by the dual weights.  coverage_scale = max(1, max_i q_i),
-    with q_i = (kappa_i - 1) / n the quadratic form of the unscaled shape,
-    read from the final kappa of every solve: a converged one's certificate
-    keeps it within 1 + (n + 1) tol / n, a capped one has no such bound.
+    with q_i the quadratic form of the unscaled shape n * raw_shape, as
+    stored, at cloud point i.  whitened_scale is the same maximum read from
+    the final kappa in the solver's whitened coordinates, q_i = (kappa_i -
+    1) / n: a converged solve's certificate keeps it within 1 + (n + 1) tol
+    / n, a capped one has no such bound.  The two differ by the rounding of
+    the shape mapped back, which grows with its condition number.
     `objective_path` holds the dual objective after each pass (index
     0 is the starting value)."""
 
@@ -86,6 +90,7 @@ class MveeSolution:
     raw_shape: np.ndarray
     objective_path: np.ndarray
     coverage_scale: float
+    whitened_scale: float
 
 
 def _as_points(points) -> np.ndarray:
@@ -236,7 +241,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     """Solve the enclosing-ellipsoid dual over a cloud by Frank-Wolfe ascent
     from start or the axis extremes, with Newton steps on the support (see
     the module docstring).  Every pass ends on fresh kappa, so the
-    certificate and the coverage scale are read from the final weights.
+    certificate is read from the final weights.
 
     Parameters
     ----------
@@ -387,16 +392,25 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         it += 1
 
     # The ellipsoid in whitened coordinates, mapped back.  There q_i =
-    # (kappa_i - 1) / n for the shape n * second, so the coverage scale
-    # comes from the fresh kappa at no cost.
+    # (kappa_i - 1) / n for the shape n * second, which gives the whitened
+    # scale at no cost.  The shape mapped back is rounded, which on a thin
+    # cloud can move q by more than tol, so the coverage scale is read from
+    # the quadratic form of the stored shape over the cloud.  Factoring the
+    # scaled shape anew would move q by as much again; scaled() scales the
+    # factor with it.
     w, mu_w = work[act], mu[act]
     center_w = mu_w @ w
     second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
     center = mean + axes @ center_w
     second = symmetrize(axes @ second_w @ axes.T)
-    coverage_scale = max(1.0, (float(kappa.max()) - 1.0) / n)
+    whitened_scale = max(1.0, (float(kappa.max()) - 1.0) / n)
+    ellipsoid = Ellipsoid(center, n * second)
+    z = (pts - center) @ np.linalg.inv(ellipsoid.factor()).T
+    coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
+    if coverage_scale > 1.0:
+        ellipsoid = ellipsoid.scaled(coverage_scale)
     return MveeSolution(
-        ellipsoid=Ellipsoid(center, coverage_scale * n * second),
+        ellipsoid=ellipsoid,
         weights=SimplexWeights(mu),
         duality_gap=float(gap),
         iterations=it,
@@ -404,6 +418,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         raw_shape=second,
         objective_path=np.asarray(path),
         coverage_scale=coverage_scale,
+        whitened_scale=whitened_scale,
     )
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -222,8 +223,7 @@ class TestMeasurementEllipsoid:
         # Sensor at the origin, R = diag(10, 1), measurement from a state
         # near (10, 20): fresh noise draws must map inside the enclosure.
         rng = np.random.default_rng(5)
-        model = self.polar_model()
-        object.__setattr__(model, "R", np.diag([10.0, 1.0]))
+        model = replace(self.polar_model(), R=np.diag([10.0, 1.0]))
         x_true = np.array([10.0, 20.0])
         v_ball = Ellipsoid(np.zeros(2), model.R)
         y = model.h(x_true) + sample_interior(v_ball, 1, rng).points[0]
@@ -278,6 +278,16 @@ class TestMeasurementEllipsoid:
         aux = np.array([[0.7, 0.7]])
         out, _ = measurement_ellipsoid(y, model, aux, FilterOptions())
         np.testing.assert_allclose(out.center, [1.7, 2.0], atol=0.05)
+
+    def test_noise_bound_factored_once(self, monkeypatch):
+        # The model factors R when it is built; a measurement set reuses
+        # that factor and factors nothing itself.
+        model = self.polar_model()
+        np.testing.assert_array_equal(model._r_factor, np.linalg.cholesky(model.R))
+        calls = []
+        monkeypatch.setattr(dsmf, "spd_cholesky", lambda *a, **k: calls.append(a))
+        measurement_ellipsoid(np.array([10.0, 0.3]), model, None, FilterOptions())
+        assert not calls
 
     def test_radar_sets_cover_the_noise_circle(self):
         # Each radar measurement ellipsoid must cover the continuous image
@@ -405,24 +415,128 @@ def reference_optimize_rho(pred, meas, e_p):
         lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
 
 
+@lru_cache(maxsize=None)
+def seeded_records(name):
+    """(model, records) of a seeded 25-step dsmf run of a preset."""
+    config = RunConfig(scenario=name, filters=("dsmf",), runs=1, steps=25,
+                       master_seed=41)
+    records = [rec for rec in run_experiment(config).runs[0].filters["dsmf"].records
+               if rec is not None]
+    assert len(records) >= 20
+    return build_model(build_scenario(name)), records
+
+
+def random_pair(rng, n, r):
+    """A prediction in R^n and a measurement set of a random r x n E_p that
+    both contain one witness point, with E_p."""
+    e_p = rng.standard_normal((r, n))
+    witness = rng.standard_normal(n)
+    pred = Ellipsoid(witness + 0.2 * rng.standard_normal(n), random_spd(rng, n))
+    meas = Ellipsoid(e_p @ witness + 0.2 * rng.standard_normal(r), random_spd(rng, r))
+    return pred, meas, e_p
+
+
+def max_reference_delta(pred, meas, e_p):
+    """The largest reference_fuse delta over (0, 1), by golden-section
+    search on the concave delta."""
+    def delta(rho):
+        return reference_fuse(pred, meas, e_p, rho)[2]
+
+    lo, hi = 0.0, 1.0
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-12:
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if delta(x1) < delta(x2):
+            lo = x1
+        else:
+            hi = x2
+    return delta(0.5 * (lo + hi))
+
+
 class TestOptimizeRho:
     @pytest.mark.parametrize("name", ["radar", "robot"])
-    def test_bit_identical_to_the_linspace_search(self, name):
-        # Seeded (prediction, measurement) pairs of a dsmf run: rho, delta
-        # and the step's fused set match exactly.
-        config = RunConfig(scenario=name, filters=("dsmf",), runs=1, steps=25,
-                           master_seed=41)
-        model = build_model(build_scenario(name))
-        records = [rec for rec in run_experiment(config).runs[0].filters["dsmf"].records
-                   if rec is not None]
-        assert len(records) >= 20
+    def test_no_worse_than_the_linspace_search(self, name):
+        # Seeded (prediction, measurement) pairs of a dsmf run: the fused
+        # trace is no larger than at the linspace search's rho, which lies
+        # within RHO_TOL, and the step fused at the rho returned.
+        model, records = seeded_records(name)
         for rec in records:
             params = optimize_rho(rec.predicted, rec.measurement, model.E_p)
-            rho, delta = reference_optimize_rho(rec.predicted, rec.measurement, model.E_p)
-            assert params.rho == rho and params.delta == delta
-            center, shape, _ = fuse(rec.predicted, rec.measurement, model.E_p, rho)
+            rho, _ = reference_optimize_rho(rec.predicted, rec.measurement, model.E_p)
+            assert abs(params.rho - rho) <= dsmf.RHO_TOL
+            traces = [np.trace(fuse(rec.predicted, rec.measurement, model.E_p, r)[1])
+                      for r in (params.rho, rho)]
+            assert traces[0] <= traces[1] * (1.0 + 1e-12)
+            center, shape, _ = fuse(rec.predicted, rec.measurement, model.E_p, params.rho)
             assert np.array_equal(rec.updated.center, center)
             assert np.array_equal(rec.updated.shape, shape)
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_few_slope_evaluations_per_newton_solve(self, name, monkeypatch):
+        counts = []
+        newton = dsmf._newton
+
+        def counted(slope, terms, j):
+            calls = []
+
+            def slope_counted(rho, terms):
+                calls.append(rho)
+                return slope(rho, terms)
+
+            try:
+                return newton(slope_counted, terms, j)
+            finally:
+                counts.append(len(calls))
+
+        monkeypatch.setattr(dsmf, "_newton", counted)
+        model, records = seeded_records(name)
+        for rec in records:
+            optimize_rho(rec.predicted, rec.measurement, model.E_p)
+        assert len(counts) >= len(records)
+        assert max(counts) <= 8
+
+    def test_delta_is_concave_and_below_its_bound(self):
+        # delta'' <= 0 on every pair, and no rho takes delta above
+        # sum_i h_i^2 / (1 + s_i)^2.
+        rng = np.random.default_rng(23)
+        rhos = np.linspace(1e-6, 1 - 1e-6, 401)
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            pred, meas, e_p = random_pair(rng, n, int(rng.integers(1, n + 1)))
+            delta = np.array([fuse(pred, meas, e_p, float(r))[2] for r in rhos])
+            assert np.diff(delta, 2).max() <= 1e-12 * max(delta.max(), 1.0)
+            _, s2, h2, _ = dsmf._joint_diag(pred, meas, e_p)
+            assert delta.max() <= (h2 / (1.0 + np.sqrt(s2)) ** 2).sum() * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("excess, empty", [(1e-7, True), (-1e-7, False)])
+    def test_emptiness_is_exact(self, excess, empty):
+        # The innovation of the infeasible-subinterval case, scaled so that
+        # the largest delta over (0, 1) is 1 + excess.  For 1 + 1e-7, delta
+        # >= 1 on a stretch of rho about 3e-4 wide, with no point of the
+        # search grid on it: the raise must come from the maximum itself.
+        pred = Ellipsoid([0.0, 0.0], np.diag([1.0, 4.0]))
+        base = np.array([2.2, 0.5])
+        peak = max_reference_delta(pred, Ellipsoid(base, np.diag([0.3, 1.0])), np.eye(2))
+        meas = Ellipsoid(base * np.sqrt((1.0 + excess) / peak), np.diag([0.3, 1.0]))
+        for rho in dsmf._GRID:
+            fuse(pred, meas, np.eye(2), float(rho))
+        if empty:
+            with pytest.raises(EmptyIntersectionError) as exc:
+                optimize_rho(pred, meas, np.eye(2))
+            assert exc.value.delta >= 1.0
+        else:
+            assert optimize_rho(pred, meas, np.eye(2)).delta < 1.0
+
+    def test_fine_grid_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(29)
+        grid = np.linspace(1e-6, 1 - 1e-6, 10_000)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            pred, meas, e_p = random_pair(rng, n, int(rng.integers(1, n + 1)))
+            params = optimize_rho(pred, meas, e_p)
+            best = reference_fused_traces(pred, meas, e_p, grid).min()
+            got = reference_fused_traces(pred, meas, e_p, [params.rho])[0]
+            assert got <= best * (1.0 + 1e-9)
 
     def test_delta_is_the_fused_delta(self):
         rng = np.random.default_rng(17)

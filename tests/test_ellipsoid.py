@@ -52,6 +52,23 @@ class TestEllipsoidType:
         with pytest.raises(ValueError):
             e.shape[0, 0] = 5.0
 
+    def test_scaled_divides_every_quadratic_form(self):
+        # An ill-conditioned shape: a new factorisation of the scaled shape
+        # would move these forms by far more than a few roundings.
+        rng = np.random.default_rng(3)
+        vec = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        p = symmetrize((vec * np.logspace(0, 10, 4)) @ vec.T)
+        e = Ellipsoid(rng.standard_normal(4), p)
+        pts = e.center + rng.standard_normal((200, 4)) @ e.factor().T
+        out = e.scaled(1.0 + 3e-9)
+        np.testing.assert_array_equal(out.center, e.center)
+        np.testing.assert_array_equal(out.shape, (1.0 + 3e-9) * e.shape)
+        assert not out.shape.flags.writeable and not out.factor().flags.writeable
+        np.testing.assert_allclose(out.quadratic_form(pts) * (1.0 + 3e-9),
+                                   e.quadratic_form(pts), rtol=1e-11)
+        with pytest.raises(ValueError):
+            e.scaled(0.0)
+
     def test_jitter_recovers_marginal_matrix(self):
         # Symmetric, eigenvalue exactly 0: the one-shot jitter makes it SPD.
         p = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,8 +251,26 @@ class TestFwSolve:
                 cloud = pts + offset * rng.standard_normal(n)
                 sol = fw_solve(cloud, tol=tol)
                 assert sol.converged
-                assert 1.0 <= sol.coverage_scale <= 1.0 + (n + 1) * tol / n
+                assert 1.0 <= sol.whitened_scale <= 1.0 + (n + 1) * tol / n
                 assert contains(sol.ellipsoid, cloud, 2 * tol).all(), (seed, offset)
+
+    def test_very_thin_clouds_cover_their_points(self):
+        # One axis shrunk by 10^-U(2, 5), which puts cond(shape) up to about
+        # 1e15: there the rounding of the shape mapped back from whitened
+        # coordinates moves q by far more than tol.  A coverage scale read
+        # from the whitened kappa left points of 33 of these 400 solves
+        # outside, by up to 4.3e-2.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(n + 3, 80))
+            pts = rng.standard_normal((m, n))
+            pts[:, 0] *= 10.0 ** -rng.uniform(2, 5)
+            pts = pts @ rng.standard_normal((n, n))
+            for offset, tol in itertools.product((0.0, 10.0), (1e-5, 1e-7)):
+                cloud = pts + offset * rng.standard_normal(n)
+                sol = fw_solve(cloud, tol=tol)
+                assert contains(sol.ellipsoid, cloud, 2 * tol).all(), (seed, offset, tol)
 
 
 class TestWarmStart:
@@ -297,6 +317,7 @@ class TestWarmStart:
     warm=st.booleans(),
 )
 @example(n=5, extra=32, seed=4521978, boundary=False, tol=1e-7, warm=False)
+@example(n=4, extra=18, seed=14769, boundary=False, tol=1e-9, warm=True)
 def test_solve_invariants_on_spanning_clouds(n, extra, seed, boundary, tol, warm):
     # The small start, a random sparse start and the face Newton step must
     # never turn a spanning cloud into a collapsed-support error, leave the

@@ -36,3 +36,10 @@ def test_layer_metrics_cover_the_declared_figures(tmp_path):
     wanted = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
     metrics = tracer.layer_metrics(tr, mods["dsmf"].RHO_EDGE + 2 * mods["dsmf"].RHO_TOL)
     assert not wanted - set(metrics)
+    # One rho search per set-membership update: the benchmark's dsmf.rho.*
+    # and baselines.esmf.rho.* figures would read 0 if a refactor stopped
+    # calling optimize_rho from the updates.
+    esmf_updates = sum(s.name == "baselines.esmf_update" for s in tr.spans)
+    assert metrics["dsmf.step.calls"] > 0 and esmf_updates > 0
+    assert metrics["dsmf.rho.calls"] == metrics["dsmf.step.calls"]
+    assert metrics["baselines.esmf.rho.calls"] == esmf_updates
