@@ -29,9 +29,7 @@ from .ellipsoid import (
     Ellipsoid,
     PointCloud,
     contains,
-    minkowski_outer,
     optimal_p,
-    sample_boundary,
     sample_interior,
 )
 from .errors import (
@@ -54,10 +52,7 @@ from .harness import (
 from .mvee import (
     MveeSolution,
     SimplexWeights,
-    dual_objective,
-    fw_gradient,
     fw_solve,
-    kkt_residual,
 )
 from .scenarios import (
     RadarScenario,

@@ -122,9 +122,10 @@ class FilterOptions:
     every solve scales its shape to cover its cloud, tol = 1e-5 already
     keeps that scale of a converged solve within 1 + 2e-5, and a filter run
     performs thousands of solves.  Cold solves converge in tens of
-    iterations, those started from the last step's weights in a few;
-    max_iter only bounds a pathological cloud, whose capped solve may need
-    a larger scale.  Fusion has no knob: every update takes the rho that
+    iterations.  One started from the last step's weights whitens its cloud
+    by them, and when they are still optimal it takes no iteration and is
+    returned on that whitening factor; max_iter only bounds a pathological
+    cloud, whose capped solve may need a larger scale.  Fusion has no knob: every update takes the rho that
     minimises the fused trace (optimize_rho).
     """
 

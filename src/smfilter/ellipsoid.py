@@ -59,8 +59,8 @@ class Ellipsoid:
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
-        shape = np.asarray(self.shape, dtype=float).copy()
+        center = np.array(self.center, dtype=float, ndmin=1)
+        shape = np.asarray(self.shape, dtype=float)
         if center.ndim != 1:
             raise ValueError("center must be a vector")
         if shape.shape != (center.size, center.size):
@@ -68,15 +68,28 @@ class Ellipsoid:
                 f"shape matrix is {shape.shape}, expected "
                 f"({center.size}, {center.size})"
             )
-        scale = max(np.abs(shape).max(), 1.0)
-        if np.abs(shape - shape.T).max() > SYM_RTOL * scale:
+        asym = np.abs(shape - shape.T).max()
+        if asym and asym > SYM_RTOL * max(np.abs(shape).max(), 1.0):
             raise ValueError("shape matrix is not symmetric")
+        # The symmetrize in spd_cholesky makes the one copy of the shape.
         chol, shape = spd_cholesky(shape, what="shape matrix")
-        for arr in (center, shape, chol):
+        self._freeze(center, shape, chol)
+
+    def _freeze(self, center: np.ndarray, shape: np.ndarray, chol: np.ndarray) -> None:
+        for name, arr in (("center", center), ("shape", shape), ("_chol", chol)):
             arr.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_chol", chol)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _from_factor(cls, center: np.ndarray, shape: np.ndarray,
+                     chol: np.ndarray) -> "Ellipsoid":
+        """The ellipsoid with this center, shape and lower-triangular factor
+        L of the shape (L L^T = shape), none of them checked or copied: for
+        a factor the caller has just formed, whose quadratic forms it has
+        read.  The arrays become read-only."""
+        out = object.__new__(cls)
+        out._freeze(center, shape, chol)
+        return out
 
     @property
     def dim(self) -> int:
@@ -95,12 +108,8 @@ class Ellipsoid:
         an ill-conditioned shape would move them by far more."""
         if not factor > 0.0:
             raise ValueError(f"factor must be positive, got {factor}")
-        out = object.__new__(Ellipsoid)
-        object.__setattr__(out, "center", self.center)
-        for name, arr in (("shape", factor * self.shape), ("_chol", sqrt(factor) * self._chol)):
-            arr.setflags(write=False)
-            object.__setattr__(out, name, arr)
-        return out
+        return Ellipsoid._from_factor(self.center, factor * self.shape,
+                                      sqrt(factor) * self._chol)
 
     def quadratic_form(self, x: np.ndarray) -> np.ndarray:
         """(x - c)^T P^{-1} (x - c) for a point (n,) or batch (m, n)."""
@@ -159,15 +168,6 @@ def _sphere(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return u / norms[:, None]
 
 
-def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointCloud:
-    """m points on the boundary of e: c + E u with u uniform on the sphere."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    u = _sphere(m, e.dim, rng)
-    pts = e.center + u @ e.factor().T
-    return PointCloud(pts)
-
-
 def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointCloud:
     """m points uniform over the volume of e (sphere direction, radius r^(1/n))."""
     if m < 1:
@@ -177,22 +177,6 @@ def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointClou
     r = rng.random(m) ** (1.0 / n)
     pts = e.center + (u * r[:, None]) @ e.factor().T
     return PointCloud(pts)
-
-
-def minkowski_outer(ef: Ellipsoid, q: np.ndarray, p: float) -> Ellipsoid:
-    """Ellipsoid covering the sum of ef and the centered ellipsoid with shape q.
-
-    The returned set has the same center as ef and shape
-    (1 + 1/p) * ef.shape + (1 + p) * q, valid for any p > 0.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    q = symmetrize(np.asarray(q, dtype=float))
-    if q.shape != ef.shape.shape:
-        raise ValueError(f"q is {q.shape}, expected {ef.shape.shape}")
-    spd_cholesky(q, what="noise shape matrix")
-    shape = (1.0 + 1.0 / p) * ef.shape + (1.0 + p) * q
-    return Ellipsoid(ef.center, symmetrize(shape))
 
 
 def optimal_p(pf: np.ndarray, q: np.ndarray) -> float:
@@ -208,6 +192,6 @@ def optimal_p(pf: np.ndarray, q: np.ndarray) -> float:
 
 def covering_sum(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Shape of the covering sum of two centered ellipsoids with SPD shapes
-    a and b at parameter p > 0: the minkowski_outer shape, without its
-    checks of b."""
+    a and b at parameter p > 0: (1 + 1/p) a + (1 + p) b, which covers
+    the sum of the two sets for any p > 0."""
     return symmetrize((1.0 + 1.0 / p) * a + (1.0 + p) * b)

@@ -3,29 +3,29 @@
 The enclosing-ellipsoid problem over a point cloud is solved through its
 dual: maximize logdet M(mu), M(mu) = sum_i mu_i yt_i yt_i^T, over the
 probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
-The solve starts on given weights, such as the optimum of a nearby cloud
-(they are invariant under an affine map of it; Todd 2016), else on the <= 2n
-points holding the extremes of each whitened coordinate (a small core set,
-after Kumar & Yildirim 2005), else on every point: the first of these that
-spans.  Each pass takes one Frank-Wolfe step
-along mu + gamma (e_i - mu): toward the vertex with the largest gradient
-component kappa_i = yt_i^T M^{-1} yt_i, or away from the weighted vertex
-with the smallest (a "drop" step when its weight hits zero), with the exact
-line-search step gamma = (kappa_i - d) / (d (kappa_i - 1)).  Frank-Wolfe
-finds the support but zig-zags for thousands of passes while weighing it
-(its convergence is only linear; Ahipasaoglu, Sun & Todd 2008), so while
-at most d(d+1)/2 points carry weight (the most an optimal support needs)
-each pass then takes Newton steps for the dual on their face (Sun & Freund
-2004) up to the face optimum: a step that would take a weight below zero
-stops there, drops that point and goes on on the smaller face.  The Newton
-steps start from a rank-one update of M^{-1} and are s x s and d x d
-algebra over the s weighted points.  Each pass ends on fresh kappa, one
-O(d^2 m) product over the cloud with the d x d factor of the current
-weights: the last Newton step's, else one from the moment matrix over the
-support.  So the certificate of every solve is read from the kappa of its
-final weights; its coverage scale comes from the quadratic form of the
-shape it returns, over the cloud.  Cold filter solves take one to
-a few dozen passes; one warm-started from the last filter step takes a few.
+The dual is affine-invariant (Todd 2016), so each solve runs on a whitened
+copy of the cloud.  A start, such as the optimum of a nearby cloud, whitens
+it by its own weighted mean and second moment: there its M is the identity
+and kappa_i = 1 + ||w_i||^2.  A start that is already optimal then costs one
+pass over the cloud, and its ellipsoid is built on the factor that whitened
+the cloud, with no factorisation.  A cold solve whitens by the covariance of
+the whole cloud and starts on the <= 2n points holding the extremes of each
+whitened coordinate (a small core set, after Kumar & Yildirim 2005), else on
+every point.  Each pass takes one Frank-Wolfe step along mu + gamma (e_i -
+mu): toward the vertex with the largest gradient component kappa_i = yt_i^T
+M^{-1} yt_i, or away from the weighted vertex with the smallest (a "drop"
+step when its weight hits zero), with the exact line-search step gamma =
+(kappa_i - d) / (d (kappa_i - 1)).  Frank-Wolfe finds the support but
+zig-zags for thousands of passes while weighing it (Ahipasaoglu, Sun & Todd
+2008), so while at most d(d+1)/2 points carry weight (the most an optimal
+support needs) each pass then takes Newton steps for the dual on their face
+(Sun & Freund 2004) up to the face optimum: a step that would take a weight
+below zero stops there, drops that point and goes on on the smaller face.
+Each pass ends on fresh kappa, one O(d^2 m) product over the cloud, so the
+certificate of every solve is read from the kappa of its final weights, and
+its coverage scale from the quadratic form of the shape it returns, over
+the cloud.  Cold filter solves take one to a few dozen passes; most started
+from the last filter step take none.
 """
 
 from __future__ import annotations
@@ -116,9 +116,41 @@ def _factor(mmat: np.ndarray, d: int):
     if not np.all(np.isfinite(mmat)):
         return None
     lam, vec = np.linalg.eigh(mmat)
-    if not lam[0] > lam[-1] * d * 1e-14:
+    if not _spans(lam, d):
         return None
     return (vec / lam) @ vec.T, float(np.log(lam).sum())
+
+
+def _spans(lam: np.ndarray, d: int) -> bool:
+    """The rank margin on the ascending eigenvalues of a PSD moment matrix."""
+    return bool(lam[0] > lam[-1] * d * 1e-14)
+
+
+def _start_frame(pts: np.ndarray, mu: np.ndarray):
+    """The affine frame of start weights mu (summing to one): (c0, L0, yt),
+    with c0 and L0 L0^T the weighted mean and second moment S0 of the
+    cloud, L0 lower triangular with a positive diagonal, and yt the lifted
+    cloud in that frame, w_i = L0^{-1} (x_i - c0), where M(mu) = I.  None
+    when the cloud is not finite, when at most n points carry weight, or
+    when S0 fails the rank margin.
+
+    L0 is R^T from a QR factorisation of the weighted deviations, not the
+    Cholesky factor of S0: its rounding grows with cond(L0), not cond(S0).
+    At cond(S0) = 1e10 that keeps the M(mu) of the computed frame within
+    about 1e-11 of I, where the Cholesky factor leaves it about 1e-6 off."""
+    act = np.flatnonzero(mu)
+    m, n = pts.shape
+    if act.size <= n or not np.all(np.isfinite(pts)):
+        return None
+    mu_a = mu[act]
+    c0 = mu_a @ pts[act]
+    r = np.linalg.qr(np.sqrt(mu_a)[:, None] * (pts[act] - c0), mode="r")
+    if not _spans(np.linalg.svd(r, compute_uv=False)[::-1] ** 2, n + 1):
+        return None
+    l0 = r.T * np.sign(r.diagonal())
+    yt = np.ones((m, n + 1))
+    np.matmul(pts - c0, np.linalg.inv(l0).T, out=yt[:, :n])
+    return c0, l0, yt
 
 
 def _factor_or_raise(mmat: np.ndarray, d: int):
@@ -133,28 +165,6 @@ def _factor_or_raise(mmat: np.ndarray, d: int):
             required=d,
         )
     return factor
-
-
-def dual_objective(points, mu) -> float:
-    """logdet of the weighted lifted moment matrix M(mu).
-
-    Raises RankDeficiencyError when M is singular, by the same eigenvalue
-    margin as fw_gradient and fw_solve."""
-    pts = _as_points(points)
-    mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
-    yt = lift(pts)
-    return _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])[1]
-
-
-def fw_gradient(points, mu) -> np.ndarray:
-    """Gradient of the dual objective: kappa_i = yt_i^T M(mu)^{-1} yt_i.
-
-    Satisfies sum_i mu_i kappa_i = n + 1 identically.
-    """
-    pts = _as_points(points)
-    mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
-    yt = lift(pts)
-    return _gradient(yt, _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])[0])
 
 
 def _gradient(yt: np.ndarray, minv: np.ndarray) -> np.ndarray:
@@ -252,8 +262,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     max_iter : cap on passes (a Frank-Wolfe step, then Newton steps to the
         optimum of the support's face), default 100 * m
     start : optional (m,) start weights: finite, nonnegative, with a
-        positive sum (else ValueError), normalised here; a start whose
-        weighted points do not span falls back to the axis extremes
+        positive sum (else ValueError), normalised here; they whiten the
+        cloud, unless their weighted points fail the rank margin, when the
+        solve starts cold
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
     reached.  Either way the shape is scaled up, if need be, to cover every
@@ -280,22 +291,16 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         if not (start.shape == (m,) and np.all(start >= 0.0) and 0.0 < start.sum() < np.inf):
             raise ValueError("start must be m finite nonnegative weights with a positive sum")
 
-    # Affine preconditioning: iterate on a centered, whitened copy of the
-    # cloud, x = mean + axes w.  The problem is affine-equivariant (weights,
-    # gradient values and gap are identical in exact arithmetic), and
-    # whitening keeps the moment matrices well conditioned for very thin
-    # clouds such as images of nearly collapsed ellipsoids.
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    lam, vec = np.linalg.eigh(symmetrize(centered.T @ centered / m))
-    scale = np.sqrt(np.maximum(lam, lam[-1] * 1e-24)) if lam[-1] > 0.0 else np.ones(n)
-    axes = vec * scale
-    work = (centered @ vec) / scale
-
-    yt = lift(work)
-    # The <= 2n points holding the min and max of each whitened coordinate.
-    extremes = np.zeros(m)
-    extremes[np.concatenate([work.argmin(axis=0), work.argmax(axis=0)])] = 1.0
+    # Affine preconditioning: iterate on a whitened copy of the cloud, x =
+    # mean + axes w.  Weights, gradient values and gap are affine-invariant
+    # in exact arithmetic, and whitening keeps the moment matrices well
+    # conditioned for very thin clouds.  A start that passes the rank margin
+    # whitens the cloud by its own weights (see _start_frame), which sets
+    # M(start) = I: the first kappa_i is 1 + ||w_i||^2 and the path starts
+    # at logdet 0 with no factorisation.  Otherwise the mean and covariance
+    # of the whole cloud whiten it, and the solve starts on the <= 2n points
+    # holding the min and max of each whitened coordinate, else on every
+    # point (1.0), else with the jitter.
     mu = np.empty(m)
     # One-shot regularization for clouds that do not affinely span; kept in
     # every moment matrix so the optimized objective stays fixed.
@@ -311,17 +316,34 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             mm += jitter * np.eye(d)
         return _factor_or_raise(mm, d)
 
-    # The given start, the extremes, then every point (1.0).
-    for guess in (extremes, 1.0) if start is None else (start, extremes, 1.0):
-        mu[:] = guess
-        try:
-            minv, logdet = support_factor()
-            break
-        except RankDeficiencyError:  # the weighted points do not span
-            pass
+    frame = None
+    if start is not None:
+        np.divide(start, start.sum(), out=mu)
+        frame = _start_frame(pts, mu)
+    if frame is not None:
+        mean, axes, yt = frame
+        work = yt[:, :n]
+        minv, logdet = np.eye(d), 0.0
     else:
-        jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
-        minv, logdet = support_factor()
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        lam, vec = np.linalg.eigh(symmetrize(centered.T @ centered / m))
+        scale = np.sqrt(np.maximum(lam, lam[-1] * 1e-24)) if lam[-1] > 0.0 else np.ones(n)
+        axes = vec * scale
+        work = (centered @ vec) / scale
+        yt = lift(work)
+        extremes = np.zeros(m)
+        extremes[np.concatenate([work.argmin(axis=0), work.argmax(axis=0)])] = 1.0
+        for guess in (extremes, 1.0):
+            mu[:] = guess
+            try:
+                minv, logdet = support_factor()
+                break
+            except RankDeficiencyError:  # the weighted points do not span
+                pass
+        else:
+            jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
+            minv, logdet = support_factor()
     path = [logdet]
 
     threshold = tol * d
@@ -391,24 +413,35 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         minv = factor[0]
         it += 1
 
-    # The ellipsoid in whitened coordinates, mapped back.  There q_i =
-    # (kappa_i - 1) / n for the shape n * second, which gives the whitened
-    # scale at no cost.  The shape mapped back is rounded, which on a thin
-    # cloud can move q by more than tol, so the coverage scale is read from
-    # the quadratic form of the stored shape over the cloud.  Factoring the
-    # scaled shape anew would move q by as much again; scaled() scales the
-    # factor with it.
-    w, mu_w = work[act], mu[act]
-    center_w = mu_w @ w
-    second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
-    center = mean + axes @ center_w
-    second = symmetrize(axes @ second_w @ axes.T)
     whitened_scale = max(1.0, (float(kappa.max()) - 1.0) / n)
-    ellipsoid = Ellipsoid(center, n * second)
-    z = (pts - center) @ np.linalg.inv(ellipsoid.factor()).T
-    coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
-    if coverage_scale > 1.0:
-        ellipsoid = ellipsoid.scaled(coverage_scale)
+    if frame is not None and it == 0:
+        # The start, returned as it came: {c0, n S0}, whose Cholesky factor
+        # sqrt(n) L0 is the factor that whitened the cloud.  Its quadratic
+        # form at x_i is ||w_i||^2 / n = (kappa_i - 1) / n, so the whitened
+        # scale is the coverage scale of the shape as stored, and the shape
+        # is neither mapped back nor factored again.
+        second = symmetrize(axes @ axes.T)
+        coverage_scale = whitened_scale
+        size = coverage_scale * n
+        ellipsoid = Ellipsoid._from_factor(mean, size * second, math.sqrt(size) * axes)
+    else:
+        # The ellipsoid in whitened coordinates, mapped back.  There q_i =
+        # (kappa_i - 1) / n for the shape n * second, which gives the
+        # whitened scale at no cost.  The shape mapped back is rounded,
+        # which on a thin cloud can move q by more than tol, so the coverage
+        # scale is read from the quadratic form of the stored shape over
+        # the cloud.  Factoring the scaled shape anew would move q by as
+        # much again; scaled() scales the factor with it.
+        w, mu_w = work[act], mu[act]
+        center_w = mu_w @ w
+        second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
+        center = mean + axes @ center_w
+        second = symmetrize(axes @ second_w @ axes.T)
+        ellipsoid = Ellipsoid(center, n * second)
+        z = (pts - center) @ np.linalg.inv(ellipsoid.factor()).T
+        coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
+        if coverage_scale > 1.0:
+            ellipsoid = ellipsoid.scaled(coverage_scale)
     return MveeSolution(
         ellipsoid=ellipsoid,
         weights=SimplexWeights(mu),
@@ -420,20 +453,3 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         coverage_scale=coverage_scale,
         whitened_scale=whitened_scale,
     )
-
-
-def kkt_residual(solution: MveeSolution, points) -> float:
-    """First-order optimality residual of a solve.
-
-    max of the primal infeasibility max_i (kappa_i - d)_+ and the pointwise
-    complementary slackness max_i mu_i |kappa_i - d|; both vanish at the
-    exact optimum.
-    """
-    pts = _as_points(points)
-    d = pts.shape[1] + 1
-    mu = solution.weights.mu
-    kappa = fw_gradient(pts, mu)
-    primal = float(np.max(np.maximum(kappa - d, 0.0)))
-    comp = float(np.max(mu * np.abs(kappa - d)))
-    return max(primal, comp)
-

@@ -21,13 +21,13 @@ from smfilter.baselines import (
 from smfilter.dsmf import SystemModel, fuse, optimize_rho
 from smfilter.ellipsoid import (
     Ellipsoid,
-    minkowski_outer,
     optimal_p,
-    sample_boundary,
     symmetrize,
 )
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
+
+from reference import minkowski_outer, sample_boundary
 
 
 def random_spd(rng, n, scale=1.0):

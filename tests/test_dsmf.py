@@ -17,7 +17,6 @@ from smfilter.dsmf import (
 from smfilter.ellipsoid import (
     Ellipsoid,
     contains,
-    minkowski_outer,
     optimal_p,
     sample_interior,
     symmetrize,
@@ -31,6 +30,8 @@ from smfilter.scenarios import (
     radar_model,
     simulate_truth,
 )
+
+from reference import minkowski_outer
 
 
 def random_spd(rng, n, scale=1.0):

@@ -8,14 +8,14 @@ from smfilter.ellipsoid import (
     PointCloud,
     contains,
     covering_sum,
-    minkowski_outer,
     optimal_p,
-    sample_boundary,
     sample_interior,
     spd_cholesky,
     symmetrize,
 )
 from smfilter.errors import SpdError
+
+from reference import minkowski_outer, sample_boundary
 
 
 def unit_ball(n):

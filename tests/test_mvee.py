@@ -5,17 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smfilter.ellipsoid import Ellipsoid, contains, sample_boundary
+from smfilter.ellipsoid import Ellipsoid, contains
 from smfilter.errors import RankDeficiencyError
-from smfilter.mvee import (
-    SimplexWeights,
-    dual_objective,
-    fw_gradient,
-    fw_solve,
-    kkt_residual,
-    lift,
-    line_search_step,
-)
+from smfilter.mvee import SimplexWeights, fw_solve, lift, line_search_step
+
+from reference import dual_objective, fw_gradient, kkt_residual, sample_boundary
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -305,6 +299,81 @@ class TestWarmStart:
         sol = fw_solve(pts, tol=1e-9, start=start)
         assert sol.converged
         assert kkt_residual(sol, pts) <= 10 * 1e-9 * 3
+
+    def test_restart_at_the_optimum_of_thin_clouds_is_certified(self):
+        # The thin-cloud family of the coverage test, cond(shape) up to
+        # about 1e10.  A start at the optimum takes no pass: its kappa is
+        # read as 1 + ||w||^2 in its own frame, where M(start) = I, and its
+        # shape is returned with the factor that whitened the cloud.  The
+        # KKT residual is recomputed from scratch, on the cloud translated
+        # by its plain mean, so that assuming M = I cannot hide a gap.
+        tol = 1e-7
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(n + 3, 80))
+            pts = rng.standard_normal((m, n))
+            pts[:, 0] *= 10.0 ** -rng.uniform(1, 2)
+            pts = pts @ rng.standard_normal((n, n))
+            for offset in (0.0, 10.0):
+                cloud = pts + offset * rng.standard_normal(n)
+                cold = fw_solve(cloud, tol=tol)
+                warm = fw_solve(cloud, tol=tol, start=cold.weights.mu)
+                e = warm.ellipsoid
+                assert warm.converged and warm.iterations == 0, (seed, offset)
+                assert np.all(e.quadratic_form(cloud) <= 1.0 + 2 * tol), (seed, offset)
+                np.testing.assert_allclose(
+                    e.shape, warm.coverage_scale * n * warm.raw_shape, rtol=1e-12, atol=0.0)
+                centered = cloud - cloud.mean(axis=0)
+                assert kkt_residual(warm, centered) <= 10 * tol * (n + 1), (seed, offset)
+
+    def test_capped_start_is_scaled_to_cover_its_cloud(self):
+        # With no pass allowed, the start itself is returned, its shape and
+        # the factor that whitened the cloud scaled to cover every point.
+        rng = np.random.default_rng(15)
+        pts = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 3))
+        sol = fw_solve(pts, tol=1e-9, max_iter=0, start=np.full(50, 1.0))
+        assert not sol.converged and sol.iterations == 0
+        assert sol.coverage_scale == sol.whitened_scale > 1.0
+        assert contains(sol.ellipsoid, pts, 1e-12).all()
+        np.testing.assert_allclose(
+            sol.ellipsoid.shape, sol.coverage_scale * 3 * sol.raw_shape, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sol.raw_shape, np.cov(pts.T, bias=True), rtol=1e-12)
+
+    def test_start_failing_the_rank_margin_solves_cold(self):
+        # Weight on n points (a flat start), on one point, or on points
+        # along one line: S0 is singular, and the solve is the cold one.
+        rng = np.random.default_rng(14)
+        for n in (2, 3, 4):
+            pts = rng.standard_normal((40, n)) @ rng.standard_normal((n, n))
+            pts[5] = 0.5 * (pts[3] + pts[4])
+            cold = fw_solve(pts, tol=1e-9)
+            for support in (range(n), [7], [3, 4, 5]):
+                start = np.zeros(40)
+                start[list(support)] = 1.0
+                warm = fw_solve(pts, tol=1e-9, start=start)
+                assert warm.iterations == cold.iterations
+                np.testing.assert_array_equal(warm.weights.mu, cold.weights.mu)
+                np.testing.assert_array_equal(warm.ellipsoid.shape, cold.ellipsoid.shape)
+
+    def test_start_off_the_optimum_reaches_the_cold_logdet(self):
+        # Passes taken in the start's frame end where the cold solve does:
+        # both shapes cover the cloud and lie within n log(1 + 2 tol) above
+        # the minimum volume.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(n + 10, 120))
+            pts = rng.standard_normal((m, n)) @ rng.standard_normal((n, n))
+            start = rng.random(m) * (rng.random(m) < 0.5)
+            start[rng.integers(m)] = 1.0
+            for tol in (1e-5, 1e-7):
+                cold = fw_solve(pts, tol=tol)
+                warm = fw_solve(pts, tol=tol, start=start)
+                assert warm.converged and warm.iterations > 0
+                assert np.all(np.diff(warm.objective_path) >= 0)
+                logdets = [np.linalg.slogdet(s.ellipsoid.shape)[1] for s in (cold, warm)]
+                assert abs(logdets[0] - logdets[1]) <= n * np.log1p(2 * tol), (seed, tol)
 
 
 @settings(max_examples=60, deadline=None)

@@ -187,7 +187,8 @@ class TestRobotModel:
     def test_heading_interval_covers_the_predicted_set(self, seed):
         # Every heading the predicted set admits is in the interval handed
         # to the inverse map, and the interval is no wider than that.
-        from smfilter.ellipsoid import Ellipsoid, sample_boundary
+        from reference import sample_boundary
+        from smfilter.ellipsoid import Ellipsoid
 
         rng = np.random.default_rng([7, seed])
         a = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-2.0, 0.0, size=3)
