@@ -27,7 +27,6 @@ from .dsmf import (
 )
 from .ellipsoid import (
     Ellipsoid,
-    PointCloud,
     contains,
     optimal_p,
     sample_interior,
@@ -51,7 +50,6 @@ from .harness import (
 )
 from .mvee import (
     MveeSolution,
-    SimplexWeights,
     fw_solve,
 )
 from .scenarios import (

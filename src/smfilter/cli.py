@@ -141,6 +141,8 @@ def cmd_mvee(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     rows = bench_mvee(args.n, args.m, args.trials, master_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,6 +154,8 @@ def cmd_bench(args) -> int:
 def cmd_sweep_sigma(args) -> int:
     if args.sigma_step <= 0 or args.sigma_to < args.sigma_from:
         raise ConfigError("need step > 0 and to >= from")
+    if args.replicates < 1:
+        raise ConfigError("--replicates must be >= 1")
     sigmas = np.arange(args.sigma_from, args.sigma_to + 0.5 * args.sigma_step,
                        args.sigma_step)
     rows = sweep_sigma(sigmas, replicates=args.replicates, master_seed=args.seed)

@@ -96,6 +96,8 @@ class SystemModel:
         ep = np.atleast_2d(np.asarray(self.E_p, dtype=float))
         if ep.shape[1] != n:
             raise ValueError(f"E_p has {ep.shape[1]} columns, expected {n} as Q")
+        if not np.all(np.isfinite(ep)):
+            raise ValueError("E_p has a non-finite entry")
         if np.linalg.matrix_rank(ep) != ep.shape[0]:
             raise ValueError("E_p must have full row rank")
         ep.setflags(write=False)
@@ -125,8 +127,9 @@ class FilterOptions:
     iterations.  One started from the last step's weights whitens its cloud
     by them, and when they are still optimal it takes no iteration and is
     returned on that whitening factor; max_iter only bounds a pathological
-    cloud, whose capped solve may need a larger scale.  Fusion has no knob: every update takes the rho that
-    minimises the fused trace (optimize_rho).
+    cloud, whose capped solve may need a larger scale.  Fusion has no knob:
+    every update takes the rho that minimises the fused trace
+    (optimize_rho).
     """
 
     m_samples: int = 200

@@ -27,11 +27,15 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def spd_cholesky(p: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor of an SPD matrix with a one-shot jitter retry.
 
-    If the first factorization fails, 1e-12 * tr(P)/n * I is added once and
-    the factorization retried; a second failure raises SpdError.  Returns
+    A matrix with a NaN or infinite entry raises SpdError (numpy's Cholesky
+    can return a NaN factor for one without raising).  If the first
+    factorization fails, 1e-12 * tr(P)/n * I is added once and the
+    factorization retried; a second failure raises SpdError.  Returns
     (L, P_used) with L lower triangular, L L^T = P_used.
     """
     p = symmetrize(np.asarray(p, dtype=float))
+    if not np.isfinite(p).all():
+        raise SpdError(f"{what} has a non-finite entry")
     try:
         return np.linalg.cholesky(p), p
     except np.linalg.LinAlgError:
@@ -63,6 +67,8 @@ class Ellipsoid:
         shape = np.asarray(self.shape, dtype=float)
         if center.ndim != 1:
             raise ValueError("center must be a vector")
+        if not np.isfinite(center).all():
+            raise ValueError("center has a non-finite entry")
         if shape.shape != (center.size, center.size):
             raise ValueError(
                 f"shape matrix is {shape.shape}, expected "
@@ -125,7 +131,8 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A set of m points of common dimension."""
+    """A nonempty (m, n) array of points, copied read-only: the cloud the
+    filter hands its enclosing solve."""
 
     points: np.ndarray
 
@@ -138,13 +145,6 @@ class PointCloud:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def contains(e: Ellipsoid, x: np.ndarray, slack: float = 0.0):
@@ -168,15 +168,15 @@ def _sphere(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return u / norms[:, None]
 
 
-def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointCloud:
-    """m points uniform over the volume of e (sphere direction, radius r^(1/n))."""
+def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, n) points uniform over the volume of e (sphere direction, radius
+    r^(1/n))."""
     if m < 1:
         raise ValueError("m must be >= 1")
     n = e.dim
     u = _sphere(m, n, rng)
     r = rng.random(m) ** (1.0 / n)
-    pts = e.center + (u * r[:, None]) @ e.factor().T
-    return PointCloud(pts)
+    return e.center + (u * r[:, None]) @ e.factor().T
 
 
 def optimal_p(pf: np.ndarray, q: np.ndarray) -> float:

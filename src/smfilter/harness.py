@@ -104,9 +104,10 @@ class RunConfig:
             raise ConfigError(f"bad [scenario] override for {self.scenario}: {err}") from None
 
 
-_BOOL_KEYS = {"record_timing"}
-_INT_KEYS = {"runs", "steps", "master_seed", "m_samples"}
-_FLOAT_KEYS = {"tol"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+_CONVERTERS = {"runs": int, "steps": int, "master_seed": int, "m_samples": int,
+               "tol": float, "record_timing": lambda raw: _BOOL_WORDS[raw.strip().lower()]}
 
 
 def split_filters(text: str) -> tuple[str, ...]:
@@ -136,12 +137,11 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"config key {key!r} is given twice")
         if key == "filters":
             kwargs["filters"] = split_filters(raw)
-        elif key in _BOOL_KEYS:
-            kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
+        elif key in _CONVERTERS:
+            try:
+                kwargs[key] = _CONVERTERS[key](raw)
+            except (KeyError, ValueError):
+                raise ConfigError(f"config key {key!r}: cannot read {raw!r}") from None
         elif key in ("scenario", "out_dir", "on_empty"):
             kwargs[key] = raw.strip()
         else:
@@ -228,7 +228,7 @@ def _run_filter(name: str, config: RunConfig, model, e0: Ellipsoid,
     if name == "dsmf":
         def advance(e, k, last):
             # Warm start from the last step's solve weights, if it solved.
-            start = None if last is None else [s.weights.mu for s in last.solves]
+            start = None if last is None else [s.weights for s in last.solves]
             rec = step(e, model, measurements[k], k, opts, start)
             return rec.updated, rec
 
@@ -515,8 +515,8 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
         ld_new, ld_lin = [], []
         for rep in range(replicates):
             rng = np.random.default_rng([master_seed, int(round(100 * sigma)), rep])
-            x_true = sample_interior(prior, 1, rng).points[0]
-            v_true = sample_interior(v_ball, 1, rng).points[0]
+            x_true = sample_interior(prior, 1, rng)[0]
+            v_true = sample_interior(v_ball, 1, rng)[0]
             y = sensor.measure(x_true) + v_true
             # Enclosing-set update.
             meas, _ = measurement_ellipsoid(y, model, None, opts)

@@ -48,32 +48,15 @@ def lift(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimplexWeights:
-    """Nonnegative weights summing to one over the cloud points."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).copy()
-        if mu.ndim != 1:
-            raise ValueError("mu must be a vector")
-        if np.any(mu < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(mu.sum() - 1.0) > 1e-12 * max(1.0, mu.size):
-            raise ValueError(f"weights sum to {mu.sum()!r}, expected 1")
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-
-
-@dataclass(frozen=True)
 class MveeSolution:
     """Solver output: the enclosing ellipsoid plus dual diagnostics.
 
-    `ellipsoid.shape` is coverage_scale * n * raw_shape so that the cloud
-    satisfies the quadratic form <= 1 convention used everywhere else;
-    `raw_shape` is the weighted second moment sum_i mu_i y_i y_i^T - c c^T
-    as produced by the dual weights.  coverage_scale = max(1, max_i q_i),
-    with q_i the quadratic form of the unscaled shape n * raw_shape, as
+    `weights` is the solver's own (m,) array of dual weights mu, read-only:
+    nonnegative and summing to one.  `ellipsoid.shape` is coverage_scale *
+    n * S, with S = sum_i mu_i y_i y_i^T - c c^T the weighted second moment
+    about the weighted center c, so that the cloud satisfies the quadratic
+    form <= 1 convention used everywhere else.  coverage_scale = max(1,
+    max_i q_i), with q_i the quadratic form of the unscaled shape n * S, as
     stored, at cloud point i.  whitened_scale is the same maximum read from
     the final kappa in the solver's whitened coordinates, q_i = (kappa_i -
     1) / n: a converged solve's certificate keeps it within 1 + (n + 1) tol
@@ -83,11 +66,10 @@ class MveeSolution:
     0 is the starting value)."""
 
     ellipsoid: Ellipsoid
-    weights: SimplexWeights
+    weights: np.ndarray
     duality_gap: float
     iterations: int
     converged: bool
-    raw_shape: np.ndarray
     objective_path: np.ndarray
     coverage_scale: float
     whitened_scale: float
@@ -255,7 +237,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
     Parameters
     ----------
-    points : PointCloud or (m, n) array
+    points : (m, n) array
     tol : termination threshold on max_i kappa_i / (n+1) - 1 (the same
         threshold is applied to the away gap over weighted points, which is
         what makes the returned KKT certificate tight)
@@ -442,13 +424,13 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
         if coverage_scale > 1.0:
             ellipsoid = ellipsoid.scaled(coverage_scale)
+    mu.setflags(write=False)
     return MveeSolution(
         ellipsoid=ellipsoid,
-        weights=SimplexWeights(mu),
+        weights=mu,
         duality_gap=float(gap),
         iterations=it,
         converged=converged,
-        raw_shape=second,
         objective_path=np.asarray(path),
         coverage_scale=coverage_scale,
         whitened_scale=whitened_scale,

@@ -259,8 +259,8 @@ def simulate_truth(scenario, rng: np.random.Generator,
     n_steps = scenario.steps if steps is None else steps
     w_ball = Ellipsoid(np.zeros(model.state_dim), model.Q)
     v_ball = Ellipsoid(np.zeros(model.meas_dim), model.R)
-    ws = sample_interior(w_ball, n_steps, rng).points
-    vs = sample_interior(v_ball, n_steps, rng).points
+    ws = sample_interior(w_ball, n_steps, rng)
+    vs = sample_interior(v_ball, n_steps, rng)
     traj = np.empty((n_steps + 1, model.state_dim))
     traj[0] = np.asarray(scenario.x0, dtype=float)
     meas = np.empty((n_steps, model.meas_dim))
@@ -277,5 +277,5 @@ def initial_estimate(scenario, rng: np.random.Generator) -> Ellipsoid:
     x0 = np.asarray(scenario.x0, dtype=float)
     p0 = scenario.P0
     ball = Ellipsoid(x0, scenario.init_offset * p0)
-    center = sample_interior(ball, 1, rng).points[0]
+    center = sample_interior(ball, 1, rng)[0]
     return Ellipsoid(center, p0)

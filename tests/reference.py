@@ -2,16 +2,20 @@
 objective, its gradient and the KKT residual of a solve, each evaluated
 from scratch; the covering sum as a checked Ellipsoid; and sampling on
 the boundary of an ellipsoid.
+
+The dual objective and its gradient are evaluated on the cloud translated
+by its plain mean.  A translation maps the lifted points by a matrix of
+determinant one, so neither logdet M(mu) nor kappa changes, and the lifted
+moment matrix of a thin cloud far from the origin keeps its rank margin.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from smfilter.ellipsoid import Ellipsoid, PointCloud, _sphere, spd_cholesky, symmetrize
+from smfilter.ellipsoid import Ellipsoid, _sphere, spd_cholesky, symmetrize
 from smfilter.mvee import (
     MveeSolution,
-    SimplexWeights,
     _as_points,
     _factor_or_raise,
     _gradient,
@@ -20,15 +24,18 @@ from smfilter.mvee import (
 )
 
 
+def _lift_centered(points) -> np.ndarray:
+    pts = _as_points(points)
+    return lift(pts - pts.mean(axis=0))
+
+
 def dual_objective(points, mu) -> float:
     """logdet of the weighted lifted moment matrix M(mu).
 
     Raises RankDeficiencyError when M is singular, by the same eigenvalue
     margin as fw_gradient and fw_solve."""
-    pts = _as_points(points)
-    mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
-    yt = lift(pts)
-    return _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])[1]
+    yt = _lift_centered(points)
+    return _factor_or_raise(_moment_matrix(yt, np.asarray(mu, dtype=float)), yt.shape[1])[1]
 
 
 def fw_gradient(points, mu) -> np.ndarray:
@@ -36,10 +43,9 @@ def fw_gradient(points, mu) -> np.ndarray:
 
     Satisfies sum_i mu_i kappa_i = n + 1 identically.
     """
-    pts = _as_points(points)
-    mu = mu.mu if isinstance(mu, SimplexWeights) else np.asarray(mu, dtype=float)
-    yt = lift(pts)
-    return _gradient(yt, _factor_or_raise(_moment_matrix(yt, mu), yt.shape[1])[0])
+    yt = _lift_centered(points)
+    minv = _factor_or_raise(_moment_matrix(yt, np.asarray(mu, dtype=float)), yt.shape[1])[0]
+    return _gradient(yt, minv)
 
 
 def kkt_residual(solution: MveeSolution, points) -> float:
@@ -51,7 +57,7 @@ def kkt_residual(solution: MveeSolution, points) -> float:
     """
     pts = _as_points(points)
     d = pts.shape[1] + 1
-    mu = solution.weights.mu
+    mu = solution.weights
     kappa = fw_gradient(pts, mu)
     primal = float(np.max(np.maximum(kappa - d, 0.0)))
     comp = float(np.max(mu * np.abs(kappa - d)))
@@ -74,10 +80,9 @@ def minkowski_outer(ef: Ellipsoid, q: np.ndarray, p: float) -> Ellipsoid:
     return Ellipsoid(ef.center, symmetrize(shape))
 
 
-def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> PointCloud:
-    """m points on the boundary of e: c + E u with u uniform on the sphere."""
+def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, n) points on the boundary of e: c + E u with u uniform on the sphere."""
     if m < 1:
         raise ValueError("m must be >= 1")
     u = _sphere(m, e.dim, rng)
-    pts = e.center + u @ e.factor().T
-    return PointCloud(pts)
+    return e.center + u @ e.factor().T

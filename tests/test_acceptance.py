@@ -227,7 +227,7 @@ def test_criterion_06_fusion_containment_and_rho_oracle():
                          random_spd(rng, 3))
         meas = Ellipsoid(e_p @ witness + 0.15 * rng.standard_normal(2),
                          random_spd(rng, 2))
-        cand = sample_interior(pred, 30_000, rng).points
+        cand = sample_interior(pred, 30_000, rng)
         inside = contains(meas, cand @ e_p.T, 0.0)
         inter = cand[inside][:1000]
         assert inter.shape[0] >= 1000, "intersection sampling starved"

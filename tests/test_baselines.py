@@ -24,6 +24,7 @@ from smfilter.ellipsoid import (
     optimal_p,
     symmetrize,
 )
+from smfilter.errors import SpdError
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
@@ -214,7 +215,7 @@ class TestHessianAbsMax:
         rng = np.random.default_rng(21)
         e = initial_estimate(build_scenario(name), rng)
         for _ in range(5):
-            pts = sample_boundary(e, N_HESSIAN, rng).points
+            pts = sample_boundary(e, N_HESSIAN, rng)
             out_dim = np.atleast_2d(fn(pts)).shape[1]
             got = hessian_abs_max(fn, pts, out_dim)
             assert got.shape == (out_dim, model.state_dim, model.state_dim)
@@ -396,6 +397,11 @@ class TestRemainderBound:
 
 
 class TestUkf:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_belief_rejects_non_finite_covariance(self, entry):
+        with pytest.raises(SpdError, match="covariance has a non-finite entry"):
+            GaussianBelief([0.0, 0.0], [[entry, 0.0], [0.0, 1.0]])
+
     def test_matches_kalman_filter_on_linear_model(self):
         f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
         h_mat = np.array([[1.0, 0.0]])
@@ -538,7 +544,7 @@ class TestEsmf:
         rng = np.random.default_rng(5)
         e0 = Ellipsoid([0.5, -0.2], 0.4 * np.eye(2))
         pred = esmf_predict(e0, model, 0)
-        pts = sample_interior(e0, 500, rng).points
-        w = sample_interior(Ellipsoid(np.zeros(2), model.Q), 500, rng).points
+        pts = sample_interior(e0, 500, rng)
+        w = sample_interior(Ellipsoid(np.zeros(2), model.Q), 500, rng)
         prop = model.f(pts, 0) + w
         assert contains(pred, prop, 1e-9).mean() >= 0.999

@@ -227,11 +227,11 @@ class TestMeasurementEllipsoid:
         model = replace(self.polar_model(), R=np.diag([10.0, 1.0]))
         x_true = np.array([10.0, 20.0])
         v_ball = Ellipsoid(np.zeros(2), model.R)
-        y = model.h(x_true) + sample_interior(v_ball, 1, rng).points[0]
+        y = model.h(x_true) + sample_interior(v_ball, 1, rng)[0]
         out, sol = measurement_ellipsoid(
             y, model, None, FilterOptions(m_samples=400, tol=1e-8)
         )
-        fresh = sample_interior(v_ball, 1000, rng).points
+        fresh = sample_interior(v_ball, 1000, rng)
         pts = model.h_inv(y, fresh, ())
         frac = contains(out, pts, 1e-6).mean()
         assert frac >= 0.99
@@ -348,7 +348,7 @@ class TestFuse:
                          random_spd(rng, 2))
         center, shape, delta = fuse(pred, meas, e_p, rho)
         fused = Ellipsoid(center, shape)
-        cand = sample_interior(pred, 20_000, rng).points
+        cand = sample_interior(pred, 20_000, rng)
         ok = contains(meas, cand @ e_p.T, 0.0)
         inter = cand[ok]
         assert inter.shape[0] >= 1000
@@ -708,8 +708,8 @@ class TestStep:
             w_ball = Ellipsoid(np.zeros(2), model.Q)
             v_ball = Ellipsoid(np.zeros(2), model.R)
             for k in range(15):
-                x = model.f(x, k) + sample_interior(w_ball, 1, run_rng).points[0]
-                y = model.h(x) + sample_interior(v_ball, 1, run_rng).points[0]
+                x = model.f(x, k) + sample_interior(w_ball, 1, run_rng)[0]
+                y = model.h(x) + sample_interior(v_ball, 1, run_rng)[0]
                 rec = step(e, model, y, k, opts)
                 e = rec.updated
                 hits += bool(contains(e, x, 1e-6))
@@ -733,7 +733,7 @@ class TestWarmStartedSteps:
         for k in range(self.STEPS):
             rec = step(e, model, ys[k], k, opts, start)
             pairs.append((rec, step(e, model, ys[k], k, opts)))
-            e, start = rec.updated, [s.weights.mu for s in rec.solves]
+            e, start = rec.updated, [s.weights for s in rec.solves]
         return pairs, model.state_dim * np.log1p(2 * opts.tol)
 
     def test_warm_solves_are_short_and_agree_with_cold_ones(self):

@@ -69,6 +69,23 @@ class TestEllipsoidType:
         with pytest.raises(ValueError):
             e.scaled(0.0)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_shape(self, entry, where):
+        # numpy's Cholesky returned a NaN or infinite factor for some of
+        # these without raising, and contains then put every point outside.
+        p = np.eye(2)
+        p[where] = p[where[::-1]] = entry
+        with pytest.raises(SpdError, match="non-finite"):
+            spd_cholesky(p)
+        with pytest.raises(SpdError, match="non-finite"):
+            Ellipsoid([0.0, 0.0], p)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_center(self, entry):
+        with pytest.raises(ValueError, match="center has a non-finite entry"):
+            Ellipsoid([entry, 0.0], np.eye(2))
+
     def test_jitter_recovers_marginal_matrix(self):
         # Symmetric, eigenvalue exactly 0: the one-shot jitter makes it SPD.
         p = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -80,10 +97,6 @@ class TestPointCloud:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((0, 2)))
-
-    def test_len_and_dim(self):
-        pc = PointCloud(np.zeros((5, 3)))
-        assert len(pc) == 5 and pc.dim == 3
 
 
 class TestContains:
@@ -119,36 +132,36 @@ class TestContains:
 class TestSampling:
     def test_boundary_1d_is_two_points(self):
         rng = np.random.default_rng(1)
-        pc = sample_boundary(unit_ball(1), 20, rng)
-        np.testing.assert_allclose(np.abs(pc.points), 1.0, atol=1e-14)
+        pts = sample_boundary(unit_ball(1), 20, rng)
+        np.testing.assert_allclose(np.abs(pts), 1.0, atol=1e-14)
 
     def test_boundary_on_quadratic_form_one(self):
         rng = np.random.default_rng(2)
         e = Ellipsoid([1.0, -2.0, 0.5], random_spd(rng, 3))
-        pc = sample_boundary(e, 500, rng)
-        np.testing.assert_allclose(e.quadratic_form(pc.points), 1.0, atol=1e-9)
+        pts = sample_boundary(e, 500, rng)
+        np.testing.assert_allclose(e.quadratic_form(pts), 1.0, atol=1e-9)
 
     def test_boundary_mean_near_center(self):
         rng = np.random.default_rng(3)
-        pc = sample_boundary(unit_ball(2), 10_000, rng)
-        assert np.linalg.norm(pc.points.mean(axis=0)) < 0.05
+        pts = sample_boundary(unit_ball(2), 10_000, rng)
+        assert np.linalg.norm(pts.mean(axis=0)) < 0.05
 
     def test_interior_mean_1d(self):
         rng = np.random.default_rng(4)
-        pc = sample_interior(unit_ball(1), 100_000, rng)
-        assert abs(pc.points.mean()) < 0.02
+        pts = sample_interior(unit_ball(1), 100_000, rng)
+        assert abs(pts.mean()) < 0.02
 
     def test_interior_all_contained(self):
         rng = np.random.default_rng(5)
         e = Ellipsoid([3.0, 4.0], random_spd(rng, 2))
-        pc = sample_interior(e, 2000, rng)
-        assert contains(e, pc.points, 0.0).all()
+        pts = sample_interior(e, 2000, rng)
+        assert contains(e, pts, 0.0).all()
 
     def test_single_interior_point(self):
         rng = np.random.default_rng(6)
-        pc = sample_interior(unit_ball(3), 1, rng)
-        assert pc.points.shape == (1, 3)
-        assert contains(unit_ball(3), pc.points[0], 0.0)
+        pts = sample_interior(unit_ball(3), 1, rng)
+        assert pts.shape == (1, 3)
+        assert contains(unit_ball(3), pts[0], 0.0)
 
     def test_m_must_be_positive(self):
         rng = np.random.default_rng(7)
@@ -158,8 +171,8 @@ class TestSampling:
     def test_interior_radius_distribution(self):
         # r^(1/n) transform: P(||x|| <= r) = r^n for the unit ball.
         rng = np.random.default_rng(8)
-        pc = sample_interior(unit_ball(2), 50_000, rng)
-        radii = np.linalg.norm(pc.points, axis=1)
+        pts = sample_interior(unit_ball(2), 50_000, rng)
+        radii = np.linalg.norm(pts, axis=1)
         frac_half = (radii <= 0.5).mean()
         assert abs(frac_half - 0.25) < 0.01
 
@@ -194,8 +207,8 @@ class TestMinkowskiOuter:
         ef = Ellipsoid([1.0, 2.0], random_spd(rng, 2))
         q = random_spd(rng, 2, scale=0.5)
         out = minkowski_outer(ef, q, p)
-        xs = sample_boundary(ef, 1000, rng).points
-        ws = sample_boundary(Ellipsoid(np.zeros(2), q), 1000, rng).points
+        xs = sample_boundary(ef, 1000, rng)
+        ws = sample_boundary(Ellipsoid(np.zeros(2), q), 1000, rng)
         assert contains(out, xs + ws, 1e-9).all()
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])

@@ -452,6 +452,26 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("runs = abc", "runs"), ("steps = 2.5", "steps"), ("master_seed = x", "master_seed"),
+        ("m_samples = ", "m_samples"), ("tol = small", "tol"), ("record_timing = maybe", "record_timing"),
+    ])
+    def test_simulate_unreadable_config_value_exit_2(self, tmp_path, capsys, line, key):
+        # Bare int() and float() used to end in a ValueError traceback, and
+        # any word but a true one read as False.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = radar\n{line}\n")
+        code = self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word, want", [("yes", True), ("On", True), ("1", True),
+                                            ("no", False), ("OFF", False), ("0", False)])
+    def test_record_timing_words(self, tmp_path, word, want):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"record_timing = {word}\n")
+        assert parse_config(cfg).record_timing is want
+
     def test_simulate_too_few_design_points_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario = radar\nm_samples = 4\nruns = 1\nsteps = 1\n")
@@ -514,6 +534,17 @@ class TestCli:
         assert (tmp_path / "bench.csv").exists()
         header = (tmp_path / "bench.csv").read_text().splitlines()[0]
         assert header.startswith("n,m,fw_time_s")
+
+    @pytest.mark.parametrize("args, flag", [
+        (("bench", "--n", "2", "--m", "50", "--trials", "0"), "--trials"),
+        (("sweep-sigma", "--from", "5", "--to", "5", "--replicates", "0"), "--replicates"),
+    ])
+    def test_empty_study_exit_2(self, tmp_path, capsys, args, flag):
+        # Zero trials died in numpy's reduction over an empty array; zero
+        # replicates printed NaN slopes and exited 0.
+        assert self.run_cli(*args, "--out", str(tmp_path)) == 2
+        assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_sigma_subcommand(self, tmp_path, capsys):
         code = self.run_cli("sweep-sigma", "--from", "5", "--to", "10",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smfilter.ellipsoid import Ellipsoid, contains
 from smfilter.errors import RankDeficiencyError
-from smfilter.mvee import SimplexWeights, fw_solve, lift, line_search_step
+from smfilter.mvee import fw_solve, lift, line_search_step
 
 from reference import dual_objective, fw_gradient, kkt_residual, sample_boundary
 
@@ -19,19 +19,6 @@ class TestLifting:
     def test_lift_appends_one(self):
         out = lift(np.array([[2.0, 3.0]]))
         np.testing.assert_array_equal(out, [[2.0, 3.0, 1.0]])
-
-
-class TestSimplexWeights:
-    def test_accepts_simplex(self):
-        SimplexWeights(np.array([0.25, 0.75]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SimplexWeights(np.array([-0.1, 1.1]))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            SimplexWeights(np.array([0.5, 0.4]))
 
 
 class TestDualObjective:
@@ -87,7 +74,6 @@ class TestFwSolve:
         np.testing.assert_allclose(sol.ellipsoid.center, [1 / 3, 1 / 3], atol=1e-9)
         want = 2.0 * np.array([[2 / 9, -1 / 9], [-1 / 9, 2 / 9]])
         np.testing.assert_allclose(sol.ellipsoid.shape, want, atol=1e-9)
-        np.testing.assert_allclose(sol.raw_shape, want / 2.0, atol=1e-9)
         np.testing.assert_allclose(
             sol.ellipsoid.quadratic_form(TRIANGLE), 1.0, atol=1e-8
         )
@@ -124,9 +110,6 @@ class TestFwSolve:
         assert not sol.converged
         assert contains(sol.ellipsoid, pts, 1e-12).all()
         assert sol.coverage_scale > 1.0
-        np.testing.assert_allclose(
-            sol.ellipsoid.shape, sol.coverage_scale * 3 * sol.raw_shape, rtol=1e-12
-        )
 
     def test_singleton_cloud_errors(self):
         with pytest.raises(RankDeficiencyError):
@@ -144,11 +127,26 @@ class TestFwSolve:
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((40, 2))
         sol = fw_solve(pts, tol=1e-9)
-        mu = sol.weights.mu
+        mu = sol.weights
         center = mu @ pts
         second = pts.T @ (mu[:, None] * pts) - np.outer(center, center)
         np.testing.assert_allclose(sol.ellipsoid.center, center, atol=1e-10)
         np.testing.assert_allclose(sol.ellipsoid.shape, 2.0 * second, atol=1e-10)
+
+    def test_weights_are_a_read_only_simplex_array(self):
+        # The solver's own weights, for a cold solve, a warm one and a
+        # restart at the optimum that takes no pass.
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((40, 2))
+        cold = fw_solve(pts, tol=1e-9)
+        for sol in (cold, fw_solve(pts, tol=1e-9, start=rng.random(40)),
+                    fw_solve(pts, tol=1e-9, start=cold.weights)):
+            mu = sol.weights
+            assert type(mu) is np.ndarray and mu.shape == (40,)
+            assert not mu.flags.writeable
+            assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            cold.weights[0] = 0.5
 
     @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
     def test_scale_equivariance(self, scale):
@@ -188,7 +186,7 @@ class TestFwSolve:
         # about 1500 iterations.
         rng = np.random.default_rng(0)
         e = Ellipsoid([1.0, 2.0, 0.3], np.diag([0.5, 0.3, 0.8]))
-        s = sample_boundary(e, 200, rng).points
+        s = sample_boundary(e, 200, rng)
         pts = np.stack([s[:, 0] + 0.5 * np.cos(s[:, 2]),
                         s[:, 1] + 0.5 * np.sin(s[:, 2]), s[:, 2]], axis=1)
         sol = fw_solve(pts, tol=1e-5, max_iter=1000)
@@ -204,7 +202,7 @@ class TestFwSolve:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             e = Ellipsoid([1.0, 2.0, 0.3], np.diag([0.5, 0.3, 0.8]))
-            s = sample_boundary(e, 200, rng).points
+            s = sample_boundary(e, 200, rng)
             pts = np.stack([s[:, 0] + 0.5 * np.cos(s[:, 2]),
                             s[:, 1] + 0.5 * np.sin(s[:, 2]), s[:, 2]], axis=1)
             sol = fw_solve(pts, tol=tol, max_iter=1000)
@@ -273,7 +271,7 @@ class TestWarmStart:
         pts = rng.standard_normal((60, 3))
         tol = 1e-7
         cold = fw_solve(pts, tol=tol)
-        warm = fw_solve(pts, tol=tol, start=cold.weights.mu)
+        warm = fw_solve(pts, tol=tol, start=cold.weights)
         assert cold.converged and warm.converged
         assert warm.iterations == 0
         np.testing.assert_allclose(warm.ellipsoid.center, cold.ellipsoid.center,
@@ -305,8 +303,8 @@ class TestWarmStart:
         # about 1e10.  A start at the optimum takes no pass: its kappa is
         # read as 1 + ||w||^2 in its own frame, where M(start) = I, and its
         # shape is returned with the factor that whitened the cloud.  The
-        # KKT residual is recomputed from scratch, on the cloud translated
-        # by its plain mean, so that assuming M = I cannot hide a gap.
+        # KKT residual is recomputed from scratch, so that assuming M = I
+        # cannot hide a gap.
         tol = 1e-7
         for seed in range(120):
             rng = np.random.default_rng(seed)
@@ -318,14 +316,11 @@ class TestWarmStart:
             for offset in (0.0, 10.0):
                 cloud = pts + offset * rng.standard_normal(n)
                 cold = fw_solve(cloud, tol=tol)
-                warm = fw_solve(cloud, tol=tol, start=cold.weights.mu)
+                warm = fw_solve(cloud, tol=tol, start=cold.weights)
                 e = warm.ellipsoid
                 assert warm.converged and warm.iterations == 0, (seed, offset)
                 assert np.all(e.quadratic_form(cloud) <= 1.0 + 2 * tol), (seed, offset)
-                np.testing.assert_allclose(
-                    e.shape, warm.coverage_scale * n * warm.raw_shape, rtol=1e-12, atol=0.0)
-                centered = cloud - cloud.mean(axis=0)
-                assert kkt_residual(warm, centered) <= 10 * tol * (n + 1), (seed, offset)
+                assert kkt_residual(warm, cloud) <= 10 * tol * (n + 1), (seed, offset)
 
     def test_capped_start_is_scaled_to_cover_its_cloud(self):
         # With no pass allowed, the start itself is returned, its shape and
@@ -337,8 +332,7 @@ class TestWarmStart:
         assert sol.coverage_scale == sol.whitened_scale > 1.0
         assert contains(sol.ellipsoid, pts, 1e-12).all()
         np.testing.assert_allclose(
-            sol.ellipsoid.shape, sol.coverage_scale * 3 * sol.raw_shape, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(sol.raw_shape, np.cov(pts.T, bias=True), rtol=1e-12)
+            sol.ellipsoid.shape, sol.coverage_scale * 3 * np.cov(pts.T, bias=True), rtol=1e-12)
 
     def test_start_failing_the_rank_margin_solves_cold(self):
         # Weight on n points (a flat start), on one point, or on points
@@ -353,7 +347,7 @@ class TestWarmStart:
                 start[list(support)] = 1.0
                 warm = fw_solve(pts, tol=1e-9, start=start)
                 assert warm.iterations == cold.iterations
-                np.testing.assert_array_equal(warm.weights.mu, cold.weights.mu)
+                np.testing.assert_array_equal(warm.weights, cold.weights)
                 np.testing.assert_array_equal(warm.ellipsoid.shape, cold.ellipsoid.shape)
 
     def test_start_off_the_optimum_reaches_the_cold_logdet(self):
@@ -402,7 +396,7 @@ def test_solve_invariants_on_spanning_clouds(n, extra, seed, boundary, tol, warm
         start = rng.random(m) * (rng.random(m) < 0.3)
         start[rng.integers(m)] = 1.0  # a positive sum
     sol = fw_solve(pts, tol=tol, start=start)
-    mu = sol.weights.mu
+    mu = sol.weights
     assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(sol.objective_path) >= 0)
     if sol.converged:
@@ -475,7 +469,7 @@ class TestEnclose:
         rng = np.random.default_rng(10)
         e = Ellipsoid([1.0, -1.0], np.array([[2.0, 0.3], [0.3, 1.0]]))
         f_mat = np.array([[1.2, -0.4], [0.5, 0.9]])
-        pts = sample_boundary(e, 500, rng).points @ f_mat.T
+        pts = sample_boundary(e, 500, rng) @ f_mat.T
         out = fw_solve(pts, tol=1e-8).ellipsoid
         want_shape = f_mat @ e.shape @ f_mat.T
         want_center = f_mat @ e.center

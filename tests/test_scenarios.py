@@ -4,7 +4,7 @@ import pytest
 from smfilter.baselines import _f_jacobian
 from smfilter.dsmf import SystemModel
 from smfilter.ellipsoid import contains
-from smfilter.errors import MeasurementDomainError
+from smfilter.errors import MeasurementDomainError, SpdError
 from smfilter.harness import parse_config
 from smfilter.scenarios import (
     RadarScenario,
@@ -46,6 +46,17 @@ class TestSystemModel:
             "F against a larger Q"])
     def test_inconsistent_sizes_rejected(self, given, match):
         with pytest.raises(ValueError, match=match):
+            plain_model(**given)
+
+    @pytest.mark.parametrize("given, error", [
+        ({"Q": [[np.nan, 0.0], [0.0, 1.0]]}, SpdError),
+        ({"R": [[1.0, np.inf], [np.inf, 1.0]]}, SpdError),
+        # numpy's rank test raised its own LinAlgError on a NaN E_p.
+        ({"E_p": [[1.0, np.nan]]}, ValueError),
+        ({"E_p": [[np.inf, 0.0]]}, ValueError),
+    ], ids=["NaN Q", "inf R", "NaN E_p", "inf E_p"])
+    def test_non_finite_entries_rejected(self, given, error):
+        with pytest.raises(error, match="non-finite"):
             plain_model(**given)
 
 
@@ -194,7 +205,7 @@ class TestRobotModel:
         a = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-2.0, 0.0, size=3)
         pred = Ellipsoid(rng.uniform(-5.0, 5.0, size=3), a @ a.T + 1e-6 * np.eye(3))
         (lo, hi), = robot_model(RobotScenario()).aux_from_predicted(pred)
-        headings = sample_boundary(pred, 4000, rng).points[:, 2]
+        headings = sample_boundary(pred, 4000, rng)[:, 2]
         slack = 1e-12 * (1.0 + abs(pred.center[2]))
         assert lo - slack <= headings.min() and headings.max() <= hi + slack
         assert headings.max() - headings.min() >= 0.95 * (hi - lo)
