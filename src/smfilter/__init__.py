@@ -8,7 +8,6 @@ Monte Carlo harness with a CLI.
 """
 
 from .baselines import (
-    GaussianBelief,
     esmf_predict,
     esmf_step,
     esmf_update,

@@ -2,16 +2,19 @@
 set-membership filter that linearizes the model and inflates the noise
 bounds by a sampled bound on the linearization remainder.  The remainder is
 sampled on a fixed design, so neither filter draws random numbers.
+
+Both carry an Ellipsoid, as the dual filter does: the extended filter its
+set, fused by the dual filter's update (dsmf._update), and the unscented
+filter its three-sigma set {mean, 9 cov}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dsmf import FusionParams, SystemModel, _design, fuse, optimize_rho
+from .dsmf import FusionParams, SystemModel, _design, _update
 from .ellipsoid import Ellipsoid, covering_sum, optimal_p, spd_cholesky, symmetrize
 
 # Sampled remainder bounds: number of design points, boundary fraction, and
@@ -26,22 +29,6 @@ N_HESSIAN = 40
 # numerical_jacobian and hessian_abs_max.
 JACOBIAN_STEP = 1e-6
 HESSIAN_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class GaussianBelief:
-    """Mean and covariance of the UKF state estimate."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float)).copy()
-        _, cov = spd_cholesky(np.asarray(self.cov, dtype=float), what="covariance")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def uniform_covariance(shape: np.ndarray) -> np.ndarray:
@@ -221,10 +208,7 @@ def esmf_update(e_pred: Ellipsoid, model: SystemModel,
     jac = _h_jacobian(model, c)
     r_eff = add_remainder(model.R, remainder_bound_h(e_pred, model))
     z = y - np.atleast_1d(model.h(c)) + jac @ c
-    meas = Ellipsoid(z, r_eff)
-    params = optimize_rho(e_pred, meas, jac)
-    center, shape, _ = fuse(e_pred, meas, jac, params.rho)
-    return Ellipsoid(center, shape), params
+    return _update(e_pred, Ellipsoid(z, r_eff), jac)
 
 
 def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Ellipsoid:
@@ -234,38 +218,40 @@ def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Elli
     return updated
 
 
-def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric sigma-point set: mean +- sqrt(n) * L columns, equal weights.
+def _sigma_points(mean: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric sigma-point set: mean +- sqrt(n) * columns of a factor L of
+    the covariance (L L^T = cov), equal weights.
 
     Reproduces the mean and covariance exactly and is exact for linear maps.
     """
     n = mean.size
-    chol, _ = spd_cholesky(cov, what="sigma-point covariance")
-    spread = np.sqrt(n) * chol.T  # rows are sqrt(n) L^T rows = columns of L
+    spread = np.sqrt(n) * factor.T  # rows are sqrt(n) L^T rows = columns of L
     pts = np.vstack([mean + spread, mean - spread])
     weights = np.full(2 * n, 1.0 / (2 * n))
     return pts, weights
 
 
-def ukf_step(belief: GaussianBelief, model: SystemModel, y: np.ndarray,
-             k: int) -> GaussianBelief:
+def ukf_step(belief: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Ellipsoid:
     """One unscented predict/update cycle.
 
-    The noise covariances are those of uniform draws over the bounds
-    (uniform_covariance); the measurement update uses the standard
-    cross-covariance gain.
+    The belief is carried as its three-sigma set {mean, 9 cov}, the set
+    whose size and containment are reported, so the first sigma set is
+    built on a third of its factor.  The noise covariances are those of
+    uniform draws over the bounds (uniform_covariance); the measurement
+    update uses the standard cross-covariance gain.
     """
     y = np.asarray(y, dtype=float)
     q_cov = uniform_covariance(model.Q)
     r_cov = uniform_covariance(model.R)
 
-    pts, w = _sigma_points(belief.mean, belief.cov)
+    pts, w = _sigma_points(belief.center, belief.factor() / 3.0)
     xp = model.f(pts, k)
     mean_p = w @ xp
     dx = xp - mean_p
     cov_p = symmetrize(dx.T @ (w[:, None] * dx) + q_cov)
 
-    pts2, w2 = _sigma_points(mean_p, cov_p)
+    chol_p, _ = spd_cholesky(cov_p, what="sigma-point covariance")
+    pts2, w2 = _sigma_points(mean_p, chol_p)
     yp = np.atleast_2d(model.h(pts2))
     y_mean = w2 @ yp
     dy = yp - y_mean
@@ -276,4 +262,4 @@ def ukf_step(belief: GaussianBelief, model: SystemModel, y: np.ndarray,
     gain = np.linalg.solve(chol_s.T, np.linalg.solve(chol_s, c_xy.T)).T
     mean = mean_p + gain @ (y - y_mean)
     cov = symmetrize(cov_p - gain @ s @ gain.T)
-    return GaussianBelief(mean, cov)
+    return Ellipsoid(mean, 9.0 * cov)

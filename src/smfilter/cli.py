@@ -124,8 +124,8 @@ def cmd_mvee(args) -> int:
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
-    if not args.tol > 0:
-        raise ConfigError("--tol must be positive")
+    if not 0.0 < args.tol < np.inf:
+        raise ConfigError("--tol must be finite and positive")
     if args.max_iter is not None and args.max_iter < 0:
         raise ConfigError("--max-iter must be nonnegative")
     sol = fw_solve(pts, tol=args.tol, max_iter=args.max_iter)

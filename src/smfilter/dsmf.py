@@ -139,8 +139,8 @@ class FilterOptions:
     def __post_init__(self):
         if self.m_samples < 2:
             raise ValueError("m_samples must be at least 2")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -429,6 +429,17 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionPar
     return FusionParams(rho=rho, delta=_fused_delta(rho, s2, h2)[0])
 
 
+def _update(pred: Ellipsoid, meas: Ellipsoid,
+            e_p: np.ndarray) -> tuple[Ellipsoid, FusionParams]:
+    """The linear set-membership update: fuse a prediction with a
+    measurement set in the projected space E_p x at the trace-minimising
+    rho.  Shared by step, the esmf update and the sigma sweep.  Returns the
+    fused ellipsoid and the FusionParams of the rho search."""
+    params = optimize_rho(pred, meas, e_p)
+    center, shape, _ = fuse(pred, meas, e_p, params.rho)
+    return Ellipsoid(center, shape), params
+
+
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
          opts: FilterOptions, start=None) -> StepRecord:
     """One full filter step: predict, enclose the measurement set, pick rho,
@@ -441,8 +452,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         aux = model.aux_from_predicted(predicted)
     meas, sol_meas = measurement_ellipsoid(y, model, aux, opts, meas_start)
     try:
-        params = optimize_rho(predicted, meas, model.E_p)
-        center, shape, _ = fuse(predicted, meas, model.E_p, params.rho)
+        updated, params = _update(predicted, meas, model.E_p)
     except EmptyIntersectionError as err:
         raise EmptyIntersectionError(
             f"step {k}: {err}", delta=err.delta
@@ -451,7 +461,7 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         k=k,
         predicted=predicted,
         measurement=meas,
-        updated=Ellipsoid(center, shape),
+        updated=updated,
         params=replace(params, p_star=p_star),
         solves=(sol_pred, sol_meas),
     )

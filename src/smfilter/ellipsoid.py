@@ -74,6 +74,8 @@ class Ellipsoid:
                 f"shape matrix is {shape.shape}, expected "
                 f"({center.size}, {center.size})"
             )
+        if not np.isfinite(shape).all():  # before inf - inf in the asymmetry
+            raise SpdError("shape matrix has a non-finite entry")
         asym = np.abs(shape - shape.T).max()
         if asym and asym > SYM_RTOL * max(np.abs(shape).max(), 1.0):
             raise ValueError("shape matrix is not symmetric")

@@ -1,6 +1,8 @@
 """Configuration-driven Monte Carlo engine: runs the filters over simulated
 truths, aggregates metrics, benchmarks the enclosing-ellipsoid solver, and
-writes CSV/JSON outputs for external plotting.
+writes CSV/JSON outputs for external plotting.  Every filter state is an
+Ellipsoid, whose size and containment are what a run reports: the
+set-membership filters' guaranteed set, the ukf's three-sigma set.
 
 All randomness flows from a single master seed; per-run seeds are derived
 with a stable 64-bit mix and recorded so any single run can be replayed.
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios as sc
-from .baselines import GaussianBelief, esmf_predict, esmf_step, ukf_step, uniform_covariance
+from .baselines import esmf_predict, esmf_step, ukf_step, uniform_covariance
 from .dsmf import FilterOptions, _design, predict, step
 from .ellipsoid import Ellipsoid, contains, sample_interior
 from .errors import ConfigError, NumericalError
@@ -86,8 +88,8 @@ class RunConfig:
             raise ConfigError("steps must be >= 1")
         if self.on_empty not in ("carry", "raise"):
             raise ConfigError(f"on_empty must be carry or raise, got {self.on_empty!r}")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError("tol must be finite and positive")
 
     def _check_m_samples(self, model) -> None:
         """A design of fewer than state_dim + 1 points cannot span the state."""
@@ -161,11 +163,10 @@ def parse_config(path: str | Path) -> RunConfig:
 
 @dataclass
 class FilterRunLog:
-    """Per-step artifacts of one filter on one run.  The figures of a ukf
-    step are those of its three-sigma set."""
+    """Per-step artifacts of one filter on one run."""
 
-    estimates: np.ndarray  # (steps, n) centers / means
-    sets: list  # Ellipsoid (dsmf/esmf) or GaussianBelief (ukf) per step
+    estimates: np.ndarray  # (steps, n) centers
+    sets: list  # the Ellipsoid of each step; a ukf step's is its three-sigma set
     contained: np.ndarray  # (steps,) bool
     traces: np.ndarray
     logdets: np.ndarray
@@ -213,11 +214,6 @@ def _logdet(shape: np.ndarray) -> float:
     return float(val) if sign > 0 else -np.inf
 
 
-def _ukf_set(belief: GaussianBelief) -> Ellipsoid:
-    """The three-sigma confidence ellipsoid used for size/containment."""
-    return Ellipsoid(belief.mean, 9.0 * belief.cov)
-
-
 def _run_filter(name: str, config: RunConfig, model, e0: Ellipsoid,
                 truth: np.ndarray, measurements: np.ndarray) -> FilterRunLog:
     """Step one filter through a run.  A step that raises NumericalError
@@ -241,7 +237,8 @@ def _run_filter(name: str, config: RunConfig, model, e0: Ellipsoid,
         def carry(e, k):
             return esmf_predict(e, model, k)
     else:
-        state = GaussianBelief(e0.center, uniform_covariance(e0.shape))
+        # The three-sigma set of a uniform draw over e0.
+        state = Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape))
 
         def advance(belief, k, last):
             return ukf_step(belief, model, measurements[k], k), None
@@ -262,14 +259,13 @@ def _run_filter(name: str, config: RunConfig, model, e0: Ellipsoid,
         sets.append(state)
         records.append(rec)
 
-    bounds = [_ukf_set(s) if isinstance(s, GaussianBelief) else s for s in sets]
     return FilterRunLog(
-        estimates=np.array([e.center for e in bounds]),
+        estimates=np.array([e.center for e in sets]),
         sets=sets,
         contained=np.array([contains(e, truth[k + 1], CONTAINMENT_SLACK)
-                            for k, e in enumerate(bounds)], dtype=bool),
-        traces=np.array([np.trace(e.shape) for e in bounds]),
-        logdets=np.array([_logdet(e.shape) for e in bounds]),
+                            for k, e in enumerate(sets)], dtype=bool),
+        traces=np.array([np.trace(e.shape) for e in sets]),
+        logdets=np.array([_logdet(e.shape) for e in sets]),
         times=times,
         failures=failures,
         records=records,
@@ -425,8 +421,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     circle = _design(ELLIPSE_POINTS, 2).T  # (2, 128): equispaced angles
     for log in result.runs:
         for name, flog in log.filters.items():
-            for k, obj in enumerate(flog.sets):
-                e = _ukf_set(obj) if isinstance(obj, GaussianBelief) else obj
+            for k, e in enumerate(flog.sets):
                 ell = Ellipsoid(e_p @ e.center, e_p @ e.shape @ e_p.T)
                 pts = ell.center[:, None] + ell.factor() @ circle
                 path = ellipse_dir / f"run{log.run_index}_k{k + 1}_{name}.csv"
@@ -496,7 +491,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
     use the FilterOptions defaults.
     """
     from .baselines import esmf_update
-    from .dsmf import SystemModel, fuse, measurement_ellipsoid, optimize_rho
+    from .dsmf import SystemModel, _update, measurement_ellipsoid
 
     results = []
     prior_center = np.array([10.0, 20.0])
@@ -520,9 +515,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
             y = sensor.measure(x_true) + v_true
             # Enclosing-set update.
             meas, _ = measurement_ellipsoid(y, model, None, opts)
-            params = optimize_rho(prior, meas, np.eye(2))
-            _, shape, _ = fuse(prior, meas, np.eye(2), params.rho)
-            ld_new.append(_logdet(shape))
+            ld_new.append(_logdet(_update(prior, meas, np.eye(2))[0].shape))
             # Linearizing update.
             updated, _ = esmf_update(prior, model, y)
             ld_lin.append(_logdet(updated.shape))

@@ -254,8 +254,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     magnitude 1e-9 * diameter added to the initial moment matrix; if that is
     still singular a RankDeficiencyError carrying the rank is raised.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     if max_iter is not None and max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     pts = _as_points(points)

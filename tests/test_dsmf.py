@@ -85,7 +85,7 @@ def linear_model(n=2, e_p=None, q_scale=1e-2, r_scale=1e-2):
 
 class TestFilterOptions:
     @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1e-5},
-                                     {"max_iter": -3}])
+                                     {"max_iter": -3}, {"tol": float("inf")}])
     def test_rejects_bad_solver_budget(self, bad):
         # Caught at construction, not inside the first solve (or, for a
         # negative max_iter, never: it used to run zero passes).

@@ -63,9 +63,11 @@ class TestRunConfig:
             RunConfig(runs=0).validate()
 
     def test_validate_rejects_nan_tol(self):
-        # A NaN tol never meets the certificate; the filter options reject it.
-        with pytest.raises(ConfigError):
-            RunConfig(tol=float("nan")).validate()
+        # A NaN tol never meets the certificate, and an infinite one is met
+        # at every solve's start; the filter options reject both.
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                RunConfig(tol=tol).validate()
 
     @pytest.mark.parametrize("preset,floor", [("radar", 5), ("robot", 4)])
     def test_m_samples_floor_is_state_dim_plus_one(self, preset, floor):
@@ -285,6 +287,28 @@ class TestCarriedFailure:
         with pytest.raises(SpdError):
             run_experiment(RunConfig(scenario="radar", filters=("ukf",), runs=1,
                                      steps=4, on_empty="carry"))
+
+    @pytest.mark.parametrize("preset", ["radar", "robot"])
+    def test_ukf_starts_from_three_sigma_set_of_e0(self, monkeypatch, preset):
+        # The one conversion the harness makes: the ukf starts from the
+        # three-sigma set of a uniform draw over e0, {c0, 9 P0 / (n + 2)}.
+        e0s, starts, real_initial = [], [], harness.initial_estimate
+
+        def initial(*args):
+            e0s.append(real_initial(*args))
+            return e0s[-1]
+
+        def first(belief, model, y, k):
+            starts.append(belief)
+            raise SpdError("stop after the first step")
+
+        monkeypatch.setattr(harness, "initial_estimate", initial)
+        monkeypatch.setattr(harness, "ukf_step", first)
+        with pytest.raises(SpdError):
+            run_experiment(RunConfig(scenario=preset, filters=("ukf",), runs=1, steps=2))
+        (e0,), (start,) = e0s, starts
+        np.testing.assert_array_equal(start.center, e0.center)
+        np.testing.assert_allclose(start.shape, 9.0 / (e0.dim + 2) * e0.shape, rtol=1e-14)
 
 
 class TestEmitOutputs:
@@ -512,7 +536,7 @@ class TestCli:
         assert out["iterations"] == 3
 
     @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"),
-                                            ("--max-iter", "-3")])
+                                            ("--max-iter", "-3"), ("--tol", "inf")])
     def test_mvee_bad_solver_budget_exit_2(self, tmp_path, capsys, flag, value):
         pts = tmp_path / "tri.csv"
         pts.write_text("0,0\n1,0\n0,1\n")

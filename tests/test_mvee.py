@@ -100,6 +100,13 @@ class TestFwSolve:
         with pytest.raises(ValueError):
             fw_solve(CROSS, max_iter=-3)
 
+    @pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # An infinite tol used to pass: the start met the certificate, and
+        # the solve returned it as converged after no pass.
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            fw_solve(CROSS, tol=tol)
+
     def test_capped_solve_covers_its_cloud(self):
         # Without a convergence certificate the dual ellipsoid can leave
         # points well outside; every solve scales its shape by its final
