@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import mvee
 from .ellipsoid import (
     Ellipsoid,
     PointCloud,
@@ -123,13 +124,15 @@ class FilterOptions:
     budget (tol, max_iter) is looser than the standalone solver default:
     every solve scales its shape to cover its cloud, tol = 1e-5 already
     keeps that scale of a converged solve within 1 + 2e-5, and a filter run
-    performs thousands of solves.  Cold solves converge in tens of
-    iterations.  One started from the last step's weights whitens its cloud
-    by them, and when they are still optimal it takes no iteration and is
-    returned on that whitening factor; max_iter only bounds a pathological
-    cloud, whose capped solve may need a larger scale.  Fusion has no knob:
-    every update takes the rho that minimises the fused trace
-    (optimize_rho).
+    performs thousands of solves.  A solve starts from the last step's
+    weights, or else from the optimum of its own design (_design_optimum);
+    only a product-grid measurement cloud (a model with aux) has no design
+    optimum and starts cold, in tens of iterations.  A start whitens the
+    cloud by its weights, and when they are still optimal the solve takes
+    no iteration and is returned on that whitening factor; max_iter only
+    bounds a pathological cloud, whose capped solve may need a larger
+    scale.  Fusion has no knob: every update takes the rho that minimises
+    the fused trace (optimize_rho).
     """
 
     m_samples: int = 200
@@ -182,11 +185,26 @@ def _design(m: int, n: int) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=16)
+def _design_optimum(m: int, n: int) -> np.ndarray:
+    """The optimal weights of the enclosing solve over _design(m, n), at the
+    solver's default tol, read-only.  The dual is affine-invariant (Todd
+    2016), so they are optimal over every affine image of the design too,
+    and near-optimal over a near-affine one.  Solved on first use, not at
+    import, through the mvee module rather than this module's fw_solve,
+    which tools may wrap to record the filter's own clouds."""
+    return mvee.fw_solve(_design(m, n)).weights
+
+
 def _enclose(points: np.ndarray, opts: FilterOptions, what: Callable[[], str],
-             start) -> MveeSolution:
-    """The enclosing solve of a cloud from start weights (None: cold), its
-    rank errors prefixed with what(), built only when one is raised."""
+             start, design: tuple | None) -> MveeSolution:
+    """The enclosing solve of a cloud whose row i is the image of row i of
+    _design(*design).  It starts from start, the last step's weights; with
+    none, from _design_optimum(*design); with no design either, cold.  Its
+    rank errors are prefixed with what(), built only when one is raised."""
     try:
+        if start is None and design is not None:
+            start = _design_optimum(*design)
         return fw_solve(PointCloud(points), tol=opts.tol, max_iter=opts.max_iter,
                         start=start)
     except RankDeficiencyError as err:
@@ -203,13 +221,17 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
     encloses the image, and adds the process-noise bound with the
     trace-optimal covering sum.  The center is the enclosing-ellipsoid
     center; the covering sum never moves it.  The solve starts from the
-    start weights over the design when given (see fw_solve).  Returns
-    (predicted ellipsoid, enclosing solve, covering-sum parameter p_star).
+    start weights over the design when given, else from the design's own
+    optimum, which is already optimal when f is affine (see fw_solve).
+    Returns (predicted ellipsoid, enclosing solve, covering-sum parameter
+    p_star).
     """
     if opts.m_samples < model.state_dim + 1:
         raise ValueError("m_samples must be at least state_dim + 1")
-    boundary = e_k.center + _design(opts.m_samples, model.state_dim) @ e_k.factor().T
-    sol = _enclose(model.f(boundary, k), opts, lambda: f"prediction at step {k}", start)
+    design = (opts.m_samples, model.state_dim)
+    boundary = e_k.center + _design(*design) @ e_k.factor().T
+    sol = _enclose(model.f(boundary, k), opts, lambda: f"prediction at step {k}",
+                   start, design)
     center, shape = sol.ellipsoid.center, sol.ellipsoid.shape
     p_star = optimal_p(shape, model.Q)
     return Ellipsoid(center, covering_sum(shape, model.Q, p_star)), sol, p_star
@@ -227,7 +249,9 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     with it, the noise and every interval get ceil(sqrt(m_samples)) points,
     rounded up to even so that opposite noise extremes are both hit, and
     each interval grid includes its endpoints.  The solve starts from the
-    start weights over that cloud when given.
+    start weights over that cloud when given.  Else, without aux, the cloud
+    is the image of the noise design alone and the solve starts from that
+    design's optimum; the product grid with aux starts cold.
     """
     y = np.asarray(y, dtype=float)
     aux = np.empty((0, 2)) if aux is None else np.reshape(aux, (-1, 2))
@@ -240,7 +264,8 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     # Noise direction slowest, then each parameter grid in turn.
     mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
     pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
-    sol = _enclose(pts, opts, lambda: f"measurement set for y={y}", start)
+    design = None if len(aux) else (count, model.meas_dim)
+    sol = _enclose(pts, opts, lambda: f"measurement set for y={y}", start, design)
     return sol.ellipsoid, sol
 
 
@@ -443,8 +468,9 @@ def _update(pred: Ellipsoid, meas: Ellipsoid,
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
          opts: FilterOptions, start=None) -> StepRecord:
     """One full filter step: predict, enclose the measurement set, pick rho,
-    fuse.  Both solves start cold, or from start: the last step's weights.
-    Both enclosing solves are kept in the record."""
+    fuse.  Both solves start from start, the last step's weights, when
+    given; else each starts as predict and measurement_ellipsoid say.  Both
+    enclosing solves are kept in the record."""
     pred_start, meas_start = (None, None) if start is None else start
     predicted, sol_pred, p_star = predict(e_k, model, k, opts, pred_start)
     aux = None

@@ -24,8 +24,10 @@ below zero stops there, drops that point and goes on on the smaller face.
 Each pass ends on fresh kappa, one O(d^2 m) product over the cloud, so the
 certificate of every solve is read from the kappa of its final weights, and
 its coverage scale from the quadratic form of the shape it returns, over
-the cloud.  Cold filter solves take one to a few dozen passes; most started
-from the last filter step take none.
+the cloud.  A filter solve starts from the last step's weights, or else from
+the optimum of its own fixed design, which is exact on an affine image of
+the design: most take no pass.  Solves from a design optimum over a curved
+image, and the cold ones, take one to a few dozen.
 """
 
 from __future__ import annotations

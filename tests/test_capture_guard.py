@@ -26,6 +26,10 @@ import source  # noqa: E402
 ])
 def test_capture_run_records_each_cloud(preset, pred_shape, meas_shape):
     mods = {name: importlib.import_module(f"smfilter.{name}") for name in source.MODULES}
+    # An empty cache makes the filter solve its design optima inside the
+    # run, as when this test runs alone: those solves must not reach the
+    # wrapped dsmf.fw_solve, whose recorder reads `.points` off every cloud.
+    mods["dsmf"]._design_optimum.cache_clear()
     clouds = capture.capture_run(mods, preset, steps=3, seed=0)
     assert [c.shape for c in clouds["pred"]] == [pred_shape] * 3
     assert [c.shape for c in clouds["meas"]] == [meas_shape] * 3

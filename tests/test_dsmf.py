@@ -1,10 +1,12 @@
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from smfilter import dsmf
+from smfilter import dsmf, mvee
 from smfilter.dsmf import (
     FilterOptions,
     SystemModel,
@@ -722,7 +724,8 @@ class TestWarmStartedSteps:
 
     def robot_run(self):
         """Records of a seeded robot run whose steps start from the last
-        step's weights, with a cold step from the same e_k beside each."""
+        step's weights, with a cold step from the same e_k beside each:
+        one whose solves get no start at all, not even a design optimum."""
         scenario = build_scenario("robot")
         model = build_model(scenario)
         rng = np.random.default_rng([21, 0])
@@ -732,14 +735,17 @@ class TestWarmStartedSteps:
         pairs, start = [], None
         for k in range(self.STEPS):
             rec = step(e, model, ys[k], k, opts, start)
-            pairs.append((rec, step(e, model, ys[k], k, opts)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dsmf, "_design_optimum", lambda m, n: None)
+                pairs.append((rec, step(e, model, ys[k], k, opts)))
             e, start = rec.updated, [s.weights for s in rec.solves]
         return pairs, model.state_dim * np.log1p(2 * opts.tol)
 
     def test_warm_solves_are_short_and_agree_with_cold_ones(self):
         pairs, bound = self.robot_run()
         iters = [warm.solves[0].iterations for warm, _ in pairs[1:]]
-        assert np.median(iters) <= 5  # cold: 18
+        cold_iters = [c.solves[0].iterations for _, c in pairs[1:]]
+        assert np.median(iters) <= 5 < np.median(cold_iters)  # cold: 18
         for warm, cold in pairs:
             assert all(s.converged for s in warm.solves)
             for field in ("predicted", "updated"):
@@ -754,6 +760,77 @@ class TestWarmStartedSteps:
                 ea, eb = getattr(a, field), getattr(b, field)
                 np.testing.assert_array_equal(ea.center, eb.center)
                 np.testing.assert_array_equal(ea.shape, eb.shape)
+
+
+class TestDesignOptimumStart:
+    """A solve with no last-step weights starts from the optimum of its own
+    design, which is exact for an affine image of the design."""
+
+    @staticmethod
+    def seeded(name, steps=3):
+        scenario = build_scenario(name)
+        model = build_model(scenario)
+        rng = np.random.default_rng([7, 0])
+        _, ys = simulate_truth(scenario, rng, steps=steps)
+        return model, ys, initial_estimate(scenario, rng)
+
+    def test_radar_prediction_takes_no_pass(self):
+        # Radar declares F: its prediction cloud is an affine image of the
+        # design, from e0 as from any later set.
+        model, ys, e = self.seeded("radar")
+        opts = FilterOptions()
+        assert model.F is not None
+        for k in range(3):
+            _, sol, _ = predict(e, model, k, opts)
+            assert sol.iterations == 0 and sol.converged
+            np.testing.assert_array_equal(sol.weights, dsmf._design_optimum(200, 4))
+            e = step(e, model, ys[k], k, opts).updated
+
+    def test_radar_step_without_start_is_the_design_optimum_start(self):
+        model, ys, e0 = self.seeded("radar")
+        opts = FilterOptions()
+        start = [dsmf._design_optimum(200, 4), dsmf._design_optimum(200, 2)]
+        a = step(e0, model, ys[0], 0, opts)
+        b = step(e0, model, ys[0], 0, opts, start)
+        assert a.solves[0].iterations == 0 and a.solves[1].iterations <= 2  # cold: 7, 5
+        for field in ("predicted", "measurement", "updated"):
+            ea, eb = getattr(a, field), getattr(b, field)
+            np.testing.assert_array_equal(ea.center, eb.center)
+            np.testing.assert_array_equal(ea.shape, eb.shape)
+        for sa, sb in zip(a.solves, b.solves):
+            np.testing.assert_array_equal(sa.weights, sb.weights)
+
+    def test_robot_product_grid_starts_cold(self, monkeypatch):
+        # With aux the cloud is a product grid, which has no design optimum.
+        model, ys, e0 = self.seeded("robot", steps=1)
+        opts = FilterOptions()
+        predicted = predict(e0, model, 0, opts)[0]
+        aux = model.aux_from_predicted(predicted)
+        calls = []
+
+        def recording(cloud, **kwargs):
+            calls.append((cloud.points, kwargs))
+            return mvee.fw_solve(cloud, **kwargs)
+
+        monkeypatch.setattr(dsmf, "fw_solve", recording)
+        meas, sol = measurement_ellipsoid(ys[0], model, aux, opts)
+        (points, kwargs), = calls
+        assert kwargs["start"] is None
+        cold = mvee.fw_solve(points, tol=opts.tol, max_iter=opts.max_iter)
+        assert sol.iterations == cold.iterations
+        np.testing.assert_array_equal(sol.weights, cold.weights)
+        np.testing.assert_array_equal(meas.center, cold.ellipsoid.center)
+        np.testing.assert_array_equal(meas.shape, cold.ellipsoid.shape)
+
+    def test_import_solves_nothing(self):
+        # The design optima are solved on first use, so importing the
+        # package costs no solve.
+        code = ("import smfilter\n"
+                "from smfilter import dsmf\n"
+                "print(dsmf._design_optimum.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "0"
 
 
 class TestUpdateFormulaLimits:

@@ -11,6 +11,7 @@ from smfilter import harness
 from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
 from smfilter.dsmf import FilterOptions, StepRecord, predict, step
+from smfilter.ellipsoid import contains
 from smfilter.errors import ConfigError, EmptyIntersectionError, SpdError
 from smfilter.harness import (
     RunConfig,
@@ -203,6 +204,29 @@ class TestRunExperiment:
                 assert np.array_equal(a.center, b.center)
                 assert np.array_equal(a.shape, b.shape)
 
+    @pytest.mark.parametrize("scenario", ["radar", "robot"])
+    def test_stacked_figures_are_the_per_set_figures(self, scenario):
+        # A run reads the center, containment, trace and logdet of all its
+        # sets in one stacked call each; they must be the values of the
+        # per-set calls, bit for bit.
+        result = run_experiment(RunConfig(scenario=scenario, filters=harness.KNOWN_FILTERS,
+                                          runs=3, steps=12, master_seed=5))
+        for run in result.runs:
+            for log in run.filters.values():
+                assert log.estimates.tolist() == [e.center.tolist() for e in log.sets]
+                assert log.contained.tolist() == [
+                    bool(contains(e, run.truth[k + 1], harness.CONTAINMENT_SLACK))
+                    for k, e in enumerate(log.sets)]
+                assert log.traces.tolist() == [float(np.trace(e.shape)) for e in log.sets]
+                assert log.logdets.tolist() == [
+                    float(np.linalg.slogdet(e.shape)[1]) for e in log.sets]
+
+    def test_logdet_of_a_stack_keeps_the_sign_rule(self):
+        stack = np.array([np.diag([2.0, 3.0]), np.diag([1.0, -1.0]), np.zeros((2, 2))])
+        out = harness._logdet(stack)
+        assert out[0] == pytest.approx(np.log(6.0)) and out[1:].tolist() == [-np.inf, -np.inf]
+        assert float(harness._logdet(np.diag([-1.0, 2.0]))) == -np.inf
+
     def test_one_truth_simulation_per_run(self, monkeypatch):
         # The config's truth probe belongs to validate, not to every call.
         calls = []
@@ -271,7 +295,8 @@ class TestCarriedFailure:
             assert len(log.sets) == 4
         assert [r is None for r in dsmf_log.records] == [False, True, False, False]
         assert isinstance(dsmf_log.records[0], StepRecord)
-        # A carried step leaves no weights, so the next step starts cold.
+        # A carried step leaves no weights, so the next step starts as the
+        # first does, from the design optima.
         assert starts[0] is None and starts[2] is None
         assert starts[1] is not None and starts[3] is not None
 
