@@ -124,6 +124,9 @@ def cmd_mvee(args) -> int:
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: row {bad[0] + 1} is not finite")
     if not 0.0 < args.tol < np.inf:
         raise ConfigError("--tol must be finite and positive")
     if args.max_iter is not None and args.max_iter < 0:
@@ -143,6 +146,10 @@ def cmd_mvee(args) -> int:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    if min(args.n, default=0) < 1:
+        raise ConfigError("--n must be >= 1")
+    if min(args.m, default=0) <= max(args.n):
+        raise ConfigError("--m must be >= n + 1 for every --n")
     rows = bench_mvee(args.n, args.m, args.trials, master_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,8 +159,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep_sigma(args) -> int:
-    if args.sigma_step <= 0 or args.sigma_to < args.sigma_from:
-        raise ConfigError("need step > 0 and to >= from")
+    if not args.sigma_from > 0.0:
+        raise ConfigError("--from must be > 0")
+    if not (0.0 < args.sigma_step < np.inf and args.sigma_from <= args.sigma_to < np.inf):
+        raise ConfigError("need finite step > 0 and to >= from")
     if args.replicates < 1:
         raise ConfigError("--replicates must be >= 1")
     sigmas = np.arange(args.sigma_from, args.sigma_to + 0.5 * args.sigma_step,

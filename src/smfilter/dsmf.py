@@ -8,10 +8,10 @@ way, over the same kind of design on the noise boundary, and fuses it with
 the prediction using the classical linear set-membership update, written
 on one joint diagonalisation per update.  There the fused trace and the
 consistency delta are sums of n scalars in the mixing parameter rho, with
-closed-form derivatives: rho is found by Newton steps on the trace's
-derivative from the best point of a fixed grid, and emptiness by the
-maximum of the concave delta.  The filter draws no random numbers: one
-state and measurement sequence always gives the same sets.
+closed-form derivatives: one bracketed Newton solve over the whole search
+interval finds rho on the trace's derivative, and emptiness on that of the
+concave delta.  The filter draws no random numbers: one state and
+measurement sequence always gives the same sets.
 """
 
 from __future__ import annotations
@@ -226,8 +226,6 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
     Returns (predicted ellipsoid, enclosing solve, covering-sum parameter
     p_star).
     """
-    if opts.m_samples < model.state_dim + 1:
-        raise ValueError("m_samples must be at least state_dim + 1")
     design = (opts.m_samples, model.state_dim)
     boundary = e_k.center + _design(*design) @ e_k.factor().T
     sol = _enclose(model.f(boundary, k), opts, lambda: f"prediction at step {k}",
@@ -329,13 +327,7 @@ def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
     return center, shape, delta
 
 
-# The rho search: one grid over [RHO_EDGE, 1 - RHO_EDGE], then Newton in
-# the cells beside its best point until a step is at most _NEWTON_STEP.
-_GRID = np.linspace(RHO_EDGE, 1.0 - RHO_EDGE, 65)
-_GRID.setflags(write=False)
-_GRID_WEIGHT = _GRID * (1.0 - _GRID)
-_GRID_WEIGHT.setflags(write=False)
-_NEWTON_STEP = 1e-9
+_NEWTON_STEP = 1e-9  # the rho search stops at a step this short
 
 
 def _scalars(rho: float, terms: list) -> tuple:
@@ -370,26 +362,25 @@ def _trace_slope(rho: float, terms: list) -> tuple[float, float]:
             -delta2 * size - 2.0 * delta1 * size1 + (1.0 - delta) * size2)
 
 
-def _newton(slope: Callable, terms: list, j: int) -> float:
-    """A zero of a rising slope(rho, terms) -> (f, f') in a grid cell beside
-    _GRID[j], by safeguarded Newton steps from _GRID[j].
+def _newton(slope: Callable, terms: list) -> float:
+    """The zero of a rising slope(rho, terms) -> (f, f') on [RHO_EDGE,
+    1 - RHO_EDGE], by safeguarded Newton steps.
 
-    The cell is the one the slope at _GRID[j] points into.  When it points
-    out of the grid, or the slope has the same sign at both ends of the
-    cell, _GRID[j] is returned.  Otherwise the cell brackets the zero: a
+    When the slope is >= 0 at RHO_EDGE, RHO_EDGE is returned, and when it
+    is <= 0 at 1 - RHO_EDGE, that end.  Otherwise the interval brackets a
+    zero, and the steps start from the end with the smaller |slope|: a
     Newton step is taken when it lands inside the bracket and is at most
     half the last step, else the bracket is bisected, until a step is at
     most _NEWTON_STEP.
     """
-    x = float(_GRID[j])
-    f, df = slope(x, terms)
-    k = j + 1 if f < 0.0 else j - 1
-    if f == 0.0 or not 0 <= k < _GRID.size:
-        return x
-    other = float(_GRID[k])
-    if (slope(other, terms)[0] < 0.0) == (f < 0.0):
-        return x
-    lo, hi = (x, other) if f < 0.0 else (other, x)
+    lo, hi = RHO_EDGE, 1.0 - RHO_EDGE
+    f, df = slope(lo, terms)
+    if f >= 0.0:
+        return lo
+    f_hi, df_hi = slope(hi, terms)
+    if f_hi <= 0.0:
+        return hi
+    x, f, df = (lo, f, df) if -f <= f_hi else (hi, f_hi, df_hi)
     step = hi - lo
     while True:
         if df > 0.0 and lo <= x - f / df <= hi and abs(f) <= 0.5 * step * df:
@@ -415,42 +406,36 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionPar
     On the joint diagonalisation of fuse, with d_i = 1 + rho e_i and e_i =
     s_i^2 - 1, the fused trace is T = (1 - delta) S with S = sum_i a_i /
     d_i and a_i = ||L u_i||^2, and delta = rho (1-rho) sum_i h_i^2 / d_i;
-    both have closed-form first and second derivatives in rho.  One array
-    operation evaluates T and delta on a fixed 65-point grid over
-    [RHO_EDGE, 1 - RHO_EDGE].  Newton steps on T' from the grid's best
-    point then find the minimum in the cell beside it (see _newton); rho
-    stays at the search edge when T rises from it, as on most robot
-    updates.  Returns that rho, with the delta fuse gives there.
+    both have closed-form first and second derivatives in rho.  rho is the
+    zero of T' on [RHO_EDGE, 1 - RHO_EDGE] (_newton), or the edge T rises
+    from, as on every robot update; returned with the delta fuse gives
+    there.  T was unimodal on every case probed (every dsmf and esmf update
+    of both presets, thousands of random pairs, near-empty cases with
+    delta's maximum up to 0.9999), so that zero is its minimum, as the
+    fine-grid oracle tests check.  Soundness does not rest on it: the fused
+    set at any rho with delta < 1 contains the intersection of the sets.
 
-    The fused set at any rho contains the intersection of the two sets, and
-    delta >= 1 leaves it at most one point.  No rho gives a delta above
-    sum_i h_i^2 / (1 + s_i)^2; when that bound reaches 1, Newton steps on
-    delta' from the grid's largest delta find the maximum of delta over the
-    search interval, which is concave in rho (delta'' = -2 sum_i h_i^2 s_i^2
-    / d_i^3).  EmptyIntersectionError is raised if and only if that maximum
-    is >= 1.
+    delta >= 1 leaves the intersection at most one point.  No rho gives a
+    delta above sum_i h_i^2 / (1 + s_i)^2; when that bound reaches 1,
+    _newton on delta' finds the maximum of the concave delta (delta'' = -2
+    sum_i h_i^2 s_i^2 / d_i^3).  EmptyIntersectionError is raised if and
+    only if that maximum is >= 1.
     """
     basis, s2, h2, _ = _joint_diag(pred, meas, e_p)
-    a = (basis * basis).sum(axis=0)
-    e = s2 - 1.0
-    inv = 1.0 / (1.0 + _GRID[:, None] * e)
-    delta = _GRID_WEIGHT * (inv @ h2)
-    terms = list(zip(a.tolist(), h2.tolist(), e.tolist(), s2.tolist()))
+    terms = list(zip((basis * basis).sum(axis=0).tolist(), h2.tolist(),
+                     (s2 - 1.0).tolist(), s2.tolist()))
     # rho (1-rho) / d_i peaks at 1 / (1 + s_i)^2, so delta never exceeds
     # sum_i h_i^2 / (1 + s_i)^2.
     if (h2 / (1.0 + np.sqrt(s2)) ** 2).sum() >= 1.0:
-        peak = int(np.argmax(delta))
-        worst, at = float(delta[peak]), float(_GRID[peak])
-        if worst < 1.0:
-            at = _newton(_delta_slope, terms, peak)
-            worst = _fused_delta(at, s2, h2)[0]
+        at = _newton(_delta_slope, terms)
+        worst = _fused_delta(at, s2, h2)[0]
         if worst >= 1.0:
             raise EmptyIntersectionError(
                 f"delta = {worst:.6g} >= 1 at rho = {at:.6g}: "
                 "prediction and measurement sets meet in at most one point",
                 delta=worst,
             )
-    rho = _newton(_trace_slope, terms, int(np.argmin((1.0 - delta) * (inv @ a))))
+    rho = _newton(_trace_slope, terms)
     return FusionParams(rho=rho, delta=_fused_delta(rho, s2, h2)[0])
 
 

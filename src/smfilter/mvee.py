@@ -115,8 +115,7 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     with c0 and L0 L0^T the weighted mean and second moment S0 of the
     cloud, L0 lower triangular with a positive diagonal, and yt the lifted
     cloud in that frame, w_i = L0^{-1} (x_i - c0), where M(mu) = I.  None
-    when the cloud is not finite, when at most n points carry weight, or
-    when S0 fails the rank margin.
+    when at most n points carry weight, or when S0 fails the rank margin.
 
     L0 is R^T from a QR factorisation of the weighted deviations, not the
     Cholesky factor of S0: its rounding grows with cond(L0), not cond(S0).
@@ -124,7 +123,7 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     about 1e-11 of I, where the Cholesky factor leaves it about 1e-6 off."""
     act = np.flatnonzero(mu)
     m, n = pts.shape
-    if act.size <= n or not np.all(np.isfinite(pts)):
+    if act.size <= n:
         return None
     mu_a = mu[act]
     c0 = mu_a @ pts[act]
@@ -252,9 +251,10 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
     reached.  Either way the shape is scaled up, if need be, to cover every
-    point.  Clouds that do not affinely span get one isotropic jitter of
-    magnitude 1e-9 * diameter added to the initial moment matrix; if that is
-    still singular a RankDeficiencyError carrying the rank is raised.
+    point.  A non-finite row raises RankDeficiencyError before any
+    arithmetic.  Clouds that do not affinely span get one isotropic jitter
+    of magnitude 1e-9 * diameter added to the initial moment matrix; if that
+    is still singular a RankDeficiencyError carrying the rank is raised.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -263,6 +263,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     pts = _as_points(points)
     m, n = pts.shape
     d = n + 1
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise RankDeficiencyError(f"row {bad[0]} of the cloud is not finite", required=d)
     if m < d:
         raise RankDeficiencyError(
             f"need at least n+1 = {d} points, got {m}", rank=m, required=d

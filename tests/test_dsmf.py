@@ -175,6 +175,16 @@ class TestPredict:
         out, sol, _ = predict(e, model, 0, FilterOptions())
         np.testing.assert_array_equal(out.center, sol.ellipsoid.center)
 
+    def test_too_few_design_points_is_the_solves_rank_error(self):
+        # The filter's one floor on m_samples is the enclosing solve's own,
+        # n + 1 points, named with the step; RunConfig rejects it earlier.
+        scenario = build_scenario("radar")
+        e = initial_estimate(scenario, np.random.default_rng(3))
+        with pytest.raises(RankDeficiencyError) as exc:
+            predict(e, build_model(scenario), 7, FilterOptions(m_samples=4))
+        assert str(exc.value) == "prediction at step 7: need at least n+1 = 5 points, got 4"
+        assert isinstance(exc.value, ValueError)
+
     @pytest.mark.parametrize("name", ["radar", "robot"])
     def test_covering_sum_is_minkowski_outer(self, name):
         # predict forms the covering sum as a matrix; minkowski_outer, with
@@ -456,6 +466,20 @@ def max_reference_delta(pred, meas, e_p):
     return delta(0.5 * (lo + hi))
 
 
+def near_empty_pair(rng, n, r, peak):
+    """A random_pair with the shapes of both sets scaled along each axis by
+    a factor from 1e-3 to 1e3, and the innovation scaled so that the largest
+    delta over (0, 1) is peak: the sets nearly miss each other."""
+    pred, meas, e_p = random_pair(rng, n, r)
+    axes = 10.0 ** rng.uniform(-1.5, 1.5, n)
+    pred = Ellipsoid(pred.center, axes[:, None] * pred.shape * axes)
+    axes = 10.0 ** rng.uniform(-1.5, 1.5, r)
+    meas = Ellipsoid(meas.center, axes[:, None] * meas.shape * axes)
+    innov = (meas.center - e_p @ pred.center) * np.sqrt(
+        peak / max_reference_delta(pred, meas, e_p))
+    return pred, Ellipsoid(e_p @ pred.center + innov, meas.shape), e_p
+
+
 class TestOptimizeRho:
     @pytest.mark.parametrize("name", ["radar", "robot"])
     def test_no_worse_than_the_linspace_search(self, name):
@@ -476,27 +500,34 @@ class TestOptimizeRho:
 
     @pytest.mark.parametrize("name", ["radar", "robot"])
     def test_few_slope_evaluations_per_newton_solve(self, name, monkeypatch):
-        counts = []
+        # A solve reads the slope at RHO_EDGE, then at 1 - RHO_EDGE, then
+        # steps from the end with the smaller |slope|: at most 9 evaluations
+        # on these records, 10 over the dsmf and esmf updates of both
+        # presets, 12 over random pairs.  rho at the low edge, as on every
+        # robot record, takes the one evaluation there.
+        solves = []
         newton = dsmf._newton
 
-        def counted(slope, terms, j):
+        def counted(slope, terms):
             calls = []
 
             def slope_counted(rho, terms):
                 calls.append(rho)
                 return slope(rho, terms)
 
-            try:
-                return newton(slope_counted, terms, j)
-            finally:
-                counts.append(len(calls))
+            rho = newton(slope_counted, terms)
+            solves.append((len(calls), rho))
+            return rho
 
         monkeypatch.setattr(dsmf, "_newton", counted)
         model, records = seeded_records(name)
-        for rec in records:
-            optimize_rho(rec.predicted, rec.measurement, model.E_p)
-        assert len(counts) >= len(records)
-        assert max(counts) <= 8
+        rhos = [optimize_rho(rec.predicted, rec.measurement, model.E_p).rho
+                for rec in records]
+        assert len(solves) >= len(records)
+        assert max(calls for calls, _ in solves) <= 12
+        assert all(calls == 1 for calls, rho in solves if rho == dsmf.RHO_EDGE)
+        if name == "robot":
+            assert rhos == [dsmf.RHO_EDGE] * len(records)
 
     def test_delta_is_concave_and_below_its_bound(self):
         # delta'' <= 0 on every pair, and no rho takes delta above
@@ -515,13 +546,13 @@ class TestOptimizeRho:
     def test_emptiness_is_exact(self, excess, empty):
         # The innovation of the infeasible-subinterval case, scaled so that
         # the largest delta over (0, 1) is 1 + excess.  For 1 + 1e-7, delta
-        # >= 1 on a stretch of rho about 3e-4 wide, with no point of the
-        # search grid on it: the raise must come from the maximum itself.
+        # >= 1 on a stretch of rho about 3e-4 wide, with no point of a
+        # 65-point grid on it: the raise must come from the maximum itself.
         pred = Ellipsoid([0.0, 0.0], np.diag([1.0, 4.0]))
         base = np.array([2.2, 0.5])
         peak = max_reference_delta(pred, Ellipsoid(base, np.diag([0.3, 1.0])), np.eye(2))
         meas = Ellipsoid(base * np.sqrt((1.0 + excess) / peak), np.diag([0.3, 1.0]))
-        for rho in dsmf._GRID:
+        for rho in np.linspace(dsmf.RHO_EDGE, 1.0 - dsmf.RHO_EDGE, 65):
             fuse(pred, meas, np.eye(2), float(rho))
         if empty:
             with pytest.raises(EmptyIntersectionError) as exc:
@@ -531,11 +562,19 @@ class TestOptimizeRho:
             assert optimize_rho(pred, meas, np.eye(2)).delta < 1.0
 
     def test_fine_grid_oracle_on_random_pairs(self):
+        # Random pairs, then near-empty ones (see near_empty_pair), whose
+        # delta peaks in [0.3, 0.9999] with r < n and axes 1e-3 to 1e3.
         rng = np.random.default_rng(29)
         grid = np.linspace(1e-6, 1 - 1e-6, 10_000)
+        pairs = []
         for _ in range(40):
             n = int(rng.integers(1, 5))
-            pred, meas, e_p = random_pair(rng, n, int(rng.integers(1, n + 1)))
+            pairs.append(random_pair(rng, n, int(rng.integers(1, n + 1))))
+        for _ in range(100):
+            n = int(rng.integers(2, 5))
+            pairs.append(near_empty_pair(rng, n, int(rng.integers(1, n)),
+                                         rng.uniform(0.3, 0.9999)))
+        for pred, meas, e_p in pairs:
             params = optimize_rho(pred, meas, e_p)
             best = reference_fused_traces(pred, meas, e_p, grid).min()
             got = reference_fused_traces(pred, meas, e_p, [params.rho])[0]

@@ -573,6 +573,14 @@ class TestCli:
         pts.write_text("1,1\n1,1\n1,1\n1,1\n")
         assert self.run_cli("mvee", "--points", str(pts)) == 3
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_mvee_non_finite_point_exit_2(self, tmp_path, capsys, value):
+        pts = tmp_path / "bad.csv"
+        pts.write_text(f"0,0\n1,0\n0,{value}\n1,1\n")
+        assert self.run_cli("mvee", "--points", str(pts)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "row 3 is not finite" in err
+
     def test_mvee_missing_file_exit_2(self, tmp_path):
         assert self.run_cli("mvee", "--points", str(tmp_path / "nope.csv")) == 2
 
@@ -587,12 +595,27 @@ class TestCli:
     @pytest.mark.parametrize("args, flag", [
         (("bench", "--n", "2", "--m", "50", "--trials", "0"), "--trials"),
         (("sweep-sigma", "--from", "5", "--to", "5", "--replicates", "0"), "--replicates"),
+        (("bench", "--n", "0", "--m", "50", "--trials", "1"), "--n"),
+        (("bench", "--n", "2", "--m", "2", "--trials", "1"), "--m"),
+        (("sweep-sigma", "--from", "0", "--to", "5"), "--from"),
+        (("sweep-sigma", "--from", "-5", "--to", "5"), "--from"),
     ])
     def test_empty_study_exit_2(self, tmp_path, capsys, args, flag):
         # Zero trials died in numpy's reduction over an empty array; zero
-        # replicates printed NaN slopes and exited 0.
+        # replicates printed NaN slopes and exited 0.  A zero --n died with
+        # an IndexError, an --m of n or fewer points with a rank error
+        # (exit 3), and a prior size of zero or less with an SpdError.
+        rule = {"--m": ">= n + 1 for every --n", "--from": "> 0"}.get(flag, ">= 1")
         assert self.run_cli(*args, "--out", str(tmp_path)) == 2
-        assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
+        assert f"config error: {flag} must be {rule}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [("--to", "nan"), ("--to", "inf"), ("--step", "inf"),
+                                      ("--step", "nan"), ("--from", "nan")])
+    def test_sweep_sigma_non_finite_range_exit_2(self, tmp_path, capsys, args):
+        # These died in np.arange with a ValueError traceback.
+        assert self.run_cli("sweep-sigma", *args, "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_sweep_sigma_subcommand(self, tmp_path, capsys):

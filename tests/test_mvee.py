@@ -118,6 +118,17 @@ class TestFwSolve:
         assert contains(sol.ellipsoid, pts, 1e-12).all()
         assert sol.coverage_scale > 1.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("start", [None, np.full(4, 0.25)])
+    def test_non_finite_point_named_before_any_arithmetic(self, bad, start):
+        # An infinite point used to warn from inf - inf in the whitening
+        # before the solve failed; a NaN one failed as a singular moment
+        # matrix of rank None.
+        pts = CROSS.copy()
+        pts[2, 1] = bad
+        with pytest.raises(RankDeficiencyError, match="row 2 of the cloud is not finite"):
+            fw_solve(pts, start=start)
+
     def test_singleton_cloud_errors(self):
         with pytest.raises(RankDeficiencyError):
             fw_solve(np.zeros((6, 2)))
