@@ -12,6 +12,12 @@ closed-form derivatives: one bracketed Newton solve over the whole search
 interval finds rho on the trace's derivative, and emptiness on that of the
 concave delta.  The filter draws no random numbers: one state and
 measurement sequence always gives the same sets.
+
+Each enclosing solve starts from weights near its optimum: the last step's,
+else the optimum of its design, which is exact on an affine image of the
+design.  The first prediction of a run over curved dynamics is far from
+that, so the harness starts it from the optimum over the image of the
+preset's nominal initial set (_prediction_start).
 """
 
 from __future__ import annotations
@@ -126,8 +132,11 @@ class FilterOptions:
     keeps that scale of a converged solve within 1 + 2e-5, and a filter run
     performs thousands of solves.  A solve starts from the last step's
     weights, or else from the optimum of its own design (_design_optimum);
-    only a product-grid measurement cloud (a model with aux) has no design
-    optimum and starts cold, in tens of iterations.  A start whitens the
+    the harness starts a run's first prediction from the optimum over the
+    image of the preset's nominal initial set (_prediction_start), which is
+    closer than the design's on curved dynamics.  Only a product-grid
+    measurement cloud (a model with aux) has no design optimum and starts
+    cold, in tens of iterations.  A start whitens the
     cloud by its weights, and when they are still optimal the solve takes
     no iteration and is returned on that whitening factor; max_iter only
     bounds a pathological cloud, whose capped solve may need a larger
@@ -196,6 +205,29 @@ def _design_optimum(m: int, n: int) -> np.ndarray:
     return mvee.fw_solve(_design(m, n)).weights
 
 
+def _boundary(e: Ellipsoid, design: tuple) -> np.ndarray:
+    """The design points c + E u on the boundary of e."""
+    return e.center + _design(*design) @ e.factor().T
+
+
+def _prediction_start(e0: Ellipsoid, model: SystemModel,
+                      opts: FilterOptions) -> np.ndarray | None:
+    """The weights of the first prediction's enclosing solve from e0, over
+    f(c + design E^T, 0) and started from the design optimum; None for a
+    model that declares F, where the design optimum is exact.
+
+    Every design point has kappa within rounding of d, so the design's
+    optimum is an arbitrary vertex of its optimal face, 15-25 passes from
+    the optimum over a curved image.  The optimum over the image of a set
+    of the same shape nearby is about one pass from it.  Solved through the
+    mvee module, as _design_optimum is."""
+    if model.F is not None:
+        return None
+    design = (opts.m_samples, model.state_dim)
+    return mvee.fw_solve(model.f(_boundary(e0, design), 0), tol=opts.tol,
+                         max_iter=opts.max_iter, start=_design_optimum(*design)).weights
+
+
 def _enclose(points: np.ndarray, opts: FilterOptions, what: Callable[[], str],
              start, design: tuple | None) -> MveeSolution:
     """The enclosing solve of a cloud whose row i is the image of row i of
@@ -221,15 +253,16 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
     encloses the image, and adds the process-noise bound with the
     trace-optimal covering sum.  The center is the enclosing-ellipsoid
     center; the covering sum never moves it.  The solve starts from the
-    start weights over the design when given, else from the design's own
-    optimum, which is already optimal when f is affine (see fw_solve).
+    start weights over the design when given (the last step's, or for a
+    run's first step the optimum from _prediction_start), else from the
+    design's own optimum, which is already optimal when f is affine (see
+    fw_solve).
     Returns (predicted ellipsoid, enclosing solve, covering-sum parameter
     p_star).
     """
     design = (opts.m_samples, model.state_dim)
-    boundary = e_k.center + _design(*design) @ e_k.factor().T
-    sol = _enclose(model.f(boundary, k), opts, lambda: f"prediction at step {k}",
-                   start, design)
+    sol = _enclose(model.f(_boundary(e_k, design), k), opts,
+                   lambda: f"prediction at step {k}", start, design)
     center, shape = sol.ellipsoid.center, sol.ellipsoid.shape
     p_star = optimal_p(shape, model.Q)
     return Ellipsoid(center, covering_sum(shape, model.Q, p_star)), sol, p_star
@@ -253,16 +286,18 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     """
     y = np.asarray(y, dtype=float)
     aux = np.empty((0, 2)) if aux is None else np.reshape(aux, (-1, 2))
-    count = opts.m_samples
     if len(aux):
         count = ceil(sqrt(opts.m_samples))
         count += count % 2
-    grids = [np.linspace(lo, hi, count) for lo, hi in aux]
-    noise = _design(count, model.meas_dim) @ model._r_factor.T
-    # Noise direction slowest, then each parameter grid in turn.
-    mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
-    pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
-    design = None if len(aux) else (count, model.meas_dim)
+        noise = _design(count, model.meas_dim) @ model._r_factor.T
+        # Noise direction slowest, then each parameter grid in turn.
+        grids = [np.linspace(lo, hi, count) for lo, hi in aux]
+        mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
+        pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
+        design = None
+    else:
+        design = (opts.m_samples, model.meas_dim)
+        pts = model.h_inv(y, _design(*design) @ model._r_factor.T, ())
     sol = _enclose(pts, opts, lambda: f"measurement set for y={y}", start, design)
     return sol.ellipsoid, sol
 

@@ -2,7 +2,10 @@
 truths, aggregates metrics, benchmarks the enclosing-ellipsoid solver, and
 writes CSV/JSON outputs for external plotting.  Every filter state is an
 Ellipsoid, whose size and containment are what a run reports: the
-set-membership filters' guaranteed set, the ukf's three-sigma set.
+set-membership filters' guaranteed set, the ukf's three-sigma set.  The
+first prediction of the dual filter is solved once per experiment, on the
+preset's nominal initial set, and every run's first prediction starts
+from those weights; each later solve from the last step's.
 
 All randomness flows from a single master seed; per-run seeds are derived
 with a stable 64-bit mix and recorded so any single run can be replayed.
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import scenarios as sc
 from .baselines import esmf_predict, esmf_step, ukf_step, uniform_covariance
-from .dsmf import FilterOptions, _design, predict, step
+from .dsmf import FilterOptions, _design, _prediction_start, predict, step
 from .ellipsoid import Ellipsoid, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
@@ -216,17 +219,22 @@ def _logdet(shape: np.ndarray):
     return np.where(sign > 0, val, -np.inf)
 
 
-def _run_filter(name: str, config: RunConfig, model, e0: Ellipsoid,
-                truth: np.ndarray, measurements: np.ndarray) -> FilterRunLog:
+def _run_filter(name: str, config: RunConfig, opts: FilterOptions, model,
+                e0: Ellipsoid, truth: np.ndarray, measurements: np.ndarray,
+                first) -> FilterRunLog:
     """Step one filter through a run.  A step that raises NumericalError
     is carried by its prediction, unless on_empty is raise or the filter
-    is ukf, whose errors propagate."""
-    opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
+    is ukf, whose errors propagate.  first, when not None, are the weights
+    dsmf's first prediction starts from."""
     state, carry = e0, None
     if name == "dsmf":
         def advance(e, k, last):
-            # Warm start from the last step's solve weights, if it solved.
-            start = None if last is None else [s.weights for s in last.solves]
+            # Warm start from the last step's solve weights, if it solved;
+            # the first prediction from first.
+            if last is not None:
+                start = [s.weights for s in last.solves]
+            else:
+                start = None if k or first is None else (first, None)
             rec = step(e, model, measurements[k], k, opts, start)
             return rec.updated, rec
 
@@ -337,7 +345,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     order.  An override the preset or its truth cannot use, or an
     m_samples below the preset's state_dim + 1, raises ConfigError, as in
     validate.  Every set-membership update fuses at the rho that minimises
-    the fused trace.
+    the fused trace.  Every run's initial set is the preset's nominal set
+    {x0, P0} moved by at most init_offset P0, so dsmf's first prediction is
+    solved once on the nominal set (_prediction_start); if that solve fails
+    numerically, first predictions start from the design optimum.
     """
     config._check_fields()
     with config._preset_errors():
@@ -348,6 +359,15 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
     runs: list[RunLog] = []
     failures = {name: 0 for name in config.filters}
+    opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
+    first = None
+    if "dsmf" in config.filters:
+        with config._preset_errors():
+            nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)
+        try:
+            first = _prediction_start(nominal, model, opts)
+        except NumericalError:
+            pass
     for r, seed in enumerate(seeds):
         truth_rng = np.random.default_rng([seed, 0])
         with config._preset_errors():
@@ -355,7 +375,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             e0 = initial_estimate(scenario, truth_rng)
         logs = {}
         for name in config.filters:
-            log = _run_filter(name, config, model, e0, truth, measurements)
+            log = _run_filter(name, config, opts, model, e0, truth, measurements, first)
             failures[name] += log.failures
             logs[name] = log
         runs.append(RunLog(r, seed, truth, measurements, logs))

@@ -17,17 +17,21 @@ M^{-1} yt_i, or away from the weighted vertex with the smallest (a "drop"
 step when its weight hits zero), with the exact line-search step gamma =
 (kappa_i - d) / (d (kappa_i - 1)).  Frank-Wolfe finds the support but
 zig-zags for thousands of passes while weighing it (Ahipasaoglu, Sun & Todd
-2008), so while at most d(d+1)/2 points carry weight (the most an optimal
-support needs) each pass then takes Newton steps for the dual on their face
-(Sun & Freund 2004) up to the face optimum: a step that would take a weight
-below zero stops there, drops that point and goes on on the smaller face.
-Each pass ends on fresh kappa, one O(d^2 m) product over the cloud, so the
+2008), so each pass then takes Newton steps for the dual on the face of the
+weighted points (Sun & Freund 2004) up to the face optimum: a step that
+would take a weight below zero stops there, drops that point and goes on on
+the smaller face.  An optimal support needs at most d(d+1)/2 points, and
+only that many can carry a Newton step, so when more carry weight (a dense
+start, the cold fallback to every point) the pass first moves it onto that
+many with M unchanged (_shrink_support).  Each pass
+ends on fresh kappa, one O(d^2 m) product over the cloud, so the
 certificate of every solve is read from the kappa of its final weights, and
 its coverage scale from the quadratic form of the shape it returns, over
-the cloud.  A filter solve starts from the last step's weights, or else from
-the optimum of its own fixed design, which is exact on an affine image of
-the design: most take no pass.  Solves from a design optimum over a curved
-image, and the cold ones, take one to a few dozen.
+the cloud.  A filter solve starts from the last step's weights; a run's
+first prediction from the optimum over the image of the preset's nominal
+initial set, at most two passes off; any other from the optimum of its own
+fixed design, which is exact on an affine image of the design.  Most take
+no pass; the cold ones take one to a few dozen.
 """
 
 from __future__ import annotations
@@ -92,21 +96,28 @@ def _moment_matrix(yt: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def _factor(mmat: np.ndarray, d: int):
     """(M^{-1}, logdet M) of a d x d moment matrix from one eigh, or None
-    when M is singular.
+    when M is singular or not finite.
 
     The moment matrix is PSD by construction but can be singular to machine
     precision, where cholesky and inv may silently succeed with garbage; an
-    explicit relative eigenvalue margin is the reliable detector."""
-    if not np.all(np.isfinite(mmat)):
+    explicit relative eigenvalue margin is the reliable detector.  On a NaN
+    or infinite entry eigh raises, or an eigenvalue fails the margin or
+    leaves logdet NaN."""
+    try:
+        lam, vec = np.linalg.eigh(mmat)
+    except np.linalg.LinAlgError:
         return None
-    lam, vec = np.linalg.eigh(mmat)
     if not _spans(lam, d):
         return None
-    return (vec / lam) @ vec.T, float(np.log(lam).sum())
+    logdet = float(np.log(lam).sum())
+    if math.isnan(logdet):
+        return None
+    return (vec / lam) @ vec.T, logdet
 
 
 def _spans(lam: np.ndarray, d: int) -> bool:
-    """The rank margin on the ascending eigenvalues of a PSD moment matrix."""
+    """The rank margin on the ascending eigenvalues of a PSD moment matrix:
+    False when the first or the last is NaN, or the last infinite."""
     return bool(lam[0] > lam[-1] * d * 1e-14)
 
 
@@ -187,12 +198,14 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
     objective, or when only d points are left."""
     d = ya.shape[1]
     out = np.zeros(mu_a.size)
+    ones = np.ones(mu_a.size)
     keep = np.arange(mu_a.size)  # positions in A of the face's points
     factor = None
     while True:
         k = ya @ minv @ ya.T
+        k *= k
         try:
-            z = np.linalg.solve(k * k, np.ones(mu_a.size))
+            z = np.linalg.solve(k, ones[:mu_a.size])
         except np.linalg.LinAlgError:
             break
         total = z.sum()
@@ -201,13 +214,18 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
         if not 0.0 < total < np.inf:
             break
         step = mu_a - z / total
+        # Ratio test over the falling weights: the first to reach zero
+        # within the full step, or at its end, stops the step and is dropped.
         neg = np.flatnonzero(step < 0.0)
-        # Ratio test over the falling weights; the appended 1 is the full step.
-        room = np.append(mu_a[neg] / -step[neg], 1.0)
-        j = room.argmin()
-        new = mu_a + room[j] * step
-        full = j == neg.size
-        if not full:
+        full = True
+        if neg.size:
+            room = mu_a[neg] / -step[neg]
+            j = room.argmin()
+            full = room[j] > 1.0
+        if full:
+            new = mu_a + step
+        else:
+            new = mu_a + room[j] * step
             new[neg[j]] = 0.0
         np.maximum(new, 0.0, out=new)
         new /= new.sum()
@@ -227,6 +245,32 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
             break
         ya, mu_a, keep = ya[live], new[live], keep[live]
     return None if factor is None else (out, factor)
+
+
+def _shrink_support(yt: np.ndarray, mu: np.ndarray, act: np.ndarray,
+                    face_max: int) -> np.ndarray:
+    """Move the weights mu of the points act onto at most face_max =
+    d(d+1)/2 of them, in place, with M(mu) unchanged; returns those points.
+
+    Any face_max + 1 lifted outer products yt_i yt_i^T, symmetric d x d,
+    have a null combination z, whose homogeneous entry gives sum_i z_i = 0,
+    so mu + t z keeps M(mu) and the objective.  t runs to the first weight
+    that reaches zero, whose point is dropped (Caratheodory)."""
+    rows, cols = np.triu_indices(yt.shape[1])
+    while act.size > face_max:
+        head = act[:face_max + 1]
+        y = yt[head]
+        z = np.linalg.svd((y[:, rows] * y[:, cols]).T)[2][-1]
+        neg = np.flatnonzero(z < 0.0)
+        w = mu[head]
+        room = w[neg] / -z[neg]
+        j = room.argmin()
+        w += room[j] * z
+        w[neg[j]] = 0.0
+        np.maximum(w, 0.0, out=w)
+        mu[head] = w
+        act = np.concatenate([head[w > 0.0], act[face_max + 1:]])
+    return act
 
 
 def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
@@ -263,9 +307,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     pts = _as_points(points)
     m, n = pts.shape
     d = n + 1
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise RankDeficiencyError(f"row {bad[0]} of the cloud is not finite", required=d)
+    if not np.isfinite(pts).all():
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+        raise RankDeficiencyError(f"row {bad} of the cloud is not finite", required=d)
     if m < d:
         raise RankDeficiencyError(
             f"need at least n+1 = {d} points, got {m}", rank=m, required=d
@@ -311,6 +355,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         mean, axes, yt = frame
         work = yt[:, :n]
         minv, logdet = np.eye(d), 0.0
+        kappa = np.einsum("ij,ij->i", yt, yt)  # M = I
     else:
         mean = pts.mean(axis=0)
         centered = pts - mean
@@ -331,13 +376,13 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         else:
             jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
             minv, logdet = support_factor()
+        kappa = _gradient(yt, minv)
     path = [logdet]
 
     threshold = tol * d
     face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0
     while True:
-        kappa = _gradient(yt, minv)
         act = np.flatnonzero(mu)
         ip = kappa.argmax()
         ia = act[kappa[act].argmin()]
@@ -386,18 +431,19 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         mu *= 1.0 - gamma
         mu[i] = 0.0 if dropped else mu[i] + gamma
         act = np.flatnonzero(mu)
-        factor = None
-        if act.size <= face_max:
-            # Sherman-Morrison update of M^{-1} to seed the Newton steps.
-            v = minv @ yt[i]
-            minv = (minv - (c / (1.0 + c * ki)) * np.outer(v, v)) / (1.0 - gamma)
-            newton = _face_newton(yt[act], mu[act], minv, jitter, path[-1])
-            if newton is not None:
-                mu[act], factor = newton
-                path[-1] = factor[1]
-        if factor is None:
+        if act.size > face_max:
+            act = _shrink_support(yt, mu, act, face_max)
+        # Sherman-Morrison update of M^{-1} to seed the Newton steps.
+        v = minv @ yt[i]
+        minv = (minv - (c / (1.0 + c * ki)) * np.outer(v, v)) / (1.0 - gamma)
+        newton = _face_newton(yt[act], mu[act], minv, jitter, path[-1])
+        if newton is None:
             factor = support_factor()
+        else:
+            mu[act], factor = newton
+            path[-1] = factor[1]
         minv = factor[0]
+        kappa = _gradient(yt, minv)
         it += 1
 
     whitened_scale = max(1.0, (float(kappa.max()) - 1.0) / n)

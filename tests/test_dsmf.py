@@ -861,6 +861,41 @@ class TestDesignOptimumStart:
         np.testing.assert_array_equal(meas.center, cold.ellipsoid.center)
         np.testing.assert_array_equal(meas.shape, cold.ellipsoid.shape)
 
+    def test_robot_nominal_weights_are_the_first_prediction_optimum(self, monkeypatch):
+        # Solved from the design optimum through the mvee module, never the
+        # dsmf.fw_solve that tools wrap; a prediction of the same set from
+        # those weights then takes no pass.
+        scenario = build_scenario("robot")
+        model = build_model(scenario)
+        nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)
+        opts = FilterOptions()
+        cold = predict(nominal, model, 0, opts)[1]
+        assert cold.iterations > 3
+
+        def wrapped(*args, **kwargs):
+            raise AssertionError("the nominal solve reached dsmf.fw_solve")
+
+        monkeypatch.setattr(dsmf, "fw_solve", wrapped)
+        weights = dsmf._prediction_start(nominal, model, opts)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(weights, cold.weights)
+        warm = predict(nominal, model, 0, opts, weights)[1]
+        assert warm.converged and warm.iterations == 0
+
+    def test_measurement_without_aux_is_the_noise_design_image(self):
+        # The noise design goes to h_inv as it is, as the product-grid
+        # index over it gave before.
+        model, ys, _ = self.seeded("radar")
+        opts = FilterOptions()
+        noise = dsmf._design(200, 2) @ np.linalg.cholesky(model.R).T
+        pts = model.h_inv(ys[0], noise[np.arange(200)], ())
+        want = mvee.fw_solve(pts, tol=opts.tol, max_iter=opts.max_iter,
+                             start=dsmf._design_optimum(200, 2))
+        meas, sol = measurement_ellipsoid(ys[0], model, None, opts)
+        np.testing.assert_array_equal(sol.weights, want.weights)
+        np.testing.assert_array_equal(meas.center, want.ellipsoid.center)
+        np.testing.assert_array_equal(meas.shape, want.ellipsoid.shape)
+
     def test_import_solves_nothing(self):
         # The design optima are solved on first use, so importing the
         # package costs no solve.

@@ -10,9 +10,9 @@ import pytest
 from smfilter import harness
 from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
-from smfilter.dsmf import FilterOptions, StepRecord, predict, step
-from smfilter.ellipsoid import contains
-from smfilter.errors import ConfigError, EmptyIntersectionError, SpdError
+from smfilter.dsmf import FilterOptions, StepRecord, _prediction_start, predict, step
+from smfilter.ellipsoid import Ellipsoid, contains
+from smfilter.errors import ConfigError, EmptyIntersectionError, RankDeficiencyError, SpdError
 from smfilter.harness import (
     RunConfig,
     affine_fit_r2,
@@ -249,6 +249,78 @@ class TestRunExperiment:
 
     def test_radar_rmse_theta_is_nan(self, tiny_result):
         assert all(np.isnan(r.rmse_theta) for r in tiny_result.metrics)
+
+
+class TestFirstPredictionStart:
+    """Every run's first dsmf prediction starts from the optimum over the
+    image of the preset's nominal set {x0, P0}, solved once per experiment."""
+
+    @staticmethod
+    def spied(monkeypatch, nominal=None):
+        """Record the start of every dsmf step by step index, and replace
+        the nominal solve with nominal when given."""
+        starts = []
+
+        def spy(e, model, y, k, opts, start=None):
+            starts.append((k, start))
+            return step(e, model, y, k, opts, start)
+
+        monkeypatch.setattr(harness, "step", spy)
+        if nominal is not None:
+            monkeypatch.setattr(harness, "_prediction_start", nominal)
+        return starts
+
+    @staticmethod
+    def assert_same_sets(a, b):
+        for run_a, run_b in zip(a.runs, b.runs, strict=True):
+            for ea, eb in zip(run_a.filters["dsmf"].sets, run_b.filters["dsmf"].sets,
+                              strict=True):
+                np.testing.assert_array_equal(ea.center, eb.center)
+                np.testing.assert_array_equal(ea.shape, eb.shape)
+
+    def test_robot_first_predictions_take_few_passes(self, monkeypatch):
+        # From the design optimum each took 18 passes.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _prediction_start(*args)
+
+        monkeypatch.setattr(harness, "_prediction_start", counted)
+        result = run_experiment(RunConfig(scenario="robot", filters=("dsmf",), runs=8,
+                                          steps=1, master_seed=4))
+        assert len(calls) == 1
+        firsts = [run.filters["dsmf"].records[0].solves[0] for run in result.runs]
+        assert all(s.converged and s.iterations <= 3 for s in firsts)
+
+    def test_run_sets_do_not_depend_on_the_run_count(self):
+        base = dict(scenario="robot", filters=("dsmf",), steps=4, master_seed=9)
+        three = run_experiment(RunConfig(runs=3, **base))
+        five = run_experiment(RunConfig(runs=5, **base))
+        five.runs = five.runs[:3]
+        self.assert_same_sets(three, five)
+
+    def test_radar_first_step_starts_as_every_step_without_weights(self, monkeypatch):
+        # Radar declares F, whose design optimum is exact: no nominal
+        # weights, so every step calls step() as it did before.
+        starts = self.spied(monkeypatch)
+        scenario = build_scenario("radar")
+        nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)
+        assert _prediction_start(nominal, build_model(scenario), FilterOptions()) is None
+        run_experiment(RunConfig(scenario="radar", filters=("dsmf",), runs=2, steps=3))
+        assert [start for k, start in starts if k == 0] == [None, None]
+
+    def test_failed_nominal_solve_leaves_the_design_optimum_start(self, monkeypatch):
+        def failing(*args):
+            raise RankDeficiencyError("nominal cloud does not span", rank=2, required=4)
+
+        config = RunConfig(scenario="robot", filters=("dsmf",), runs=2, steps=3, master_seed=2)
+        starts = self.spied(monkeypatch, failing)
+        failed = run_experiment(config)
+        assert [start for k, start in starts if k == 0] == [None, None]
+        assert failed.failures == {"dsmf": 0}
+        monkeypatch.setattr(harness, "_prediction_start", lambda *args: None)
+        self.assert_same_sets(failed, run_experiment(config))
 
 
 class TestCarriedFailure:

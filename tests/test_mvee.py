@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smfilter import mvee
+from smfilter.dsmf import _design
 from smfilter.ellipsoid import Ellipsoid, contains
 from smfilter.errors import RankDeficiencyError
 from smfilter.mvee import fw_solve, lift, line_search_step
+from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
 from reference import dual_objective, fw_gradient, kkt_residual, sample_boundary
 
@@ -386,6 +389,80 @@ class TestWarmStart:
                 assert np.all(np.diff(warm.objective_path) >= 0)
                 logdets = [np.linalg.slogdet(s.ellipsoid.shape)[1] for s in (cold, warm)]
                 assert abs(logdets[0] - logdets[1]) <= n * np.log1p(2 * tol), (seed, tol)
+
+
+class TestDenseStarts:
+    """Weight on more points than an optimal support needs, d(d+1)/2, is
+    moved onto at most that many with M unchanged, and the Newton steps
+    follow, where plain Frank-Wolfe passes used to run on to the cap."""
+
+    @staticmethod
+    def robot_first_cloud():
+        scenario = build_scenario("robot")
+        model = build_model(scenario)
+        e0 = initial_estimate(scenario, np.random.default_rng(3))
+        return model.f(e0.center + _design(200, 3) @ e0.factor().T, 0)
+
+    @pytest.mark.parametrize("support", [200, 10])
+    def test_robot_first_cloud_from_a_dense_start(self, support):
+        # The filter's budget; both starts ran to max_iter = 1000 before.
+        cloud = self.robot_first_cloud()
+        start = np.zeros(200)
+        start[:support] = 1.0
+        sol = fw_solve(cloud, tol=1e-5, max_iter=1000, start=start)
+        assert sol.converged and sol.iterations <= 40
+        assert np.count_nonzero(sol.weights) <= 10
+        assert np.all(np.diff(sol.objective_path) >= 0)
+
+    def test_random_starts_converge_in_few_passes(self):
+        # At the standalone defaults these took 50 to 300 passes.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(3 * n * n, 200))
+            pts = rng.standard_normal((m, n)) @ rng.standard_normal((n, n))
+            sol = fw_solve(pts, start=rng.random(m), max_iter=1000)
+            assert sol.converged and sol.iterations <= 40, seed
+            assert kkt_residual(sol, pts) <= 10 * mvee.DEFAULT_TOL * (n + 1), seed
+
+    def test_shrink_keeps_the_moment_matrix(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 4):
+            d = n + 1
+            face_max = d * (d + 1) // 2
+            yt = lift(rng.standard_normal((60, n)))
+            mu = rng.random(60)
+            mu[::7] = 0.0
+            mu /= mu.sum()
+            before = yt.T @ (mu[:, None] * yt)
+            act = mvee._shrink_support(yt, mu, np.flatnonzero(mu), face_max)
+            np.testing.assert_array_equal(act, np.flatnonzero(mu))
+            assert act.size <= face_max
+            assert np.all(mu >= 0.0) and mu.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(yt.T @ (mu[:, None] * yt), before, atol=1e-12)
+
+
+class TestFactor:
+    """The moment-matrix factor rejects a non-finite matrix with no test of
+    its entries: eigh raises, or an eigenvalue fails the rank margin or
+    leaves logdet NaN."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 2)])
+    def test_non_finite_entry_gives_none(self, bad, where):
+        mmat = np.diag([0.5, 1.0, 2.0])
+        mmat[where] = mmat[where[::-1]] = bad
+        assert mvee._factor(mmat, 3) is None
+
+    def test_nan_between_finite_eigenvalues_gives_none(self):
+        # eigh returns [0.5, nan, 2]: the margin on the first and last
+        # eigenvalues passes, the logdet is NaN.
+        assert mvee._factor(np.diag([0.5, np.nan, 2.0]), 3) is None
+
+    def test_finite_matrix_factored(self):
+        minv, logdet = mvee._factor(np.diag([0.5, 1.0, 2.0]), 3)
+        np.testing.assert_allclose(minv, np.diag([2.0, 1.0, 0.5]))
+        assert logdet == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
