@@ -16,8 +16,9 @@ measurement sequence always gives the same sets.
 Each enclosing solve starts from weights near its optimum: the last step's,
 else the optimum of its design, which is exact on an affine image of the
 design.  The first prediction of a run over curved dynamics is far from
-that, so the harness starts it from the optimum over the image of the
-preset's nominal initial set (_prediction_start).
+that, so in an experiment of two or more runs the harness starts it from
+the optimum over the image of the preset's nominal initial set
+(_prediction_start), solved once for all of them.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ class FilterOptions:
     keeps that scale of a converged solve within 1 + 2e-5, and a filter run
     performs thousands of solves.  A solve starts from the last step's
     weights, or else from the optimum of its own design (_design_optimum);
-    the harness starts a run's first prediction from the optimum over the
-    image of the preset's nominal initial set (_prediction_start), which is
-    closer than the design's on curved dynamics.  Only a product-grid
+    with two or more runs the harness starts each run's first prediction
+    from the optimum over the image of the preset's nominal initial set
+    (_prediction_start), which is closer than the design's on curved
+    dynamics.  Only a product-grid
     measurement cloud (a model with aux) has no design optimum and starts
     cold, in tens of iterations.  A start whitens the
     cloud by its weights, and when they are still optimal the solve takes

@@ -2,10 +2,9 @@
 truths, aggregates metrics, benchmarks the enclosing-ellipsoid solver, and
 writes CSV/JSON outputs for external plotting.  Every filter state is an
 Ellipsoid, whose size and containment are what a run reports: the
-set-membership filters' guaranteed set, the ukf's three-sigma set.  The
-first prediction of the dual filter is solved once per experiment, on the
-preset's nominal initial set, and every run's first prediction starts
-from those weights; each later solve from the last step's.
+set-membership filters' guaranteed set, the ukf's three-sigma set.  With
+two or more runs, every run's first dsmf prediction starts from weights
+solved once on the preset's nominal initial set.
 
 All randomness flows from a single master seed; per-run seeds are derived
 with a stable 64-bit mix and recorded so any single run can be replayed.
@@ -345,10 +344,12 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     order.  An override the preset or its truth cannot use, or an
     m_samples below the preset's state_dim + 1, raises ConfigError, as in
     validate.  Every set-membership update fuses at the rho that minimises
-    the fused trace.  Every run's initial set is the preset's nominal set
-    {x0, P0} moved by at most init_offset P0, so dsmf's first prediction is
-    solved once on the nominal set (_prediction_start); if that solve fails
-    numerically, first predictions start from the design optimum.
+    the fused trace.  Every run's e0 is the nominal set {x0, P0} moved by
+    at most init_offset P0, so with two or more runs dsmf's first
+    prediction is solved once on it (_prediction_start) and each run's
+    starts from there, a pass or two away.  One run, which that solve
+    would not speed up, and every run when it fails numerically, start
+    from the design optimum: run r's sets depend on whether runs > 1.
     """
     config._check_fields()
     with config._preset_errors():
@@ -361,7 +362,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     failures = {name: 0 for name in config.filters}
     opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
     first = None
-    if "dsmf" in config.filters:
+    if "dsmf" in config.filters and config.runs > 1:
         with config._preset_errors():
             nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)
         try:

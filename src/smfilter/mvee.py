@@ -27,9 +27,10 @@ many with M unchanged (_shrink_support).  Each pass
 ends on fresh kappa, one O(d^2 m) product over the cloud, so the
 certificate of every solve is read from the kappa of its final weights, and
 its coverage scale from the quadratic form of the shape it returns, over
-the cloud.  A filter solve starts from the last step's weights; a run's
-first prediction from the optimum over the image of the preset's nominal
-initial set, at most two passes off; any other from the optimum of its own
+the cloud.  A filter solve starts from the last step's weights; in an
+experiment of two or more runs, a run's first prediction from the optimum
+over the image of the preset's nominal initial set, at most two passes
+off; any other from the optimum of its own
 fixed design, which is exact on an affine image of the design.  Most take
 no pass; the cold ones take one to a few dozen.
 """
@@ -96,28 +97,21 @@ def _moment_matrix(yt: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def _factor(mmat: np.ndarray, d: int):
     """(M^{-1}, logdet M) of a d x d moment matrix from one eigh, or None
-    when M is singular or not finite.
+    when M is singular.
 
     The moment matrix is PSD by construction but can be singular to machine
     precision, where cholesky and inv may silently succeed with garbage; an
-    explicit relative eigenvalue margin is the reliable detector.  On a NaN
-    or infinite entry eigh raises, or an eigenvalue fails the margin or
-    leaves logdet NaN."""
-    try:
-        lam, vec = np.linalg.eigh(mmat)
-    except np.linalg.LinAlgError:
+    explicit relative eigenvalue margin is the reliable detector."""
+    if not np.all(np.isfinite(mmat)):
         return None
+    lam, vec = np.linalg.eigh(mmat)
     if not _spans(lam, d):
         return None
-    logdet = float(np.log(lam).sum())
-    if math.isnan(logdet):
-        return None
-    return (vec / lam) @ vec.T, logdet
+    return (vec / lam) @ vec.T, float(np.log(lam).sum())
 
 
 def _spans(lam: np.ndarray, d: int) -> bool:
-    """The rank margin on the ascending eigenvalues of a PSD moment matrix:
-    False when the first or the last is NaN, or the last infinite."""
+    """The rank margin on the ascending eigenvalues of a PSD moment matrix."""
     return bool(lam[0] > lam[-1] * d * 1e-14)
 
 
@@ -198,14 +192,12 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
     objective, or when only d points are left."""
     d = ya.shape[1]
     out = np.zeros(mu_a.size)
-    ones = np.ones(mu_a.size)
     keep = np.arange(mu_a.size)  # positions in A of the face's points
     factor = None
     while True:
         k = ya @ minv @ ya.T
-        k *= k
         try:
-            z = np.linalg.solve(k, ones[:mu_a.size])
+            z = np.linalg.solve(k * k, np.ones(mu_a.size))
         except np.linalg.LinAlgError:
             break
         total = z.sum()
@@ -214,18 +206,13 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
         if not 0.0 < total < np.inf:
             break
         step = mu_a - z / total
-        # Ratio test over the falling weights: the first to reach zero
-        # within the full step, or at its end, stops the step and is dropped.
         neg = np.flatnonzero(step < 0.0)
-        full = True
-        if neg.size:
-            room = mu_a[neg] / -step[neg]
-            j = room.argmin()
-            full = room[j] > 1.0
-        if full:
-            new = mu_a + step
-        else:
-            new = mu_a + room[j] * step
+        # Ratio test over the falling weights; the appended 1 is the full step.
+        room = np.append(mu_a[neg] / -step[neg], 1.0)
+        j = room.argmin()
+        new = mu_a + room[j] * step
+        full = j == neg.size
+        if not full:
             new[neg[j]] = 0.0
         np.maximum(new, 0.0, out=new)
         new /= new.sum()

@@ -863,7 +863,8 @@ class TestDesignOptimumStart:
 
     def test_robot_nominal_weights_are_the_first_prediction_optimum(self, monkeypatch):
         # Solved from the design optimum through the mvee module, never the
-        # dsmf.fw_solve that tools wrap; a prediction of the same set from
+        # dsmf.fw_solve that tools wrap, in the 18 passes a run's first
+        # prediction took from there; a prediction of the same set from
         # those weights then takes no pass.
         scenario = build_scenario("robot")
         model = build_model(scenario)
@@ -875,9 +876,18 @@ class TestDesignOptimumStart:
         def wrapped(*args, **kwargs):
             raise AssertionError("the nominal solve reached dsmf.fw_solve")
 
+        solves, solve = [], mvee.fw_solve
+
+        def counted(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
         monkeypatch.setattr(dsmf, "fw_solve", wrapped)
+        monkeypatch.setattr(mvee, "fw_solve", counted)
         weights = dsmf._prediction_start(nominal, model, opts)
         monkeypatch.undo()
+        assert len(solves) == 1  # the design optimum is cached by predict
+        assert solves[0].converged and solves[0].iterations <= 20
         np.testing.assert_array_equal(weights, cold.weights)
         warm = predict(nominal, model, 0, opts, weights)[1]
         assert warm.converged and warm.iterations == 0

@@ -293,6 +293,16 @@ class TestFirstPredictionStart:
         firsts = [run.filters["dsmf"].records[0].solves[0] for run in result.runs]
         assert all(s.converged and s.iterations <= 3 for s in firsts)
 
+    def test_one_run_starts_from_the_design_optimum(self, monkeypatch):
+        # The nominal solve costs as much as the first prediction it would
+        # start, so an experiment of one run does not make it.
+        def unused(*args):
+            raise AssertionError("a one-run experiment made the nominal solve")
+
+        starts = self.spied(monkeypatch, unused)
+        run_experiment(RunConfig(scenario="robot", filters=("dsmf",), runs=1, steps=2))
+        assert [start for k, start in starts if k == 0] == [None]
+
     def test_run_sets_do_not_depend_on_the_run_count(self):
         base = dict(scenario="robot", filters=("dsmf",), steps=4, master_seed=9)
         three = run_experiment(RunConfig(runs=3, **base))
