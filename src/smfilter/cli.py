@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +122,16 @@ def cmd_mvee(args) -> int:
     if not path.exists():
         raise ConfigError(f"points file {path} does not exist")
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise ConfigError(f"{path}: row {bad[0] + 1} is not finite")
+    if len(pts) <= pts.shape[1]:
+        raise ConfigError(f"{path}: need at least n+1 = {pts.shape[1] + 1} points, got {len(pts)}")
     if not 0.0 < args.tol < np.inf:
         raise ConfigError("--tol must be finite and positive")
     if args.max_iter is not None and args.max_iter < 0:
@@ -171,15 +176,10 @@ def cmd_sweep_sigma(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = write_sweep_csv(rows, out / "sigma_sweep.csv")
-    slope_new, _, _ = affine_fit_r2([r["sigma"] for r in rows],
-                                    [r["dsmf_logdet"] for r in rows])
-    slope_lin, _, _ = affine_fit_r2([r["sigma"] for r in rows],
-                                    [r["esmf_logdet"] for r in rows])
-    print(json.dumps({
-        "csv": str(path),
-        "dsmf_slope": slope_new,
-        "esmf_slope": slope_lin,
-    }, indent=2))
+    sigma = [r["sigma"] for r in rows]
+    slopes = {f"{name}_slope": affine_fit_r2(sigma, [r[f"{name}_logdet"] for r in rows])[0]
+              for name in ("dsmf", "esmf")}
+    print(json.dumps({"csv": str(path), **slopes}, indent=2))
     return 0
 
 

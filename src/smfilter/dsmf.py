@@ -1,17 +1,20 @@
 """Dual set-membership filter: the two-phase ellipsoidal recursion.
 
-Prediction covers the nonlinear image of the current state ellipsoid with
-an enclosing-ellipsoid solve over the image of a fixed design of boundary
+Prediction covers the nonlinear image of the current state ellipsoid with an
+enclosing-ellipsoid solve over the image of a fixed design of boundary
 points, then adds the process-noise bound through the parametric covering
 sum.  The measurement update encloses the inverse-measurement set the same
 way, over the same kind of design on the noise boundary, and fuses it with
-the prediction using the classical linear set-membership update, written
-on one joint diagonalisation per update.  There the fused trace and the
+the prediction using the classical linear set-membership update, written on
+a joint diagonalisation of the two sets.  There the fused trace and the
 consistency delta are sums of n scalars in the mixing parameter rho, with
 closed-form derivatives: one bracketed Newton solve over the whole search
 interval finds rho on the trace's derivative, and emptiness on that of the
-concave delta.  The filter draws no random numbers: one state and
-measurement sequence always gives the same sets.
+concave delta.  An update diagonalises twice, in optimize_rho and again in
+fuse: the benchmark (smbench/tracer.py) times the rho search and the fusion
+as those two calls, so the search does not hand its diagonalisation on.  The
+filter draws no random numbers: one state and measurement sequence always
+gives the same sets.
 
 Each enclosing solve starts from weights near its optimum: the last step's,
 else the optimum of its design, which is exact on an affine image of the
@@ -136,14 +139,13 @@ class FilterOptions:
     with two or more runs the harness starts each run's first prediction
     from the optimum over the image of the preset's nominal initial set
     (_prediction_start), which is closer than the design's on curved
-    dynamics.  Only a product-grid
-    measurement cloud (a model with aux) has no design optimum and starts
-    cold, in tens of iterations.  A start whitens the
-    cloud by its weights, and when they are still optimal the solve takes
-    no iteration and is returned on that whitening factor; max_iter only
-    bounds a pathological cloud, whose capped solve may need a larger
-    scale.  Fusion has no knob: every update takes the rho that minimises
-    the fused trace (optimize_rho).
+    dynamics.  Only a product-grid measurement cloud (a model with aux) has
+    no design optimum and starts cold, in tens of iterations.  A start
+    whitens the cloud by its weights, and when they are still optimal the
+    solve takes no iteration and is returned on that whitening factor;
+    max_iter only bounds a pathological cloud, whose capped solve may need a
+    larger scale.  Fusion has no knob: every update takes the rho that
+    minimises the fused trace (optimize_rho).
     """
 
     m_samples: int = 200
@@ -267,7 +269,8 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
                    lambda: f"prediction at step {k}", start, design)
     center, shape = sol.ellipsoid.center, sol.ellipsoid.shape
     p_star = optimal_p(shape, model.Q)
-    return Ellipsoid(center, covering_sum(shape, model.Q, p_star)), sol, p_star
+    chol, shape = spd_cholesky(covering_sum(shape, model.Q, p_star), what="covering sum")
+    return Ellipsoid._from_factor(center, shape, chol), sol, p_star
 
 
 def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
@@ -484,7 +487,8 @@ def _update(pred: Ellipsoid, meas: Ellipsoid,
     fused ellipsoid and the FusionParams of the rho search."""
     params = optimize_rho(pred, meas, e_p)
     center, shape, _ = fuse(pred, meas, e_p, params.rho)
-    return Ellipsoid(center, shape), params
+    chol, shape = spd_cholesky(shape, what="fused shape")
+    return Ellipsoid._from_factor(center, shape, chol), params
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,

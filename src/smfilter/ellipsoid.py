@@ -93,8 +93,8 @@ class Ellipsoid:
                      chol: np.ndarray) -> "Ellipsoid":
         """The ellipsoid with this center, shape and lower-triangular factor
         L of the shape (L L^T = shape), none of them checked or copied: for
-        a factor the caller has just formed, whose quadratic forms it has
-        read.  The arrays become read-only."""
+        a shape the caller has just formed and factored by spd_cholesky, or
+        scaled with its factor.  The arrays become read-only."""
         out = object.__new__(cls)
         out._freeze(center, shape, chol)
         return out

@@ -297,25 +297,17 @@ def compute_metrics(config: RunConfig, scenario, runs: list[RunLog],
     th = 2 if isinstance(scenario, sc.RobotScenario) else None  # the heading
     rows = []
     for name in config.filters:
-        err = np.stack([
-            log.filters[name].estimates - log.truth[1:] for log in runs
-        ])  # (runs, steps, n)
-        rmse = np.sqrt((err**2).mean(axis=0))  # (steps, n)
-        traces = np.stack([log.filters[name].traces for log in runs])
-        logdets = np.stack([log.filters[name].logdets for log in runs])
-        times = np.stack([log.filters[name].times for log in runs])
-        cont = np.stack([log.filters[name].contained for log in runs])
-        for k in range(steps):
-            rows.append(MetricsRow(
-                k=k + 1,
-                filter=name,
-                trace=float(traces[:, k].mean()),
-                logdet=float(logdets[:, k].mean()),
-                rmse_x=float(rmse[k, 0]),
-                rmse_theta=float(rmse[k, th]) if th is not None else float("nan"),
-                contained=float(cont[:, k].mean()),
-                time_s=float(times[:, k].mean()),
-            ))
+        logs = [log.filters[name] for log in runs]
+        err = np.stack([f.estimates - log.truth[1:] for f, log in zip(logs, runs)])
+        rmse = np.sqrt((err**2).mean(axis=0))  # (steps, n), over runs in order
+        # Each figure as (steps, runs), so that each step's mean sums its
+        # runs as the mean of one (runs,) column does.
+        trace, logdet, contained, time_s = (
+            np.stack([getattr(f, key) for f in logs], axis=1).mean(axis=1).tolist()
+            for key in ("traces", "logdets", "contained", "times"))
+        theta = rmse[:, th].tolist() if th is not None else [float("nan")] * steps
+        rows += map(MetricsRow, range(1, steps + 1), [name] * steps, trace, logdet,
+                    rmse[:, 0].tolist(), theta, contained, time_s)
     return rows
 
 
@@ -338,18 +330,17 @@ def aggregate(result: ExperimentResult) -> dict[str, dict[str, float]]:
 def run_experiment(config: RunConfig) -> ExperimentResult:
     """Simulate truth and run every requested filter for each replicate.
 
-    Deterministic given the config: replicate r uses seed mix(master_seed, r)
-    for its truth and initial set.  No filter draws random numbers, so the
-    sets of a filter do not depend on which other filters run, or in which
-    order.  An override the preset or its truth cannot use, or an
+    Deterministic given the config: replicate r uses seed mix(master_seed,
+    r) for its truth and initial set.  No filter draws random numbers, so
+    the sets of a filter do not depend on which other filters run, or in
+    which order.  An override the preset or its truth cannot use, or an
     m_samples below the preset's state_dim + 1, raises ConfigError, as in
-    validate.  Every set-membership update fuses at the rho that minimises
-    the fused trace.  Every run's e0 is the nominal set {x0, P0} moved by
-    at most init_offset P0, so with two or more runs dsmf's first
-    prediction is solved once on it (_prediction_start) and each run's
-    starts from there, a pass or two away.  One run, which that solve
-    would not speed up, and every run when it fails numerically, start
-    from the design optimum: run r's sets depend on whether runs > 1.
+    validate.  Every run's e0 is the nominal set {x0, P0} moved by at most
+    init_offset P0, so with two or more runs dsmf's first prediction is
+    solved once on it (_prediction_start) and each run's starts from there,
+    a pass or two away.  One run, which that solve would not speed up, and
+    every run when it fails numerically, start from the design optimum: run
+    r's sets depend on whether runs > 1.
     """
     config._check_fields()
     with config._preset_errors():

@@ -6,9 +6,11 @@ probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
 The dual is affine-invariant (Todd 2016), so each solve runs on a whitened
 copy of the cloud.  A start, such as the optimum of a nearby cloud, whitens
 it by its own weighted mean and second moment: there its M is the identity
-and kappa_i = 1 + ||w_i||^2.  A start that is already optimal then costs one
-pass over the cloud, and its ellipsoid is built on the factor that whitened
-the cloud, with no factorisation.  A cold solve whitens by the covariance of
+and kappa_i = 1 + ||w_i||^2, and the rank margin of that frame is read off
+the frame's triangular factor and its inverse, with no SVD (_start_frame).
+A start that is already optimal then costs one pass over the cloud, and its
+ellipsoid is built on the factor that whitened the cloud, with no
+factorisation.  A cold solve whitens by the covariance of
 the whole cloud and starts on the <= 2n points holding the extremes of each
 whitened coordinate (a small core set, after Kumar & Yildirim 2005), else on
 every point.  Each pass takes one Frank-Wolfe step along mu + gamma (e_i -
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, PointCloud, symmetrize
+from .ellipsoid import Ellipsoid, PointCloud, spd_cholesky, symmetrize
 from .errors import RankDeficiencyError
 
 DEFAULT_TOL = 1e-7
@@ -120,12 +122,15 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     with c0 and L0 L0^T the weighted mean and second moment S0 of the
     cloud, L0 lower triangular with a positive diagonal, and yt the lifted
     cloud in that frame, w_i = L0^{-1} (x_i - c0), where M(mu) = I.  None
-    when at most n points carry weight, or when S0 fails the rank margin.
+    when at most n points carry weight, or when L0 fails the rank margin.
 
     L0 is R^T from a QR factorisation of the weighted deviations, not the
     Cholesky factor of S0: its rounding grows with cond(L0), not cond(S0).
     At cond(S0) = 1e10 that keeps the M(mu) of the computed frame within
-    about 1e-11 of I, where the Cholesky factor leaves it about 1e-6 off."""
+    about 1e-11 of I, where the Cholesky factor leaves it about 1e-6 off.
+    The margin is read off L0 and the inverse that whitens, as cond(L0)^2
+    <= ||L0||_F^2 ||L0^{-1}||_F^2: it rejects every frame that the margin
+    on the singular values of L0 rejects."""
     act = np.flatnonzero(mu)
     m, n = pts.shape
     if act.size <= n:
@@ -133,11 +138,15 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     mu_a = mu[act]
     c0 = mu_a @ pts[act]
     r = np.linalg.qr(np.sqrt(mu_a)[:, None] * (pts[act] - c0), mode="r")
-    if not _spans(np.linalg.svd(r, compute_uv=False)[::-1] ** 2, n + 1):
-        return None
     l0 = r.T * np.sign(r.diagonal())
+    try:
+        inv = np.linalg.inv(l0)
+    except np.linalg.LinAlgError:  # a zero pivot: the weighted points are flat
+        return None
+    if not _spans((1.0 / np.vdot(inv, inv), np.vdot(l0, l0)), n + 1):
+        return None
     yt = np.ones((m, n + 1))
-    np.matmul(pts - c0, np.linalg.inv(l0).T, out=yt[:, :n])
+    np.matmul(pts - c0, inv.T, out=yt[:, :n])
     return c0, l0, yt
 
 
@@ -309,16 +318,12 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         if not (start.shape == (m,) and np.all(start >= 0.0) and 0.0 < start.sum() < np.inf):
             raise ValueError("start must be m finite nonnegative weights with a positive sum")
 
-    # Affine preconditioning: iterate on a whitened copy of the cloud, x =
-    # mean + axes w.  Weights, gradient values and gap are affine-invariant
-    # in exact arithmetic, and whitening keeps the moment matrices well
-    # conditioned for very thin clouds.  A start that passes the rank margin
-    # whitens the cloud by its own weights (see _start_frame), which sets
-    # M(start) = I: the first kappa_i is 1 + ||w_i||^2 and the path starts
-    # at logdet 0 with no factorisation.  Otherwise the mean and covariance
-    # of the whole cloud whiten it, and the solve starts on the <= 2n points
-    # holding the min and max of each whitened coordinate, else on every
-    # point (1.0), else with the jitter.
+    # Iterate on a whitened copy of the cloud, x = mean + axes w, which
+    # keeps the moment matrices of thin clouds well conditioned: by the
+    # weights of a start that passes the rank margin (_start_frame), where
+    # M(start) = I and the path starts at logdet 0 with no factorisation,
+    # else by the covariance of the whole cloud, from the <= 2n axis
+    # extremes, else from every point (1.0), else with the jitter.
     mu = np.empty(m)
     # One-shot regularization for clouds that do not affinely span; kept in
     # every moment matrix so the optimized objective stays fixed.
@@ -457,8 +462,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
         center = mean + axes @ center_w
         second = symmetrize(axes @ second_w @ axes.T)
-        ellipsoid = Ellipsoid(center, n * second)
-        z = (pts - center) @ np.linalg.inv(ellipsoid.factor()).T
+        chol, shape = spd_cholesky(n * second, what="enclosing shape")
+        ellipsoid = Ellipsoid._from_factor(center, shape, chol)
+        z = (pts - center) @ np.linalg.inv(chol).T
         coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
         if coverage_scale > 1.0:
             ellipsoid = ellipsoid.scaled(coverage_scale)

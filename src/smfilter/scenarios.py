@@ -263,11 +263,9 @@ def simulate_truth(scenario, rng: np.random.Generator,
     vs = sample_interior(v_ball, n_steps, rng)
     traj = np.empty((n_steps + 1, model.state_dim))
     traj[0] = np.asarray(scenario.x0, dtype=float)
-    meas = np.empty((n_steps, model.meas_dim))
     for k in range(n_steps):
         traj[k + 1] = model.f(traj[k], k) + ws[k]
-        meas[k] = model.h(traj[k + 1]) + vs[k]
-    return traj, meas
+    return traj, model.h(traj[1:]) + vs
 
 
 def initial_estimate(scenario, rng: np.random.Generator) -> Ellipsoid:

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: the enclosing-ellipsoid dual
 objective, its gradient and the KKT residual of a solve, each evaluated
-from scratch; the covering sum as a checked Ellipsoid; and sampling on
-the boundary of an ellipsoid.
+from scratch; the covering sum as a checked Ellipsoid; sampling on the
+boundary of an ellipsoid; and the per-step loops of the truth simulation
+and of the metrics table.
 
 The dual objective and its gradient are evaluated on the cloud translated
 by its plain mean.  A translation maps the lifted points by a matrix of
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from smfilter.ellipsoid import Ellipsoid, _sphere, spd_cholesky, symmetrize
+from smfilter import scenarios as sc
+from smfilter.ellipsoid import Ellipsoid, _sphere, sample_interior, spd_cholesky, symmetrize
+from smfilter.harness import MetricsRow
 from smfilter.mvee import (
     MveeSolution,
     _as_points,
@@ -86,3 +89,44 @@ def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("m must be >= 1")
     u = _sphere(m, e.dim, rng)
     return e.center + u @ e.factor().T
+
+
+def simulate_truth_by_step(scenario, rng: np.random.Generator, steps: int | None = None):
+    """scenarios.simulate_truth with one measurement call per step: the same
+    draws in the same order, each measurement from its own call of h."""
+    model = sc.build_model(scenario)
+    n_steps = scenario.steps if steps is None else steps
+    ws = sample_interior(Ellipsoid(np.zeros(model.state_dim), model.Q), n_steps, rng)
+    vs = sample_interior(Ellipsoid(np.zeros(model.meas_dim), model.R), n_steps, rng)
+    traj = np.empty((n_steps + 1, model.state_dim))
+    traj[0] = np.asarray(scenario.x0, dtype=float)
+    meas = np.empty((n_steps, model.meas_dim))
+    for k in range(n_steps):
+        traj[k + 1] = model.f(traj[k], k) + ws[k]
+        meas[k] = model.h(traj[k + 1]) + vs[k]
+    return traj, meas
+
+
+def metrics_by_step(config, scenario, runs, steps: int) -> list:
+    """harness.compute_metrics with one mean over the runs per (filter,
+    step) and figure, each taken over that step's (runs,) column."""
+    th = 2 if isinstance(scenario, sc.RobotScenario) else None
+    rows = []
+    for name in config.filters:
+        err = np.stack([log.filters[name].estimates - log.truth[1:] for log in runs])
+        rmse = np.sqrt((err**2).mean(axis=0))
+        traces, logdets, times, cont = (
+            np.stack([getattr(log.filters[name], key) for log in runs])
+            for key in ("traces", "logdets", "times", "contained"))
+        for k in range(steps):
+            rows.append(MetricsRow(
+                k=k + 1,
+                filter=name,
+                trace=float(traces[:, k].mean()),
+                logdet=float(logdets[:, k].mean()),
+                rmse_x=float(rmse[k, 0]),
+                rmse_theta=float(rmse[k, th]) if th is not None else float("nan"),
+                contained=float(cont[:, k].mean()),
+                time_s=float(times[:, k].mean()),
+            ))
+    return rows

@@ -23,7 +23,12 @@ from smfilter.ellipsoid import (
     sample_interior,
     symmetrize,
 )
-from smfilter.errors import EmptyIntersectionError, MeasurementDomainError, RankDeficiencyError
+from smfilter.errors import (
+    EmptyIntersectionError,
+    MeasurementDomainError,
+    RankDeficiencyError,
+    SpdError,
+)
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import (
     build_model,
@@ -199,6 +204,52 @@ class TestPredict:
             assert p_star == optimal_p(sol.ellipsoid.shape, model.Q)
             assert np.array_equal(out.center, want.center)
             assert np.array_equal(out.shape, want.shape)
+
+
+def assert_factor_of_its_shape(e: Ellipsoid):
+    """e's factor is lower triangular with a positive diagonal, and L L^T
+    is its shape to rounding."""
+    chol = e.factor()
+    assert np.array_equal(chol, np.tril(chol)) and np.all(np.diag(chol) > 0.0)
+    np.testing.assert_allclose(chol @ chol.T, e.shape, rtol=0,
+                               atol=1e-14 * np.abs(e.shape).max())
+
+
+class TestFormedSets:
+    """The covering sum of predict and the fused shape of an update are
+    each factored once, by spd_cholesky, and kept with that factor."""
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_each_formed_set_keeps_the_cholesky_factor_of_its_shape(self, name):
+        scenario = build_scenario(name)
+        model = build_model(scenario)
+        rng = np.random.default_rng(21)
+        _, measurements = simulate_truth(scenario, rng, steps=4)
+        e, start = initial_estimate(scenario, rng), None
+        for k in range(4):
+            rec = step(e, model, measurements[k], k, FilterOptions(), start)
+            for formed in (rec.predicted, rec.updated):
+                assert_factor_of_its_shape(formed)
+                assert np.array_equal(formed.factor(), np.linalg.cholesky(formed.shape))
+            assert_factor_of_its_shape(rec.measurement)
+            e, start = rec.updated, [s.weights for s in rec.solves]
+
+    @pytest.mark.parametrize("bad,match", [(np.nan, "covering sum has a non-finite entry"),
+                                           (-1.0, "covering sum is not positive definite")])
+    def test_a_bad_covering_sum_raises_spd_error(self, monkeypatch, bad, match):
+        model, _ = linear_model()
+        monkeypatch.setattr(dsmf, "covering_sum", lambda a, b, p: bad * np.eye(2))
+        with pytest.raises(SpdError, match=match):
+            predict(Ellipsoid([0.0, 0.0], np.eye(2)), model, 0, FilterOptions())
+
+    @pytest.mark.parametrize("bad,match", [(np.nan, "fused shape has a non-finite entry"),
+                                           (-1.0, "fused shape is not positive definite")])
+    def test_a_bad_fused_shape_raises_spd_error(self, monkeypatch, bad, match):
+        monkeypatch.setattr(dsmf, "fuse", lambda pred, meas, e_p, rho: (
+            pred.center, bad * np.eye(2), 0.0))
+        e = Ellipsoid([0.0, 0.0], np.eye(2))
+        with pytest.raises(SpdError, match=match):
+            dsmf._update(e, e, np.eye(2))
 
 
 class TestMeasurementEllipsoid:

@@ -3,11 +3,12 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from smfilter import harness
+from smfilter import dsmf, harness
 from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
 from smfilter.dsmf import FilterOptions, StepRecord, _prediction_start, predict, step
@@ -23,6 +24,8 @@ from smfilter.harness import (
     run_experiment,
 )
 from smfilter.scenarios import build_model, build_scenario, simulate_truth
+
+from reference import metrics_by_step
 
 TINY = dict(scenario="radar", filters=("dsmf", "esmf", "ukf"), runs=2, steps=3,
             master_seed=11)
@@ -171,6 +174,32 @@ class TestRunExperiment:
         got = [r.rmse_x for r in res.metrics if r.filter == "dsmf"]
         assert len(got) == steps
         np.testing.assert_allclose(got, rmse0, atol=1e-12)
+
+    @pytest.mark.parametrize("preset", ["radar", "robot"])
+    def test_metrics_match_the_per_step_means_for_any_run_count(self, preset):
+        # One mean per figure over (steps, runs) sums each step's runs in
+        # the order of its own (runs,) column, bit for bit; a mean over
+        # axis 0 of (runs, steps) would not from three runs up.
+        scenario = build_scenario(preset)
+        n, steps = (4, 7) if preset == "radar" else (3, 7)
+        config = RunConfig(scenario=preset, filters=("dsmf", "ukf"))
+        rng = np.random.default_rng(5)
+        for count in (1, 2, 3, 8, 9, 13):
+            runs = []
+            for r in range(count):
+                logs = {name: harness.FilterRunLog(
+                    estimates=rng.standard_normal((steps, n)) * 10.0 ** rng.uniform(-3, 3),
+                    sets=[], contained=rng.random(steps) < 0.7,
+                    traces=rng.random(steps) * 10.0 ** rng.uniform(-2, 6),
+                    logdets=np.where(rng.random(steps) < 0.1, -np.inf,
+                                     rng.standard_normal(steps)),
+                    times=rng.random(steps) * 1e-3, failures=0, records=[])
+                    for name in config.filters}
+                truth = rng.standard_normal((steps + 1, n))
+                runs.append(harness.RunLog(r, r, truth, None, logs))
+            got = harness.compute_metrics(config, scenario, runs, steps)
+            want = metrics_by_step(config, scenario, runs, steps)
+            assert [repr(r) for r in got] == [repr(r) for r in want], count
 
     def test_deterministic_across_calls(self):
         # Everything except measured wall time must repeat exactly.
@@ -381,6 +410,22 @@ class TestCarriedFailure:
         # first does, from the design optima.
         assert starts[0] is None and starts[2] is None
         assert starts[1] is not None and starts[3] is not None
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_a_bad_fused_shape_is_carried(self, monkeypatch, bad):
+        # The fused shape is factored once, by spd_cholesky: a NaN or a
+        # non-positive-definite one raises SpdError, which is carried.
+        real_fuse = dsmf.fuse
+
+        def fuse(pred, meas, e_p, rho):
+            center, shape, delta = real_fuse(pred, meas, e_p, rho)
+            return center, bad * np.eye(shape.shape[0]), delta
+
+        monkeypatch.setattr(dsmf, "fuse", fuse)
+        res = run_experiment(RunConfig(**self.CONFIG))
+        assert res.failures == {"dsmf": 4, "esmf": 4}
+        with pytest.raises(SpdError, match="fused shape"):
+            run_experiment(RunConfig(on_empty="raise", **self.CONFIG))
 
     def test_raise_reraises(self, failing):
         with pytest.raises(EmptyIntersectionError):
@@ -654,6 +699,19 @@ class TestCli:
         pts = tmp_path / "same.csv"
         pts.write_text("1,1\n1,1\n1,1\n1,1\n")
         assert self.run_cli("mvee", "--points", str(pts)) == 3
+
+    @pytest.mark.parametrize("text,want", [("", "n+1 = 2 points, got 0"),
+                                           ("0,0\n1,0\n", "n+1 = 3 points, got 2")])
+    def test_mvee_too_few_points_exit_2(self, tmp_path, capsys, text, want):
+        # An empty file or fewer than n + 1 rows is an input error, with no
+        # numpy warning about the empty file.
+        pts = tmp_path / "few.csv"
+        pts.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_cli("mvee", "--points", str(pts)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and want in err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_mvee_non_finite_point_exit_2(self, tmp_path, capsys, value):

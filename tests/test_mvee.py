@@ -391,6 +391,117 @@ class TestWarmStart:
                 assert abs(logdets[0] - logdets[1]) <= n * np.log1p(2 * tol), (seed, tol)
 
 
+def svd_margin_accepts(pts, mu) -> bool:
+    """The start frame's rank margin taken on the singular values of the
+    factor of the weighted deviations: sigma_min^2 > sigma_max^2 d 1e-14."""
+    act = np.flatnonzero(mu)
+    c0 = mu[act] @ pts[act]
+    r = np.linalg.qr(np.sqrt(mu[act])[:, None] * (pts[act] - c0), mode="r")
+    sv = np.linalg.svd(r, compute_uv=False)
+    return bool(sv[-1] ** 2 > sv[0] ** 2 * (pts.shape[1] + 1) * 1e-14)
+
+
+class TestStartFrameMargin:
+    """_start_frame reads its rank margin off L0 and L0^{-1} through
+    cond(L0)^2 <= ||L0||_F^2 ||L0^{-1}||_F^2 <= n^2 cond(L0)^2."""
+
+    @staticmethod
+    def supports():
+        # Random weights on random supports of clouds with one axis shrunk
+        # by 10^-U(0, 9): cond(L0)^2 from about 1 to far past the margin's
+        # 1 / (d 1e-14), which it crosses near a shrink of 10^-6.5.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(n + 2, 40))
+            pts = rng.standard_normal((m, n))
+            pts[:, 0] *= 10.0 ** -rng.uniform(0, 9)
+            pts = pts @ rng.standard_normal((n, n)) + 10.0 * rng.standard_normal(n)
+            mu = rng.random(m) * (rng.random(m) < 0.6)
+            mu[rng.choice(m, n + 1, replace=False)] += 0.1
+            yield pts, mu / mu.sum()
+
+    def test_never_accepts_a_frame_the_singular_values_reject(self):
+        accepted = rejected = 0
+        for pts, mu in self.supports():
+            frame = mvee._start_frame(pts, mu)
+            if frame is not None:
+                assert svd_margin_accepts(pts, mu)
+                accepted += 1
+            rejected += not svd_margin_accepts(pts, mu)
+        assert accepted > 100 and rejected > 50
+
+    def test_accepts_every_frame_n_squared_inside_the_margin(self):
+        for pts, mu in self.supports():
+            n = pts.shape[1]
+            act = np.flatnonzero(mu)
+            r = np.linalg.qr(np.sqrt(mu[act])[:, None] * (pts[act] - mu[act] @ pts[act]),
+                             mode="r")
+            sv = np.linalg.svd(r, compute_uv=False)
+            if (sv[0] / sv[-1]) ** 2 * n * n < 0.5 / ((n + 1) * 1e-14):
+                c0, l0, yt = mvee._start_frame(pts, mu)
+                np.testing.assert_allclose(l0 @ l0.T, r.T @ r, rtol=1e-12,
+                                           atol=1e-12 * sv[0] ** 2)
+
+    def test_exactly_flat_weighted_points_give_no_frame(self):
+        # A zero pivot in L0 (a coordinate constant over the weighted
+        # points) has no inverse: no frame, and the solve starts cold.
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((30, 3))
+        start = np.zeros(30)
+        start[:8] = 1.0
+        pts[:8, 2] = 0.25
+        assert mvee._start_frame(pts, start / start.sum()) is None
+        cold = fw_solve(pts, tol=1e-9)
+        warm = fw_solve(pts, tol=1e-9, start=start)
+        np.testing.assert_array_equal(warm.weights, cold.weights)
+
+    def test_restarts_across_the_margin_are_certified(self):
+        # Thinner than the thin-cloud family of TestWarmStart, so that
+        # some restarts at the optimum fail the margin and solve cold.
+        # Either way the restart converges, with its whitened scale within
+        # the certificate's bound, and covers its cloud within 2 tol; one
+        # whose frame is accepted takes no pass.
+        tol = 1e-7
+        warm_starts = cold_starts = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(n + 3, 60))
+            pts = rng.standard_normal((m, n))
+            pts[:, 0] *= 10.0 ** -rng.uniform(4, 8)
+            pts = pts @ rng.standard_normal((n, n))
+            cold = fw_solve(pts, tol=tol)
+            warm = fw_solve(pts, tol=tol, start=cold.weights)
+            assert warm.converged, seed
+            assert 1.0 <= warm.whitened_scale <= 1.0 + (n + 1) * tol / n, seed
+            assert contains(warm.ellipsoid, pts, 2 * tol).all(), seed
+            if mvee._start_frame(pts, np.asarray(cold.weights)) is not None:
+                assert warm.iterations == 0, seed
+                warm_starts += 1
+            else:
+                cold_starts += 1
+        assert warm_starts > 0 and cold_starts > 0
+
+
+class TestSolveFactor:
+    def test_a_cold_solve_keeps_the_cholesky_factor_of_its_shape(self):
+        # A solve with no start returns the shape mapped back from
+        # whitened coordinates, factored once by spd_cholesky; a coverage
+        # scale scales that factor with it.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6))
+            pts = rng.standard_normal((int(rng.integers(n + 2, 80)), n))
+            sol = fw_solve(pts @ rng.standard_normal((n, n)), tol=1e-7)
+            chol, shape = sol.ellipsoid.factor(), sol.ellipsoid.shape
+            assert np.array_equal(chol, np.tril(chol)) and np.all(np.diag(chol) > 0.0)
+            np.testing.assert_allclose(chol @ chol.T, shape, rtol=0,
+                                       atol=1e-14 * np.abs(shape).max())
+            if sol.coverage_scale == 1.0:
+                assert np.array_equal(chol, np.linalg.cholesky(shape))
+
+
 class TestDenseStarts:
     """Weight on more points than an optimal support needs, d(d+1)/2, is
     moved onto at most that many with M unchanged, and the Newton steps

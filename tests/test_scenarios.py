@@ -18,6 +18,8 @@ from smfilter.scenarios import (
     simulate_truth,
 )
 
+from reference import simulate_truth_by_step
+
 
 def plain_model(**given):
     """A model on the identity maps, with the given fields replaced."""
@@ -269,6 +271,17 @@ class TestSimulateTruth:
         t2, m2 = simulate_truth(sc, np.random.default_rng(42), steps=60)
         assert t1.tobytes() == t2.tobytes()
         assert m1.tobytes() == m2.tobytes()
+
+    @pytest.mark.parametrize("preset", ["radar", "robot"])
+    def test_one_measurement_call_matches_the_per_step_loop(self, preset):
+        # h over the whole trajectory in one call gives each measurement
+        # bit for bit as one call per step does.
+        sc = build_scenario(preset)
+        for seed in range(5):
+            got = simulate_truth(sc, np.random.default_rng(seed), steps=40)
+            want = simulate_truth_by_step(sc, np.random.default_rng(seed), steps=40)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_heading_grows_linearly_without_noise(self):
         sc = RobotScenario(q_diag=(1e-30, 1e-30, 1e-30))
