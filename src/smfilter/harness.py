@@ -330,17 +330,18 @@ def aggregate(result: ExperimentResult) -> dict[str, dict[str, float]]:
 def run_experiment(config: RunConfig) -> ExperimentResult:
     """Simulate truth and run every requested filter for each replicate.
 
-    Deterministic given the config: replicate r uses seed mix(master_seed,
-    r) for its truth and initial set.  No filter draws random numbers, so
-    the sets of a filter do not depend on which other filters run, or in
-    which order.  An override the preset or its truth cannot use, or an
+    Deterministic given the config: replicate r uses seed mix(master_seed, r)
+    for its truth and initial set.  No filter draws random numbers, so the
+    sets of a filter do not depend on which other filters run, or in which
+    order.  An override the preset or its truth cannot use, or an
     m_samples below the preset's state_dim + 1, raises ConfigError, as in
-    validate.  Every run's e0 is the nominal set {x0, P0} moved by at most
-    init_offset P0, so with two or more runs dsmf's first prediction is
-    solved once on it (_prediction_start) and each run's starts from there,
-    a pass or two away.  One run, which that solve would not speed up, and
-    every run when it fails numerically, start from the design optimum: run
-    r's sets depend on whether runs > 1.
+    validate.  Every set-membership update fuses at the rho that minimises
+    the fused trace.  Every run's e0 is the nominal set {x0, P0} moved by
+    at most init_offset P0, so with two or more runs dsmf's first
+    prediction is solved once on it (_prediction_start) and each run's
+    starts from there, a pass or two away.  One run, which that solve
+    would not speed up, and every run when it fails numerically, start
+    from the design optimum: run r's sets depend on whether runs > 1.
     """
     config._check_fields()
     with config._preset_errors():

@@ -391,13 +391,18 @@ class TestWarmStart:
                 assert abs(logdets[0] - logdets[1]) <= n * np.log1p(2 * tol), (seed, tol)
 
 
-def svd_margin_accepts(pts, mu) -> bool:
-    """The start frame's rank margin taken on the singular values of the
-    factor of the weighted deviations: sigma_min^2 > sigma_max^2 d 1e-14."""
+def weighted_factor(pts, mu) -> np.ndarray:
+    """R of the QR factorisation of the weighted deviations, L0^T up to
+    the signs of its rows, as _start_frame forms it."""
     act = np.flatnonzero(mu)
     c0 = mu[act] @ pts[act]
-    r = np.linalg.qr(np.sqrt(mu[act])[:, None] * (pts[act] - c0), mode="r")
-    sv = np.linalg.svd(r, compute_uv=False)
+    return np.linalg.qr(np.sqrt(mu[act])[:, None] * (pts[act] - c0), mode="r")
+
+
+def svd_margin_accepts(pts, mu) -> bool:
+    """The start frame's rank margin taken on the singular values of its
+    factor: sigma_min^2 > sigma_max^2 d 1e-14."""
+    sv = np.linalg.svd(weighted_factor(pts, mu), compute_uv=False)
     return bool(sv[-1] ** 2 > sv[0] ** 2 * (pts.shape[1] + 1) * 1e-14)
 
 
@@ -432,16 +437,17 @@ class TestStartFrameMargin:
         assert accepted > 100 and rejected > 50
 
     def test_accepts_every_frame_n_squared_inside_the_margin(self):
+        inside = 0
         for pts, mu in self.supports():
             n = pts.shape[1]
-            act = np.flatnonzero(mu)
-            r = np.linalg.qr(np.sqrt(mu[act])[:, None] * (pts[act] - mu[act] @ pts[act]),
-                             mode="r")
+            r = weighted_factor(pts, mu)
             sv = np.linalg.svd(r, compute_uv=False)
             if (sv[0] / sv[-1]) ** 2 * n * n < 0.5 / ((n + 1) * 1e-14):
                 c0, l0, yt = mvee._start_frame(pts, mu)
                 np.testing.assert_allclose(l0 @ l0.T, r.T @ r, rtol=1e-12,
                                            atol=1e-12 * sv[0] ** 2)
+                inside += 1
+        assert inside > 100
 
     def test_exactly_flat_weighted_points_give_no_frame(self):
         # A zero pivot in L0 (a coordinate constant over the weighted
