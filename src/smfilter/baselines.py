@@ -25,9 +25,8 @@ REMAINDER_SAFETY = 1.1
 # Points at which the curvature (Hessian) of the model maps is sampled for
 # the worst-case quadratic completion of the remainder bound.
 N_HESSIAN = 40
-# Relative central-difference steps, times max(1, |x_a|) along axis a, of
-# numerical_jacobian and hessian_abs_max.
-JACOBIAN_STEP = 1e-6
+# Relative central-difference step, times max(1, |x_a|) along axis a, of
+# hessian_abs_max.
 HESSIAN_STEP = 1e-4
 
 
@@ -52,31 +51,18 @@ def add_remainder(noise_shape: np.ndarray, half: np.ndarray) -> np.ndarray:
     return covering_sum(noise_shape, box, optimal_p(noise_shape, box))
 
 
-def numerical_jacobian(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian with per-component step
-    JACOBIAN_STEP * max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    steps = JACOBIAN_STEP * np.maximum(1.0, np.abs(x))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = steps[i]
-        cols.append((fn(x + e) - fn(x - e)) / (2.0 * steps[i]))
-    return np.column_stack(cols)
-
-
 def _f_jacobian(model: SystemModel, x: np.ndarray, k: int) -> np.ndarray:
     if model.F is not None:
         return model.F
-    if model.f_jac is not None:
-        return np.asarray(model.f_jac(x, k), dtype=float)
-    return numerical_jacobian(lambda z: model.f(z, k), x)
+    if model.f_jac is None:
+        raise ValueError("the model declares neither F nor f_jac")
+    return np.asarray(model.f_jac(x, k), dtype=float)
 
 
 def _h_jacobian(model: SystemModel, x: np.ndarray) -> np.ndarray:
-    if model.h_jac is not None:
-        return np.atleast_2d(np.asarray(model.h_jac(x), dtype=float))
-    return np.atleast_2d(numerical_jacobian(model.h, x))
+    if model.h_jac is None:
+        raise ValueError("the model declares no h_jac")
+    return np.atleast_2d(np.asarray(model.h_jac(x), dtype=float))
 
 
 @lru_cache(maxsize=8)

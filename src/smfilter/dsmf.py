@@ -19,9 +19,9 @@ gives the same sets.
 Each enclosing solve starts from weights near its optimum: the last step's,
 else the optimum of its design, which is exact on an affine image of the
 design.  The first prediction of a run over curved dynamics is far from
-that, so in an experiment of two or more runs the harness starts it from
-the optimum over the image of the preset's nominal initial set
-(_prediction_start), solved once for all of them.
+that, so the harness starts it from the optimum over the image of the
+preset's nominal initial set (_prediction_start), solved once per
+experiment.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class SystemModel:
     projected-state points with E_p x = h_inv(y - v).
 
     The sizes are those of the noise bounds: state_dim n is the order of Q,
-    meas_dim l that of R.  f_jac / h_jac are optional analytic Jacobians
-    used by the linearizing baseline (finite differences otherwise).  F,
+    meas_dim l that of R.  f_jac / h_jac are the analytic Jacobians that
+    only the linearizing baseline needs, and it raises without them.  F,
     when given, declares the dynamics linear, f(x, k) = x F^T for every k:
     an (n, n) finite matrix, stored read-only, which is then the Jacobian
     of f and with which the linearizing baseline predicts exactly (no
@@ -136,11 +136,11 @@ class FilterOptions:
     keeps that scale of a converged solve within 1 + 2e-5, and a filter run
     performs thousands of solves.  A solve starts from the last step's
     weights, or else from the optimum of its own design (_design_optimum);
-    with two or more runs the harness starts each run's first prediction
-    from the optimum over the image of the preset's nominal initial set
-    (_prediction_start), which is closer than the design's on curved
-    dynamics.  Only a product-grid measurement cloud (a model with aux) has
-    no design optimum and starts cold, in tens of iterations.  A start
+    the harness starts each run's first prediction from the optimum over
+    the image of the preset's nominal initial set (_prediction_start),
+    which is closer than the design's on curved dynamics.  Only a
+    product-grid measurement cloud (a model with aux) has no design
+    optimum and starts cold, in tens of iterations.  A start
     whitens the cloud by its weights, and when they are still optimal the
     solve takes no iteration and is returned on that whitening factor;
     max_iter only bounds a pathological cloud, whose capped solve may need a

@@ -2,9 +2,9 @@
 truths, aggregates metrics, benchmarks the enclosing-ellipsoid solver, and
 writes CSV/JSON outputs for external plotting.  Every filter state is an
 Ellipsoid, whose size and containment are what a run reports: the
-set-membership filters' guaranteed set, the ukf's three-sigma set.  With
-two or more runs, every run's first dsmf prediction starts from weights
-solved once on the preset's nominal initial set.
+set-membership filters' guaranteed set, the ukf's three-sigma set.  Every
+run's first dsmf prediction starts from weights solved once per experiment
+on the preset's nominal initial set.
 
 All randomness flows from a single master seed; per-run seeds are derived
 with a stable 64-bit mix and recorded so any single run can be replayed.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import scenarios as sc
 from .baselines import esmf_predict, esmf_step, ukf_step, uniform_covariance
-from .dsmf import FilterOptions, _design, _prediction_start, predict, step
+from .dsmf import FilterOptions, SystemModel, _design, _prediction_start, predict, step
 from .ellipsoid import Ellipsoid, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
@@ -66,17 +66,19 @@ class RunConfig:
     scenario_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
-        self._check_fields()
+        scenario, model = self._set_up()
         with self._preset_errors():  # a truth step and e0 read every preset field
-            scenario = build_scenario(self.scenario, **self.scenario_overrides)
-            model = build_model(scenario)
             probe = np.random.default_rng(0)
-            simulate_truth(scenario, probe, steps=1)
+            simulate_truth(scenario, model, probe, steps=1)
             initial_estimate(scenario, probe)
-        self._check_m_samples(model)
         return self
 
-    def _check_fields(self) -> None:
+    def _set_up(self) -> tuple[object, SystemModel]:
+        """The (scenario, model) of this config, after the checks every
+        experiment makes: the fields, the overrides the preset and its
+        model read, and m_samples, since a design of fewer than
+        state_dim + 1 points cannot span the state.  Each failure is a
+        ConfigError."""
         if self.scenario not in sc.PRESETS:
             raise ConfigError(f"unknown scenario preset {self.scenario!r}")
         if not self.filters:
@@ -92,12 +94,13 @@ class RunConfig:
             raise ConfigError(f"on_empty must be carry or raise, got {self.on_empty!r}")
         if not 0.0 < self.tol < np.inf:
             raise ConfigError("tol must be finite and positive")
-
-    def _check_m_samples(self, model) -> None:
-        """A design of fewer than state_dim + 1 points cannot span the state."""
+        with self._preset_errors():
+            scenario = build_scenario(self.scenario, **self.scenario_overrides)
+            model = build_model(scenario)
         if self.m_samples < model.state_dim + 1:
             raise ConfigError(f"m_samples must be >= {model.state_dim + 1} "
                               f"(state_dim + 1) for {self.scenario}")
+        return scenario, model
 
     @contextmanager
     def _preset_errors(self):
@@ -200,11 +203,12 @@ class MetricsRow:
 
 @dataclass
 class ExperimentResult:
-    """The runs of one experiment; metrics holds one MetricsRow per
-    (filter, step), filter-major."""
+    """The runs of one experiment; model is the SystemModel they all ran
+    on, and metrics holds one MetricsRow per (filter, step), filter-major."""
 
     config: RunConfig
     scenario: object
+    model: SystemModel
     runs: list[RunLog]
     metrics: list[MetricsRow]
     failures: dict[str, int]
@@ -333,28 +337,23 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
     for its truth and initial set.  No filter draws random numbers, so the
     sets of a filter do not depend on which other filters run, or in which
-    order.  An override the preset or its truth cannot use, or an
-    m_samples below the preset's state_dim + 1, raises ConfigError, as in
-    validate.  Every set-membership update fuses at the rho that minimises
-    the fused trace.  Every run's e0 is the nominal set {x0, P0} moved by
-    at most init_offset P0, so with two or more runs dsmf's first
-    prediction is solved once on it (_prediction_start) and each run's
-    starts from there, a pass or two away.  One run, which that solve
-    would not speed up, and every run when it fails numerically, start
-    from the design optimum: run r's sets depend on whether runs > 1.
+    order.  The config is checked as validate checks it, but for the truth
+    probe: each failure raises ConfigError.  One model serves the whole
+    experiment.  Every set-membership update fuses at the rho that
+    minimises the fused trace.  Every run's e0 is the nominal set {x0, P0}
+    moved by at most init_offset P0, so dsmf's first prediction is solved
+    once on it (_prediction_start) and each run's starts from there, a
+    pass or two away; when that solve fails numerically, from the design
+    optimum.  Run r's sets do not depend on the number of runs.
     """
-    config._check_fields()
-    with config._preset_errors():
-        scenario = build_scenario(config.scenario, **config.scenario_overrides)
-    model = build_model(scenario)
-    config._check_m_samples(model)
+    scenario, model = config._set_up()
     steps = config.steps if config.steps is not None else scenario.steps
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
     runs: list[RunLog] = []
     failures = {name: 0 for name in config.filters}
     opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
     first = None
-    if "dsmf" in config.filters and config.runs > 1:
+    if "dsmf" in config.filters:
         with config._preset_errors():
             nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)
         try:
@@ -364,7 +363,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     for r, seed in enumerate(seeds):
         truth_rng = np.random.default_rng([seed, 0])
         with config._preset_errors():
-            truth, measurements = simulate_truth(scenario, truth_rng, steps=steps)
+            truth, measurements = simulate_truth(scenario, model, truth_rng, steps=steps)
             e0 = initial_estimate(scenario, truth_rng)
         logs = {}
         for name in config.filters:
@@ -373,7 +372,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             logs[name] = log
         runs.append(RunLog(r, seed, truth, measurements, logs))
     metrics = compute_metrics(config, scenario, runs, steps)
-    return ExperimentResult(config, scenario, runs, metrics, failures, seeds)
+    return ExperimentResult(config, scenario, model, runs, metrics, failures, seeds)
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
@@ -435,7 +434,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    e_p = build_model(result.scenario).E_p
+    e_p = result.model.E_p
     ellipse_dir = out / "ellipses"
     ellipse_dir.mkdir(exist_ok=True)
     circle = _design(ELLIPSE_POINTS, 2).T  # (2, 128): equispaced angles
@@ -511,7 +510,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
     use the FilterOptions defaults.
     """
     from .baselines import esmf_update
-    from .dsmf import SystemModel, _update, measurement_ellipsoid
+    from .dsmf import _update, measurement_ellipsoid
 
     results = []
     prior_center = np.array([10.0, 20.0])

@@ -29,12 +29,11 @@ many with M unchanged (_shrink_support).  Each pass
 ends on fresh kappa, one O(d^2 m) product over the cloud, so the
 certificate of every solve is read from the kappa of its final weights, and
 its coverage scale from the quadratic form of the shape it returns, over
-the cloud.  A filter solve starts from the last step's weights; in an
-experiment of two or more runs, a run's first prediction from the optimum
-over the image of the preset's nominal initial set, at most two passes
-off; any other from the optimum of its own
-fixed design, which is exact on an affine image of the design.  Most take
-no pass; the cold ones take one to a few dozen.
+the cloud.  A filter solve starts from the last step's weights; a run's
+first prediction from the optimum over the image of the preset's nominal
+initial set, at most two passes off; any other from the optimum of its
+own fixed design, which is exact on an affine image of the design.  Most
+take no pass; the cold ones take one to a few dozen.
 """
 
 from __future__ import annotations

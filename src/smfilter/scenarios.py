@@ -245,9 +245,10 @@ def build_model(scenario) -> SystemModel:
     raise TypeError(f"unknown scenario type {type(scenario).__name__}")
 
 
-def simulate_truth(scenario, rng: np.random.Generator,
+def simulate_truth(scenario, model: SystemModel, rng: np.random.Generator,
                    steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Roll out the true trajectory and the measurements the filter sees.
+    """Roll out the true trajectory and the measurements the filter sees,
+    under model, the scenario's SystemModel (build_model).
 
     Process and measurement noises are drawn uniformly over the interiors
     of their bound ellipsoids, so every draw satisfies its bound by
@@ -255,7 +256,6 @@ def simulate_truth(scenario, rng: np.random.Generator,
     length steps+1 (row 0 is x0) and measurements[k] belonging to
     trajectory[k+1].
     """
-    model = build_model(scenario)
     n_steps = scenario.steps if steps is None else steps
     w_ball = Ellipsoid(np.zeros(model.state_dim), model.Q)
     v_ball = Ellipsoid(np.zeros(model.meas_dim), model.R)

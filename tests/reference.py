@@ -1,8 +1,9 @@
 """Reference code that only the tests use: the enclosing-ellipsoid dual
 objective, its gradient and the KKT residual of a solve, each evaluated
 from scratch; the covering sum as a checked Ellipsoid; sampling on the
-boundary of an ellipsoid; and the per-step loops of the truth simulation
-and of the metrics table.
+boundary of an ellipsoid; a finite-difference Jacobian, against which the
+declared Jacobians are checked; and the per-step loops of the truth
+simulation and of the metrics table.
 
 The dual objective and its gradient are evaluated on the cloud translated
 by its plain mean.  A translation maps the lifted points by a matrix of
@@ -89,6 +90,24 @@ def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("m must be >= 1")
     u = _sphere(m, e.dim, rng)
     return e.center + u @ e.factor().T
+
+
+# Relative central-difference step of numerical_jacobian, times
+# max(1, |x_i|) along axis i.
+JACOBIAN_STEP = 1e-6
+
+
+def numerical_jacobian(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian with per-component step
+    JACOBIAN_STEP * max(1, |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    steps = JACOBIAN_STEP * np.maximum(1.0, np.abs(x))
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = steps[i]
+        cols.append((fn(x + e) - fn(x - e)) / (2.0 * steps[i]))
+    return np.column_stack(cols)
 
 
 def simulate_truth_by_step(scenario, rng: np.random.Generator, steps: int | None = None):

@@ -12,7 +12,6 @@ from smfilter.baselines import (
     esmf_step,
     esmf_update,
     hessian_abs_max,
-    numerical_jacobian,
     remainder_bound_f,
     remainder_bound_h,
     ukf_step,
@@ -26,7 +25,7 @@ from smfilter.ellipsoid import (
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
-from reference import minkowski_outer, sample_boundary
+from reference import minkowski_outer, numerical_jacobian, sample_boundary
 
 
 def random_spd(rng, n, scale=1.0):
@@ -321,6 +320,21 @@ class TestNumericalJacobian:
         np.testing.assert_allclose(jac, want, atol=1e-7)
 
 
+class TestDeclaredJacobians:
+    def test_a_missing_jacobian_is_named(self):
+        # The linearizing baseline has no finite-difference fallback.
+        model = SystemModel(
+            f=lambda x, k: np.asarray(x), h=lambda x: np.asarray(x),
+            h_inv=lambda y, v, aux: y - np.atleast_2d(v),
+            E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
+        )
+        e = Ellipsoid([1.0, 2.0], np.eye(2))
+        with pytest.raises(ValueError, match="f_jac"):
+            esmf_predict(e, model, 0)
+        with pytest.raises(ValueError, match="h_jac"):
+            esmf_update(e, model, np.array([1.0, 2.0]))
+
+
 class TestRemainderBound:
     """add_remainder on a negligible noise bound shows the remainder
     ellipsoid itself: the covering sum of shapes q and R is
@@ -382,10 +396,14 @@ class TestRemainderBound:
             x = np.asarray(x, dtype=float)
             return np.einsum("ijk,...j,...k->...i", quad, x, x)
 
+        def f_jac(x, k):
+            return np.einsum("ijk,k->ij", quad + quad.transpose(0, 2, 1), x)
+
         model = SystemModel(
             f=f, h=lambda x: np.atleast_2d(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),
             E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
+            f_jac=f_jac, h_jac=lambda x: np.eye(2),
         )
         small = Ellipsoid([0.0, 0.0], np.eye(2))
         big = Ellipsoid([0.0, 0.0], 2.0 * np.eye(2))
@@ -530,6 +548,8 @@ class TestEsmf:
             h=lambda x: np.asarray(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),
             E_p=np.eye(2), Q=0.01 * np.eye(2), R=0.05 * np.eye(2),
+            f_jac=lambda x, k: np.array([[1.0, 0.2 * x[1]], [0.0, 0.9]]),
+            h_jac=lambda x: np.eye(2),
         )
         from smfilter.baselines import esmf_predict
         from smfilter.ellipsoid import contains, sample_interior

@@ -224,7 +224,7 @@ class TestFormedSets:
         scenario = build_scenario(name)
         model = build_model(scenario)
         rng = np.random.default_rng(21)
-        _, measurements = simulate_truth(scenario, rng, steps=4)
+        _, measurements = simulate_truth(scenario, model, rng, steps=4)
         e, start = initial_estimate(scenario, rng), None
         for k in range(4):
             rec = step(e, model, measurements[k], k, FilterOptions(), start)
@@ -819,7 +819,7 @@ class TestWarmStartedSteps:
         scenario = build_scenario("robot")
         model = build_model(scenario)
         rng = np.random.default_rng([21, 0])
-        _, ys = simulate_truth(scenario, rng, steps=self.STEPS)
+        _, ys = simulate_truth(scenario, model, rng, steps=self.STEPS)
         e = initial_estimate(scenario, rng)
         opts = FilterOptions()
         pairs, start = [], None
@@ -861,7 +861,7 @@ class TestDesignOptimumStart:
         scenario = build_scenario(name)
         model = build_model(scenario)
         rng = np.random.default_rng([7, 0])
-        _, ys = simulate_truth(scenario, rng, steps=steps)
+        _, ys = simulate_truth(scenario, model, rng, steps=steps)
         return model, ys, initial_estimate(scenario, rng)
 
     def test_radar_prediction_takes_no_pass(self):

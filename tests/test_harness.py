@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smfilter import dsmf, harness
+from smfilter import dsmf, harness, scenarios
 from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
 from smfilter.dsmf import FilterOptions, StepRecord, _prediction_start, predict, step
@@ -269,9 +270,36 @@ class TestRunExperiment:
         assert len(calls) == 3
 
     def test_unvalidated_wrong_length_override_is_a_config_error(self):
-        config = RunConfig(runs=1, steps=1, scenario_overrides={"x0": (1.0, 2.0)})
-        with pytest.raises(ConfigError):
-            run_experiment(config)
+        # An override the model reads is checked when the model is built:
+        # the robot q_diag used to raise a bare ValueError and the radar
+        # r_diag an SpdError.
+        for preset, override in (("radar", {"x0": (1.0, 2.0)}),
+                                 ("robot", {"q_diag": (1e-6, 1e-6)}),
+                                 ("radar", {"r_diag": (100.0, -1.0)})):
+            config = RunConfig(scenario=preset, runs=1, steps=1,
+                               scenario_overrides=override)
+            with pytest.raises(ConfigError):
+                run_experiment(config)
+
+    def test_one_model_per_experiment(self, monkeypatch, tmp_path):
+        # harness calls build_model by its own name, scenarios by its
+        # module's; the truth of every run and the outputs reuse the one
+        # model of the experiment.
+        calls = []
+
+        def counted(scenario):
+            calls.append(scenario)
+            return build_model(scenario)
+
+        monkeypatch.setattr(harness, "build_model", counted)
+        monkeypatch.setattr(scenarios, "build_model", counted)
+        for runs in (1, 3):
+            calls.clear()
+            result = run_experiment(RunConfig(scenario="robot", filters=("dsmf", "ukf"),
+                                              runs=runs, steps=2))
+            assert len(calls) == 1
+            emit_outputs(result, tmp_path / str(runs))
+            assert len(calls) == 1
 
     def test_seeds_recorded(self, tiny_result):
         assert tiny_result.seeds == [mix_seed(11, 0), mix_seed(11, 1)]
@@ -322,22 +350,14 @@ class TestFirstPredictionStart:
         firsts = [run.filters["dsmf"].records[0].solves[0] for run in result.runs]
         assert all(s.converged and s.iterations <= 3 for s in firsts)
 
-    def test_one_run_starts_from_the_design_optimum(self, monkeypatch):
-        # The nominal solve costs as much as the first prediction it would
-        # start, so an experiment of one run does not make it.
-        def unused(*args):
-            raise AssertionError("a one-run experiment made the nominal solve")
-
-        starts = self.spied(monkeypatch, unused)
-        run_experiment(RunConfig(scenario="robot", filters=("dsmf",), runs=1, steps=2))
-        assert [start for k, start in starts if k == 0] == [None]
-
     def test_run_sets_do_not_depend_on_the_run_count(self):
+        # One run included: every experiment makes the nominal solve.
         base = dict(scenario="robot", filters=("dsmf",), steps=4, master_seed=9)
-        three = run_experiment(RunConfig(runs=3, **base))
         five = run_experiment(RunConfig(runs=5, **base))
-        five.runs = five.runs[:3]
-        self.assert_same_sets(three, five)
+        for runs in (1, 3):
+            fewer = run_experiment(RunConfig(runs=runs, **base))
+            head = dataclasses.replace(five, runs=five.runs[:runs])
+            self.assert_same_sets(fewer, head)
 
     def test_radar_first_step_starts_as_every_step_without_weights(self, monkeypatch):
         # Radar declares F, whose design optimum is exact: no nominal

@@ -18,7 +18,7 @@ from smfilter.scenarios import (
     simulate_truth,
 )
 
-from reference import simulate_truth_by_step
+from reference import numerical_jacobian, simulate_truth_by_step
 
 
 def plain_model(**given):
@@ -152,8 +152,6 @@ class TestRadarModel:
         np.testing.assert_array_equal(_f_jacobian(model, x, 0), want)
 
     def test_jacobians_match_finite_differences(self):
-        from smfilter.baselines import numerical_jacobian
-
         model = radar_model()
         x = np.array([100.0, 150.0, 4.0, -2.0])
         np.testing.assert_allclose(
@@ -226,8 +224,6 @@ class TestRobotModel:
             RobotScenario(u_r=0.0)
 
     def test_jacobians_match_finite_differences(self):
-        from smfilter.baselines import numerical_jacobian
-
         model = robot_model()
         x = np.array([12.0, 9.0, 0.8])
         np.testing.assert_allclose(
@@ -245,7 +241,7 @@ class TestSimulateTruth:
         sc = RobotScenario(q_diag=(1e-30, 1e-30, 1e-30), r_diag=(1e-30, 1e-30))
         model = build_model(sc)
         rng = np.random.default_rng(1)
-        traj, meas = simulate_truth(sc, rng, steps=5)
+        traj, meas = simulate_truth(sc, model, rng, steps=5)
         x = np.asarray(sc.x0, dtype=float)
         for k in range(5):
             x = model.f(x, k)
@@ -256,7 +252,7 @@ class TestSimulateTruth:
         sc = RadarScenario()
         model = build_model(sc)
         rng = np.random.default_rng(2)
-        traj, meas = simulate_truth(sc, rng, steps=40)
+        traj, meas = simulate_truth(sc, model, rng, steps=40)
         q_inv = np.linalg.inv(sc.Q)
         r_inv = np.linalg.inv(sc.R)
         for k in range(40):
@@ -267,8 +263,9 @@ class TestSimulateTruth:
 
     def test_seeded_reproducibility(self):
         sc = RadarScenario()
-        t1, m1 = simulate_truth(sc, np.random.default_rng(42), steps=60)
-        t2, m2 = simulate_truth(sc, np.random.default_rng(42), steps=60)
+        model = build_model(sc)
+        t1, m1 = simulate_truth(sc, model, np.random.default_rng(42), steps=60)
+        t2, m2 = simulate_truth(sc, model, np.random.default_rng(42), steps=60)
         assert t1.tobytes() == t2.tobytes()
         assert m1.tobytes() == m2.tobytes()
 
@@ -277,8 +274,9 @@ class TestSimulateTruth:
         # h over the whole trajectory in one call gives each measurement
         # bit for bit as one call per step does.
         sc = build_scenario(preset)
+        model = build_model(sc)
         for seed in range(5):
-            got = simulate_truth(sc, np.random.default_rng(seed), steps=40)
+            got = simulate_truth(sc, model, np.random.default_rng(seed), steps=40)
             want = simulate_truth_by_step(sc, np.random.default_rng(seed), steps=40)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -286,7 +284,7 @@ class TestSimulateTruth:
     def test_heading_grows_linearly_without_noise(self):
         sc = RobotScenario(q_diag=(1e-30, 1e-30, 1e-30))
         rng = np.random.default_rng(3)
-        traj, _ = simulate_truth(sc, rng, steps=20)
+        traj, _ = simulate_truth(sc, build_model(sc), rng, steps=20)
         for k in range(21):
             assert traj[k, 2] == pytest.approx(1.0 + k * 0.015, abs=1e-9)
 
