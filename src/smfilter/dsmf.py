@@ -60,15 +60,19 @@ class SystemModel:
     projected-state points with E_p x = h_inv(y - v).
 
     The sizes are those of the noise bounds: state_dim n is the order of Q,
-    meas_dim l that of R.  f_jac / h_jac are the analytic Jacobians that
-    only the linearizing baseline needs, and it raises without them.  F,
-    when given, declares the dynamics linear, f(x, k) = x F^T for every k:
-    an (n, n) finite matrix, stored read-only, which is then the Jacobian
-    of f and with which the linearizing baseline predicts exactly (no
-    remainder bound).  aux_from_predicted maps a predicted ellipsoid to an
-    (n_aux, 2) array of [lo, hi] parameter bounds for models whose inverse
-    needs extra state information (None when the inverse depends on y and
-    v only).
+    meas_dim l that of R.  f_jac / h_jac are the analytic Jacobians and
+    f_remainder / h_remainder the linearization remainder bounds that only
+    the linearizing baseline needs, and it raises without them:
+    f_remainder(e, k) -> (n,) and h_remainder(e) -> (l,) are per-output
+    half-widths bounding f(x, k) - f(c, k) - J(c) (x - c), and the same for
+    h, over every x in the ellipsoid e with center c.  F, when given,
+    declares the dynamics linear, f(x, k) = x F^T for every k: an (n, n)
+    finite matrix, stored read-only, which is then the Jacobian of f and
+    with which the linearizing baseline predicts exactly (no remainder
+    bound, so no f_remainder).  aux_from_predicted maps a predicted
+    ellipsoid to an (n_aux, 2) array of [lo, hi] parameter bounds for models
+    whose inverse needs extra state information (None when the inverse
+    depends on y and v only).
     """
 
     f: Callable[[np.ndarray, int], np.ndarray]
@@ -79,6 +83,8 @@ class SystemModel:
     R: np.ndarray
     f_jac: Callable[[np.ndarray, int], np.ndarray] | None = None
     h_jac: Callable[[np.ndarray], np.ndarray] | None = None
+    f_remainder: Callable[[Ellipsoid, int], np.ndarray] | None = None
+    h_remainder: Callable[[Ellipsoid], np.ndarray] | None = None
     aux_from_predicted: Callable[[Ellipsoid], np.ndarray] | None = None
     F: np.ndarray | None = None
     # The Cholesky factor of R, from the check of R in __post_init__.

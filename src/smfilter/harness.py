@@ -519,7 +519,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
     model = SystemModel(
         f=lambda x, k: x, h=sensor.measure, h_inv=sensor.h_inv,
         E_p=np.eye(2), Q=1e-9 * np.eye(2), R=r_shape,
-        h_jac=sensor.jacobian,
+        h_jac=sensor.jacobian, h_remainder=sensor.remainder,
     )
     opts = FilterOptions()
     v_ball = Ellipsoid(np.zeros(2), r_shape)

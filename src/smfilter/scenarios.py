@@ -8,6 +8,7 @@ computed with atan2 so the stated inverse maps round-trip exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import pi, sin
 
 import numpy as np
 
@@ -35,6 +36,30 @@ class RangeBearing:
         rho2 = dx * dx + dy * dy
         rho = np.sqrt(rho2)
         return np.array([[dx / rho, dy / rho], [-dy / rho2, dx / rho2]])
+
+    def remainder(self, e: Ellipsoid) -> np.ndarray:
+        """Half-widths bounding the remainder of the linearization of
+        (range, bearing) at the center c of the state ellipsoid e, over e.
+
+        The positions of e lie in a box of radii r_a = sqrt(P_aa), where
+        |x - c| <= |r|, at rho_min or more from the origin.  Lagrange's
+        remainder is at most |r|^2 / 2 times the Hessian norm on the box:
+        1 / rho_min for the range and 1 / rho_min^2 for the bearing.  Without
+        curvature, the range (1-Lipschitz) moves by at most 2 |r|, and the
+        bearing (in (-pi, pi]) by at most 2 pi + |r| / rho_c, rho_c the
+        center's distance.  A box that holds the origin gets only these
+        global bounds; so does the bearing on a box that meets the atan2 cut,
+        the ray y = o_y, x <= o_x."""
+        center = e.center[:2] - self.origin
+        radii = np.sqrt(np.diag(e.shape)[:2])
+        r2 = radii @ radii
+        r = np.sqrt(r2)
+        rho_min = np.hypot(*np.maximum(np.abs(center) - radii, 0.0))
+        range_half = 2.0 * r if rho_min == 0.0 else min(2.0 * r, r2 / (2.0 * rho_min))
+        bearing_half = 2.0 * pi + r / np.hypot(*center)
+        if abs(center[1]) > radii[1] or center[0] > radii[0]:  # the box is off the cut
+            bearing_half = min(bearing_half, r2 / (2.0 * rho_min**2))
+        return np.array([range_half, bearing_half])
 
     def invert(self, y, v, bearing) -> np.ndarray:
         """Positions at ranges y[0] - v[:, 0] (v a noise sample or a batch
@@ -168,7 +193,7 @@ def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
     e_p = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return SystemModel(
         f=f, h=sensor.measure, h_inv=sensor.h_inv,
-        E_p=e_p, Q=sc.Q, R=sc.R, h_jac=h_jac, F=f_mat,
+        E_p=e_p, Q=sc.Q, R=sc.R, h_jac=h_jac, h_remainder=sensor.remainder, F=f_mat,
     )
 
 
@@ -199,6 +224,15 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
             [0.0, 0.0, 1.0],
         ])
 
+    # Only theta enters f nonlinearly, and both position outputs have second
+    # theta-derivatives of size at most 2 ratio |sin(dtheta / 2)|: their
+    # remainder is at most ratio |sin(dtheta / 2)| (theta - theta_c)^2, and
+    # (theta - theta_c)^2 <= P_33 over the set.
+    half_curvature = ratio * abs(sin(dtheta / 2.0))
+
+    def f_remainder(e, k):
+        return np.array([1.0, 1.0, 0.0]) * (half_curvature * e.shape[2, 2])
+
     def h(x):
         x = np.asarray(x, dtype=float)
         out = landmark.measure(x)
@@ -224,6 +258,8 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
     return SystemModel(
         f=f, h=h, h_inv=h_inv,
         E_p=e_p, Q=sc.Q, R=sc.R, f_jac=f_jac, h_jac=h_jac,
+        # theta minus the bearing has the remainder of the bearing.
+        f_remainder=f_remainder, h_remainder=landmark.remainder,
         aux_from_predicted=aux_from_predicted,
     )
 

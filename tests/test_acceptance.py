@@ -265,6 +265,7 @@ def test_criterion_07_linear_model_degeneration():
         h_inv=lambda y, v, aux: y - np.atleast_2d(v),
         E_p=e_p, Q=q, R=r,
         f_jac=lambda x, k: f_mat, h_jac=lambda x: e_p,
+        f_remainder=lambda e, k: np.zeros(2), h_remainder=lambda e: np.zeros(1),
     )
     e0 = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
     y = np.array([1.15])

@@ -5,13 +5,12 @@ import pytest
 
 from smfilter import baselines, dsmf
 from smfilter.baselines import (
-    N_HESSIAN,
-    N_REMAINDER,
+    _f_jacobian,
+    _h_jacobian,
     add_remainder,
     esmf_predict,
     esmf_step,
     esmf_update,
-    hessian_abs_max,
     remainder_bound_f,
     remainder_bound_h,
     ukf_step,
@@ -20,9 +19,9 @@ from smfilter.dsmf import SystemModel, fuse, optimize_rho
 from smfilter.ellipsoid import (
     Ellipsoid,
     optimal_p,
+    sample_interior,
     symmetrize,
 )
-from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
 from reference import minkowski_outer, numerical_jacobian, sample_boundary
@@ -34,65 +33,23 @@ def random_spd(rng, n, scale=1.0):
 
 
 def linear_model(f_mat, h_mat, q, r):
+    """Linear maps with their Jacobians and their zero remainders declared,
+    but not F."""
     return SystemModel(
         f=lambda x, k: np.asarray(x) @ f_mat.T,
         h=lambda x: np.asarray(x) @ h_mat.T,
         h_inv=lambda y, v, aux: y - np.atleast_2d(v),
         E_p=h_mat, Q=q, R=r,
         f_jac=lambda x, k: f_mat, h_jac=lambda x: h_mat,
+        f_remainder=lambda e, k: np.zeros(f_mat.shape[0]),
+        h_remainder=lambda e: np.zeros(h_mat.shape[0]),
     )
-
-
-def reference_hessian_abs_max(fn, pts, out_dim, rel_step=1e-4):
-    """The Hessian bound one stencil offset at a time: one fn call per
-    offset, each on the whole point batch."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    m, n = pts.shape
-    steps = rel_step * np.maximum(1.0, np.abs(pts))
-    f0 = np.atleast_2d(fn(pts))
-    hess = np.zeros((m, out_dim, n, n))
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = 1.0
-        ha = steps[:, a:a + 1]
-        fpa = np.atleast_2d(fn(pts + ha * ea))
-        fma = np.atleast_2d(fn(pts - ha * ea))
-        hess[:, :, a, a] = (fpa - 2.0 * f0 + fma) / ha**2
-        for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = 1.0
-            hb = steps[:, b:b + 1]
-            fpp = np.atleast_2d(fn(pts + ha * ea + hb * eb))
-            fpm = np.atleast_2d(fn(pts + ha * ea - hb * eb))
-            fmp = np.atleast_2d(fn(pts - ha * ea + hb * eb))
-            fmm = np.atleast_2d(fn(pts - ha * ea - hb * eb))
-            mixed = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
-            hess[:, :, a, b] = mixed
-            hess[:, :, b, a] = mixed
-    out = np.abs(hess).max(axis=0)
-    scale = np.abs(f0).max(axis=0) + 1e-30
-    floor = 64.0 * np.finfo(float).eps * scale / steps.min()**2
-    out[out <= floor[:, None, None]] = 0.0
-    return out
-
-
-def reference_remainder_halfwidths(e, fn, jac):
-    """The remainder half-widths with fn called separately on the samples,
-    the center and each Hessian stencil offset."""
-    c = e.center
-    x = c + baselines._remainder_design(N_REMAINDER, e.dim) @ e.factor().T
-    rem = np.atleast_2d(fn(x)) - np.atleast_2d(fn(c)) - (x - c) @ jac.T
-    h_pts = c + baselines._remainder_design(N_HESSIAN, e.dim) @ e.factor().T
-    h_max = reference_hessian_abs_max(fn, h_pts, out_dim=jac.shape[0])
-    radii = np.sqrt(np.diag(e.shape))
-    quad = 0.5 * np.einsum("jab,a,b->j", h_max, radii, radii)
-    return np.maximum(np.abs(rem).max(axis=0), quad)
 
 
 def reference_add_remainder(noise_shape, half):
     """The remainder inflation on Ellipsoid values: minkowski_outer of the
     noise set and the remainder box's covering ellipsoid."""
-    half = baselines.REMAINDER_SAFETY * np.atleast_1d(np.asarray(half, dtype=float))
+    half = np.atleast_1d(np.asarray(half, dtype=float))
     top = half.max()
     if top == 0.0:
         return noise_shape
@@ -103,8 +60,8 @@ def reference_add_remainder(noise_shape, half):
 
 
 def reference_esmf_predict(e_k, model, k):
-    """The linearized prediction on Ellipsoid values, with the sampled
-    remainder bound whether or not the model declares F."""
+    """The linearized prediction on Ellipsoid values, with the declared
+    remainder bound of f."""
     c = e_k.center
     jac = baselines._f_jacobian(model, c, k)
     lin_shape = symmetrize(jac @ e_k.shape @ jac.T)
@@ -122,8 +79,9 @@ class TestMatrixCoveringSums:
         for _ in range(4):
             e = initial_estimate(scenario, rng)
             e = Ellipsoid(e.center, e.shape * rng.uniform(0.01, 2.0))
-            halves = [(model.Q, remainder_bound_f(e, model, 0)),
-                      (model.R, remainder_bound_h(e, model))]
+            halves = [(model.R, remainder_bound_h(e, model))]
+            if model.F is None:
+                halves.append((model.Q, remainder_bound_f(e, model, 0)))
             for noise in (model.Q, model.R):
                 half = rng.uniform(0.0, 3.0, noise.shape[0]) * 10.0 ** rng.integers(-6, 2)
                 half[rng.integers(noise.shape[0])] = 0.0
@@ -195,118 +153,13 @@ class TestExactLinearPrediction:
         esmf_predict(e, build_model(scenario), 0)
         assert calls == {"remainder_bound_f": 0, "add_remainder": 0}
 
-    def test_undeclared_linear_model_samples_its_remainder(self, monkeypatch):
+    def test_undeclared_linear_model_bounds_its_remainder(self, monkeypatch):
         calls = self.counted(monkeypatch)
         f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
         model = linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2), np.array([[0.1]]))
         assert model.F is None
         esmf_predict(Ellipsoid([1.0, -0.5], 0.5 * np.eye(2)), model, 0)
         assert calls == {"remainder_bound_f": 1, "add_remainder": 1}
-
-
-class TestHessianAbsMax:
-    @pytest.mark.parametrize("name, which", [("radar", "h"), ("robot", "f"), ("robot", "h")])
-    def test_matches_reference_loop(self, name, which):
-        model = build_model(build_scenario(name))
-        fn = model.h if which == "h" else (lambda x: model.f(x, 0))
-        rng = np.random.default_rng(21)
-        e = initial_estimate(build_scenario(name), rng)
-        for _ in range(5):
-            pts = sample_boundary(e, N_HESSIAN, rng)
-            out_dim = np.atleast_2d(fn(pts)).shape[1]
-            got = hessian_abs_max(fn, pts, out_dim)
-            assert got.shape == (out_dim, model.state_dim, model.state_dim)
-            np.testing.assert_array_equal(got, reference_hessian_abs_max(fn, pts, out_dim))
-
-    def test_quadratic_map_gives_its_hessian(self):
-        # f_j(x) = x^T A_j x + b_j x has the constant Hessian 2 A_j (A_j
-        # symmetric) at every point.
-        rng = np.random.default_rng(22)
-        quad = rng.standard_normal((2, 3, 3))
-        quad = quad + quad.transpose(0, 2, 1)
-        lin = rng.standard_normal((2, 3))
-
-        def fn(x):
-            return np.einsum("jab,...a,...b->...j", quad, x, x) + x @ lin.T
-
-        got = hessian_abs_max(fn, rng.standard_normal((N_HESSIAN, 3)), 2)
-        np.testing.assert_allclose(got, 2.0 * np.abs(quad), rtol=1e-6)
-
-    def test_linear_map_gives_exactly_zero(self):
-        rng = np.random.default_rng(23)
-        mat = rng.standard_normal((2, 4))
-        pts = 50.0 * rng.standard_normal((N_HESSIAN, 4))
-        got = hessian_abs_max(lambda x: x @ mat.T + 3.0, pts, 2)
-        assert not np.any(got)
-
-
-class TestBatchedRemainderBound:
-    @staticmethod
-    def counted(model):
-        """The model with f and h wrapped to count their calls."""
-        calls = {"f": 0, "h": 0}
-
-        def f(x, k):
-            calls["f"] += 1
-            return model.f(x, k)
-
-        def h(x):
-            calls["h"] += 1
-            return model.h(x)
-
-        return replace(model, f=f, h=h), calls
-
-    @pytest.mark.parametrize("name", ["radar", "robot"])
-    def test_each_bound_calls_the_model_at_most_twice(self, name):
-        model, calls = self.counted(build_model(build_scenario(name)))
-        e = initial_estimate(build_scenario(name), np.random.default_rng(24))
-        remainder_bound_f(e, model, 0)
-        f_calls = calls["f"]
-        remainder_bound_h(e, model)
-        assert 0 < f_calls <= 2 and f_calls == calls["f"]
-        assert 0 < calls["h"] <= 2
-
-    @pytest.mark.parametrize("name", ["radar", "robot"])
-    def test_esmf_sets_match_the_per_offset_reference(self, name, monkeypatch):
-        config = RunConfig(scenario=name, filters=("esmf",), runs=2, master_seed=25)
-        got = run_experiment(config)
-        monkeypatch.setattr(baselines, "_remainder_halfwidths", reference_remainder_halfwidths)
-        want = run_experiment(config)
-        for run_got, run_want in zip(got.runs, want.runs, strict=True):
-            for a, b in zip(run_got.filters["esmf"].sets, run_want.filters["esmf"].sets,
-                            strict=True):
-                np.testing.assert_array_equal(a.center, b.center)
-                np.testing.assert_array_equal(a.shape, b.shape)
-
-
-class TestRemainderDesign:
-    @pytest.mark.parametrize("m, n", [(N_REMAINDER, 4), (N_HESSIAN, 5), (7, 2), (1, 3)])
-    def test_read_only_and_cached_per_shape(self, m, n):
-        design = baselines._remainder_design(m, n)
-        assert design.shape == (m, n) and not design.flags.writeable
-        assert baselines._remainder_design(m, n) is design
-        assert baselines._remainder_design(m + 1, n) is not design
-        with pytest.raises(ValueError):
-            design[0, 0] = 0.0
-
-    def test_boundary_then_interior_radii(self):
-        design = baselines._remainder_design(N_REMAINDER, 4)
-        n_bound = round(baselines.BOUNDARY_FRACTION * N_REMAINDER)
-        radii = np.linalg.norm(design, axis=1)
-        np.testing.assert_allclose(radii[:n_bound], 1.0, rtol=1e-12)
-        rest = N_REMAINDER - n_bound
-        np.testing.assert_allclose(radii[n_bound:],
-                                   ((np.arange(rest) + 0.5) / rest) ** 0.25, rtol=1e-12)
-
-    @pytest.mark.parametrize("name", ["radar", "robot"])
-    def test_bounds_repeat_on_one_set(self, name):
-        scenario = build_scenario(name)
-        model = build_model(scenario)
-        e = initial_estimate(scenario, np.random.default_rng(26))
-        np.testing.assert_array_equal(remainder_bound_h(e, model),
-                                      remainder_bound_h(e, model))
-        np.testing.assert_array_equal(remainder_bound_f(e, model, 2),
-                                      remainder_bound_f(e, model, 2))
 
 
 class TestNumericalJacobian:
@@ -322,7 +175,8 @@ class TestNumericalJacobian:
 
 class TestDeclaredJacobians:
     def test_a_missing_jacobian_is_named(self):
-        # The linearizing baseline has no finite-difference fallback.
+        # The linearizing baseline has no finite-difference fallback, and no
+        # sampled one for its remainder bounds.
         model = SystemModel(
             f=lambda x, k: np.asarray(x), h=lambda x: np.asarray(x),
             h_inv=lambda y, v, aux: y - np.atleast_2d(v),
@@ -333,6 +187,67 @@ class TestDeclaredJacobians:
             esmf_predict(e, model, 0)
         with pytest.raises(ValueError, match="h_jac"):
             esmf_update(e, model, np.array([1.0, 2.0]))
+        model = replace(model, f_jac=lambda x, k: np.eye(2), h_jac=lambda x: np.eye(2))
+        with pytest.raises(ValueError, match="f_remainder"):
+            esmf_predict(e, model, 0)
+        with pytest.raises(ValueError, match="h_remainder"):
+            esmf_update(e, model, np.array([1.0, 2.0]))
+        # Declared linear dynamics need no f_remainder.
+        esmf_predict(e, replace(model, F=np.eye(2)), 0)
+
+
+def dense_remainder(e, fn, jac, rng, m=8000):
+    """The largest |fn(x) - fn(c) - jac (x - c)| per output over m points of
+    e, half on its boundary and half inside, less a rounding allowance."""
+    x = np.vstack([sample_boundary(e, m // 2, rng), sample_interior(e, m // 2, rng)])
+    vals = np.atleast_2d(fn(x))
+    rem = np.abs(vals - fn(e.center) - (x - e.center) @ jac.T).max(axis=0)
+    return rem - 1e-12 * (1.0 + np.abs(vals).max(axis=0)
+                          + np.abs(x).max() * np.abs(jac).sum(axis=1))
+
+
+def random_sets(rng, model, origin, count):
+    """count seeded random ellipsoids of the model's state space, at shape
+    scales from 0.1 to 1000, whose position boxes (radii r_a = sqrt(P_aa))
+    take turns: holding origin, crossing the atan2 cut to its left without
+    holding origin, and lying anywhere around it."""
+    n = model.state_dim
+    sets = []
+    for i in range(count):
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        a = rng.standard_normal((n, n))
+        shape = scale * (a @ a.T + 1e-3 * np.eye(n))
+        radii = np.sqrt(np.diag(shape)[:2])
+        offset = [radii * rng.uniform(-0.5, 0.5, 2),
+                  radii * [-rng.uniform(1.05, 3.0), rng.uniform(-0.5, 0.5)],
+                  np.sqrt(scale) * rng.uniform(0.2, 4.0) * rng.standard_normal(2)][i % 3]
+        center = 3.0 * rng.standard_normal(n)
+        center[:2] = np.asarray(origin) + offset
+        sets.append(Ellipsoid(center, shape))
+    return sets
+
+
+class TestDeclaredRemainder:
+    @pytest.mark.parametrize("name, which", [("radar", "h"), ("robot", "h"), ("robot", "f")])
+    def test_bound_covers_the_dense_remainder(self, name, which):
+        # Each declared bound is at least the remainder found on 8000 points
+        # of each of 240 seeded random sets, including sets whose position
+        # box holds the sensor or landmark and sets that cross the atan2
+        # cut.
+        scenario = build_scenario(name)
+        model = build_model(scenario)
+        origin = scenario.sensor if name == "radar" else scenario.landmark
+        rng = np.random.default_rng(31)
+        for e in random_sets(rng, model, origin, 240):
+            if which == "h":
+                got = remainder_bound_h(e, model)
+                want = dense_remainder(e, model.h, _h_jacobian(model, e.center), rng)
+            else:
+                got = remainder_bound_f(e, model, 0)
+                want = dense_remainder(e, lambda x: model.f(x, 0),
+                                       _f_jacobian(model, e.center, 0), rng)
+            assert got.shape == want.shape
+            assert np.all(got >= want), (e.center, e.shape, got, want)
 
 
 class TestRemainderBound:
@@ -341,13 +256,12 @@ class TestRemainderBound:
     (sqrt(q) + sqrt(R))^2 per axis when both are diagonal and proportional."""
 
     def test_zero_samples_give_zero_bound(self):
-        # A linear map has no remainder: the sampled half-widths are at
-        # rounding level and the curvature term is exactly zero.
+        # A linear map has no remainder, and a model can declare so.
         f_mat = np.array([[1.0, 0.5], [0.0, 1.0]])
         model = linear_model(f_mat, np.eye(2), np.eye(2), np.eye(2))
         e = Ellipsoid([3.0, -1.0], np.diag([4.0, 0.5]))
         half = remainder_bound_f(e, model, 0)
-        assert half.shape == (2,) and np.all(half <= 1e-12)
+        assert half.shape == (2,) and not np.any(half)
 
     def test_add_remainder_zero_is_noop(self):
         q = np.diag([2.0, 3.0])
@@ -355,61 +269,51 @@ class TestRemainderBound:
         np.testing.assert_array_equal(out, q)
 
     def test_quadratic_scalar_example(self):
-        # f(x) = x^2 on [-1, 1] linearized at 0: the remainder is x^2, its
-        # sampled maximum 1 and the safety-inflated half-width 1.1.
+        # f(x) = x^2 on [-1, 1] linearized at 0: the remainder is x^2 and
+        # its half-width 1.
         xs = np.linspace(-1.0, 1.0, 201)
         out = add_remainder(np.array([[1e-16]]), [np.abs(xs**2).max()])
-        assert out[0, 0] == pytest.approx(1.1**2, rel=1e-6)
+        assert out[0, 0] == pytest.approx(1.0, rel=1e-6)
 
     def test_box_coverage_factor(self):
-        # In d dimensions the remainder shape is diag(d * (1.1 half)^2), so
-        # the whole inflated box, corners included, is inside the sum.
+        # In d dimensions the remainder shape is diag(d * half^2), so the
+        # whole box, corners included, is inside the sum.
         half = np.array([1.0, 2.0])
         out = add_remainder(1e-16 * np.eye(2), half)
         for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-            corner = 1.1 * half * np.array(signs)
+            corner = half * np.array(signs)
             assert corner @ np.linalg.solve(out, corner) <= 1.0 + 1e-12
 
     def test_zero_axis_floored(self):
         # An axis with no remainder is floored at 1e-12 of the largest
-        # (inflated) half-width, so the remainder shape stays SPD: on a
-        # noise axis of 1e-30 the sum then reaches above (1.1e-12)^2.
+        # half-width, so the remainder shape stays SPD: on a noise axis of
+        # 1e-30 the sum then reaches above (1e-12)^2.
         out = add_remainder(np.diag([1.0, 1e-30]), [1.0, 0.0])
-        assert out[1, 1] > (1.1e-12) ** 2
+        assert out[1, 1] > (1e-12) ** 2
         assert np.linalg.eigvalsh(out).min() > 0
 
     def test_esmf_inflation_matches_the_covering_sum(self):
         # add_remainder is the covering sum of the noise bound and
-        # diag(d * (1.1 half)^2) at the trace-optimal p.
+        # diag(d * half^2) at the trace-optimal p.
         q = np.diag([2.0, 3.0])
         half = np.array([0.5, 0.25])
-        bound = np.diag(2 * (1.1 * half) ** 2)
+        bound = np.diag(2 * half**2)
         want = minkowski_outer(Ellipsoid(np.zeros(2), q), bound, optimal_p(q, bound))
         np.testing.assert_array_equal(add_remainder(q, half), want.shape)
 
     def test_monotone_in_input_set(self):
-        # Doubling the sampled set never shrinks the bound (quadratic map).
+        # Growing the set never shrinks the declared bounds of the presets.
         rng = np.random.default_rng(0)
-        quad = rng.standard_normal((2, 2, 2))
-
-        def f(x, k):
-            x = np.asarray(x, dtype=float)
-            return np.einsum("ijk,...j,...k->...i", quad, x, x)
-
-        def f_jac(x, k):
-            return np.einsum("ijk,k->ij", quad + quad.transpose(0, 2, 1), x)
-
-        model = SystemModel(
-            f=f, h=lambda x: np.atleast_2d(x),
-            h_inv=lambda y, v, aux: y - np.atleast_2d(v),
-            E_p=np.eye(2), Q=np.eye(2), R=np.eye(2),
-            f_jac=f_jac, h_jac=lambda x: np.eye(2),
-        )
-        small = Ellipsoid([0.0, 0.0], np.eye(2))
-        big = Ellipsoid([0.0, 0.0], 2.0 * np.eye(2))
-        h_small = remainder_bound_f(small, model, 0)
-        h_big = remainder_bound_f(big, model, 0)
-        assert np.all(h_big >= h_small - 1e-12)
+        for name in ("radar", "robot"):
+            scenario = build_scenario(name)
+            model = build_model(scenario)
+            origin = scenario.sensor if name == "radar" else scenario.landmark
+            for e in random_sets(rng, model, origin, 60):
+                big = Ellipsoid(e.center, rng.uniform(1.0, 4.0) * e.shape)
+                assert np.all(remainder_bound_h(big, model) >= remainder_bound_h(e, model))
+                if model.F is None:
+                    assert np.all(remainder_bound_f(big, model, 0)
+                                  >= remainder_bound_f(e, model, 0))
 
 
 class TestUkf:
@@ -535,8 +439,24 @@ class TestEsmf:
         esmf_update(pred, model, np.array([0.2]))
         assert len(calls) == 1
 
+    def test_a_non_finite_predicted_center_raises(self):
+        model = replace(linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2)),
+                        f=lambda x, k: np.full(2, np.nan))
+        with pytest.raises(ValueError, match="center has a non-finite entry"):
+            esmf_predict(Ellipsoid([0.0, 0.0], np.eye(2)), model, 0)
+
+    @pytest.mark.parametrize("name", ["radar", "robot"])
+    def test_prediction_carries_the_factor_of_its_shape(self, name):
+        scenario = build_scenario(name)
+        pred = esmf_predict(initial_estimate(scenario, np.random.default_rng(33)),
+                            build_model(scenario), 0)
+        assert np.array_equal(pred.factor(), np.linalg.cholesky(pred.shape))
+        checked = Ellipsoid(pred.center, pred.shape)
+        assert np.array_equal(checked.shape, pred.shape)
+        assert not pred.center.flags.writeable and not pred.shape.flags.writeable
+
     def test_nonlinear_step_runs_and_contains(self):
-        # Mildly quadratic dynamics: the remainder inflation keeps the
+        # Mildly quadratic dynamics: the remainder inflation keeps every
         # true propagated point inside the predicted set.
         def f(x, k):
             x = np.asarray(x, dtype=float)
@@ -550,6 +470,8 @@ class TestEsmf:
             E_p=np.eye(2), Q=0.01 * np.eye(2), R=0.05 * np.eye(2),
             f_jac=lambda x, k: np.array([[1.0, 0.2 * x[1]], [0.0, 0.9]]),
             h_jac=lambda x: np.eye(2),
+            # The remainder 0.1 (x_1 - c_1)^2 of the first output.
+            f_remainder=lambda e, k: np.array([0.1 * e.shape[1, 1], 0.0]),
         )
         from smfilter.baselines import esmf_predict
         from smfilter.ellipsoid import contains, sample_interior
@@ -560,4 +482,4 @@ class TestEsmf:
         pts = sample_interior(e0, 500, rng)
         w = sample_interior(Ellipsoid(np.zeros(2), model.Q), 500, rng)
         prop = model.f(pts, 0) + w
-        assert contains(pred, prop, 1e-9).mean() >= 0.999
+        assert contains(pred, prop, 1e-9).all()

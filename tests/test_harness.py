@@ -223,8 +223,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("scenario", ["radar", "robot"])
     def test_esmf_does_not_depend_on_the_other_filters(self, scenario):
-        # esmf samples its remainder bounds on a fixed design, so its sets
-        # are the same alone and behind two other filters.
+        # esmf draws no random numbers (its remainder bounds are the
+        # model's closed forms), so its sets are the same alone and behind
+        # two other filters.
         base = dict(scenario=scenario, runs=2, steps=4, master_seed=8)
         alone = run_experiment(RunConfig(filters=("esmf",), **base))
         behind = run_experiment(RunConfig(filters=("dsmf", "ukf", "esmf"), **base))

@@ -55,3 +55,6 @@ def test_layer_metrics_cover_the_declared_figures(tmp_path):
         assert metrics["dsmf.step.calls"] > 0 and esmf_updates > 0, preset
         assert metrics["dsmf.rho.calls"] == metrics["dsmf.step.calls"], preset
         assert metrics["baselines.esmf.rho.calls"] == esmf_updates, preset
+        # The benchmark's baselines.esmf.remainder.* figures would read 0 if a
+        # refactor inlined the declared bound into the esmf steps.
+        assert metrics["baselines.esmf.remainder.calls"] > 0, preset
