@@ -31,8 +31,7 @@ from .harness import (
     run_experiment,
     split_filters,
     sweep_sigma,
-    write_bench_csv,
-    write_sweep_csv,
+    write_table,
 )
 from .mvee import DEFAULT_TOL, fw_solve
 
@@ -158,7 +157,7 @@ def cmd_bench(args) -> int:
     rows = bench_mvee(args.n, args.m, args.trials, master_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = write_bench_csv(rows, out / "bench.csv")
+    path = write_table(rows, out / "bench.csv")
     print(json.dumps({"csv": str(path), "cells": rows}, indent=2))
     return 0
 
@@ -175,7 +174,7 @@ def cmd_sweep_sigma(args) -> int:
     rows = sweep_sigma(sigmas, replicates=args.replicates, master_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = write_sweep_csv(rows, out / "sigma_sweep.csv")
+    path = write_table(rows, out / "sigma_sweep.csv")
     sigma = [r["sigma"] for r in rows]
     slopes = {f"{name}_slope": affine_fit_r2(sigma, [r[f"{name}_logdet"] for r in rows])[0]
               for name in ("dsmf", "esmf")}

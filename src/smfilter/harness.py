@@ -1,7 +1,8 @@
 """Configuration-driven Monte Carlo engine: runs the filters over simulated
 truths, aggregates metrics, benchmarks the enclosing-ellipsoid solver, and
-writes CSV/JSON outputs for external plotting.  Every filter state is an
-Ellipsoid, whose size and containment are what a run reports: the
+writes CSV/JSON outputs: the metrics, a summary, and every filter set of
+every run, center and shape as read-back-exact floats.  Every filter state
+is an Ellipsoid, whose size and containment are what a run reports: the
 set-membership filters' guaranteed set, the ukf's three-sigma set.  Every
 run's first dsmf prediction starts from weights solved once per experiment
 on the preset's nominal initial set.
@@ -21,14 +22,13 @@ import time
 from configparser import ConfigParser
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import scenarios as sc
 from .baselines import esmf_predict, esmf_step, ukf_step, uniform_covariance
-from .dsmf import FilterOptions, SystemModel, _design, _prediction_start, predict, step
+from .dsmf import FilterOptions, SystemModel, _prediction_start, predict, step
 from .ellipsoid import Ellipsoid, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
@@ -36,7 +36,6 @@ from .scenarios import RangeBearing, build_model, build_scenario, initial_estima
 
 KNOWN_FILTERS = ("dsmf", "esmf", "ukf")
 CONTAINMENT_SLACK = 1e-6
-ELLIPSE_POINTS = 128
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -388,12 +387,14 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 
 
 def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
-    """Write metrics.csv, summary.json and per-step ellipse polylines.
+    """Write metrics.csv, summary.json and the filter sets of every run.
 
-    The ellipse files hold 128-point outlines of the position-projected
-    filter set, one file per (run, step, filter).  Timing columns are left
-    empty unless the config requested timing, keeping default outputs
-    byte-identical across executions.
+    sets/run<r>_<filter>.csv holds one row per step of run r: k, the
+    full-state center c0..c{n-1}, then the upper triangle of the shape,
+    p00, p01, ..., in the row-major order of np.triu_indices(n).  Every
+    value is a repr float, so each set reads back bit for bit.  Timing
+    columns are left empty unless the config requested timing, keeping
+    default outputs byte-identical across executions.
     """
     out = Path(out_dir)
     try:
@@ -434,17 +435,19 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
 
-    e_p = result.model.E_p
-    ellipse_dir = out / "ellipses"
-    ellipse_dir.mkdir(exist_ok=True)
-    circle = _design(ELLIPSE_POINTS, 2).T  # (2, 128): equispaced angles
+    n = result.model.state_dim
+    rows, cols = np.triu_indices(n)
+    header = ",".join(["k", *(f"c{i}" for i in range(n)),
+                       *(f"p{i}{j}" for i, j in zip(rows, cols))])
+    set_dir = out / "sets"
+    set_dir.mkdir(exist_ok=True)
     for log in result.runs:
         for name, flog in log.filters.items():
-            for k, e in enumerate(flog.sets):
-                ell = Ellipsoid(e_p @ e.center, e_p @ e.shape @ e_p.T)
-                pts = ell.center[:, None] + ell.factor() @ circle
-                path = ellipse_dir / f"run{log.run_index}_k{k + 1}_{name}.csv"
-                written.append(_write_csv(path, "x,y", pts.T.tolist()))
+            tri = np.array([e.shape for e in flog.sets])[:, rows, cols]
+            table = ((k, *c, *p) for k, (c, p) in
+                     enumerate(zip(flog.estimates.tolist(), tri.tolist()), 1))
+            path = set_dir / f"run{log.run_index}_{name}.csv"
+            written.append(_write_csv(path, header, table))
     return written
 
 
@@ -478,11 +481,6 @@ def bench_mvee(n_list, m_list, trials: int, master_seed: int = 0) -> list[dict]:
         # the clean per-iteration cost.
         "time_per_iter_s": float(np.min(times[c] / iters[c])),
     } for c, (n, m) in enumerate(cells)]
-
-
-def write_bench_csv(rows: list[dict], path: str | Path) -> Path:
-    header = "n,m,fw_time_s,iterations,time_per_iter_s"
-    return _write_csv(Path(path), header, map(itemgetter(*header.split(",")), rows))
 
 
 def affine_fit_r2(x, y) -> tuple[float, float, float]:
@@ -546,6 +544,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
     return results
 
 
-def write_sweep_csv(rows: list[dict], path: str | Path) -> Path:
-    header = "sigma,dsmf_logdet,esmf_logdet"
-    return _write_csv(Path(path), header, map(itemgetter(*header.split(",")), rows))
+def write_table(rows: list[dict], path: str | Path) -> Path:
+    """Write a list of dicts with the same keys as CSV; the header is the
+    first row's keys, in order."""
+    return _write_csv(Path(path), ",".join(rows[0]), (row.values() for row in rows))

@@ -246,7 +246,8 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
 
     def h_inv(y, v, aux):
         (theta,) = aux
-        bearing = np.asarray(theta, dtype=float) - y[1] - np.asarray(v, dtype=float)[..., 1]
+        # y[1] = theta - bearing + v[1]
+        bearing = np.asarray(theta, dtype=float) - y[1] + np.asarray(v, dtype=float)[..., 1]
         return landmark.invert(y, v, bearing)
 
     def aux_from_predicted(pred: Ellipsoid) -> np.ndarray:

@@ -2,8 +2,9 @@
 objective, its gradient and the KKT residual of a solve, each evaluated
 from scratch; the covering sum as a checked Ellipsoid; sampling on the
 boundary of an ellipsoid; a finite-difference Jacobian, against which the
-declared Jacobians are checked; and the per-step loops of the truth
-simulation and of the metrics table.
+declared Jacobians are checked; the per-step loops of the truth
+simulation and of the metrics table; and a reader of the emitted set
+files with the position outline a plot draws from them.
 
 The dual objective and its gradient are evaluated on the cloud translated
 by its plain mean.  A translation maps the lifted points by a matrix of
@@ -149,3 +150,24 @@ def metrics_by_step(config, scenario, runs, steps: int) -> list:
                 time_s=float(times[:, k].mean()),
             ))
     return rows
+
+
+def read_sets(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, centers, shapes) of an emitted sets/run<r>_<filter>.csv:
+    (steps,) ints, (steps, n) centers and (steps, n, n) shapes, each shape
+    mirrored from its upper triangle."""
+    with open(path) as fh:
+        n = sum(name.startswith("c") for name in fh.readline().split(","))
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows, cols = np.triu_indices(n)
+    shapes = np.empty((len(table), n, n))
+    shapes[:, rows, cols] = shapes[:, cols, rows] = table[:, 1 + n:]
+    return table[:, 0].astype(int), table[:, 1:1 + n], shapes
+
+
+def position_outline(center, shape, e_p, m: int = 128) -> np.ndarray:
+    """(2, m) points on the boundary of the position projection
+    {E_p c, E_p P E_p^T} of a set, at m equispaced angles."""
+    ang = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    proj = Ellipsoid(e_p @ center, e_p @ shape @ e_p.T)
+    return proj.center[:, None] + proj.factor() @ np.stack([np.cos(ang), np.sin(ang)])

@@ -26,7 +26,7 @@ from smfilter.harness import (
 )
 from smfilter.scenarios import build_model, build_scenario, simulate_truth
 
-from reference import metrics_by_step
+from reference import metrics_by_step, position_outline, read_sets
 
 TINY = dict(scenario="radar", filters=("dsmf", "esmf", "ukf"), runs=2, steps=3,
             master_seed=11)
@@ -489,10 +489,27 @@ class TestEmitOutputs:
         files = emit_outputs(tiny_result, tmp_path)
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "summary.json").exists()
-        ellipses = list((tmp_path / "ellipses").iterdir())
-        # one polyline per (run, step, filter)
-        assert len(ellipses) == 2 * 3 * 3
-        assert len(files) == 2 + len(ellipses)
+        sets = sorted((tmp_path / "sets").iterdir())
+        # one file per (run, filter), one row per step
+        assert [f.name for f in sets] == [f"run{r}_{name}.csv" for r in (0, 1)
+                                          for name in ("dsmf", "esmf", "ukf")]
+        assert len(files) == 2 + len(sets)
+        assert all(len(f.read_text().splitlines()) == 1 + 3 for f in sets)
+        # the center, then the upper triangle of the shape, row-major
+        header = sets[0].read_text().splitlines()[0]
+        assert header == "k,c0,c1,c2,c3,p00,p01,p02,p03,p11,p12,p13,p22,p23,p33"
+
+    @pytest.mark.parametrize("preset", ["radar", "robot"])
+    def test_every_set_reads_back_bit_for_bit(self, preset, tmp_path):
+        result = run_experiment(RunConfig(**{**TINY, "scenario": preset}))
+        emit_outputs(result, tmp_path)
+        for log in result.runs:
+            for name, flog in log.filters.items():
+                path = tmp_path / "sets" / f"run{log.run_index}_{name}.csv"
+                ks, centers, shapes = read_sets(path)
+                np.testing.assert_array_equal(ks, np.arange(1, 4))
+                np.testing.assert_array_equal(centers, [e.center for e in flog.sets])
+                np.testing.assert_array_equal(shapes, [e.shape for e in flog.sets])
 
     def test_metrics_header_and_lf(self, tiny_result, tmp_path):
         emit_outputs(tiny_result, tmp_path)
@@ -525,16 +542,14 @@ class TestEmitOutputs:
         assert set(timing) == {"dsmf", "ukf"} and all(t > 0 for t in timing.values())
 
     def test_polyline_points_on_projected_ellipsoid(self, tiny_result, tmp_path):
-        from smfilter.scenarios import build_model
-
+        # The outline a plot draws from a read-back set row.
         emit_outputs(tiny_result, tmp_path)
-        model = build_model(tiny_result.scenario)
-        log = tiny_result.runs[0]
-        e = log.filters["dsmf"].sets[0]
-        proj_c = model.E_p @ e.center
-        proj_p = model.E_p @ e.shape @ model.E_p.T
-        path = tmp_path / "ellipses" / "run0_k1_dsmf.csv"
-        pts = np.loadtxt(path, delimiter=",", skiprows=1)
+        e_p = tiny_result.model.E_p
+        e = tiny_result.runs[0].filters["dsmf"].sets[0]
+        proj_c = e_p @ e.center
+        proj_p = e_p @ e.shape @ e_p.T
+        _, centers, shapes = read_sets(tmp_path / "sets" / "run0_dsmf.csv")
+        pts = position_outline(centers[0], shapes[0], e_p, m=128).T
         assert pts.shape == (128, 2)
         dev = pts - proj_c
         vals = np.einsum("mi,ij,mj->m", dev, np.linalg.inv(proj_p), dev)

@@ -3,7 +3,7 @@ import pytest
 
 from smfilter.baselines import _f_jacobian
 from smfilter.dsmf import SystemModel
-from smfilter.ellipsoid import contains
+from smfilter.ellipsoid import Ellipsoid, contains, sample_interior
 from smfilter.errors import MeasurementDomainError, SpdError
 from smfilter.harness import parse_config
 from smfilter.scenarios import (
@@ -77,6 +77,23 @@ class TestRangeBearing:
         v = np.array([[0.3, -0.1], [0.0, 0.4]])
         np.testing.assert_array_equal(model.h_inv(y, v[1], theta),
                                       model.h_inv(y, v, theta)[1:])
+
+
+# The auxiliary parameters each preset's inverse map takes at a state x.
+AUX = {"radar": lambda x: (), "robot": lambda x: (x[2:3],)}
+
+
+@pytest.mark.parametrize("preset", sorted(AUX))
+def test_inverse_map_round_trips_under_noise(preset):
+    # E_p x = h_inv(h(x) + v, v, aux(x)) for every v inside R, not only v = 0.
+    scenario = build_scenario(preset)
+    model = build_model(scenario)
+    rng = np.random.default_rng(27)
+    states = np.asarray(scenario.x0) + rng.uniform(-5.0, 5.0, size=(50, model.state_dim))
+    noises = sample_interior(Ellipsoid(np.zeros(model.meas_dim), model.R), 50, rng)
+    for x, v in zip(states, noises):
+        z = model.h_inv(model.h(x) + v, v, AUX[preset](x))
+        np.testing.assert_allclose(z[0], model.E_p @ x, rtol=0.0, atol=1e-9)
 
 
 class TestRadarScenarioConstants:
