@@ -12,12 +12,16 @@ both sides alike.  Each tree runs its own copy of smbench/run.py on its own
 sources.  For every end-to-end metric that the change tree's BENCHMARK.json
 declares, the file holds each side's median and quartiles over the pairs,
 and the number of pairs in which the change is better (a tie is no win).
+A metric with a bound is also judged as the benchmark pipeline judges it:
+worse_than_bound when the change's median is worse than the parent's by
+more than bound x |parent median|, and unresolved when the parent's IQR
+exceeds that margin and not every change run beats every parent run.
 It also records each pair's raw figures, whether every run printed
 `correct: true` and `failed: 0`, the commit of each tree (when it is a git
 checkout), the core count, the Python and numpy versions and the BLAS
-numpy was built with.  The figures are reported, not judged: the script
-exits 0 whatever they say, and non-zero only when a run fails to print its
-result.
+numpy was built with.  The figures and judgements are reported, not acted
+on: the script exits 0 whatever they say, and non-zero only when a run fails
+to print its result.
 """
 
 from __future__ import annotations
@@ -80,8 +84,9 @@ def spread(values: list) -> dict:
 
 
 def summarise(pairs: list, declared: list) -> dict:
-    """Per declared metric: each side's spread, the change's wins and the
-    median change in percent of the parent's median."""
+    """Per declared metric: each side's spread, the change's wins, the
+    median change in percent of the parent's median, and for a metric with
+    a bound whether it is worse_than_bound or unresolved (None without)."""
     out = {}
     for metric in declared:
         name = metric["name"]
@@ -91,6 +96,13 @@ def summarise(pairs: list, declared: list) -> dict:
                   for side in ("parent", "change")}
         sign = 1.0 if metric["better"] == "lower" else -1.0
         parent, change = spread(values["parent"]), spread(values["change"])
+        worse = unresolved = None
+        if metric.get("bound") is not None:
+            margin = metric["bound"] * abs(parent["median"])
+            worse = sign * (change["median"] - parent["median"]) > margin
+            every_run_better = (max(sign * c for c in values["change"])
+                                < min(sign * p for p in values["parent"]))
+            unresolved = parent["iqr"] > margin and not every_run_better
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -104,6 +116,8 @@ def summarise(pairs: list, declared: list) -> dict:
                                   / parent["median"] if parent["median"] else None),
             "better_by_more_than_parent_iqr":
                 sign * (parent["median"] - change["median"]) > parent["iqr"],
+            "worse_than_bound": worse,
+            "unresolved": unresolved,
         }
     return out
 
@@ -158,7 +172,8 @@ def main(argv=None) -> int:
         for name, m in result["metrics"].items():
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} "
-                  f"wins {m['change_wins']}/{m['pairs']}")
+                  f"wins {m['change_wins']}/{m['pairs']} "
+                  f"worse_than_bound {m['worse_than_bound']} unresolved {m['unresolved']}")
     print(path)
     return 0
 

@@ -109,9 +109,7 @@ def esmf_update(e_pred: Ellipsoid, model: SystemModel,
 
 def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Ellipsoid:
     """One extended set-membership filter step."""
-    e_pred = esmf_predict(e_k, model, k)
-    updated, _ = esmf_update(e_pred, model, y)
-    return updated
+    return esmf_update(esmf_predict(e_k, model, k), model, y)[0]
 
 
 def _sigma_points(mean: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

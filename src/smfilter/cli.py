@@ -82,10 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.config:
-        config = parse_config(args.config)
-    else:
-        config = RunConfig()
+    config = parse_config(args.config) if args.config else RunConfig()
     updates = {}
     if args.scenario:
         updates["scenario"] = args.scenario
@@ -155,9 +152,7 @@ def cmd_bench(args) -> int:
     if min(args.m, default=0) <= max(args.n):
         raise ConfigError("--m must be >= n + 1 for every --n")
     rows = bench_mvee(args.n, args.m, args.trials, master_seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_table(rows, out / "bench.csv")
+    path = write_table(rows, Path(args.out) / "bench.csv")
     print(json.dumps({"csv": str(path), "cells": rows}, indent=2))
     return 0
 
@@ -172,9 +167,7 @@ def cmd_sweep_sigma(args) -> int:
     sigmas = np.arange(args.sigma_from, args.sigma_to + 0.5 * args.sigma_step,
                        args.sigma_step)
     rows = sweep_sigma(sigmas, replicates=args.replicates, master_seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_table(rows, out / "sigma_sweep.csv")
+    path = write_table(rows, Path(args.out) / "sigma_sweep.csv")
     sigma = [r["sigma"] for r in rows]
     slopes = {f"{name}_slope": affine_fit_r2(sigma, [r[f"{name}_logdet"] for r in rows])[0]
               for name in ("dsmf", "esmf")}
@@ -185,12 +178,8 @@ def cmd_sweep_sigma(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "mvee": cmd_mvee,
-        "bench": cmd_bench,
-        "sweep-sigma": cmd_sweep_sigma,
-    }
+    handlers = {"simulate": cmd_simulate, "mvee": cmd_mvee, "bench": cmd_bench,
+                "sweep-sigma": cmd_sweep_sigma}
     try:
         return handlers[args.command](args)
     except ConfigError as err:

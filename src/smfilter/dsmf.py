@@ -20,8 +20,8 @@ Each enclosing solve starts from weights near its optimum: the last step's,
 else the optimum of its design, which is exact on an affine image of the
 design.  The first prediction of a run over curved dynamics is far from
 that, so the harness starts it from the optimum over the image of the
-preset's nominal initial set (_prediction_start), solved once per
-experiment.
+preset's nominal initial set (_prediction_start), solved once per process
+for each nominal cloud.
 """
 
 from __future__ import annotations
@@ -143,8 +143,9 @@ class FilterOptions:
     performs thousands of solves.  A solve starts from the last step's
     weights, or else from the optimum of its own design (_design_optimum);
     the harness starts each run's first prediction from the optimum over
-    the image of the preset's nominal initial set (_prediction_start),
-    which is closer than the design's on curved dynamics.  Only a
+    the image of the preset's nominal initial set, closer than the design's
+    on curved dynamics (_prediction_start, solved once per process for each
+    nominal cloud).  Only a
     product-grid measurement cloud (a model with aux) has no design
     optimum and starts cold, in tens of iterations.  A start
     whitens the cloud by its weights, and when they are still optimal the
@@ -220,11 +221,21 @@ def _boundary(e: Ellipsoid, design: tuple) -> np.ndarray:
     return e.center + _design(*design) @ e.factor().T
 
 
+@lru_cache(maxsize=16)
+def _nominal_optimum(cloud: bytes, shape: tuple, tol: float, max_iter: int | None) -> np.ndarray:
+    """The weights of the enclosing solve over the (m, n) float64 cloud whose
+    C-order bytes are `cloud`, started from _design_optimum(m, n).  Keyed on
+    the cloud, not a model, so experiments on one nominal set share one solve."""
+    return mvee.fw_solve(np.frombuffer(cloud).reshape(shape), tol=tol, max_iter=max_iter,
+                         start=_design_optimum(*shape)).weights
+
+
 def _prediction_start(e0: Ellipsoid, model: SystemModel,
                       opts: FilterOptions) -> np.ndarray | None:
     """The weights of the first prediction's enclosing solve from e0, over
     f(c + design E^T, 0) and started from the design optimum; None for a
-    model that declares F, where the design optimum is exact.
+    model that declares F, where the design optimum is exact.  Solved once
+    per process for each nominal cloud (_nominal_optimum).
 
     Every design point has kappa within rounding of d, so the design's
     optimum is an arbitrary vertex of its optimal face, 15-25 passes from
@@ -234,8 +245,8 @@ def _prediction_start(e0: Ellipsoid, model: SystemModel,
     if model.F is not None:
         return None
     design = (opts.m_samples, model.state_dim)
-    return mvee.fw_solve(model.f(_boundary(e0, design), 0), tol=opts.tol,
-                         max_iter=opts.max_iter, start=_design_optimum(*design)).weights
+    cloud = np.asarray(model.f(_boundary(e0, design), 0), dtype=float)
+    return _nominal_optimum(cloud.tobytes(), cloud.shape, opts.tol, opts.max_iter)
 
 
 def _enclose(points: np.ndarray, opts: FilterOptions, what: Callable[[], str],

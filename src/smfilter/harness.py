@@ -4,8 +4,8 @@ writes CSV/JSON outputs: the metrics, a summary, and every filter set of
 every run, center and shape as read-back-exact floats.  Every filter state
 is an Ellipsoid, whose size and containment are what a run reports: the
 set-membership filters' guaranteed set, the ukf's three-sigma set.  Every
-run's first dsmf prediction starts from weights solved once per experiment
-on the preset's nominal initial set.
+run's first dsmf prediction starts from weights solved once per process for
+each nominal cloud, the image of the preset's nominal initial set.
 
 All randomness flows from a single master seed; per-run seeds are derived
 with a stable 64-bit mix and recorded so any single run can be replayed.
@@ -85,6 +85,9 @@ class RunConfig:
         unknown = [f for f in self.filters if f not in KNOWN_FILTERS]
         if unknown:
             raise ConfigError(f"unknown filters {unknown}; choose from {KNOWN_FILTERS}")
+        repeated = sorted({f for f in self.filters if self.filters.count(f) > 1})
+        if repeated:
+            raise ConfigError(f"repeated filters {repeated}; name each filter once")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.steps is not None and self.steps < 1:
@@ -341,9 +344,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     experiment.  Every set-membership update fuses at the rho that
     minimises the fused trace.  Every run's e0 is the nominal set {x0, P0}
     moved by at most init_offset P0, so dsmf's first prediction is solved
-    once on it (_prediction_start) and each run's starts from there, a
-    pass or two away; when that solve fails numerically, from the design
-    optimum.  Run r's sets do not depend on the number of runs.
+    on it, once per process for each nominal cloud (_prediction_start), and
+    each run's starts from there, a pass or two away; when that solve fails
+    numerically, from the design optimum.  Run r's sets do not depend on
+    the number of runs.
     """
     scenario, model = config._set_up()
     steps = config.steps if config.steps is not None else scenario.steps
@@ -545,6 +549,7 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
 
 
 def write_table(rows: list[dict], path: str | Path) -> Path:
-    """Write a list of dicts with the same keys as CSV; the header is the
-    first row's keys, in order."""
+    """Write a list of dicts with the same keys as CSV, making its directory;
+    the header is the first row's keys, in order."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     return _write_csv(Path(path), ",".join(rows[0]), (row.values() for row in rows))

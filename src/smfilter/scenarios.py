@@ -103,13 +103,9 @@ class RadarScenario:
 
     @property
     def F(self) -> np.ndarray:
-        t = self.T
-        return np.array([
-            [1.0, 0.0, t, 0.0],
-            [0.0, 1.0, 0.0, t],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
+        f = np.eye(4)
+        f[0, 2] = f[1, 3] = self.T
+        return f
 
     @property
     def Q(self) -> np.ndarray:

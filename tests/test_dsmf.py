@@ -916,7 +916,9 @@ class TestDesignOptimumStart:
         # Solved from the design optimum through the mvee module, never the
         # dsmf.fw_solve that tools wrap, in the 18 passes a run's first
         # prediction took from there; a prediction of the same set from
-        # those weights then takes no pass.
+        # those weights then takes no pass.  The solve is cached per nominal
+        # cloud, so an earlier test's experiment on this set would hide it.
+        dsmf._nominal_optimum.cache_clear()
         scenario = build_scenario("robot")
         model = build_model(scenario)
         nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)

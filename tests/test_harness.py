@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smfilter import dsmf, harness, scenarios
+from smfilter import dsmf, harness, mvee, scenarios
 from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
 from smfilter.dsmf import FilterOptions, StepRecord, _prediction_start, predict, step
@@ -62,6 +62,20 @@ class TestRunConfig:
     def test_validate_rejects_unknown_filter(self):
         with pytest.raises(ConfigError):
             RunConfig(filters=("dsmf", "pf")).validate()
+
+    def test_repeated_filter_rejected(self, tmp_path, capsys):
+        # A repeated name used to run that filter twice per run, write each
+        # of its metrics rows twice and count its failures twice.
+        with pytest.raises(ConfigError, match=r"repeated filters \['dsmf'\]"):
+            RunConfig(filters=("dsmf", "esmf", "dsmf")).validate()
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = robot\nfilters = ukf, esmf, ukf, esmf\n")
+        with pytest.raises(ConfigError, match=r"repeated filters \['esmf', 'ukf'\]"):
+            parse_config(path)
+        code = cli_main(["simulate", "--scenario", "robot", "--filters", "dsmf,esmf,dsmf",
+                         "--runs", "1", "--steps", "2", "--out", str(tmp_path / "out")])
+        assert code == 2 and "repeated filters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_rejects_bad_runs(self):
         with pytest.raises(ConfigError):
@@ -311,7 +325,8 @@ class TestRunExperiment:
 
 class TestFirstPredictionStart:
     """Every run's first dsmf prediction starts from the optimum over the
-    image of the preset's nominal set {x0, P0}, solved once per experiment."""
+    image of the preset's nominal set {x0, P0}, solved once per process for
+    each nominal cloud."""
 
     @staticmethod
     def spied(monkeypatch, nominal=None):
@@ -351,8 +366,32 @@ class TestFirstPredictionStart:
         firsts = [run.filters["dsmf"].records[0].solves[0] for run in result.runs]
         assert all(s.converged and s.iterations <= 3 for s in firsts)
 
+    def test_one_nominal_solve_per_nominal_cloud(self, monkeypatch):
+        # Keyed on the nominal cloud: the seed, the run count and Q leave it
+        # as it is, and each of x0, P0, m_samples and tol makes a new one.
+        solves, solve = [], mvee.fw_solve
+
+        def counted(points, **kwargs):
+            if "start" in kwargs:  # the nominal solve; a design optimum has none
+                solves.append(kwargs)
+            return solve(points, **kwargs)
+
+        monkeypatch.setattr(mvee, "fw_solve", counted)
+        dsmf._nominal_optimum.cache_clear()
+        base = dict(scenario="robot", filters=("dsmf",), steps=1)
+        run_experiment(RunConfig(runs=2, master_seed=1, **base))
+        run_experiment(RunConfig(runs=3, master_seed=2, **base,
+                                 scenario_overrides={"q_diag": (2e-6, 2e-6, 2e-7)}))
+        assert len(solves) == 1
+        for changed in ({"scenario_overrides": {"x0": (11.0, 10.0, 1.0)}},
+                        {"scenario_overrides": {"p0_diag": (2.0, 1.0, 0.1)}},
+                        {"m_samples": 150}, {"tol": 1e-6}):
+            before = len(solves)
+            run_experiment(RunConfig(**base, **changed))
+            assert len(solves) == before + 1, changed
+
     def test_run_sets_do_not_depend_on_the_run_count(self):
-        # One run included: every experiment makes the nominal solve.
+        # One run included: every experiment starts from the nominal weights.
         base = dict(scenario="robot", filters=("dsmf",), steps=4, master_seed=9)
         five = run_experiment(RunConfig(runs=5, **base))
         for runs in (1, 3):

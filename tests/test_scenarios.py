@@ -18,7 +18,7 @@ from smfilter.scenarios import (
     simulate_truth,
 )
 
-from reference import numerical_jacobian, simulate_truth_by_step
+from reference import numerical_jacobian, sample_boundary, simulate_truth_by_step
 
 
 def plain_model(**given):
@@ -84,16 +84,38 @@ AUX = {"radar": lambda x: (), "robot": lambda x: (x[2:3],)}
 
 
 @pytest.mark.parametrize("preset", sorted(AUX))
-def test_inverse_map_round_trips_under_noise(preset):
-    # E_p x = h_inv(h(x) + v, v, aux(x)) for every v inside R, not only v = 0.
+def test_model_contract(preset):
+    """Each preset model's declared maps agree with its f and h: the
+    Jacobians with central differences at random states and steps, F with
+    f where declared, the inverse map with h for every noise v inside R,
+    E_p x = h_inv(h(x) + v, v, aux(x)), not only at v = 0, and where the
+    inverse takes aux, the bounds of aux_from_predicted with the headings
+    of points sampled from random predicted sets."""
     scenario = build_scenario(preset)
     model = build_model(scenario)
     rng = np.random.default_rng(27)
     states = np.asarray(scenario.x0) + rng.uniform(-5.0, 5.0, size=(50, model.state_dim))
     noises = sample_interior(Ellipsoid(np.zeros(model.meas_dim), model.R), 50, rng)
-    for x, v in zip(states, noises):
+    for x, v, k in zip(states, noises, rng.integers(0, 200, size=50).tolist()):
+        np.testing.assert_allclose(model.h_jac(x), numerical_jacobian(model.h, x),
+                                   rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(_f_jacobian(model, x, k),
+                                   numerical_jacobian(lambda z: model.f(z, k), x),
+                                   rtol=0.0, atol=1e-6)
         z = model.h_inv(model.h(x) + v, v, AUX[preset](x))
         np.testing.assert_allclose(z[0], model.E_p @ x, rtol=0.0, atol=1e-9)
+    if model.F is not None:
+        for k in rng.integers(0, 200, size=5).tolist():
+            np.testing.assert_array_equal(model.f(states, k), states @ model.F.T)
+    if model.aux_from_predicted is not None:  # the robot: aux is the heading
+        for x in states[:8]:
+            a = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-2.0, 0.0, size=3)
+            pred = Ellipsoid(x, a @ a.T + 1e-6 * np.eye(3))
+            (lo, hi), = model.aux_from_predicted(pred)
+            headings = np.concatenate([sample_boundary(pred, 500, rng),
+                                       sample_interior(pred, 500, rng)])[:, 2]
+            slack = 1e-12 * (1.0 + abs(x[2]))
+            assert lo - slack <= headings.min() and headings.max() <= hi + slack
 
 
 class TestRadarScenarioConstants:
@@ -168,18 +190,6 @@ class TestRadarModel:
         np.testing.assert_array_equal(model.f(x, 0), [11.0, 18.0, 2.0, -4.0])
         np.testing.assert_array_equal(_f_jacobian(model, x, 0), want)
 
-    def test_jacobians_match_finite_differences(self):
-        model = radar_model()
-        x = np.array([100.0, 150.0, 4.0, -2.0])
-        np.testing.assert_allclose(
-            model.h_jac(x), numerical_jacobian(model.h, x), atol=1e-6
-        )
-        np.testing.assert_allclose(
-            _f_jacobian(model, x, 0),
-            numerical_jacobian(lambda z: model.f(z, 0), x),
-            atol=1e-6,
-        )
-
 
 class TestRobotModel:
     def test_one_motion_step_hand_values(self):
@@ -239,18 +249,6 @@ class TestRobotModel:
     def test_u_r_zero_rejected(self):
         with pytest.raises(ValueError):
             RobotScenario(u_r=0.0)
-
-    def test_jacobians_match_finite_differences(self):
-        model = robot_model()
-        x = np.array([12.0, 9.0, 0.8])
-        np.testing.assert_allclose(
-            model.h_jac(x), numerical_jacobian(model.h, x), atol=1e-6
-        )
-        np.testing.assert_allclose(
-            model.f_jac(x, 0),
-            numerical_jacobian(lambda z: model.f(z, 0), x),
-            atol=1e-6,
-        )
 
 
 class TestSimulateTruth:
