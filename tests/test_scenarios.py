@@ -83,27 +83,48 @@ class TestRangeBearing:
 AUX = {"radar": lambda x: (), "robot": lambda x: (x[2:3],)}
 
 
-@pytest.mark.parametrize("preset", sorted(AUX))
-def test_model_contract(preset):
-    """Each preset model's declared maps agree with its f and h: the
-    Jacobians with central differences at random states and steps, F with
-    f where declared, the inverse map with h for every noise v inside R,
-    E_p x = h_inv(h(x) + v, v, aux(x)), not only at v = 0, and where the
-    inverse takes aux, the bounds of aux_from_predicted with the headings
-    of points sampled from random predicted sets."""
+def preset_model_and_states(preset, rng):
+    """The preset's model and 50 states spread +-5 about its x0."""
     scenario = build_scenario(preset)
     model = build_model(scenario)
-    rng = np.random.default_rng(27)
     states = np.asarray(scenario.x0) + rng.uniform(-5.0, 5.0, size=(50, model.state_dim))
-    noises = sample_interior(Ellipsoid(np.zeros(model.meas_dim), model.R), 50, rng)
-    for x, v, k in zip(states, noises, rng.integers(0, 200, size=50).tolist()):
+    return model, states
+
+
+def assert_jacobians_match_finite_differences(preset):
+    """f_jac and h_jac agree with central differences at random states and steps."""
+    rng = np.random.default_rng(27)
+    model, states = preset_model_and_states(preset, rng)
+    for x, k in zip(states, rng.integers(0, 200, size=len(states)).tolist()):
         np.testing.assert_allclose(model.h_jac(x), numerical_jacobian(model.h, x),
                                    rtol=0.0, atol=1e-6)
         np.testing.assert_allclose(_f_jacobian(model, x, k),
                                    numerical_jacobian(lambda z: model.f(z, k), x),
                                    rtol=0.0, atol=1e-6)
+
+
+# The model contract is checked in three parts: the Jacobians in each
+# model's test class, the inverse map below, and the declared F and
+# aux_from_predicted in test_model_contract.
+@pytest.mark.parametrize("preset", sorted(AUX))
+def test_inverse_map_round_trips_under_noise(preset):
+    # E_p x = h_inv(h(x) + v, v, aux(x)) for every v inside R, not only v = 0.
+    rng = np.random.default_rng(27)
+    model, states = preset_model_and_states(preset, rng)
+    noises = sample_interior(Ellipsoid(np.zeros(model.meas_dim), model.R), len(states), rng)
+    for x, v in zip(states, noises):
         z = model.h_inv(model.h(x) + v, v, AUX[preset](x))
         np.testing.assert_allclose(z[0], model.E_p @ x, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("preset", sorted(AUX))
+def test_model_contract(preset):
+    """Each preset model's declared maps agree with its f and h: F with f
+    at random states and steps where declared, and where the inverse takes
+    aux, the bounds of aux_from_predicted with the headings of points
+    sampled from random predicted sets."""
+    rng = np.random.default_rng(27)
+    model, states = preset_model_and_states(preset, rng)
     if model.F is not None:
         for k in rng.integers(0, 200, size=5).tolist():
             np.testing.assert_array_equal(model.f(states, k), states @ model.F.T)
@@ -190,6 +211,9 @@ class TestRadarModel:
         np.testing.assert_array_equal(model.f(x, 0), [11.0, 18.0, 2.0, -4.0])
         np.testing.assert_array_equal(_f_jacobian(model, x, 0), want)
 
+    def test_jacobians_match_finite_differences(self):
+        assert_jacobians_match_finite_differences("radar")
+
 
 class TestRobotModel:
     def test_one_motion_step_hand_values(self):
@@ -249,6 +273,9 @@ class TestRobotModel:
     def test_u_r_zero_rejected(self):
         with pytest.raises(ValueError):
             RobotScenario(u_r=0.0)
+
+    def test_jacobians_match_finite_differences(self):
+        assert_jacobians_match_finite_differences("robot")
 
 
 class TestSimulateTruth:
