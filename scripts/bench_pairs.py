@@ -10,8 +10,9 @@ Pair i runs `smbench/run.py --workload W --seed (first_seed + i) --seconds S
 odd i, so that a drift of the machine's speed over the session falls on
 both sides alike.  Each tree runs its own copy of smbench/run.py on its own
 sources.  For every end-to-end metric that the change tree's BENCHMARK.json
-declares, the file holds each side's median and quartiles over the pairs,
-and the number of pairs in which the change is better (a tie is no win).
+declares, the file holds each side's median, quartiles and minimum over
+the pairs, and the number of pairs in which the change is better (a tie is
+no win).
 A metric with a bound is also judged as the benchmark pipeline judges it:
 worse_than_bound when the change's median is worse than the parent's by
 more than bound x |parent median|, and unresolved when the parent's IQR
@@ -79,8 +80,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list) -> dict:
+    """Median, quartiles, IQR and minimum.  The minimum is a diagnostic: a
+    metric that is bimodal per process (setup_s) moves its median with the
+    mix of bands, while a real change moves each side's fastest run."""
     q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": float(median), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1),
+            "min": float(min(values))}
 
 
 def summarise(pairs: list, declared: list) -> dict:
@@ -171,7 +176,8 @@ def main(argv=None) -> int:
     for workload, result in report["workloads"].items():
         for name, m in result["metrics"].items():
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
-                  f"change {m['change']['median']:.6g} "
+                  f"(min {m['parent']['min']:.6g}) change {m['change']['median']:.6g} "
+                  f"(min {m['change']['min']:.6g}) "
                   f"wins {m['change_wins']}/{m['pairs']} "
                   f"worse_than_bound {m['worse_than_bound']} unresolved {m['unresolved']}")
     print(path)

@@ -20,8 +20,8 @@ import dataclasses
 import json
 import time
 from configparser import ConfigParser
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -65,19 +65,19 @@ class RunConfig:
     scenario_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
-        scenario, model = self._set_up()
-        with self._preset_errors():  # a truth step and e0 read every preset field
-            probe = np.random.default_rng(0)
-            simulate_truth(scenario, model, probe, steps=1)
-            initial_estimate(scenario, probe)
+        """This config, once _set_up has checked it."""
+        self._set_up()
         return self
 
-    def _set_up(self) -> tuple[object, SystemModel]:
-        """The (scenario, model) of this config, after the checks every
-        experiment makes: the fields, the overrides the preset and its
-        model read, and m_samples, since a design of fewer than
-        state_dim + 1 points cannot span the state.  Each failure is a
-        ConfigError."""
+    def _set_up(self) -> tuple[object, SystemModel, Ellipsoid]:
+        """The scenario, model and nominal initial set {x0, P0} of this
+        config, after the one check of it, made before anything runs: the
+        fields; that the overrides build the preset, its model and the
+        nominal set; that f(x0, 0) and h(x0) are finite, of sizes state_dim
+        and meas_dim; that 0 < init_offset <= 1, so that every run's e0
+        holds x0; an integer run length and run count of at least 1; and an
+        integer m_samples of at least state_dim + 1, since fewer design
+        points cannot span the state.  Each failure is a ConfigError."""
         if self.scenario not in sc.PRESETS:
             raise ConfigError(f"unknown scenario preset {self.scenario!r}")
         if not self.filters:
@@ -88,29 +88,32 @@ class RunConfig:
         repeated = sorted({f for f in self.filters if self.filters.count(f) > 1})
         if repeated:
             raise ConfigError(f"repeated filters {repeated}; name each filter once")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        if not isinstance(self.runs, Integral) or self.runs < 1:
+            raise ConfigError("runs must be an integer >= 1")
         if self.on_empty not in ("carry", "raise"):
             raise ConfigError(f"on_empty must be carry or raise, got {self.on_empty!r}")
         if not 0.0 < self.tol < np.inf:
             raise ConfigError("tol must be finite and positive")
-        with self._preset_errors():
+        try:
             scenario = build_scenario(self.scenario, **self.scenario_overrides)
             model = build_model(scenario)
-        if self.m_samples < model.state_dim + 1:
+            nominal = Ellipsoid(scenario.x0, scenario.P0)
+            x1, y0 = model.f(nominal.center, 0), model.h(nominal.center)
+            if not (np.shape(x1) == nominal.center.shape == (model.state_dim,)
+                    and np.shape(y0) == (model.meas_dim,) and np.isfinite([*x1, *y0]).all()):
+                raise ValueError(f"f(x0, 0) = {x1} and h(x0) = {y0} must be finite, "
+                                 f"of sizes {model.state_dim} and {model.meas_dim}")
+            if not 0.0 < scenario.init_offset <= 1.0:
+                raise ValueError(f"init_offset must be in (0, 1], got {scenario.init_offset}")
+            steps = scenario.steps if self.steps is None else self.steps
+            if not isinstance(steps, Integral) or steps < 1:
+                raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+        except (TypeError, ValueError, IndexError) as err:
+            raise ConfigError(f"bad config for {self.scenario}: {err}") from None
+        if not isinstance(self.m_samples, Integral) or self.m_samples < model.state_dim + 1:
             raise ConfigError(f"m_samples must be >= {model.state_dim + 1} "
-                              f"(state_dim + 1) for {self.scenario}")
-        return scenario, model
-
-    @contextmanager
-    def _preset_errors(self):
-        """A TypeError or ValueError of the preset becomes a ConfigError."""
-        try:
-            yield
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad [scenario] override for {self.scenario}: {err}") from None
+                              f"(state_dim + 1), an integer, for {self.scenario}")
+        return scenario, model, nominal
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -339,8 +342,8 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
     for its truth and initial set.  No filter draws random numbers, so the
     sets of a filter do not depend on which other filters run, or in which
-    order.  The config is checked as validate checks it, but for the truth
-    probe: each failure raises ConfigError.  One model serves the whole
+    order.  The config is checked first, as validate checks it (_set_up):
+    each failure raises ConfigError.  One model serves the whole
     experiment.  Every set-membership update fuses at the rho that
     minimises the fused trace.  Every run's e0 is the nominal set {x0, P0}
     moved by at most init_offset P0, so dsmf's first prediction is solved
@@ -349,7 +352,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     numerically, from the design optimum.  Run r's sets do not depend on
     the number of runs.
     """
-    scenario, model = config._set_up()
+    scenario, model, nominal = config._set_up()
     steps = config.steps if config.steps is not None else scenario.steps
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
     runs: list[RunLog] = []
@@ -357,17 +360,14 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
     first = None
     if "dsmf" in config.filters:
-        with config._preset_errors():
-            nominal = Ellipsoid(np.asarray(scenario.x0, dtype=float), scenario.P0)
         try:
             first = _prediction_start(nominal, model, opts)
         except NumericalError:
             pass
     for r, seed in enumerate(seeds):
         truth_rng = np.random.default_rng([seed, 0])
-        with config._preset_errors():
-            truth, measurements = simulate_truth(scenario, model, truth_rng, steps=steps)
-            e0 = initial_estimate(scenario, truth_rng)
+        truth, measurements = simulate_truth(scenario, model, truth_rng, steps=steps)
+        e0 = initial_estimate(scenario, truth_rng)
         logs = {}
         for name in config.filters:
             log = _run_filter(name, config, opts, model, e0, truth, measurements, first)

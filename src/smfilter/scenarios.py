@@ -99,7 +99,7 @@ class RadarScenario:
     q_scale: float = 10.0
     r_diag: tuple[float, float] = (100.0, 0.5)
     steps: int = 60
-    init_offset: float = 0.25  # initial estimate drawn from {x0, init_offset * P0}
+    init_offset: float = 0.25  # e0's center drawn from {x0, init_offset * P0}; in (0, 1]
 
     @property
     def F(self) -> np.ndarray:
@@ -150,7 +150,7 @@ class RobotScenario:
     # stays the stated conservative bound; the heading component of the
     # bias is never directly corrected by the position-projected update,
     # so it must be commensurate with the heading accuracy the scenario
-    # expects of the filters.
+    # expects of the filters.  It lies in (0, 1], so that e0 holds x0.
     init_offset: float = 0.02
 
     def __post_init__(self):
@@ -303,8 +303,8 @@ def simulate_truth(scenario, model: SystemModel, rng: np.random.Generator,
 
 def initial_estimate(scenario, rng: np.random.Generator) -> Ellipsoid:
     """Initial state ellipsoid: the preset P0 around a center disturbed
-    uniformly within {x0, init_offset * P0}, which keeps the true initial
-    state inside the returned set."""
+    uniformly within {x0, init_offset * P0}; it holds the true initial state
+    x0 when 0 < init_offset <= 1, which RunConfig checks before any run."""
     x0 = np.asarray(scenario.x0, dtype=float)
     p0 = scenario.P0
     ball = Ellipsoid(x0, scenario.init_offset * p0)

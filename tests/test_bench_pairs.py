@@ -1,7 +1,9 @@
 """scripts/bench_pairs.py judges each metric with a bound as the benchmark
 pipeline does: worse than the bound allows, or unresolved inside the
-parent's spread.  summarise is checked on synthetic pairs."""
+parent's spread; it also reports each side's minimum.  summarise and the
+printed summary are checked on synthetic pairs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +66,24 @@ def test_a_metric_missing_from_one_pair_is_skipped():
               for side in ("parent", "change")} for _ in range(3)]
     del pairs[1]["change"]["metrics"]["rate"]
     assert list(bench_pairs.summarise(pairs, [LOWER, HIGHER])) == ["step_ms"]
+
+
+def test_the_printed_line_shows_each_side_s_minimum(tmp_path, monkeypatch, capsys):
+    values = iter([0.5, 0.25, 0.75, 0.25])
+
+    def run_once(tree, workload, seed, seconds):
+        return {"correct": True, "failed": 0,
+                "metrics": {"step_ms": {"value": next(values)}}}
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [LOWER]}))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                             "--workload", "w", "--pairs", "2", "--label", "t",
+                             "--out-dir", str(tmp_path)]) == 0
+    # Pair 0 runs the parent first (0.5, then the change 0.25); pair 1 the
+    # change first (0.75, then the parent 0.25).  The change's median is
+    # higher, though its fastest run matches the parent's.
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("w step_ms: parent 0.375 (min 0.25) change 0.5 (min 0.25) ")
+    m = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]["metrics"]
+    assert m["step_ms"]["parent"]["min"] == m["step_ms"]["change"]["min"] == 0.25

@@ -81,6 +81,30 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(runs=0).validate()
 
+    @pytest.mark.parametrize("field, value", [("runs", 2.5), ("steps", 2.5),
+                                              ("m_samples", 200.5)])
+    def test_validate_rejects_non_integer_counts(self, field, value):
+        # Config files and CLI flags read these as int; through the Python
+        # API a float used to reach range() or the design's seed as a
+        # TypeError.
+        config = RunConfig(**{"runs": 2, "steps": 2, field: value})
+        with pytest.raises(ConfigError, match=field):
+            config.validate()
+        with pytest.raises(ConfigError, match=field):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("preset", ["radar", "robot"])
+    def test_validate_runs_no_truth_step(self, monkeypatch, preset):
+        # The check is declared: it reads the preset, its model and f and h
+        # at x0, and neither simulates a truth nor draws an initial set.
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate ran a truth step or drew e0")
+
+        monkeypatch.setattr(harness, "simulate_truth", refuse)
+        monkeypatch.setattr(harness, "initial_estimate", refuse)
+        config = RunConfig(scenario=preset, filters=("dsmf", "esmf", "ukf"))
+        assert config.validate() is config
+
     def test_validate_rejects_nan_tol(self):
         # A NaN tol never meets the certificate, and an infinite one is met
         # at every solve's start; the filter options reject both.
@@ -157,10 +181,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    @pytest.mark.parametrize("override", ["bogus = 1", "u_r = 0.0", "T = 2.0"])
+    @pytest.mark.parametrize("override", [
+        "bogus = 1", "u_r = 0.0", "T = 2.0", "steps = 0", "steps = 2.5",
+        "init_offset = 4.0", "init_offset = 0.0"])
     def test_override_the_preset_rejects(self, tmp_path, override):
         # An unknown field (T is radar's, not robot's) or a value the preset
-        # refuses is a configuration error, not a traceback.
+        # refuses is a configuration error, not a traceback.  The preset's
+        # run length must be an integer of at least 1, and init_offset must
+        # lie in (0, 1], else e0 need not hold x0.
         path = tmp_path / "run.cfg"
         path.write_text(f"scenario = robot\n[scenario]\n{override}\n")
         with pytest.raises(ConfigError):
@@ -674,7 +702,9 @@ class TestCli:
         cfg.write_text("scenario = nothing\n")
         assert self.run_cli("simulate", "--config", str(cfg)) == 2
 
-    @pytest.mark.parametrize("override", ["bogus = 1", "u_r = 0.0"])
+    @pytest.mark.parametrize("override", [
+        "bogus = 1", "u_r = 0.0", "u_p = 1e999", "landmark = (1e999, 0.0)",
+        "init_offset = 4.0"])
     def test_simulate_bad_override_exit_2(self, tmp_path, capsys, override):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"scenario = robot\nruns = 1\nsteps = 1\n"
@@ -690,11 +720,15 @@ class TestCli:
         ("robot", "x0 = (1.0,)"),
         ("robot", "q_diag = (1e-6, 1e-6)"),
         ("robot", "p0_diag = (1.0, 1.0)"),
+        ("radar", "sensor = (1.0,)"),
+        ("robot", "landmark = (1.0,)"),
+        ("radar", "r_diag = (100.0,)"),
     ])
     def test_simulate_wrong_length_override_exit_2(self, tmp_path, capsys,
                                                    preset, override):
-        # Fields the model does not read are checked by one truth step and
-        # the initial estimate; they used to fail inside the run (exit 1).
+        # The set-up check builds the nominal set {x0, P0} and requires f(x0, 0)
+        # and h(x0) of sizes state_dim and meas_dim; a wrong length used to
+        # fail inside the run (exit 1).
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"scenario = {preset}\nruns = 1\nsteps = 1\n"
                        f"[scenario]\n{override}\n")
