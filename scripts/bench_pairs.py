@@ -23,6 +23,11 @@ checkout), the core count, the Python and numpy versions and the BLAS
 numpy was built with.  The figures and judgements are reported, not acted
 on: the script exits 0 whatever they say, and non-zero only when a run fails
 to print its result.
+
+With --trace N, each workload then runs N traced pairs (`--trace 1`, on the
+seeds after the untraced ones, in the same alternating order), and the file
+also holds, under "traced", each side's median, quartiles and minimum of
+every per-layer figure that BENCHMARK.json declares, with their raw figures.
 """
 
 from __future__ import annotations
@@ -67,10 +72,10 @@ def commit_of(tree: Path) -> str | None:
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last-line JSON of one untraced benchmark run in tree."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The last-line JSON of one benchmark run in tree, traced when trace is 1."""
     cmd = [sys.executable, "smbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -127,6 +132,36 @@ def summarise(pairs: list, declared: list) -> dict:
     return out
 
 
+def run_pairs(trees: dict, workload: str, count: int, first_seed: int, seconds: float,
+              trace: int) -> list:
+    """count alternating pairs on the seeds first_seed, first_seed + 1, ...:
+    the parent first on even i and the change first on odd i."""
+    pairs = []
+    for i in range(count):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            print(f"bench_pairs: {workload} seed {seed} {side}" + " traced" * trace,
+                  file=sys.stderr, flush=True)
+            pair[side] = run_once(trees[side], workload, seed, seconds, trace)
+        pairs.append(pair)
+    return pairs
+
+
+def report_pairs(pairs: list, declared: list) -> dict:
+    """Whether every run was correct, each side's failed operations, the
+    summary of the declared metrics and each pair's raw figures."""
+    return {
+        "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+        "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")},
+        "metrics": summarise(pairs, declared),
+        "pairs": [{"seed": p["seed"], "first": p["first"],
+                   **{s: {name: m["value"] for name, m in p[s]["metrics"].items()}
+                      for s in ("parent", "change")}} for p in pairs],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent tree")
@@ -136,50 +171,45 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--first-seed", type=int, default=1000)
+    parser.add_argument("--trace", type=int, default=0,
+                        help="traced pairs per workload, after the untraced ones")
     parser.add_argument("--label", required=True)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.trace < 0:
+        parser.error("--trace must be >= 0")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
     report = {
         "label": args.label,
         "command": f"smbench/run.py --seconds {args.seconds:g} --trace 0",
+        "traced_pairs": args.trace,
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "blas": blas_name()},
         "commits": {side: commit_of(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in args.workload:
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr, flush=True)
-                pair[side] = run_once(trees[side], workload, seed, args.seconds)
-            pairs.append(pair)
-        report["workloads"][workload] = {
-            "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-            "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("parent", "change")},
-            "metrics": summarise(pairs, declared),
-            "pairs": [{"seed": p["seed"], "first": p["first"],
-                       **{s: {name: m["value"] for name, m in p[s]["metrics"].items()}
-                          for s in ("parent", "change")}} for p in pairs],
-        }
+        pairs = run_pairs(trees, workload, args.pairs, args.first_seed, args.seconds, 0)
+        result = report["workloads"][workload] = report_pairs(pairs, spec["end_to_end"])
+        if args.trace:
+            traced = run_pairs(trees, workload, args.trace, args.first_seed + args.pairs,
+                               args.seconds, 1)
+            result["traced"] = report_pairs(traced, spec["per_layer"])
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for workload, result in report["workloads"].items():
-        for name, m in result["metrics"].items():
-            print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
-                  f"(min {m['parent']['min']:.6g}) change {m['change']['median']:.6g} "
-                  f"(min {m['change']['min']:.6g}) "
-                  f"wins {m['change_wins']}/{m['pairs']} "
-                  f"worse_than_bound {m['worse_than_bound']} unresolved {m['unresolved']}")
+        for section in (result, result.get("traced", {"metrics": {}})):
+            for name, m in section["metrics"].items():
+                print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
+                      f"(min {m['parent']['min']:.6g}) change {m['change']['median']:.6g} "
+                      f"(min {m['change']['min']:.6g}) "
+                      f"wins {m['change_wins']}/{m['pairs']} "
+                      f"worse_than_bound {m['worse_than_bound']} unresolved {m['unresolved']}")
     print(path)
     return 0
 

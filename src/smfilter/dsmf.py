@@ -10,23 +10,19 @@ a joint diagonalisation of the two sets.  There the fused trace and the
 consistency delta are sums of n scalars in the mixing parameter rho, with
 closed-form derivatives: one bracketed Newton solve over the whole search
 interval finds rho on the trace's derivative, and emptiness on that of the
-concave delta.  An update diagonalises twice, in optimize_rho and again in
-fuse: the benchmark (smbench/tracer.py) times the rho search and the fusion
-as those two calls, so the search does not hand its diagonalisation on.  The
-filter draws no random numbers: one state and measurement sequence always
-gives the same sets.
+concave delta.  An update diagonalises once: it calls optimize_rho, then
+fuse, whose _joint_diag finds the search's result in its one-slot memo; both
+calls stay, as the benchmark (smbench/tracer.py) times them as two layers.
+The filter draws no random numbers: one measurement sequence gives one result.
 
-Each enclosing solve starts from weights near its optimum: the last step's,
-else the optimum of its design, which is exact on an affine image of the
-design.  The first prediction of a run over curved dynamics is far from
-that, so the harness starts it from the optimum over the image of the
-preset's nominal initial set (_prediction_start), solved once per process
-for each nominal cloud.
+Each enclosing solve starts near its optimum: from the last step's weights,
+else the optimum of its design (exact on an affine image of it), or for a
+run's first prediction over curved dynamics, _prediction_start's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import ceil, sqrt
 from typing import Callable
@@ -140,19 +136,11 @@ class FilterOptions:
     budget (tol, max_iter) is looser than the standalone solver default:
     every solve scales its shape to cover its cloud, tol = 1e-5 already
     keeps that scale of a converged solve within 1 + 2e-5, and a filter run
-    performs thousands of solves.  A solve starts from the last step's
-    weights, or else from the optimum of its own design (_design_optimum);
-    the harness starts each run's first prediction from the optimum over
-    the image of the preset's nominal initial set, closer than the design's
-    on curved dynamics (_prediction_start, solved once per process for each
-    nominal cloud).  Only a
-    product-grid measurement cloud (a model with aux) has no design
-    optimum and starts cold, in tens of iterations.  A start
-    whitens the cloud by its weights, and when they are still optimal the
-    solve takes no iteration and is returned on that whitening factor;
-    max_iter only bounds a pathological cloud, whose capped solve may need a
-    larger scale.  Fusion has no knob: every update takes the rho that
-    minimises the fused trace (optimize_rho).
+    performs thousands of solves.  Each solve starts near its optimum (see
+    predict and measurement_ellipsoid), so most take no iteration; max_iter
+    only bounds a pathological cloud, whose capped solve may need a larger
+    scale.  Fusion has no knob: every update takes the rho that minimises
+    the fused trace (optimize_rho).
     """
 
     m_samples: int = 200
@@ -170,9 +158,8 @@ class FilterOptions:
 
 @dataclass(frozen=True)
 class FusionParams:
-    """Fusion diagnostics: mixing weight rho, consistency delta (< 1 for a
-    nonempty intersection) and the covering-sum parameter used in the
-    prediction that produced the fused estimate."""
+    """Fusion diagnostics: mixing weight rho, consistency delta (< 1 when
+    the sets meet) and the covering-sum parameter of the prediction."""
 
     rho: float
     delta: float
@@ -324,15 +311,24 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     return sol.ellipsoid, sol
 
 
+_last_joint = (None,) * 5  # pred, meas, E_p shape and bytes, result
+
+
 def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
     """The fusion problem on one joint diagonalisation, shared by every rho.
 
     With L = chol(P), M = chol(P_z), the SVD M^{-1} E_p L = V diag(s) U^T
     and h = V^T M^{-1} (z - E_p x), s and h zero-padded to length n (E_p
-    has r <= n rows), returns (L U, s^2, h^2, s h).  One solve with M takes
-    both right-hand sides.
+    has r <= n rows), returns (L U, s^2, h^2, s h), read-only.  One solve
+    with M takes both right-hand sides.  The last result is kept, and given
+    again for the same two (immutable) sets and an E_p of the same bytes:
+    so the fuse after an update's rho search does not diagonalise again.
     """
+    global _last_joint
     e_p = np.atleast_2d(np.asarray(e_p, dtype=float))
+    last, key = _last_joint, e_p.tobytes()
+    if last[0] is pred and last[1] is meas and last[2:4] == (e_p.shape, key):
+        return last[4]
     n, r = pred.dim, meas.dim
     if e_p.shape != (r, n) or r > n:
         raise ValueError(f"E_p is {e_p.shape}, expected ({r}, {n}) with {r} <= {n}")
@@ -344,7 +340,11 @@ def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
     v, s_r, ut = np.linalg.svd(whitened[:, :n])
     s, h = np.zeros(n), np.zeros(n)
     s[:r], h[:r] = s_r, v.T @ whitened[:, n]
-    return chol_p @ ut.T, s**2, h**2, s * h
+    out = (chol_p @ ut.T, s**2, h**2, s * h)
+    for arr in out:
+        arr.setflags(write=False)
+    _last_joint = (pred, meas, e_p.shape, key, out)
+    return out
 
 
 def _fused_delta(rho: float, s2: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray]:
@@ -472,17 +472,15 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionPar
     fine-grid oracle tests check.  Soundness does not rest on it: the fused
     set at any rho with delta < 1 contains the intersection of the sets.
 
-    delta >= 1 leaves the intersection at most one point.  No rho gives a
-    delta above sum_i h_i^2 / (1 + s_i)^2; when that bound reaches 1,
-    _newton on delta' finds the maximum of the concave delta (delta'' = -2
-    sum_i h_i^2 s_i^2 / d_i^3).  EmptyIntersectionError is raised if and
-    only if that maximum is >= 1.
+    delta >= 1 leaves the intersection at most one point.  rho (1-rho) / d_i
+    peaks at 1 / (1 + s_i)^2, so no rho gives a delta above sum_i h_i^2 /
+    (1 + s_i)^2; when that bound reaches 1, _newton on delta' finds the
+    maximum of the concave delta, and EmptyIntersectionError is raised if
+    and only if that maximum is >= 1.
     """
     basis, s2, h2, _ = _joint_diag(pred, meas, e_p)
     terms = list(zip((basis * basis).sum(axis=0).tolist(), h2.tolist(),
                      (s2 - 1.0).tolist(), s2.tolist()))
-    # rho (1-rho) / d_i peaks at 1 / (1 + s_i)^2, so delta never exceeds
-    # sum_i h_i^2 / (1 + s_i)^2.
     if (h2 / (1.0 + np.sqrt(s2)) ** 2).sum() >= 1.0:
         at = _newton(_delta_slope, terms)
         worst = _fused_delta(at, s2, h2)[0]
@@ -531,6 +529,6 @@ def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,
         predicted=predicted,
         measurement=meas,
         updated=updated,
-        params=replace(params, p_star=p_star),
+        params=FusionParams(params.rho, params.delta, p_star),
         solves=(sol_pred, sol_meas),
     )

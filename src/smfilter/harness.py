@@ -3,9 +3,7 @@ truths, aggregates metrics, benchmarks the enclosing-ellipsoid solver, and
 writes CSV/JSON outputs: the metrics, a summary, and every filter set of
 every run, center and shape as read-back-exact floats.  Every filter state
 is an Ellipsoid, whose size and containment are what a run reports: the
-set-membership filters' guaranteed set, the ukf's three-sigma set.  Every
-run's first dsmf prediction starts from weights solved once per process for
-each nominal cloud, the image of the preset's nominal initial set.
+set-membership filters' guaranteed set, the ukf's three-sigma set.
 
 All randomness flows from a single master seed; per-run seeds are derived
 with a stable 64-bit mix and recorded so any single run can be replayed.
@@ -108,7 +106,7 @@ class RunConfig:
             steps = scenario.steps if self.steps is None else self.steps
             if not isinstance(steps, Integral) or steps < 1:
                 raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-        except (TypeError, ValueError, IndexError) as err:
+        except (TypeError, ValueError, IndexError, ArithmeticError) as err:
             raise ConfigError(f"bad config for {self.scenario}: {err}") from None
         if not isinstance(self.m_samples, Integral) or self.m_samples < model.state_dim + 1:
             raise ConfigError(f"m_samples must be >= {model.state_dim + 1} "
@@ -344,11 +342,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     sets of a filter do not depend on which other filters run, or in which
     order.  The config is checked first, as validate checks it (_set_up):
     each failure raises ConfigError.  One model serves the whole
-    experiment.  Every set-membership update fuses at the rho that
-    minimises the fused trace.  Every run's e0 is the nominal set {x0, P0}
-    moved by at most init_offset P0, so dsmf's first prediction is solved
-    on it, once per process for each nominal cloud (_prediction_start), and
-    each run's starts from there, a pass or two away; when that solve fails
+    experiment.  Every run's e0 is the nominal set {x0, P0} moved by at
+    most init_offset P0, so dsmf's first prediction is solved on it, once
+    per process for each nominal cloud (_prediction_start), and each run's
+    starts from there, a pass or two away; when that solve fails
     numerically, from the design optimum.  Run r's sets do not depend on
     the number of runs.
     """

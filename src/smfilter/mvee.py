@@ -5,41 +5,36 @@ dual: maximize logdet M(mu), M(mu) = sum_i mu_i yt_i yt_i^T, over the
 probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
 The dual is affine-invariant (Todd 2016), so each solve runs on a whitened
 copy of the cloud.  A start, such as the optimum of a nearby cloud, whitens
-it by its own weighted mean and second moment: there its M is the identity
-and kappa_i = 1 + ||w_i||^2, and the rank margin of that frame is read off
-the frame's triangular factor and its inverse, with no SVD (_start_frame).
-A start that is already optimal then costs one pass over the cloud, and its
-ellipsoid is built on the factor that whitened the cloud, with no
-factorisation.  A cold solve whitens by the covariance of
-the whole cloud and starts on the <= 2n points holding the extremes of each
-whitened coordinate (a small core set, after Kumar & Yildirim 2005), else on
-every point.  Each pass takes one Frank-Wolfe step along mu + gamma (e_i -
-mu): toward the vertex with the largest gradient component kappa_i = yt_i^T
-M^{-1} yt_i, or away from the weighted vertex with the smallest (a "drop"
-step when its weight hits zero), with the exact line-search step gamma =
-(kappa_i - d) / (d (kappa_i - 1)).  Frank-Wolfe finds the support but
-zig-zags for thousands of passes while weighing it (Ahipasaoglu, Sun & Todd
-2008), so each pass then takes Newton steps for the dual on the face of the
-weighted points (Sun & Freund 2004) up to the face optimum: a step that
-would take a weight below zero stops there, drops that point and goes on on
-the smaller face.  An optimal support needs at most d(d+1)/2 points, and
-only that many can carry a Newton step, so when more carry weight (a dense
-start, the cold fallback to every point) the pass first moves it onto that
-many with M unchanged (_shrink_support).  Each pass
-ends on fresh kappa, one O(d^2 m) product over the cloud, so the
-certificate of every solve is read from the kappa of its final weights, and
-its coverage scale from the quadratic form of the shape it returns, over
-the cloud.  A filter solve starts from the last step's weights; a run's
-first prediction from the optimum over the image of the preset's nominal
-initial set, at most two passes off; any other from the optimum of its
-own fixed design, which is exact on an affine image of the design.  Most
-take no pass; the cold ones take one to a few dozen.
+it by its own weighted mean and second moment, where M is the identity and
+kappa_i = 1 + ||w_i||^2 (_start_frame): an optimal start costs one pass
+over the cloud, and its ellipsoid keeps the whitening factor.  A cold
+solve whitens by the covariance of the whole cloud and starts on the <= 2n
+points holding the extremes of each whitened coordinate (a small core set,
+after Kumar & Yildirim 2005), else on every point.  Each pass takes one
+Frank-Wolfe step along mu + gamma (e_i - mu): toward the vertex with the
+largest gradient component kappa_i = yt_i^T M^{-1} yt_i, or away from the
+weighted vertex with the smallest (a "drop" step when its weight hits
+zero), with the exact line-search step gamma = (kappa_i - d) / (d (kappa_i
+- 1)).  Frank-Wolfe finds the support but zig-zags for thousands of passes
+while weighing it (Ahipasaoglu, Sun & Todd 2008), so each pass then takes
+Newton steps for the dual on the face of the weighted points (Sun & Freund
+2004) up to the face optimum: a step that would take a weight below zero
+stops there, drops that point and goes on on the smaller face.  An optimal
+support needs at most d(d+1)/2 points, and only that many can carry a
+Newton step, so when more carry weight (a dense start, the cold fallback
+to every point) the pass first moves it onto that many with M unchanged
+(_shrink_support).  Each pass ends on fresh kappa, one O(d^2 m) product
+over the cloud, so the certificate of every solve is read from the kappa of
+its final weights, and its coverage scale from the quadratic form of the
+shape it returns, over the cloud.  The filter's solves start near their
+optimum (smfilter.dsmf), so most take no pass; the cold ones a few dozen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,6 +111,14 @@ def _spans(lam: np.ndarray, d: int) -> bool:
     return bool(lam[0] > lam[-1] * d * 1e-14)
 
 
+@lru_cache(maxsize=8)
+def _lower(n: int) -> np.ndarray:
+    """The read-only (n, n) mask of the lower triangle and diagonal."""
+    mask = np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _start_frame(pts: np.ndarray, mu: np.ndarray):
     """The affine frame of start weights mu (summing to one): (c0, L0, yt),
     with c0 and L0 L0^T the weighted mean and second moment S0 of the
@@ -127,17 +130,19 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     Cholesky factor of S0: its rounding grows with cond(L0), not cond(S0).
     At cond(S0) = 1e10 that keeps the M(mu) of the computed frame within
     about 1e-11 of I, where the Cholesky factor leaves it about 1e-6 off.
-    The margin is read off L0 and the inverse that whitens, as cond(L0)^2
-    <= ||L0||_F^2 ||L0^{-1}||_F^2: it rejects every frame that the margin
-    on the singular values of L0 rejects."""
+    R^T is read off the lower triangle of mode "raw" (the same factor as
+    mode "r", without its triu copy).  The margin is read off L0 and the
+    inverse that whitens, as cond(L0)^2 <= ||L0||_F^2 ||L0^{-1}||_F^2: it
+    rejects every frame that the margin on the singular values of L0 does."""
     act = np.flatnonzero(mu)
     m, n = pts.shape
     if act.size <= n:
         return None
-    mu_a = mu[act]
-    c0 = mu_a @ pts[act]
-    r = np.linalg.qr(np.sqrt(mu_a)[:, None] * (pts[act] - c0), mode="r")
-    l0 = r.T * np.sign(r.diagonal())
+    mu_a, pts_a = mu[act], pts[act]
+    c0 = mu_a @ pts_a
+    raw = np.linalg.qr(np.sqrt(mu_a)[:, None] * (pts_a - c0), mode="raw")[0]
+    l0 = np.where(_lower(n), raw[:, :n], 0.0)
+    l0 *= np.sign(l0.diagonal())
     try:
         inv = np.linalg.inv(l0)
     except np.linalg.LinAlgError:  # a zero pivot: the weighted points are flat

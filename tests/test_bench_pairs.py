@@ -1,7 +1,8 @@
 """scripts/bench_pairs.py judges each metric with a bound as the benchmark
 pipeline does: worse than the bound allows, or unresolved inside the
-parent's spread; it also reports each side's minimum.  summarise and the
-printed summary are checked on synthetic pairs."""
+parent's spread; it also reports each side's minimum, and with --trace N
+the per-layer figures of N traced pairs.  summarise and the printed summary
+are checked on synthetic pairs."""
 
 import json
 import sys
@@ -71,7 +72,7 @@ def test_a_metric_missing_from_one_pair_is_skipped():
 def test_the_printed_line_shows_each_side_s_minimum(tmp_path, monkeypatch, capsys):
     values = iter([0.5, 0.25, 0.75, 0.25])
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, trace=0):
         return {"correct": True, "failed": 0,
                 "metrics": {"step_ms": {"value": next(values)}}}
 
@@ -85,5 +86,50 @@ def test_the_printed_line_shows_each_side_s_minimum(tmp_path, monkeypatch, capsy
     # higher, though its fastest run matches the parent's.
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("w step_ms: parent 0.375 (min 0.25) change 0.5 (min 0.25) ")
-    m = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]["metrics"]
+    w = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    m = w["metrics"]
     assert m["step_ms"]["parent"]["min"] == m["step_ms"]["change"]["min"] == 0.25
+    assert "traced" not in w
+
+
+def test_traced_pairs_report_each_side_s_per_layer_medians(tmp_path, monkeypatch):
+    layer = {"name": "mvee.meas.ms", "unit": "ms", "better": "lower"}
+    runs = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        side = "parent" if tree == parent else "change"
+        runs.append((seed, side, trace))
+        name, value = (layer["name"], 2.0) if trace else ("step_ms", 1.0)
+        value *= 1.0 if side == "parent" else 0.5
+        return {"correct": True, "failed": 0,
+                "metrics": {name: {"value": value + 0.1 * (seed - 10)}}}
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [LOWER], "per_layer": [layer]}))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "w", "--pairs", "2", "--trace", "3",
+                             "--first-seed", "10", "--label", "t",
+                             "--out-dir", str(tmp_path)]) == 0
+    # Two untraced pairs on seeds 10-11, then three traced ones on 12-14,
+    # each pair alternating which side runs first.
+    assert [(seed, trace) for seed, _, trace in runs] == (
+        [(10, 0)] * 2 + [(11, 0)] * 2 + [(12, 1)] * 2 + [(13, 1)] * 2 + [(14, 1)] * 2)
+    assert [side for _, side, _ in runs][4:8] == ["parent", "change", "change", "parent"]
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["traced_pairs"] == 3
+    w = report["workloads"]["w"]
+    assert list(w["metrics"]) == ["step_ms"]
+    traced = w["traced"]
+    assert list(traced["metrics"]) == ["mvee.meas.ms"]
+    m = traced["metrics"]["mvee.meas.ms"]
+    assert m["parent"]["median"] == pytest.approx(2.3)
+    assert m["change"]["median"] == pytest.approx(1.3)
+    assert m["change_wins"] == 3 and m["pairs"] == 3
+    assert m["worse_than_bound"] is None
+    assert [p["seed"] for p in traced["pairs"]] == [12, 13, 14]
+    assert traced["all_correct"] and traced["failed"] == {"parent": 0, "change": 0}
+

@@ -704,6 +704,79 @@ class TestOptimizeRho:
             optimize_rho(pred, meas, [[1.0]])
 
 
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, signs of zeros included."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestJointDiagMemo:
+    """_joint_diag keeps its last result, so the fuse after an update's rho
+    search reuses the search's diagonalisation; counted by the SVD it calls."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(dsmf, "_last_joint", (None,) * 5)
+        return calls
+
+    @staticmethod
+    def cold_fuse(monkeypatch, pred, meas, e_p, rho):
+        monkeypatch.setattr(dsmf, "_last_joint", (None,) * 5)
+        return fuse(pred, meas, e_p, rho)
+
+    @pytest.mark.parametrize("n, r", [(4, 2), (3, 3), (2, 1)])
+    def test_search_then_fuse_diagonalises_once(self, svd_calls, monkeypatch, n, r):
+        pred, meas, e_p = random_pair(np.random.default_rng(10 * n + r), n, r)
+        rho = optimize_rho(pred, meas, e_p).rho
+        fused = fuse(pred, meas, e_p, rho)
+        assert len(svd_calls) == 1
+        assert all(not a.flags.writeable for a in dsmf._joint_diag(pred, meas, e_p))
+        cold = self.cold_fuse(monkeypatch, pred, meas, e_p, rho)
+        assert len(svd_calls) == 2
+        assert all(same_bits(a, b) for a, b in zip(fused, cold))
+
+    def test_an_update_diagonalises_once(self, svd_calls):
+        pred, meas, e_p = random_pair(np.random.default_rng(7), 4, 2)
+        dsmf._update(pred, meas, e_p)
+        assert len(svd_calls) == 1
+
+    def test_other_sets_or_map_diagonalise_again(self, svd_calls, monkeypatch):
+        rng = np.random.default_rng(11)
+        pred, meas, e_p = random_pair(rng, 4, 2)
+        rho = optimize_rho(pred, meas, e_p).rho
+        # A different measurement set, then an equal one that is another
+        # object, then an E_p of the same shape with other values.
+        other = Ellipsoid(meas.center + 0.01, 2.0 * meas.shape)
+        cases = [(other, e_p), (Ellipsoid(meas.center, meas.shape), e_p),
+                 (meas, e_p + 0.01)]
+        for m, ep in cases:
+            fuse(pred, meas, e_p, rho)  # the memo holds (pred, meas, e_p)
+            svd_calls.clear()
+            fused = fuse(pred, m, ep, rho)
+            assert len(svd_calls) == 1
+            cold = self.cold_fuse(monkeypatch, pred, m, ep, rho)
+            assert all(same_bits(a, b) for a, b in zip(fused, cold))
+
+    def test_an_e_p_edited_in_place_diagonalises_again(self, svd_calls, monkeypatch):
+        pred, meas, e_p = random_pair(np.random.default_rng(12), 4, 2)
+        assert e_p.flags.writeable
+        rho = optimize_rho(pred, meas, e_p).rho
+        before = fuse(pred, meas, e_p, rho)
+        e_p[0, 0] += 0.01
+        fused = fuse(pred, meas, e_p, rho)
+        assert len(svd_calls) == 2
+        assert not same_bits(fused[0], before[0])
+        cold = self.cold_fuse(monkeypatch, pred, meas, e_p.copy(), rho)
+        assert all(same_bits(a, b) for a, b in zip(fused, cold))
+
+
 class TestStep:
     def test_linear_degeneration_against_direct_formulas(self):
         # Linear f and h = E_p x: the full sampled step must match the same

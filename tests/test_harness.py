@@ -112,6 +112,12 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 RunConfig(tol=tol).validate()
 
+    def test_validate_rejects_an_overflowing_override(self):
+        # The radar Q takes T**3 in Python floats, which raises
+        # OverflowError rather than returning inf.
+        with pytest.raises(ConfigError, match="bad config for radar"):
+            RunConfig(scenario="radar", scenario_overrides={"T": 1e200}).validate()
+
     @pytest.mark.parametrize("preset,floor", [("radar", 5), ("robot", 4)])
     def test_m_samples_floor_is_state_dim_plus_one(self, preset, floor):
         # Fewer design points than state_dim + 1 used to pass the constant
@@ -736,6 +742,15 @@ class TestCli:
                             "--out", str(tmp_path / "out"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_simulate_overflowing_override_exit_2(self, tmp_path, capsys):
+        # It used to end in an OverflowError traceback (exit 1).
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = radar\nruns = 1\nsteps = 1\n[scenario]\nT = 1e200\n")
+        code = self.run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, key", [
         ("runs = abc", "runs"), ("steps = 2.5", "steps"), ("master_seed = x", "master_seed"),

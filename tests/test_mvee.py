@@ -406,6 +406,33 @@ def svd_margin_accepts(pts, mu) -> bool:
     return bool(sv[-1] ** 2 > sv[0] ** 2 * (pts.shape[1] + 1) * 1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("thin", [1.0, 1e-5])
+def test_start_frame_factor_is_the_mode_r_factor_bit_for_bit(n, thin):
+    # L0 read off the raw QR output is the R^T of mode "r" with its
+    # columns' signs flipped to a positive diagonal, bit for bit (signs of
+    # zeros included), on every support size from n + 1 to d(d+1)/2, on
+    # round clouds and on thin ones, whose S0 has cond about 1e10.
+    d = n + 1
+    rng = np.random.default_rng(100 * n + int(thin < 1.0))
+    for support in range(n + 1, d * (d + 1) // 2 + 1):
+        for _ in range(3):
+            pts = rng.standard_normal((40, n))
+            pts[:, 0] *= thin
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            pts = pts @ q.T + 5.0 * rng.standard_normal(n)
+            mu = np.zeros(40)
+            mu[rng.choice(40, support, replace=False)] = rng.random(support) + 0.1
+            mu /= mu.sum()
+            r = weighted_factor(pts, mu)
+            frame = mvee._start_frame(pts, mu)
+            assert frame is not None, (n, support)
+            if thin < 1.0 and n > 1:
+                assert np.linalg.cond(frame[1]) ** 2 > 1e9
+            assert frame[1].tobytes() == (r.T * np.sign(r.diagonal())).tobytes()
+            assert frame[0].tobytes() == (mu[mu > 0] @ pts[mu > 0]).tobytes()
+
+
 class TestStartFrameMargin:
     """_start_frame reads its rank margin off L0 and L0^{-1} through
     cond(L0)^2 <= ||L0||_F^2 ||L0^{-1}||_F^2 <= n^2 cond(L0)^2."""
