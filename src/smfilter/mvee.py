@@ -14,20 +14,20 @@ after Kumar & Yildirim 2005), else on every point.  Each pass takes one
 Frank-Wolfe step along mu + gamma (e_i - mu): toward the vertex with the
 largest gradient component kappa_i = yt_i^T M^{-1} yt_i, or away from the
 weighted vertex with the smallest (a "drop" step when its weight hits
-zero), with the exact line-search step gamma = (kappa_i - d) / (d (kappa_i
-- 1)).  Frank-Wolfe finds the support but zig-zags for thousands of passes
-while weighing it (Ahipasaoglu, Sun & Todd 2008), so each pass then takes
-Newton steps for the dual on the face of the weighted points (Sun & Freund
-2004) up to the face optimum: a step that would take a weight below zero
-stops there, drops that point and goes on on the smaller face.  An optimal
-support needs at most d(d+1)/2 points, and only that many can carry a
-Newton step, so when more carry weight (a dense start, the cold fallback
+zero), with the exact line-search step gamma = (kappa_i - d) /
+(d (kappa_i - 1)).  Frank-Wolfe finds the support but zig-zags for thousands
+of passes while weighing it (Ahipasaoglu, Sun & Todd 2008), so each pass
+then takes Newton steps for the dual on the face of the weighted points (Sun
+& Freund 2004) up to the face optimum: a step that would take a weight below
+zero stops there, drops that point and goes on on the smaller face.  An
+optimal support needs at most d(d+1)/2 points, and only that many can carry
+a Newton step, so when more carry weight (a dense start, the cold fallback
 to every point) the pass first moves it onto that many with M unchanged
-(_shrink_support).  Each pass ends on fresh kappa, one O(d^2 m) product
-over the cloud, so the certificate of every solve is read from the kappa of
-its final weights, and its coverage scale from the quadratic form of the
-shape it returns, over the cloud.  The filter's solves start near their
-optimum (smfilter.dsmf), so most take no pass; the cold ones a few dozen.
+(_shrink_support).  Each pass ends on fresh kappa, one O(d^2 m) product over
+the cloud, so the certificate of every solve is read from the kappa of its
+final weights, and its coverage scale from the quadratic form of the shape
+it returns, over the cloud.  The filter's solves start near their optimum
+(smfilter.dsmf), so most take no pass; the cold ones a few dozen.
 """
 
 from __future__ import annotations
