@@ -19,7 +19,6 @@ import json
 import time
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +72,11 @@ class RunConfig:
         fields; that the overrides build the preset, its model and the
         nominal set; that f(x0, 0) and h(x0) are finite, of sizes state_dim
         and meas_dim; that 0 < init_offset <= 1, so that every run's e0
-        holds x0; an integer run length and run count of at least 1; and an
-        integer m_samples of at least state_dim + 1, since fewer design
-        points cannot span the state.  Each failure is a ConfigError."""
+        holds x0; a run length and run count of at least 1, an m_samples of
+        at least state_dim + 1, since fewer design points cannot span the
+        state, and a master_seed, each a Python int (a numpy integer is
+        refused: summary.json could not hold it); and a finite positive tol.
+        Each failure is a ConfigError."""
         if self.scenario not in sc.PRESETS:
             raise ConfigError(f"unknown scenario preset {self.scenario!r}")
         if not self.filters:
@@ -86,12 +87,14 @@ class RunConfig:
         repeated = sorted({f for f in self.filters if self.filters.count(f) > 1})
         if repeated:
             raise ConfigError(f"repeated filters {repeated}; name each filter once")
-        if not isinstance(self.runs, Integral) or self.runs < 1:
-            raise ConfigError("runs must be an integer >= 1")
+        if not isinstance(self.runs, int) or self.runs < 1:
+            raise ConfigError(f"runs must be a Python int >= 1, got {self.runs!r}")
+        if not isinstance(self.master_seed, int):
+            raise ConfigError(f"master_seed must be a Python int, got {self.master_seed!r}")
         if self.on_empty not in ("carry", "raise"):
             raise ConfigError(f"on_empty must be carry or raise, got {self.on_empty!r}")
-        if not 0.0 < self.tol < np.inf:
-            raise ConfigError("tol must be finite and positive")
+        if not isinstance(self.tol, (int, float)) or not 0.0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
         try:
             scenario = build_scenario(self.scenario, **self.scenario_overrides)
             model = build_model(scenario)
@@ -104,13 +107,13 @@ class RunConfig:
             if not 0.0 < scenario.init_offset <= 1.0:
                 raise ValueError(f"init_offset must be in (0, 1], got {scenario.init_offset}")
             steps = scenario.steps if self.steps is None else self.steps
-            if not isinstance(steps, Integral) or steps < 1:
-                raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+            if not isinstance(steps, int) or steps < 1:
+                raise ValueError(f"steps must be a Python int >= 1, got {steps!r}")
         except (TypeError, ValueError, IndexError, ArithmeticError) as err:
             raise ConfigError(f"bad config for {self.scenario}: {err}") from None
-        if not isinstance(self.m_samples, Integral) or self.m_samples < model.state_dim + 1:
-            raise ConfigError(f"m_samples must be >= {model.state_dim + 1} "
-                              f"(state_dim + 1), an integer, for {self.scenario}")
+        if not isinstance(self.m_samples, int) or self.m_samples < model.state_dim + 1:
+            raise ConfigError(f"m_samples must be >= {model.state_dim + 1} (state_dim + 1), "
+                              f"a Python int, for {self.scenario}, got {self.m_samples!r}")
         return scenario, model, nominal
 
 
@@ -228,49 +231,35 @@ def _logdet(shape: np.ndarray):
 def _run_filter(name: str, config: RunConfig, opts: FilterOptions, model,
                 e0: Ellipsoid, truth: np.ndarray, measurements: np.ndarray,
                 first) -> FilterRunLog:
-    """Step one filter through a run.  A step that raises NumericalError
-    is carried by its prediction, unless on_empty is raise or the filter
-    is ukf, whose errors propagate.  first, when not None, are the weights
-    dsmf's first prediction starts from."""
-    state, carry = e0, None
-    if name == "dsmf":
-        def advance(e, k, last):
-            # Warm start from the last step's solve weights, if it solved;
-            # the first prediction from first.
-            if last is not None:
-                start = [s.weights for s in last.solves]
-            else:
-                start = None if k or first is None else (first, None)
-            rec = step(e, model, measurements[k], k, opts, start)
-            return rec.updated, rec
-
-        def carry(e, k):
-            return predict(e, model, k, opts)[0]
-    elif name == "esmf":
-        def advance(e, k, last):
-            return esmf_step(e, model, measurements[k], k), None
-
-        def carry(e, k):
-            return esmf_predict(e, model, k)
-    else:
-        # The three-sigma set of a uniform draw over e0.
-        state = Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape))
-
-        def advance(belief, k, last):
-            return ukf_step(belief, model, measurements[k], k), None
-
-    steps = measurements.shape[0]
-    sets, records, times, failures = [], [], np.empty(steps), 0
-    rec = None  # the last step's record: None at the start and after a carry
-    for k in range(steps):
+    """Step one filter through a run from e0; the ukf from the three-sigma
+    set of a uniform draw over e0.  A step that raises NumericalError is
+    carried by its prediction, unless on_empty is raise or the filter is
+    ukf, whose errors propagate.  dsmf's warm start is one value, start:
+    (first, None) before step 0 when first, the nominal weights, is not
+    None; the weights of its last step's two solves after a step; and None,
+    which starts each solve from its design optimum, after a carried step
+    or with no nominal weights."""
+    state = Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape)) if name == "ukf" else e0
+    start = None if first is None else (first, None)
+    sets, records, times, failures = [], [], np.empty(len(measurements)), 0
+    for k, y in enumerate(measurements):
         t0 = time.perf_counter()
+        rec = None  # the dsmf StepRecord of a step that solved
         try:
-            state, rec = advance(state, k, rec)
+            if name == "dsmf":
+                rec = step(state, model, y, k, opts, start)
+                state, start = rec.updated, [s.weights for s in rec.solves]
+            elif name == "esmf":
+                state = esmf_step(state, model, y, k)
+            else:
+                state = ukf_step(state, model, y, k)
         except NumericalError:
-            if carry is None or config.on_empty == "raise":
+            if name == "ukf" or config.on_empty == "raise":
                 raise
             failures += 1
-            state, rec = carry(state, k), None
+            state = (predict(state, model, k, opts)[0] if name == "dsmf"
+                     else esmf_predict(state, model, k))
+            start = None
         times[k] = time.perf_counter() - t0
         sets.append(state)
         records.append(rec)

@@ -118,6 +118,28 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="bad config for radar"):
             RunConfig(scenario="radar", scenario_overrides={"T": 1e200}).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 1.5), ("master_seed", "7"), ("master_seed", np.int64(3)),
+        ("runs", np.int64(2)), ("steps", np.int64(2)), ("m_samples", np.int64(200)),
+        ("tol", "1e-5"), ("tol", np.float32(1e-5))])
+    def test_validate_rejects_what_the_run_or_summary_cannot_take(self, field, value):
+        # A float or string seed used to pass validate and fail in mix_seed
+        # with a TypeError, a numpy integer seed with an OverflowError; a
+        # numpy count or tol used to run and then fail json.dumps in
+        # emit_outputs, after metrics.csv was written.
+        config = RunConfig(**{"runs": 1, "steps": 2, field: value})
+        with pytest.raises(ConfigError, match=field):
+            config.validate()
+        with pytest.raises(ConfigError, match=field):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("seed", [-3, 2**70])
+    def test_any_python_int_seed_runs_and_emits(self, tmp_path, seed):
+        config = RunConfig(runs=2, steps=2, master_seed=seed).validate()
+        emit_outputs(run_experiment(config), tmp_path)
+        assert json.loads((tmp_path / "summary.json").read_text())["config"]["master_seed"] \
+            == seed
+
     @pytest.mark.parametrize("preset,floor", [("radar", 5), ("robot", 4)])
     def test_m_samples_floor_is_state_dim_plus_one(self, preset, floor):
         # Fewer design points than state_dim + 1 used to pass the constant
@@ -524,6 +546,36 @@ class TestCarriedFailure:
     def test_raise_reraises(self, failing):
         with pytest.raises(EmptyIntersectionError):
             run_experiment(RunConfig(on_empty="raise", **self.CONFIG))
+
+    def test_robot_step_carried_at_k0_restarts_from_the_design_optima(self, monkeypatch):
+        # Robot has nominal weights: step 0 starts from them, and a step 1
+        # after a carried step 0 starts from the design optima (None), not
+        # from the nominal weights again.
+        starts = {}
+
+        def dsmf_step(e, model, y, k, opts, start=None):
+            starts[k] = start
+            if k == 0:
+                raise EmptyIntersectionError("disjoint", delta=1.0)
+            return step(e, model, y, k, opts, start)
+
+        monkeypatch.setattr(harness, "step", dsmf_step)
+        config = RunConfig(scenario="robot", filters=("dsmf",), runs=1, steps=3,
+                           master_seed=6)
+        res = run_experiment(config)
+        assert res.failures == {"dsmf": 1}
+        opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
+        scenario = res.scenario
+        nominal = _prediction_start(Ellipsoid(scenario.x0, scenario.P0), res.model, opts)
+        assert nominal is not None
+        first, second = starts[0]
+        np.testing.assert_array_equal(first, nominal)
+        assert second is None
+        assert starts[1] is None
+        log = res.runs[0].filters["dsmf"]
+        assert [r is None for r in log.records] == [True, False, False]
+        np.testing.assert_array_equal(
+            starts[2][0], log.records[1].solves[0].weights)
 
     def test_ukf_error_propagates(self, monkeypatch):
         def broken(belief, model, y, k):
