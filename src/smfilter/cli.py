@@ -34,6 +34,7 @@ from .harness import (
     write_table,
 )
 from .mvee import DEFAULT_TOL, fw_solve
+from .scenarios import PRESETS
 
 
 def _int_list(text: str) -> list[int]:
@@ -49,13 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo filter experiment")
     sim.add_argument("--config", help="config file (flat key=value; [scenario] section)")
-    sim.add_argument("--scenario", choices=["radar", "robot"])
-    sim.add_argument("--filters", help="comma list from dsmf,esmf,ukf")
+    sim.add_argument("--scenario", help="scenario preset: " + ", ".join(PRESETS))
+    sim.add_argument("--filters", type=split_filters, help="comma list from dsmf,esmf,ukf")
     sim.add_argument("--runs", type=int)
     sim.add_argument("--steps", type=int)
     sim.add_argument("--seed", type=int, dest="master_seed")
     sim.add_argument("--out", dest="out_dir")
-    sim.add_argument("--timing", action="store_true",
+    sim.add_argument("--timing", dest="record_timing", action="store_const", const=True,
                      help="serialize wall-clock timings (breaks byte-identical outputs)")
 
     mv = sub.add_parser("mvee", help="enclose a CSV point cloud")
@@ -82,21 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file's RunConfig, or the default one, with each field
+    whose flag was given (the flag's dest is the field's name) set to the
+    flag's value, then checked once more."""
     config = parse_config(args.config) if args.config else RunConfig()
-    updates = {}
-    if args.scenario:
-        updates["scenario"] = args.scenario
-    if args.filters:
-        updates["filters"] = split_filters(args.filters)
-    for key in ("runs", "steps", "master_seed", "out_dir"):
-        val = getattr(args, key)
-        if val is not None:
-            updates[key] = val
-    if args.timing:
-        updates["record_timing"] = True
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config.validate()
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(config, **given).validate()
 
 
 def cmd_simulate(args) -> int:

@@ -75,8 +75,10 @@ class RunConfig:
         holds x0; a run length and run count of at least 1, an m_samples of
         at least state_dim + 1, since fewer design points cannot span the
         state, and a master_seed, each a Python int (a numpy integer is
-        refused: summary.json could not hold it); and a finite positive tol.
-        Each failure is a ConfigError."""
+        refused); a finite positive tol; and that json.dumps takes the
+        fields as emit_outputs writes them to summary.json: a str out_dir, a
+        Python bool record_timing, no numpy scalar in scenario_overrides.
+        Each failure is a ConfigError that names the value."""
         if self.scenario not in sc.PRESETS:
             raise ConfigError(f"unknown scenario preset {self.scenario!r}")
         if not self.filters:
@@ -114,13 +116,16 @@ class RunConfig:
         if not isinstance(self.m_samples, int) or self.m_samples < model.state_dim + 1:
             raise ConfigError(f"m_samples must be >= {model.state_dim + 1} (state_dim + 1), "
                               f"a Python int, for {self.scenario}, got {self.m_samples!r}")
+        json.dumps(dataclasses.asdict(self), sort_keys=True, default=_unrecordable)
         return scenario, model, nominal
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-_CONVERTERS = {"runs": int, "steps": int, "master_seed": int, "m_samples": int,
-               "tol": float, "record_timing": lambda raw: _BOOL_WORDS[raw.strip().lower()]}
+def _unrecordable(value):
+    """json.dumps's fallback for a config value it cannot write: a
+    ConfigError that names the value."""
+    kind = type(value)
+    raise ConfigError(f"config value {value!r} of type {kind.__module__}.{kind.__name__} "
+                      "cannot be recorded in summary.json")
 
 
 def split_filters(text: str) -> tuple[str, ...]:
@@ -128,11 +133,19 @@ def split_filters(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+_CONVERTERS = {"scenario": str.strip, "filters": split_filters, "runs": int, "steps": int,
+               "master_seed": int, "m_samples": int, "tol": float, "out_dir": str.strip,
+               "on_empty": str.strip,
+               "record_timing": lambda raw: ConfigParser.BOOLEAN_STATES[raw.strip().lower()]}
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read a flat key = value config file with one optional [scenario]
     section holding preset-field overrides (values are Python literals).
-    Top-level keys are case-insensitive; [scenario] keys are preset field
-    names and keep their case (T, T0)."""
+    Top-level keys are case-insensitive, and each is read by its converter
+    in _CONVERTERS, as the simulate flags are by argparse; a key without
+    one is unknown.  [scenario] keys are preset field names and keep their
+    case (T, T0).  Every failure is a ConfigError."""
     import ast
 
     text = Path(path).read_text()
@@ -146,19 +159,15 @@ def parse_config(path: str | Path) -> RunConfig:
     kwargs: dict = {}
     for key, raw in parser["run"].items():
         key = key.lower()
+        convert = _CONVERTERS.get(key)
+        if convert is None:
+            raise ConfigError(f"unknown config key {key!r}")
         if key in kwargs:
             raise ConfigError(f"config key {key!r} is given twice")
-        if key == "filters":
-            kwargs["filters"] = split_filters(raw)
-        elif key in _CONVERTERS:
-            try:
-                kwargs[key] = _CONVERTERS[key](raw)
-            except (KeyError, ValueError):
-                raise ConfigError(f"config key {key!r}: cannot read {raw!r}") from None
-        elif key in ("scenario", "out_dir", "on_empty"):
-            kwargs[key] = raw.strip()
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            kwargs[key] = convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"config key {key!r}: cannot read {raw!r}") from None
     if parser.has_section("scenario"):
         overrides = {}
         for key, raw in parser["scenario"].items():
@@ -405,10 +414,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
          for row in result.metrics]))
 
     summary = {
-        "config": {
-            **dataclasses.asdict(config),
-            "filters": list(config.filters),
-        },
+        "config": dataclasses.asdict(config),
         "steps": int(result.metrics[-1].k) if result.metrics else 0,
         "seeds": [int(s) for s in result.seeds],
         "failures": result.failures,

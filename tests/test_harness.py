@@ -5,11 +5,13 @@ import stat
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smfilter import dsmf, harness, mvee, scenarios
+from smfilter.cli import _config_from_args, build_parser
 from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
 from smfilter.dsmf import FilterOptions, StepRecord, _prediction_start, predict, step
@@ -132,6 +134,24 @@ class TestRunConfig:
             config.validate()
         with pytest.raises(ConfigError, match=field):
             run_experiment(config)
+
+    @pytest.mark.parametrize("field, value", [
+        ("out_dir", Path("x")), ("record_timing", np.bool_(True)),
+        ("scenario_overrides", {"T": np.float32(1.0)}),
+        ("scenario_overrides", {"steps": np.int64(5)})],
+        ids=["out_dir-Path", "record_timing-np.bool_", "T-np.float32", "steps-np.int64"])
+    def test_validate_rejects_what_summary_json_cannot_record(self, tmp_path, monkeypatch,
+                                                              field, value):
+        # Each used to pass validate and run_experiment, then fail
+        # json.dumps in emit_outputs with a TypeError after metrics.csv was
+        # written.
+        monkeypatch.chdir(tmp_path)
+        config = RunConfig(**{"runs": 1, "steps": 2, field: value})
+        with pytest.raises(ConfigError, match="cannot be recorded in summary.json"):
+            config.validate()
+        with pytest.raises(ConfigError, match="cannot be recorded in summary.json"):
+            emit_outputs(run_experiment(config), config.out_dir)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [-3, 2**70])
     def test_any_python_int_seed_runs_and_emits(self, tmp_path, seed):
@@ -839,6 +859,54 @@ class TestCli:
         code = self.run_cli("simulate", "--config", str(cfg), "--scenario", "radar",
                             "--out", str(tmp_path / "out"))
         assert code == 2
+
+    FILE_KEYS = {"scenario": ("robot", "robot"), "filters": ("esmf, ukf", ("esmf", "ukf")),
+                 "runs": ("3", 3), "steps": ("4", 4), "master_seed": ("7", 7),
+                 "out_dir": ("from_file", "from_file"), "record_timing": ("no", False)}
+
+    @pytest.mark.parametrize("flags, field, want", [
+        ([], None, None),
+        (["--scenario", "radar"], "scenario", "radar"),
+        (["--filters", "dsmf"], "filters", ("dsmf",)),
+        (["--runs", "2"], "runs", 2),
+        (["--steps", "6"], "steps", 6),
+        (["--seed", "9"], "master_seed", 9),
+        (["--out", "from_flag"], "out_dir", "from_flag"),
+        (["--timing"], "record_timing", True),
+    ])
+    def test_simulate_flag_overrides_its_file_key_only(self, tmp_path, flags, field, want):
+        # A config file that sets every key a simulate flag sets: the given
+        # flag wins for its field, and every other field keeps the file's
+        # value.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, (text, _) in self.FILE_KEYS.items()))
+        config = _config_from_args(build_parser().parse_args(
+            ["simulate", "--config", str(cfg), *flags]))
+        expected = {key: value for key, (_, value) in self.FILE_KEYS.items()}
+        if field is not None:
+            expected[field] = want
+        assert {key: getattr(config, key) for key in expected} == expected
+
+    def test_simulate_absent_timing_flag_keeps_the_file_s_true(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("record_timing = yes\n")
+        args = build_parser().parse_args(["simulate", "--config", str(cfg)])
+        assert _config_from_args(args).record_timing is True
+
+    @pytest.mark.parametrize("how", ["config key", "flag"])
+    def test_simulate_empty_filters_exit_2(self, tmp_path, capsys, how):
+        # An empty --filters used to be dropped, which ran dsmf and exited
+        # 0; an empty filters key was already a config error.
+        argv = ["simulate", "--runs", "1", "--steps", "1", "--out", str(tmp_path / "out")]
+        if how == "flag":
+            argv += ["--filters", ""]
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("filters =\n")
+            argv += ["--config", str(cfg)]
+        assert self.run_cli(*argv) == 2
+        assert "config error: filters must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_mvee_subcommand(self, tmp_path, capsys):
         pts = tmp_path / "tri.csv"
