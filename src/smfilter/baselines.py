@@ -10,10 +10,13 @@ filter its three-sigma set {mean, 9 cov}.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
 from .dsmf import FusionParams, SystemModel, _update
-from .ellipsoid import Ellipsoid, covering_sum, optimal_p, spd_cholesky, symmetrize
+from .ellipsoid import (Ellipsoid, _factor, covering_sum, ellipsoids, optimal_p, spd_cholesky,
+                        symmetrize)
 
 
 def uniform_covariance(shape: np.ndarray) -> np.ndarray:
@@ -114,46 +117,53 @@ def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Elli
 
 def _sigma_points(mean: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric sigma-point set: mean +- sqrt(n) * columns of a factor L of
-    the covariance (L L^T = cov), equal weights.
+    the covariance (L L^T = cov), equal weights; or a stack of such sets.
 
     Reproduces the mean and covariance exactly and is exact for linear maps.
     """
-    n = mean.size
-    spread = np.sqrt(n) * factor.T  # rows are sqrt(n) L^T rows = columns of L
-    pts = np.vstack([mean + spread, mean - spread])
+    n = mean.shape[-1]
+    spread = sqrt(n) * factor.swapaxes(-1, -2)  # rows are sqrt(n) L^T rows = columns of L
+    mean = mean[..., None, :]
+    pts = np.concatenate([mean + spread, mean - spread], axis=-2)
     weights = np.full(2 * n, 1.0 / (2 * n))
     return pts, weights
 
 
-def ukf_step(belief: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Ellipsoid:
-    """One unscented predict/update cycle.
+def ukf_step(beliefs: list[Ellipsoid], model: SystemModel, ys: np.ndarray,
+             k: int) -> list[Ellipsoid]:
+    """One unscented predict/update cycle of each belief of a batch, belief
+    r on row r of ys, an (R, l) array of measurements.
 
-    The belief is carried as its three-sigma set {mean, 9 cov}, the set
+    A belief is carried as its three-sigma set {mean, 9 cov}, the set
     whose size and containment are reported, so the first sigma set is
     built on a third of its factor.  The noise covariances are those of
     uniform draws over the bounds (uniform_covariance); the measurement
-    update uses the standard cross-covariance gain.
+    update uses the standard cross-covariance gain.  Each operation is one
+    stacked call of per-matrix kernels, so a belief's result has the same
+    bits in any batch.  Any belief's failed factorization raises SpdError.
     """
-    y = np.asarray(y, dtype=float)
-    q_cov = uniform_covariance(model.Q)
-    r_cov = uniform_covariance(model.R)
+    ys = np.asarray(ys, dtype=float)
+    q_cov, r_cov = uniform_covariance(model.Q), uniform_covariance(model.R)
 
-    pts, w = _sigma_points(belief.center, belief.factor() / 3.0)
+    pts, w = _sigma_points(np.array([b.center for b in beliefs]),
+                           np.array([b.factor() for b in beliefs]) / 3.0)
     xp = model.f(pts, k)
     mean_p = w @ xp
-    dx = xp - mean_p
-    cov_p = symmetrize(dx.T @ (w[:, None] * dx) + q_cov)
+    dx = xp - mean_p[:, None]
+    w_col = w[:, None]
+    cov_p = symmetrize(dx.swapaxes(1, 2) @ (w_col * dx) + q_cov)
 
-    chol_p, _ = spd_cholesky(cov_p, what="sigma-point covariance")
-    pts2, w2 = _sigma_points(mean_p, chol_p)
-    yp = np.atleast_2d(model.h(pts2))
-    y_mean = w2 @ yp
-    dy = yp - y_mean
-    dx2 = pts2 - mean_p
-    s = symmetrize(dy.T @ (w2[:, None] * dy) + r_cov)
-    c_xy = dx2.T @ (w2[:, None] * dy)
-    chol_s, s = spd_cholesky(s, what="innovation covariance")
-    gain = np.linalg.solve(chol_s.T, np.linalg.solve(chol_s, c_xy.T)).T
-    mean = mean_p + gain @ (y - y_mean)
-    cov = symmetrize(cov_p - gain @ s @ gain.T)
-    return Ellipsoid(mean, 9.0 * cov)
+    chol_p, _ = _factor(cov_p, what="sigma-point covariance")
+    pts2, _ = _sigma_points(mean_p, chol_p)  # the same weights w
+    yp = model.h(pts2)
+    y_mean = w @ yp
+    dy = yp - y_mean[:, None]
+    dy_w = w_col * dy
+    chol_s, s = spd_cholesky(dy.swapaxes(1, 2) @ dy_w + r_cov, what="innovation covariance")
+    c_xy = (pts2 - mean_p[:, None]).swapaxes(1, 2) @ dy_w
+    # Each right-hand side is a stack of matrices, never a stack of vectors.
+    gain = np.linalg.solve(chol_s.swapaxes(1, 2),
+                           np.linalg.solve(chol_s, c_xy.swapaxes(1, 2))).swapaxes(1, 2)
+    mean = mean_p + (gain @ (ys - y_mean)[:, :, None])[:, :, 0]
+    cov = symmetrize(cov_p - gain @ s @ gain.swapaxes(1, 2))
+    return ellipsoids(mean, 9.0 * cov)

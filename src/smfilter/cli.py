@@ -27,7 +27,7 @@ from .harness import (
     aggregate,
     bench_mvee,
     emit_outputs,
-    parse_config,
+    read_config,
     run_experiment,
     split_filters,
     sweep_sigma,
@@ -83,13 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The config file's RunConfig, or the default one, with each field
-    whose flag was given (the flag's dest is the field's name) set to the
-    flag's value, then checked once more."""
-    config = parse_config(args.config) if args.config else RunConfig()
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
-             if getattr(args, f.name, None) is not None}
-    return dataclasses.replace(config, **given).validate()
+    """The RunConfig of the config file's fields (read_config), or of the
+    defaults, with each field whose flag was given (the flag's dest is the
+    field's name) set to the flag's value, checked once, after the flags
+    apply."""
+    fields = read_config(args.config) if args.config else {}
+    fields.update({f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+                   if getattr(args, f.name, None) is not None})
+    return RunConfig(**fields).validate()
 
 
 def cmd_simulate(args) -> int:

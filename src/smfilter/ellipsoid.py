@@ -20,26 +20,37 @@ SYM_RTOL = 1e-12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2."""
-    return 0.5 * (a + a.T)
+    """Return (A + A^T)/2, of a matrix or of each matrix of a stack."""
+    return 0.5 * (a + (a.T if a.ndim == 2 else a.swapaxes(-1, -2)))
 
 
 def spd_cholesky(p: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of an SPD matrix with a one-shot jitter retry.
+    """Cholesky factor of an SPD matrix, or of each of an (R, n, n) stack,
+    with a one-shot jitter retry.
 
     A matrix with a NaN or infinite entry raises SpdError (numpy's Cholesky
     can return a NaN factor for one without raising).  If the first
     factorization fails, 1e-12 * tr(P)/n * I is added once and the
-    factorization retried; a second failure raises SpdError.  Returns
-    (L, P_used) with L lower triangular, L L^T = P_used.
+    factorization retried; a second failure raises SpdError.  A stack is
+    factored in one call; only if that fails is each matrix factored alone,
+    with its own retry.  Returns (L, P_used), L lower triangular with
+    L L^T = P_used.
     """
-    p = symmetrize(np.asarray(p, dtype=float))
+    return _factor(symmetrize(np.asarray(p, dtype=float)), what)
+
+
+def _factor(p: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """spd_cholesky of a matrix or stack that is already symmetric, for
+    which symmetrize would return the same bits."""
     if not np.isfinite(p).all():
         raise SpdError(f"{what} has a non-finite entry")
     try:
         return np.linalg.cholesky(p), p
     except np.linalg.LinAlgError:
         pass
+    if p.ndim == 3:
+        pairs = [_factor(m, what) for m in p]
+        return np.array([c for c, _ in pairs]), np.array([m for _, m in pairs])
     n = p.shape[0]
     jitter = 1e-12 * np.trace(p) / n
     p_j = p + jitter * np.eye(n)
@@ -129,6 +140,26 @@ class Ellipsoid:
         z = np.linalg.solve(self._chol, dev.T)
         vals = np.sum(z * z, axis=0)
         return vals[0] if x.ndim == 1 else vals
+
+
+def ellipsoids(centers: np.ndarray, shapes: np.ndarray) -> list[Ellipsoid]:
+    """[Ellipsoid(c, P) for c, P in zip(centers, shapes)], each check made
+    once over the (R, n) and (R, n, n) stacks.  Exactly symmetric shapes are
+    factored uncopied, so the stacks must be the caller's own."""
+    if not np.isfinite(centers).all():
+        raise ValueError("center has a non-finite entry")
+    n = centers.shape[1]
+    if shapes.shape != (len(centers), n, n):
+        raise ValueError(f"shape matrices are {shapes.shape}, expected ({len(centers)}, {n}, {n})")
+    if not (shapes == shapes.swapaxes(1, 2)).all():
+        if not np.isfinite(shapes).all():  # before inf - inf in the asymmetry
+            raise SpdError("shape matrix has a non-finite entry")
+        asym = np.abs(shapes - shapes.swapaxes(1, 2)).max(axis=(1, 2))
+        if (asym > SYM_RTOL * np.maximum(np.abs(shapes).max(axis=(1, 2)), 1.0)).any():
+            raise ValueError("shape matrix is not symmetric")
+        shapes = symmetrize(shapes)
+    chols, shapes = _factor(shapes, "shape matrix")
+    return [Ellipsoid._from_factor(c, p, l) for c, p, l in zip(centers, shapes, chols)]
 
 
 @dataclass(frozen=True)

@@ -139,13 +139,14 @@ _CONVERTERS = {"scenario": str.strip, "filters": split_filters, "runs": int, "st
                "record_timing": lambda raw: ConfigParser.BOOLEAN_STATES[raw.strip().lower()]}
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Read a flat key = value config file with one optional [scenario]
-    section holding preset-field overrides (values are Python literals).
-    Top-level keys are case-insensitive, and each is read by its converter
-    in _CONVERTERS, as the simulate flags are by argparse; a key without
-    one is unknown.  [scenario] keys are preset field names and keep their
-    case (T, T0).  Every failure is a ConfigError."""
+def read_config(path: str | Path) -> dict:
+    """The RunConfig fields, unchecked, of a flat key = value config file
+    with one optional [scenario] section holding preset-field overrides
+    (values are Python literals).  Top-level keys are case-insensitive, and
+    each is read by its converter in _CONVERTERS, as the simulate flags are
+    by argparse; a key without one is unknown.  [scenario] keys are preset
+    field names and keep their case (T, T0).  Every failure is a
+    ConfigError."""
     import ast
 
     text = Path(path).read_text()
@@ -156,16 +157,16 @@ def parse_config(path: str | Path) -> RunConfig:
     except Exception as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from None
 
-    kwargs: dict = {}
+    fields: dict = {}
     for key, raw in parser["run"].items():
         key = key.lower()
         convert = _CONVERTERS.get(key)
         if convert is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in kwargs:
+        if key in fields:
             raise ConfigError(f"config key {key!r} is given twice")
         try:
-            kwargs[key] = convert(raw)
+            fields[key] = convert(raw)
         except (KeyError, ValueError):
             raise ConfigError(f"config key {key!r}: cannot read {raw!r}") from None
     if parser.has_section("scenario"):
@@ -177,8 +178,13 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise ConfigError(
                     f"scenario override {key} = {raw!r} is not a literal"
                 ) from None
-        kwargs["scenario_overrides"] = overrides
-    return RunConfig(**kwargs).validate()
+        fields["scenario_overrides"] = overrides
+    return fields
+
+
+def parse_config(path: str | Path) -> RunConfig:
+    """The checked RunConfig of a config file (read_config)."""
+    return RunConfig(**read_config(path)).validate()
 
 
 @dataclass
@@ -190,7 +196,7 @@ class FilterRunLog:
     contained: np.ndarray  # (steps,) bool
     traces: np.ndarray
     logdets: np.ndarray
-    times: np.ndarray
+    times: np.ndarray  # (steps,) s; a ukf step's is its batched call's time / runs
     failures: int
     records: list  # per step: the dsmf StepRecord; None for a carried step or another filter
 
@@ -238,57 +244,68 @@ def _logdet(shape: np.ndarray):
 
 
 def _run_filter(name: str, config: RunConfig, opts: FilterOptions, model,
-                e0: Ellipsoid, truth: np.ndarray, measurements: np.ndarray,
-                first) -> FilterRunLog:
-    """Step one filter through a run from e0; the ukf from the three-sigma
-    set of a uniform draw over e0.  A step that raises NumericalError is
-    carried by its prediction, unless on_empty is raise or the filter is
-    ukf, whose errors propagate.  dsmf's warm start is one value, start:
+                e0s: list[Ellipsoid], truths: np.ndarray, measurements: np.ndarray,
+                first) -> list[FilterRunLog]:
+    """Step one filter through all runs in one loop over the steps, run r
+    from e0s[r] (the ukf from the three-sigma set of a uniform draw over it)
+    on truths[r] and measurements[r].  The ukf makes one ukf_step call per
+    step, and each run's time is that call's divided by R; dsmf and esmf
+    step the runs one by one.  A dsmf or esmf step that raises
+    NumericalError is carried by its prediction, unless on_empty is raise;
+    a ukf error propagates.  dsmf's warm start is one value per run, start:
     (first, None) before step 0 when first, the nominal weights, is not
     None; the weights of its last step's two solves after a step; and None,
     which starts each solve from its design optimum, after a carried step
     or with no nominal weights."""
-    state = Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape)) if name == "ukf" else e0
-    start = None if first is None else (first, None)
-    sets, records, times, failures = [], [], np.empty(len(measurements)), 0
-    for k, y in enumerate(measurements):
-        t0 = time.perf_counter()
-        rec = None  # the dsmf StepRecord of a step that solved
-        try:
-            if name == "dsmf":
-                rec = step(state, model, y, k, opts, start)
-                state, start = rec.updated, [s.weights for s in rec.solves]
-            elif name == "esmf":
-                state = esmf_step(state, model, y, k)
-            else:
-                state = ukf_step(state, model, y, k)
-        except NumericalError:
-            if name == "ukf" or config.on_empty == "raise":
-                raise
-            failures += 1
-            state = (predict(state, model, k, opts)[0] if name == "dsmf"
-                     else esmf_predict(state, model, k))
-            start = None
-        times[k] = time.perf_counter() - t0
-        sets.append(state)
-        records.append(rec)
+    runs, steps = measurements.shape[:2]
+    states = ([Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape)) for e0 in e0s]
+              if name == "ukf" else list(e0s))
+    starts = [None if first is None else (first, None)] * runs
+    sets, records, times, failures = [], [], np.empty((steps, runs)), [0] * runs
+    for k in range(steps):
+        recs = [None] * runs  # the dsmf StepRecord of each run's step that solved
+        if name == "ukf":
+            t0 = time.perf_counter()
+            states = ukf_step(states, model, measurements[:, k], k)
+            times[k] = (time.perf_counter() - t0) / runs
+        else:
+            states = list(states)
+            for r in range(runs):
+                t0 = time.perf_counter()
+                try:
+                    if name == "dsmf":
+                        recs[r] = rec = step(states[r], model, measurements[r, k], k, opts,
+                                             starts[r])
+                        states[r], starts[r] = rec.updated, [s.weights for s in rec.solves]
+                    else:
+                        states[r] = esmf_step(states[r], model, measurements[r, k], k)
+                except NumericalError:
+                    if config.on_empty == "raise":
+                        raise
+                    failures[r] += 1
+                    states[r] = (predict(states[r], model, k, opts)[0] if name == "dsmf"
+                                 else esmf_predict(states[r], model, k))
+                    starts[r] = None
+                times[k, r] = time.perf_counter() - t0
+        sets.append(states)
+        records.append(recs)
 
-    # One stacked call per figure over the run's sets, each the same
-    # per-matrix LAPACK call or sum as contains and np.trace make per set.
-    centers = np.array([e.center for e in sets])
-    shapes = np.array([e.shape for e in sets])
-    dev = truth[1:] - centers
-    z = np.linalg.solve(np.array([e.factor() for e in sets]), dev[:, :, None])[:, :, 0]
-    return FilterRunLog(
-        estimates=centers,
-        sets=sets,
-        contained=(z * z).sum(axis=1) <= 1.0 + CONTAINMENT_SLACK,
-        traces=np.trace(shapes, axis1=1, axis2=2),
-        logdets=_logdet(shapes),
-        times=times,
-        failures=failures,
-        records=records,
-    )
+    # One stacked call per figure over every run's sets, run-major, each the
+    # same per-matrix LAPACK call or sum as contains and np.trace make per set.
+    by_run = [list(run_sets) for run_sets in zip(*sets)]
+    flat = [e for run_sets in by_run for e in run_sets]
+    centers = np.array([e.center for e in flat])
+    shapes = np.array([e.shape for e in flat])
+    dev = truths[:, 1:].reshape(centers.shape) - centers
+    z = np.linalg.solve(np.array([e.factor() for e in flat]), dev[:, :, None])[:, :, 0]
+    contained = ((z * z).sum(axis=1) <= 1.0 + CONTAINMENT_SLACK).reshape(runs, steps)
+    traces = np.trace(shapes, axis1=1, axis2=2).reshape(runs, steps)
+    logdets = _logdet(shapes).reshape(runs, steps)
+    centers = centers.reshape(runs, steps, -1)
+    return [FilterRunLog(estimates=centers[r], sets=by_run[r], contained=contained[r],
+                         traces=traces[r], logdets=logdets[r], times=times[:, r],
+                         failures=failures[r], records=[recs[r] for recs in records])
+            for r in range(runs)]
 
 
 def compute_metrics(config: RunConfig, scenario, runs: list[RunLog],
@@ -344,14 +361,12 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     most init_offset P0, so dsmf's first prediction is solved on it, once
     per process for each nominal cloud (_prediction_start), and each run's
     starts from there, a pass or two away; when that solve fails
-    numerically, from the design optimum.  Run r's sets do not depend on
-    the number of runs.
+    numerically, from the design optimum.  Each filter steps all runs
+    together (_run_filter); run r's sets do not depend on the number of runs.
     """
     scenario, model, nominal = config._set_up()
     steps = config.steps if config.steps is not None else scenario.steps
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
-    runs: list[RunLog] = []
-    failures = {name: 0 for name in config.filters}
     opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
     first = None
     if "dsmf" in config.filters:
@@ -359,16 +374,19 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             first = _prediction_start(nominal, model, opts)
         except NumericalError:
             pass
-    for r, seed in enumerate(seeds):
+    truths, measurements, e0s = [], [], []
+    for seed in seeds:
         truth_rng = np.random.default_rng([seed, 0])
-        truth, measurements = simulate_truth(scenario, model, truth_rng, steps=steps)
-        e0 = initial_estimate(scenario, truth_rng)
-        logs = {}
-        for name in config.filters:
-            log = _run_filter(name, config, opts, model, e0, truth, measurements, first)
-            failures[name] += log.failures
-            logs[name] = log
-        runs.append(RunLog(r, seed, truth, measurements, logs))
+        truth, ys = simulate_truth(scenario, model, truth_rng, steps=steps)
+        truths.append(truth)
+        measurements.append(ys)
+        e0s.append(initial_estimate(scenario, truth_rng))
+    logs = {name: _run_filter(name, config, opts, model, e0s, np.array(truths),
+                              np.array(measurements), first)
+            for name in config.filters}
+    failures = {name: sum(log.failures for log in logs[name]) for name in config.filters}
+    runs = [RunLog(r, seed, truths[r], measurements[r], {name: logs[name][r] for name in logs})
+            for r, seed in enumerate(seeds)]
     metrics = compute_metrics(config, scenario, runs, steps)
     return ExperimentResult(config, scenario, model, runs, metrics, failures, seeds)
 

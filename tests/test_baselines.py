@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from smfilter.ellipsoid import (
     sample_interior,
     symmetrize,
 )
+from smfilter.errors import SpdError
+from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
 from reference import minkowski_outer, numerical_jacobian, sample_boundary
@@ -325,7 +328,7 @@ class TestUkf:
         model = linear_model(f_mat, h_mat, q, r)
         mean0, cov0 = np.array([1.0, 0.5]), 0.2 * np.eye(2)
         y = np.array([1.3])
-        out = ukf_step(Ellipsoid(mean0, 9 * cov0), model, y, 0)
+        (out,) = ukf_step([Ellipsoid(mean0, 9 * cov0)], model, y[None], 0)
 
         # Kalman-filter oracle on the covariances of uniform draws over the
         # noise bounds, shape / (dim + 2).
@@ -345,7 +348,7 @@ class TestUkf:
         h_mat = np.eye(2)
         model = linear_model(f_mat, h_mat, 0.01 * np.eye(2), 0.1 * np.eye(2))
         belief = Ellipsoid([2.0, -1.0], 9 * 0.3 * np.eye(2))
-        out = ukf_step(belief, model, np.array([2.0, -1.0]), 0)
+        (out,) = ukf_step([belief], model, np.array([[2.0, -1.0]]), 0)
         np.testing.assert_allclose(out.center, [2.0, -1.0], atol=1e-10)
 
     def test_covariance_stays_symmetric(self):
@@ -355,7 +358,7 @@ class TestUkf:
         model = linear_model(f_mat, h_mat, 0.05 * np.eye(2), np.array([[0.2]]))
         belief = Ellipsoid(rng.standard_normal(2), 9 * random_spd(rng, 2))
         for k in range(20):
-            belief = ukf_step(belief, model, rng.standard_normal(1), k)
+            (belief,) = ukf_step([belief], model, rng.standard_normal((1, 1)), k)
             cov = belief.shape / 9
             np.testing.assert_array_equal(cov, cov.T)
             assert np.linalg.eigvalsh(cov).min() > 0
@@ -367,8 +370,62 @@ class TestUkf:
         model = linear_model(np.eye(4), np.eye(4)[:1], 6.0 * np.eye(4),
                              np.array([[1e12]]))
         belief = Ellipsoid(np.zeros(4), 9 * 0.2 * np.eye(4))
-        out = ukf_step(belief, model, np.array([0.0]), 0)
+        (out,) = ukf_step([belief], model, np.array([[0.0]]), 0)
         np.testing.assert_allclose(out.shape / 9, 1.2 * np.eye(4), atol=1e-9)
+
+    @staticmethod
+    def assert_each_is_its_step_alone(batch, beliefs, model, ys, k):
+        assert len(batch) == len(beliefs)
+        for out, belief, y in zip(batch, beliefs, ys):
+            (alone,) = ukf_step([belief], model, y[None], k)
+            for a, b in ((out.center, alone.center), (out.shape, alone.shape),
+                         (out.factor(), alone.factor())):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("preset", ["radar", "robot"])
+    def test_a_stacked_step_is_each_belief_s_step_alone(self, preset):
+        # Beliefs of three runs at three steps, stepped in one batch.
+        result = run_experiment(RunConfig(scenario=preset, filters=("ukf",), runs=3, steps=5,
+                                          master_seed=4))
+        beliefs = [run.filters["ukf"].sets[k] for run in result.runs for k in (0, 2, 3)]
+        ys = np.array([run.measurements[k + 1] for run in result.runs for k in (0, 2, 3)])
+        batch = ukf_step(beliefs, result.model, ys, 4)
+        self.assert_each_is_its_step_alone(batch, beliefs, result.model, ys, 4)
+
+    def test_a_belief_needing_the_jitter_retry_gets_its_step_alone(self, monkeypatch):
+        # h reads x0 twice, and R is below the rounding of the wide belief's
+        # spread: its innovation covariance is singular, and only the
+        # jitter retry factors it; the narrow belief's is SPD.
+        model = SystemModel(f=lambda x, k: x, h=lambda x: x[..., [0, 0]],
+                            h_inv=lambda y, v, aux: y - v, E_p=np.eye(2),
+                            Q=1e-30 * np.eye(2), R=1e-30 * np.eye(2))
+        beliefs = [Ellipsoid([1.0, 2.0], 9e-30 * np.eye(2)), Ellipsoid([0.0, 1.0], 9.0 * np.eye(2))]
+        ys = np.array([[1.0, 1.0], [0.5, 0.5]])
+        failed, real = [], np.linalg.cholesky
+
+        def recorded(a):
+            try:
+                return real(a)
+            except np.linalg.LinAlgError:
+                failed.append(np.ndim(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        batch = ukf_step(beliefs, model, ys, 0)
+        assert failed[:2] == [3, 2]  # the stack, then the wide belief alone
+        self.assert_each_is_its_step_alone(batch, beliefs, model, ys, 0)
+
+    def test_a_batch_with_one_indefinite_innovation_covariance_raises(self):
+        # A negative noise bound, which no SystemModel accepts, against the
+        # spread of h(x) = x0 + x1^2: the wide belief's innovation
+        # covariance stays SPD (so does its update), the narrow one's does not.
+        model = SimpleNamespace(f=lambda x, k: x, h=lambda x: x[..., :1] + x[..., 1:] ** 2,
+                                Q=1e-6 * np.eye(2), R=np.array([[-0.5]]))
+        wide, narrow = (Ellipsoid(np.zeros(2), 9.0 * s * np.eye(2)) for s in (1.0, 1e-4))
+        ukf_step([wide], model, np.zeros((1, 1)), 0)
+        for beliefs in ([narrow], [wide, narrow], [narrow, wide]):
+            with pytest.raises(SpdError, match="innovation covariance is not positive definite"):
+                ukf_step(beliefs, model, np.zeros((len(beliefs), 1)), 0)
 
     def test_sigma_points_reproduce_moments(self):
         from smfilter.baselines import _sigma_points

@@ -8,6 +8,7 @@ from smfilter.ellipsoid import (
     PointCloud,
     contains,
     covering_sum,
+    ellipsoids,
     optimal_p,
     sample_interior,
     spd_cholesky,
@@ -91,6 +92,79 @@ class TestEllipsoidType:
         p = np.array([[1.0, 1.0], [1.0, 1.0]])
         chol, fixed = spd_cholesky(p)
         assert np.linalg.eigvalsh(fixed).min() > 0
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStacks:
+    """spd_cholesky of an (R, n, n) stack and ellipsoids of stacked centers
+    and shapes: one call over the stack, each matrix with the bits of a call
+    on it alone."""
+
+    def stack(self, rng, count=6, n=4):
+        shapes = np.array([random_spd(rng, n, 10.0 ** rng.uniform(-3, 3)) for _ in range(count)])
+        shapes[1::2] *= 1.0 + 1e-15 * rng.standard_normal((count // 2, n, n))
+        return shapes  # the odd ones a little asymmetric
+
+    def test_spd_cholesky_of_a_stack_is_each_matrix_alone(self):
+        shapes = self.stack(np.random.default_rng(30))
+        chols, used = spd_cholesky(shapes)
+        for p, chol, p_used in zip(shapes, chols, used, strict=True):
+            want_chol, want_used = spd_cholesky(p)
+            assert same_bits(chol, want_chol) and same_bits(p_used, want_used)
+
+    def test_a_matrix_that_needs_the_jitter_retry_gets_its_own(self):
+        shapes = self.stack(np.random.default_rng(31), count=3, n=2)
+        shapes[1] = [[1.0, 1.0], [1.0, 1.0]]
+        chols, used = spd_cholesky(shapes)
+        for p, chol, p_used in zip(shapes, chols, used, strict=True):
+            want_chol, want_used = spd_cholesky(p)
+            assert same_bits(chol, want_chol) and same_bits(p_used, want_used)
+        assert same_bits(used[0], symmetrize(shapes[0])) and not same_bits(used[1], shapes[1])
+
+    @pytest.mark.parametrize("bad,match", [
+        (np.diag([1.0, -1.0]), "not positive definite"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, bad, match):
+        shapes = np.array([np.eye(2), bad, 2.0 * np.eye(2)])
+        with pytest.raises(SpdError, match=match):
+            spd_cholesky(shapes, what="stacked matrix")
+
+    def test_ellipsoids_are_each_ellipsoid_alone(self):
+        rng = np.random.default_rng(32)
+        shapes = self.stack(rng)
+        centers = rng.standard_normal((6, 4))
+        got = ellipsoids(centers.copy(), shapes.copy())
+        for e, c, p in zip(got, centers, shapes, strict=True):
+            want = Ellipsoid(c, p)
+            for a, b in ((e.center, want.center), (e.shape, want.shape),
+                         (e.factor(), want.factor())):
+                assert same_bits(a, b) and not a.flags.writeable
+
+    @pytest.mark.parametrize("where,entry,error,match", [
+        ("center", np.nan, ValueError, "center has a non-finite entry"),
+        ("shape", np.inf, SpdError, "non-finite"),
+        ("shape", np.nan, SpdError, "non-finite"),
+        ("asymmetric", 1e-6, ValueError, "not symmetric"),
+        ("indefinite", -1.0, SpdError, "not positive definite"),
+    ])
+    def test_ellipsoids_make_each_check_of_ellipsoid(self, where, entry, error, match):
+        centers, shapes = np.zeros((3, 2)), np.array([np.eye(2)] * 3)
+        if where == "center":
+            centers[1, 0] = entry
+        elif where == "shape":
+            shapes[1, 0, 1] = shapes[1, 1, 0] = entry
+        elif where == "asymmetric":
+            shapes[1, 0, 1] = entry
+        else:
+            shapes[1, 1, 1] = entry
+        with pytest.raises(error, match=match):
+            Ellipsoid(centers[1], shapes[1])
+        with pytest.raises(error, match=match):
+            ellipsoids(centers, shapes)
 
 
 class TestPointCloud:

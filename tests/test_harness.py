@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import stat
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,6 +344,42 @@ class TestRunExperiment:
                 assert log.logdets.tolist() == [
                     float(np.linalg.slogdet(e.shape)[1]) for e in log.sets]
 
+    @pytest.mark.parametrize("scenario", ["radar", "robot"])
+    def test_no_run_s_sets_depend_on_the_run_count(self, scenario):
+        # Every filter steps all runs together; runs 0 and 1 of three runs
+        # must still be, bit for bit, the runs of one and of two.
+        by_count = {runs: run_experiment(RunConfig(
+            scenario=scenario, filters=harness.KNOWN_FILTERS, runs=runs, steps=6,
+            master_seed=21)) for runs in (1, 2, 3)}
+        for runs in (1, 2):
+            for r in range(runs):
+                for name in harness.KNOWN_FILTERS:
+                    want = by_count[runs].runs[r].filters[name].sets
+                    got = by_count[3].runs[r].filters[name].sets
+                    assert len(got) == len(want) == 6
+                    for a, b in zip(got, want):
+                        assert a.center.tobytes() == b.center.tobytes()
+                        assert a.shape.tobytes() == b.shape.tobytes()
+
+    def test_the_ukf_steps_every_run_in_one_call_per_step(self, monkeypatch):
+        # One ukf_step call per step, on all runs' beliefs and an (R, l)
+        # array of their measurements; each run's time for the step is that
+        # call's time divided by R.
+        calls, real = [], harness.ukf_step
+
+        def counted(beliefs, model, ys, k):
+            calls.append((len(beliefs), ys.shape, k))
+            return real(beliefs, model, ys, k)
+
+        monkeypatch.setattr(harness, "ukf_step", counted)
+        # A clock that advances by 1 s per reading: each call takes 1 s.
+        monkeypatch.setattr(harness, "time", SimpleNamespace(
+            perf_counter=itertools.count().__next__))
+        result = run_experiment(RunConfig(scenario="robot", filters=("ukf",), runs=3,
+                                          steps=4, master_seed=2))
+        assert calls == [(3, (3, 2), k) for k in range(4)]
+        assert [run.filters["ukf"].times.tolist() for run in result.runs] == [[1 / 3] * 4] * 3
+
     def test_logdet_of_a_stack_keeps_the_sign_rule(self):
         stack = np.array([np.diag([2.0, 3.0]), np.diag([1.0, -1.0]), np.zeros((2, 2))])
         out = harness._logdet(stack)
@@ -598,7 +636,7 @@ class TestCarriedFailure:
             starts[2][0], log.records[1].solves[0].weights)
 
     def test_ukf_error_propagates(self, monkeypatch):
-        def broken(belief, model, y, k):
+        def broken(beliefs, model, ys, k):
             raise SpdError("innovation covariance is not positive definite")
 
         monkeypatch.setattr(harness, "ukf_step", broken)
@@ -616,8 +654,8 @@ class TestCarriedFailure:
             e0s.append(real_initial(*args))
             return e0s[-1]
 
-        def first(belief, model, y, k):
-            starts.append(belief)
+        def first(beliefs, model, ys, k):
+            starts.extend(beliefs)
             raise SpdError("stop after the first step")
 
         monkeypatch.setattr(harness, "initial_estimate", initial)
@@ -886,6 +924,26 @@ class TestCli:
         if field is not None:
             expected[field] = want
         assert {key: getattr(config, key) for key in expected} == expected
+
+    def test_simulate_file_is_checked_after_its_flags(self, tmp_path, monkeypatch):
+        # T0 is a robot field: the file alone (radar) is refused, but with
+        # --scenario robot it is the robot file, and writes what that file
+        # writes.  It used to be checked before the flag applied, and exit 2.
+        body = "runs = 2\nsteps = 3\nfilters = dsmf, esmf, ukf\n[scenario]\nT0 = 2.0\n"
+        (tmp_path / "radar.cfg").write_text("scenario = radar\n" + body)
+        (tmp_path / "robot.cfg").write_text("scenario = robot\n" + body)
+        outs = {}
+        for work, argv in (("alone", ["--config", "../radar.cfg"]),
+                           ("flagged", ["--config", "../radar.cfg", "--scenario", "robot"]),
+                           ("robot", ["--config", "../robot.cfg"])):
+            (tmp_path / work).mkdir()
+            monkeypatch.chdir(tmp_path / work)
+            outs[work] = self.run_cli("simulate", *argv, "--out", "out")
+        assert outs == {"alone": 2, "flagged": 0, "robot": 0}
+        flagged, robot = ({p.relative_to(tmp_path / work): p.read_bytes()
+                           for p in sorted((tmp_path / work / "out").rglob("*")) if p.is_file()}
+                          for work in ("flagged", "robot"))
+        assert len(robot) == 2 + 2 * 3 and flagged == robot
 
     def test_simulate_absent_timing_flag_keeps_the_file_s_true(self, tmp_path):
         cfg = tmp_path / "c.cfg"
