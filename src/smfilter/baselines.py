@@ -15,8 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .dsmf import FusionParams, SystemModel, _update
-from .ellipsoid import (Ellipsoid, _factor, covering_sum, ellipsoids, optimal_p, spd_cholesky,
-                        symmetrize)
+from .ellipsoid import Ellipsoid, covering_sum, ellipsoids, optimal_p, spd_cholesky, symmetrize
 
 
 def uniform_covariance(shape: np.ndarray) -> np.ndarray:
@@ -153,13 +152,14 @@ def ukf_step(beliefs: list[Ellipsoid], model: SystemModel, ys: np.ndarray,
     w_col = w[:, None]
     cov_p = symmetrize(dx.swapaxes(1, 2) @ (w_col * dx) + q_cov)
 
-    chol_p, _ = _factor(cov_p, what="sigma-point covariance")
+    chol_p, _ = spd_cholesky(cov_p, what="sigma-point covariance")
     pts2, _ = _sigma_points(mean_p, chol_p)  # the same weights w
     yp = model.h(pts2)
     y_mean = w @ yp
     dy = yp - y_mean[:, None]
     dy_w = w_col * dy
-    chol_s, s = spd_cholesky(dy.swapaxes(1, 2) @ dy_w + r_cov, what="innovation covariance")
+    chol_s, s = spd_cholesky(symmetrize(dy.swapaxes(1, 2) @ dy_w + r_cov),
+                             what="innovation covariance")
     c_xy = (pts2 - mean_p[:, None]).swapaxes(1, 2) @ dy_w
     # Each right-hand side is a stack of matrices, never a stack of vectors.
     gain = np.linalg.solve(chol_s.swapaxes(1, 2),

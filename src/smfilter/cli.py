@@ -85,12 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     """The RunConfig of the config file's fields (read_config), or of the
     defaults, with each field whose flag was given (the flag's dest is the
-    field's name) set to the flag's value, checked once, after the flags
-    apply."""
+    field's name) set to the flag's value: run_experiment checks it."""
     fields = read_config(args.config) if args.config else {}
     fields.update({f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
                    if getattr(args, f.name, None) is not None})
-    return RunConfig(**fields).validate()
+    return RunConfig(**fields)
 
 
 def cmd_simulate(args) -> int:

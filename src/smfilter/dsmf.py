@@ -33,6 +33,7 @@ from . import mvee
 from .ellipsoid import (
     Ellipsoid,
     PointCloud,
+    _checked,
     _sphere,
     covering_sum,
     optimal_p,
@@ -68,7 +69,9 @@ class SystemModel:
     bound, so no f_remainder).  aux_from_predicted maps a predicted
     ellipsoid to an (n_aux, 2) array of [lo, hi] parameter bounds for models
     whose inverse needs extra state information (None when the inverse
-    depends on y and v only).
+    depends on y and v only).  Q and R are copied read-only and checked as
+    an Ellipsoid's shape is (_checked): an asymmetric one is a ValueError,
+    not averaged into another bound than the one declared.
     """
 
     f: Callable[[np.ndarray, int], np.ndarray]
@@ -88,11 +91,10 @@ class SystemModel:
 
     def __post_init__(self):
         for name, what in (("Q", "process noise shape"), ("R", "measurement noise shape")):
-            bound = np.asarray(getattr(self, name), dtype=float)
+            bound = np.array(getattr(self, name), dtype=float)
             if bound.ndim != 2 or bound.shape[0] != bound.shape[1]:
                 raise ValueError(f"{name} is {bound.shape}, expected a square matrix")
-            bound = symmetrize(bound)
-            factor = spd_cholesky(bound, what=what)[0]
+            bound, factor = _checked(np.zeros(len(bound)), bound, what)
             bound.setflags(write=False)
             object.__setattr__(self, name, bound)
         factor.setflags(write=False)

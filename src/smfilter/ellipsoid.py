@@ -26,7 +26,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 def spd_cholesky(p: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor of an SPD matrix, or of each of an (R, n, n) stack,
-    with a one-shot jitter retry.
+    as given: the step that forms a shape symmetrizes it, once.
 
     A matrix with a NaN or infinite entry raises SpdError (numpy's Cholesky
     can return a NaN factor for one without raising).  If the first
@@ -34,14 +34,9 @@ def spd_cholesky(p: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.nd
     factorization retried; a second failure raises SpdError.  A stack is
     factored in one call; only if that fails is each matrix factored alone,
     with its own retry.  Returns (L, P_used), L lower triangular with
-    L L^T = P_used.
+    L L^T = P_used, and P_used p itself when no jitter was needed.
     """
-    return _factor(symmetrize(np.asarray(p, dtype=float)), what)
-
-
-def _factor(p: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """spd_cholesky of a matrix or stack that is already symmetric, for
-    which symmetrize would return the same bits."""
+    p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise SpdError(f"{what} has a non-finite entry")
     try:
@@ -49,7 +44,7 @@ def _factor(p: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         pass
     if p.ndim == 3:
-        pairs = [_factor(m, what) for m in p]
+        pairs = [spd_cholesky(m, what) for m in p]
         return np.array([c for c, _ in pairs]), np.array([m for _, m in pairs])
     n = p.shape[0]
     jitter = 1e-12 * np.trace(p) / n
@@ -64,9 +59,35 @@ def _factor(p: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         ) from None
 
 
+def _checked(centers: np.ndarray, shapes: np.ndarray,
+             what: str = "shape matrix") -> tuple[np.ndarray, np.ndarray]:
+    """(shapes, factors) of one set, an (n,) center and (n, n) shape, or of
+    (R, n) centers and (R, n, n) shapes: the centers finite, and each shape
+    sized to its center, finite, symmetric to SYM_RTOL (symmetrized if not
+    exactly), and factored by spd_cholesky.  An exactly symmetric shape is
+    not copied."""
+    if not np.isfinite(centers).all():
+        raise ValueError("center has a non-finite entry")
+    want = (*centers.shape, centers.shape[-1])
+    if shapes.shape != want:
+        raise ValueError(f"{what} is {shapes.shape}, expected {want}")
+    flipped = shapes.swapaxes(-1, -2)
+    if not (shapes == flipped).all():
+        if not np.isfinite(shapes).all():  # before inf - inf in the asymmetry
+            raise SpdError(f"{what} has a non-finite entry")
+        asym = np.abs(shapes - flipped).max(axis=(-2, -1))
+        if (asym > SYM_RTOL * np.maximum(np.abs(shapes).max(axis=(-2, -1)), 1.0)).any():
+            raise ValueError(f"{what} is not symmetric")
+        shapes = symmetrize(shapes)
+    chols, shapes = spd_cholesky(shapes, what)
+    return shapes, chols
+
+
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Center vector plus SPD shape matrix; immutable."""
+    """Center vector plus SPD shape matrix; immutable.  The shape is copied,
+    so the caller's array stays writable and unshared, then checked and
+    factored once (_checked), as ellipsoids checks a stack."""
 
     center: np.ndarray
     shape: np.ndarray
@@ -75,24 +96,9 @@ class Ellipsoid:
 
     def __post_init__(self):
         center = np.array(self.center, dtype=float, ndmin=1)
-        shape = np.asarray(self.shape, dtype=float)
         if center.ndim != 1:
             raise ValueError("center must be a vector")
-        if not np.isfinite(center).all():
-            raise ValueError("center has a non-finite entry")
-        if shape.shape != (center.size, center.size):
-            raise ValueError(
-                f"shape matrix is {shape.shape}, expected "
-                f"({center.size}, {center.size})"
-            )
-        if not np.isfinite(shape).all():  # before inf - inf in the asymmetry
-            raise SpdError("shape matrix has a non-finite entry")
-        asym = np.abs(shape - shape.T).max()
-        if asym and asym > SYM_RTOL * max(np.abs(shape).max(), 1.0):
-            raise ValueError("shape matrix is not symmetric")
-        # The symmetrize in spd_cholesky makes the one copy of the shape.
-        chol, shape = spd_cholesky(shape, what="shape matrix")
-        self._freeze(center, shape, chol)
+        self._freeze(center, *_checked(center, np.array(self.shape, dtype=float)))
 
     def _freeze(self, center: np.ndarray, shape: np.ndarray, chol: np.ndarray) -> None:
         for name, arr in (("center", center), ("shape", shape), ("_chol", chol)):
@@ -143,22 +149,10 @@ class Ellipsoid:
 
 
 def ellipsoids(centers: np.ndarray, shapes: np.ndarray) -> list[Ellipsoid]:
-    """[Ellipsoid(c, P) for c, P in zip(centers, shapes)], each check made
-    once over the (R, n) and (R, n, n) stacks.  Exactly symmetric shapes are
-    factored uncopied, so the stacks must be the caller's own."""
-    if not np.isfinite(centers).all():
-        raise ValueError("center has a non-finite entry")
-    n = centers.shape[1]
-    if shapes.shape != (len(centers), n, n):
-        raise ValueError(f"shape matrices are {shapes.shape}, expected ({len(centers)}, {n}, {n})")
-    if not (shapes == shapes.swapaxes(1, 2)).all():
-        if not np.isfinite(shapes).all():  # before inf - inf in the asymmetry
-            raise SpdError("shape matrix has a non-finite entry")
-        asym = np.abs(shapes - shapes.swapaxes(1, 2)).max(axis=(1, 2))
-        if (asym > SYM_RTOL * np.maximum(np.abs(shapes).max(axis=(1, 2)), 1.0)).any():
-            raise ValueError("shape matrix is not symmetric")
-        shapes = symmetrize(shapes)
-    chols, shapes = _factor(shapes, "shape matrix")
+    """[Ellipsoid(c, P) for c, P in zip(centers, shapes)], checked once over
+    the (R, n) and (R, n, n) stacks (_checked).  Exactly symmetric shapes
+    are kept uncopied, so the stacks must be the caller's own."""
+    shapes, chols = _checked(centers, shapes)
     return [Ellipsoid._from_factor(c, p, l) for c, p, l in zip(centers, shapes, chols)]
 
 

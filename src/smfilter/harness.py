@@ -66,19 +66,20 @@ class RunConfig:
         self._set_up()
         return self
 
-    def _set_up(self) -> tuple[object, SystemModel, Ellipsoid]:
-        """The scenario, model and nominal initial set {x0, P0} of this
-        config, after the one check of it, made before anything runs: the
-        fields; that the overrides build the preset, its model and the
-        nominal set; that f(x0, 0) and h(x0) are finite, of sizes state_dim
-        and meas_dim; that 0 < init_offset <= 1, so that every run's e0
-        holds x0; a run length and run count of at least 1, an m_samples of
-        at least state_dim + 1, since fewer design points cannot span the
-        state, and a master_seed, each a Python int (a numpy integer is
-        refused); a finite positive tol; and that json.dumps takes the
-        fields as emit_outputs writes them to summary.json: a str out_dir, a
-        Python bool record_timing, no numpy scalar in scenario_overrides.
-        Each failure is a ConfigError that names the value."""
+    def _set_up(self) -> tuple[object, SystemModel, Ellipsoid, int]:
+        """The scenario, model, nominal initial set {x0, P0} and run length
+        (steps, else the preset's) of this config, after the one check of
+        it, made before anything runs: the fields; that the overrides build
+        the preset, its model and the nominal set; that f(x0, 0) and h(x0)
+        are finite, of sizes state_dim and meas_dim; that
+        0 < init_offset <= 1, so that every run's e0 holds x0; a run length
+        and run count of at least 1, an m_samples of at least state_dim + 1,
+        since fewer design points cannot span the state, and a master_seed,
+        each a Python int (a numpy integer is refused); a finite positive
+        tol; and that json.dumps takes the fields as emit_outputs writes them
+        to summary.json: a str out_dir, a Python bool record_timing, no numpy
+        scalar in scenario_overrides.  Each failure is a ConfigError that
+        names the value."""
         if self.scenario not in sc.PRESETS:
             raise ConfigError(f"unknown scenario preset {self.scenario!r}")
         if not self.filters:
@@ -117,7 +118,7 @@ class RunConfig:
             raise ConfigError(f"m_samples must be >= {model.state_dim + 1} (state_dim + 1), "
                               f"a Python int, for {self.scenario}, got {self.m_samples!r}")
         json.dumps(dataclasses.asdict(self), sort_keys=True, default=_unrecordable)
-        return scenario, model, nominal
+        return scenario, model, nominal, steps
 
 
 def _unrecordable(value):
@@ -364,8 +365,7 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     numerically, from the design optimum.  Each filter steps all runs
     together (_run_filter); run r's sets do not depend on the number of runs.
     """
-    scenario, model, nominal = config._set_up()
-    steps = config.steps if config.steps is not None else scenario.steps
+    scenario, model, nominal, steps = config._set_up()
     seeds = [mix_seed(config.master_seed, r) for r in range(config.runs)]
     opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
     first = None

@@ -93,6 +93,21 @@ class TestEllipsoidType:
         chol, fixed = spd_cholesky(p)
         assert np.linalg.eigvalsh(fixed).min() > 0
 
+    def test_spd_cholesky_returns_the_matrix_it_was_given(self):
+        p = random_spd(np.random.default_rng(4), 3)
+        assert spd_cholesky(p)[1] is p
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-15])
+    def test_the_caller_s_shape_stays_writable_and_unshared(self, skew):
+        # Exactly symmetric, or asymmetric within SYM_RTOL: either way the
+        # stored shape is a copy, and the caller's array is not frozen.
+        p = random_spd(np.random.default_rng(5), 3)
+        p[0, 1] += skew
+        assert (p == p.T).all() == (skew == 0.0)
+        e = Ellipsoid(np.zeros(3), p)
+        assert p.flags.writeable and not np.shares_memory(p, e.shape)
+        assert not e.shape.flags.writeable
+
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()

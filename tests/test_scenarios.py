@@ -44,8 +44,12 @@ class TestSystemModel:
         ({"Q": np.eye(3)}, "E_p has 2 columns, expected 3"),
         ({"F": np.eye(3)}, "F is"),
         ({"Q": np.eye(3), "E_p": np.eye(3)[:2], "F": np.eye(2)}, "F is"),
+        # An asymmetric bound used to be averaged into another bound:
+        # [[1, .9], [0, 1]] was taken as [[1, .45], [.45, 1]].
+        ({"Q": [[1.0, 0.9], [0.0, 1.0]]}, "process noise shape is not symmetric"),
+        ({"R": [[1.0, 0.0], [1e-6, 1.0]]}, "measurement noise shape is not symmetric"),
     ], ids=["Q not square", "Q a vector", "R not square", "E_p against Q", "F against Q",
-            "F against a larger Q"])
+            "F against a larger Q", "Q asymmetric", "R asymmetric"])
     def test_inconsistent_sizes_rejected(self, given, match):
         with pytest.raises(ValueError, match=match):
             plain_model(**given)
