@@ -158,20 +158,11 @@ def ellipsoids(centers: np.ndarray, shapes: np.ndarray) -> list[Ellipsoid]:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """A nonempty (m, n) array of points, copied read-only: the cloud the
-    filter hands its enclosing solve."""
+    """The cloud the filter hands its enclosing solve: the (m, n) array it
+    formed, held as it is, neither converted, checked nor copied.  The solve
+    converts and checks it, as it does a bare array (mvee._as_points)."""
 
     points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (m, n) array")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
 
 
 def contains(e: Ellipsoid, x: np.ndarray, slack: float = 0.0):

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios as sc
-from .baselines import esmf_predict, esmf_step, ukf_step, uniform_covariance
-from .dsmf import FilterOptions, SystemModel, _prediction_start, predict, step
+from .baselines import esmf_predict, esmf_step, esmf_update, ukf_step, uniform_covariance
+from .dsmf import (FilterOptions, SystemModel, _prediction_start, _update,
+                   measurement_ellipsoid, predict, step)
 from .ellipsoid import Ellipsoid, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
@@ -381,8 +382,8 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
         truths.append(truth)
         measurements.append(ys)
         e0s.append(initial_estimate(scenario, truth_rng))
-    logs = {name: _run_filter(name, config, opts, model, e0s, np.array(truths),
-                              np.array(measurements), first)
+    stacked = np.array(truths), np.array(measurements)
+    logs = {name: _run_filter(name, config, opts, model, e0s, *stacked, first)
             for name in config.filters}
     failures = {name: sum(log.failures for log in logs[name]) for name in config.filters}
     runs = [RunLog(r, seed, truths[r], measurements[r], {name: logs[name][r] for name in logs})
@@ -521,9 +522,6 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
     posterior logdet over the replicates is recorded.  The enclosing solves
     use the FilterOptions defaults.
     """
-    from .baselines import esmf_update
-    from .dsmf import _update, measurement_ellipsoid
-
     results = []
     prior_center = np.array([10.0, 20.0])
     r_shape = np.diag([10.0, 1.0])

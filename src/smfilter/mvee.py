@@ -79,16 +79,26 @@ class MveeSolution:
 
 
 def _as_points(points) -> np.ndarray:
+    """The one conversion and check of a cloud, bare or in a PointCloud: a
+    float (m, n) array, not copied if it is one already.  A 1-D array is one
+    column; any other shape is a ValueError naming it."""
     if isinstance(points, PointCloud):
-        return points.points
+        points = points.points
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.ndim != 2:
+        raise ValueError(f"points must be an (m, n) array, got shape {pts.shape}")
     return pts
 
 
-def _moment_matrix(yt: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return symmetrize(yt.T @ (mu[:, None] * yt))
+def _moment_matrix(yt: np.ndarray, mu: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+    """M(mu) = sum_i mu_i yt_i yt_i^T, symmetrized, plus fw_solve's one-shot
+    jitter * I (0 unless its cloud does not affinely span)."""
+    mm = symmetrize(yt.T @ (mu[:, None] * yt))
+    if jitter:
+        mm += jitter * np.eye(yt.shape[1])
+    return mm
 
 
 def _factor(mmat: np.ndarray, d: int):
@@ -229,10 +239,7 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
             new[neg[j]] = 0.0
         np.maximum(new, 0.0, out=new)
         new /= new.sum()
-        mm = _moment_matrix(ya, new)
-        if jitter:
-            mm += jitter * np.eye(d)
-        trial = _factor(mm, d)
+        trial = _factor(_moment_matrix(ya, new, jitter), d)
         if trial is None or not trial[1] > floor:
             break
         factor = trial
@@ -282,7 +289,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
     Parameters
     ----------
-    points : (m, n) array
+    points : (m, n) array, or a PointCloud holding one; a 1-D array is one
+        column, and anything else is a ValueError naming its shape
+        (_as_points)
     tol : termination threshold on max_i kappa_i / (n+1) - 1 (the same
         threshold is applied to the away gap over weighted points, which is
         what makes the returned KKT certificate tight)
@@ -295,10 +304,11 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
     Returns an MveeSolution; `converged=False` (not an error) if the cap is
     reached.  Either way the shape is scaled up, if need be, to cover every
-    point.  A non-finite row raises RankDeficiencyError before any
-    arithmetic.  Clouds that do not affinely span get one isotropic jitter
-    of magnitude 1e-9 * diameter added to the initial moment matrix; if that
-    is still singular a RankDeficiencyError carrying the rank is raised.
+    point.  A non-finite row, or fewer than n + 1 rows (none included),
+    raises RankDeficiencyError before any arithmetic.  Clouds that do not
+    affinely span get one isotropic jitter of magnitude 1e-9 * diameter,
+    added to every moment matrix (_moment_matrix); if the jittered one is
+    still singular a RankDeficiencyError carrying the rank is raised.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -338,10 +348,7 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         # matrix over the weighted points.
         np.divide(mu, mu.sum(), out=mu)
         act = np.flatnonzero(mu)
-        mm = _moment_matrix(yt[act], mu[act])
-        if jitter:
-            mm += jitter * np.eye(d)
-        return _factor_or_raise(mm, d)
+        return _factor_or_raise(_moment_matrix(yt[act], mu[act], jitter), d)
 
     frame = None
     if start is not None:

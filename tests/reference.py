@@ -1,7 +1,8 @@
 """Reference code that only the tests use: the enclosing-ellipsoid dual
 objective, its gradient and the KKT residual of a solve, each evaluated
 from scratch; the covering sum as a checked Ellipsoid; sampling on the
-boundary of an ellipsoid; a finite-difference Jacobian, against which the
+boundary of an ellipsoid; a random SPD matrix and a bit-for-bit
+comparison of arrays; a finite-difference Jacobian, against which the
 declared Jacobians are checked; the per-step loops of the truth
 simulation and of the metrics table; and a reader of the emitted set
 files with the position outline a plot draws from them.
@@ -91,6 +92,18 @@ def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("m must be >= 1")
     u = _sphere(m, e.dim, rng)
     return e.center + u @ e.factor().T
+
+
+def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    """A random n x n SPD matrix, A A^T + n scale I with A standard normal."""
+    a = rng.standard_normal((n, n))
+    return symmetrize(a @ a.T + n * scale * np.eye(n))
+
+
+def same_bits(a, b) -> bool:
+    """Of the same shape and equal bit for bit, signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # Relative central-difference step of numerical_jacobian, times

@@ -27,12 +27,7 @@ from smfilter.errors import SpdError
 from smfilter.harness import RunConfig, run_experiment
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
-from reference import minkowski_outer, numerical_jacobian, sample_boundary
-
-
-def random_spd(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n))
-    return symmetrize(a @ a.T + n * scale * np.eye(n))
+from reference import minkowski_outer, numerical_jacobian, random_spd, sample_boundary
 
 
 def linear_model(f_mat, h_mat, q, r):

@@ -18,10 +18,10 @@ from smfilter.dsmf import (
 )
 from smfilter.ellipsoid import (
     Ellipsoid,
+    PointCloud,
     contains,
     optimal_p,
     sample_interior,
-    symmetrize,
 )
 from smfilter.errors import (
     EmptyIntersectionError,
@@ -38,12 +38,7 @@ from smfilter.scenarios import (
     simulate_truth,
 )
 
-from reference import minkowski_outer
-
-
-def random_spd(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n))
-    return symmetrize(a @ a.T + n * scale * np.eye(n))
+from reference import minkowski_outer, random_spd, same_bits
 
 
 def reference_fuse(pred, meas, e_p, rho):
@@ -250,6 +245,21 @@ class TestFormedSets:
         e = Ellipsoid([0.0, 0.0], np.eye(2))
         with pytest.raises(SpdError, match=match):
             dsmf._update(e, e, np.eye(2))
+
+
+class TestEnclose:
+    def test_the_cloud_is_solved_as_the_filter_formed_it(self):
+        # PointCloud holds the caller's array: no copy, no read-only flag,
+        # and the solve neither writes to it nor sees it differently from
+        # the bare array.
+        a = np.random.default_rng(5).standard_normal((40, 2))
+        before = a.copy()
+        assert PointCloud(a).points is a
+        opts = FilterOptions()
+        sol = dsmf._enclose(a, opts, lambda: "cloud", None, None)
+        assert a.flags.writeable and same_bits(a, before)
+        bare = mvee.fw_solve(a, tol=opts.tol, max_iter=opts.max_iter)
+        assert same_bits(sol.ellipsoid.shape, bare.ellipsoid.shape)
 
 
 class TestMeasurementEllipsoid:
@@ -702,11 +712,6 @@ class TestOptimizeRho:
         meas = Ellipsoid([1e6], [[1e-12]])
         with pytest.raises(EmptyIntersectionError):
             optimize_rho(pred, meas, [[1.0]])
-
-
-def same_bits(a, b) -> bool:
-    """Equal bit for bit, signs of zeros included."""
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestJointDiagMemo:

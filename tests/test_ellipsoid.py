@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from smfilter.ellipsoid import (
     Ellipsoid,
-    PointCloud,
     contains,
     covering_sum,
     ellipsoids,
@@ -16,16 +15,11 @@ from smfilter.ellipsoid import (
 )
 from smfilter.errors import SpdError
 
-from reference import minkowski_outer, sample_boundary
+from reference import minkowski_outer, random_spd, same_bits, sample_boundary
 
 
 def unit_ball(n):
     return Ellipsoid(np.zeros(n), np.eye(n))
-
-
-def random_spd(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n))
-    return symmetrize(a @ a.T + n * scale * np.eye(n))
 
 
 class TestEllipsoidType:
@@ -109,10 +103,6 @@ class TestEllipsoidType:
         assert not e.shape.flags.writeable
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestStacks:
     """spd_cholesky of an (R, n, n) stack and ellipsoids of stacked centers
     and shapes: one call over the stack, each matrix with the bits of a call
@@ -180,12 +170,6 @@ class TestStacks:
             Ellipsoid(centers[1], shapes[1])
         with pytest.raises(error, match=match):
             ellipsoids(centers, shapes)
-
-
-class TestPointCloud:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((0, 2)))
 
 
 class TestContains:

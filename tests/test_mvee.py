@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from smfilter import mvee
 from smfilter.dsmf import _design
-from smfilter.ellipsoid import Ellipsoid, contains
+from smfilter.ellipsoid import Ellipsoid, PointCloud, contains
 from smfilter.errors import RankDeficiencyError
 from smfilter.mvee import fw_solve, lift, line_search_step
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
@@ -86,9 +87,23 @@ class TestFwSolve:
         assert sol.ellipsoid.center[0] == pytest.approx(5.0, abs=1e-9)
         assert sol.ellipsoid.shape[0, 0] == pytest.approx(25.0, abs=1e-7)
 
-    def test_too_few_points(self):
-        with pytest.raises(RankDeficiencyError):
-            fw_solve(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    @pytest.mark.parametrize("pts, wrap", [
+        (np.array([[0.0, 0.0], [1.0, 1.0]]), False),
+        (np.zeros((0, 2)), False),
+        (np.zeros((0, 2)), True),
+    ], ids=["two points", "empty", "empty in a PointCloud"])
+    def test_too_few_points(self, pts, wrap):
+        # An empty cloud, wrapped or bare, is refused by fw_solve's one n + 1
+        # check: PointCloud holds it unchecked.
+        with pytest.raises(RankDeficiencyError, match=r"need at least n\+1 = 3 points"):
+            fw_solve(PointCloud(pts) if wrap else pts)
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "in a PointCloud"])
+    @pytest.mark.parametrize("shape", [(4, 2, 2), ()], ids=["3-D", "scalar"])
+    def test_a_cloud_that_is_not_a_matrix_is_named_by_its_shape(self, shape, wrap):
+        pts = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fw_solve(PointCloud(pts) if wrap else pts)
 
     def test_max_iter_exhaustion_not_an_error(self):
         rng = np.random.default_rng(1)
