@@ -52,9 +52,9 @@ class SystemModel:
     """Dynamics, measurement maps and noise bounds for one filtering problem.
 
     All maps are vectorized over a leading batch axis: f and h take (..., n)
-    states; h_inv takes one measurement y, a (..., l) batch of noise samples
-    and a tuple of (...,) auxiliary parameter arrays, returning (..., r)
-    projected-state points with E_p x = h_inv(y - v).
+    states; h_inv takes one measurement y, a read-only (..., l) batch of
+    noise samples and a tuple of (...,) auxiliary parameter arrays,
+    returning (..., r) projected-state points with E_p x = h_inv(y - v).
 
     The sizes are those of the noise bounds: state_dim n is the order of Q,
     meas_dim l that of R.  f_jac / h_jac are the analytic Jacobians and
@@ -279,6 +279,22 @@ def predict(e_k: Ellipsoid, model: SystemModel, k: int, opts: FilterOptions,
     return Ellipsoid._from_factor(center, shape, chol), sol, p_star
 
 
+@lru_cache(maxsize=16)
+def _noise_grid(r_factor: bytes, l: int, count: int, n_aux: int) -> tuple:
+    """The constant parts of a measurement cloud of count noise directions
+    times n_aux parameter grids of count points, in C order (noise direction
+    slowest, then each parameter in turn), read-only: the noise rows
+    _design(count, l) @ R_f^T, each repeated once per grid point, and the
+    (n_aux, rows) index of each parameter's grid point in every row.  Keyed
+    on the C-order bytes of the (l, l) factor R_f of R, as _nominal_optimum
+    is keyed on its cloud, so that models with one R share them."""
+    index = np.indices((count,) * (n_aux + 1)).reshape(n_aux + 1, -1)
+    noise = (_design(count, l) @ np.frombuffer(r_factor).reshape(l, l).T)[index[0]]
+    noise.setflags(write=False)
+    index.setflags(write=False)
+    return noise, index[1:]
+
+
 def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
                           opts: FilterOptions,
                           start=None) -> tuple[Ellipsoid, MveeSolution]:
@@ -290,25 +306,22 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
     bounds, or None).  Without aux there are m_samples noise directions;
     with it, the noise and every interval get ceil(sqrt(m_samples)) points,
     rounded up to even so that opposite noise extremes are both hit, and
-    each interval grid includes its endpoints.  The solve starts from the
+    each interval grid includes its endpoints.  The noise rows and the grid's
+    index pattern are constants of R and the grid's size (_noise_grid), so
+    each interval enters by indexing its one np.linspace.  The solve starts from the
     start weights over that cloud when given.  Else, without aux, the cloud
     is the image of the noise design alone and the solve starts from that
     design's optimum; the product grid with aux starts cold.
     """
     y = np.asarray(y, dtype=float)
     aux = np.empty((0, 2)) if aux is None else np.reshape(aux, (-1, 2))
+    count, design = opts.m_samples, (opts.m_samples, model.meas_dim)
     if len(aux):
-        count = ceil(sqrt(opts.m_samples))
+        count, design = ceil(sqrt(opts.m_samples)), None
         count += count % 2
-        noise = _design(count, model.meas_dim) @ model._r_factor.T
-        # Noise direction slowest, then each parameter grid in turn.
-        grids = [np.linspace(lo, hi, count) for lo, hi in aux]
-        mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
-        pts = model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
-        design = None
-    else:
-        design = (opts.m_samples, model.meas_dim)
-        pts = model.h_inv(y, _design(*design) @ model._r_factor.T, ())
+    noise, index = _noise_grid(model._r_factor.tobytes(), model.meas_dim, count, len(aux))
+    pts = model.h_inv(y, noise, tuple(np.linspace(lo, hi, count)[at]
+                                      for (lo, hi), at in zip(aux, index)))
     sol = _enclose(pts, opts, lambda: f"measurement set for y={y}", start, design)
     return sol.ellipsoid, sol
 

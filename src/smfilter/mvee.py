@@ -6,11 +6,14 @@ probability simplex, where yt = [y^T, 1]^T is the lifted point and d = n + 1.
 The dual is affine-invariant (Todd 2016), so each solve runs on a whitened
 copy of the cloud.  A start, such as the optimum of a nearby cloud, whitens
 it by its own weighted mean and second moment, where M is the identity and
-kappa_i = 1 + ||w_i||^2 (_start_frame): an optimal start costs one pass
-over the cloud, and its ellipsoid keeps the whitening factor.  A cold
-solve whitens by the covariance of the whole cloud and starts on the <= 2n
-points holding the extremes of each whitened coordinate (a small core set,
-after Kumar & Yildirim 2005), else on every point.  Each pass takes one
+kappa_i = 1 + ||w_i||^2 (_start_frame).  When that certificate meets tol,
+or no pass is allowed, fw_solve returns the start's own ellipsoid right
+after the frame, on the factor that whitened the cloud: an optimal start
+costs the one product over the cloud that whitens it, and no
+factorisation.  A cold solve whitens by the covariance of the whole cloud
+and starts on the <= 2n points holding the extremes of each whitened
+coordinate (a small core set, after Kumar & Yildirim 2005), else on every
+point.  Each pass takes one
 Frank-Wolfe step along mu + gamma (e_i - mu): toward the vertex with the
 largest gradient component kappa_i = yt_i^T M^{-1} yt_i, or away from the
 weighted vertex with the smallest (a "drop" step when its weight hits
@@ -108,7 +111,7 @@ def _factor(mmat: np.ndarray, d: int):
     The moment matrix is PSD by construction but can be singular to machine
     precision, where cholesky and inv may silently succeed with garbage; an
     explicit relative eigenvalue margin is the reliable detector."""
-    if not np.all(np.isfinite(mmat)):
+    if not np.isfinite(mmat).all():
         return None
     lam, vec = np.linalg.eigh(mmat)
     if not _spans(lam, d):
@@ -130,11 +133,12 @@ def _lower(n: int) -> np.ndarray:
 
 
 def _start_frame(pts: np.ndarray, mu: np.ndarray):
-    """The affine frame of start weights mu (summing to one): (c0, L0, yt),
-    with c0 and L0 L0^T the weighted mean and second moment S0 of the
-    cloud, L0 lower triangular with a positive diagonal, and yt the lifted
-    cloud in that frame, w_i = L0^{-1} (x_i - c0), where M(mu) = I.  None
-    when at most n points carry weight, or when L0 fails the rank margin.
+    """The affine frame of start weights mu (summing to one): (c0, L0, yt,
+    act), with c0 and L0 L0^T the weighted mean and second moment S0 of the
+    cloud, L0 lower triangular with a positive diagonal, yt the lifted
+    cloud in that frame, w_i = L0^{-1} (x_i - c0), where M(mu) = I, and act
+    the indices of the weighted points.  None when at most n points carry
+    weight, or when L0 fails the rank margin.
 
     L0 is R^T from a QR factorisation of the weighted deviations, not the
     Cholesky factor of S0: its rounding grows with cond(L0), not cond(S0).
@@ -144,7 +148,7 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     mode "r", without its triu copy).  The margin is read off L0 and the
     inverse that whitens, as cond(L0)^2 <= ||L0||_F^2 ||L0^{-1}||_F^2: it
     rejects every frame that the margin on the singular values of L0 does."""
-    act = np.flatnonzero(mu)
+    act = mu.nonzero()[0]
     m, n = pts.shape
     if act.size <= n:
         return None
@@ -161,7 +165,7 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
         return None
     yt = np.ones((m, n + 1))
     np.matmul(pts - c0, inv.T, out=yt[:, :n])
-    return c0, l0, yt
+    return c0, l0, yt, act
 
 
 def _factor_or_raise(mmat: np.ndarray, d: int):
@@ -229,12 +233,13 @@ def _face_newton(ya: np.ndarray, mu_a: np.ndarray, minv: np.ndarray,
         if not 0.0 < total < np.inf:
             break
         step = mu_a - z / total
-        neg = np.flatnonzero(step < 0.0)
-        # Ratio test over the falling weights; the appended 1 is the full step.
-        room = np.append(mu_a[neg] / -step[neg], 1.0)
-        j = room.argmin()
-        new = mu_a + room[j] * step
-        full = j == neg.size
+        neg = (step < 0.0).nonzero()[0]
+        # Ratio test over the falling weights, against the full step 1: a
+        # ratio of exactly 1 still drops its point.
+        room = mu_a[neg] / -step[neg]
+        j = room.argmin() if neg.size else 0
+        full = not neg.size or room[j] > 1.0
+        new = mu_a + (1.0 if full else room[j]) * step
         if not full:
             new[neg[j]] = 0.0
         np.maximum(new, 0.0, out=new)
@@ -285,7 +290,9 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     """Solve the enclosing-ellipsoid dual over a cloud by Frank-Wolfe ascent
     from start or the axis extremes, with Newton steps on the support (see
     the module docstring).  Every pass ends on fresh kappa, so the
-    certificate is read from the final weights.
+    certificate is read from the final weights.  A 0-pass solve from a
+    start returns as soon as _start_frame accepts it, from that frame: when
+    the start's certificate meets tol, or when max_iter is 0.
 
     Parameters
     ----------
@@ -326,19 +333,17 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         )
     if max_iter is None:
         max_iter = 100 * m
+    threshold = tol * d
+    frame = None
     if start is not None:
         start = np.asarray(start, dtype=float)
+        total = start.sum()
         # NaN fails the sign test, an infinite entry the sum test.
-        if not (start.shape == (m,) and np.all(start >= 0.0) and 0.0 < start.sum() < np.inf):
+        if not (start.shape == (m,) and (start >= 0.0).all() and 0.0 < total < np.inf):
             raise ValueError("start must be m finite nonnegative weights with a positive sum")
+        mu = start / total
+        frame = _start_frame(pts, mu)
 
-    # Iterate on a whitened copy of the cloud, x = mean + axes w, which
-    # keeps the moment matrices of thin clouds well conditioned: by the
-    # weights of a start that passes the rank margin (_start_frame), where
-    # M(start) = I and the path starts at logdet 0 with no factorisation,
-    # else by the covariance of the whole cloud, from the <= 2n axis
-    # extremes, else from every point (1.0), else with the jitter.
-    mu = np.empty(m)
     # One-shot regularization for clouds that do not affinely span; kept in
     # every moment matrix so the optimized objective stays fixed.
     jitter = 0.0
@@ -347,19 +352,37 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         # (M^{-1}, logdet M) of the current weights from the d x d moment
         # matrix over the weighted points.
         np.divide(mu, mu.sum(), out=mu)
-        act = np.flatnonzero(mu)
+        act = mu.nonzero()[0]
         return _factor_or_raise(_moment_matrix(yt[act], mu[act], jitter), d)
 
-    frame = None
-    if start is not None:
-        np.divide(start, start.sum(), out=mu)
-        frame = _start_frame(pts, mu)
+    # Iterate on a whitened copy of the cloud, x = mean + axes w, which
+    # keeps the moment matrices of thin clouds well conditioned: by the
+    # weights of a start that passes the rank margin (_start_frame), where
+    # M(start) = I and the path starts at logdet 0 with no factorisation,
+    # else by the covariance of the whole cloud, from the <= 2n axis
+    # extremes, else from every point (1.0), else with the jitter.
     if frame is not None:
-        mean, axes, yt = frame
+        mean, axes, yt, act = frame
+        kappa = np.einsum("ij,ij->i", yt, yt)  # M = I, so kappa_i = 1 + ||w_i||^2
+        top = float(kappa.max())
+        converged = bool(top - d <= threshold and d - kappa[act].min() <= threshold)
+        if converged or max_iter == 0:
+            # The start, returned as it came, with no pass: {c0, n S0},
+            # whose Cholesky factor sqrt(n) L0 is the factor that whitened
+            # the cloud.  Its quadratic form at x_i is ||w_i||^2 / n =
+            # (kappa_i - 1) / n, so the whitened scale is the coverage
+            # scale of the shape as stored, and the shape is neither
+            # mapped back nor factored again.
+            scale = max(1.0, (top - 1.0) / n)
+            size = scale * n
+            ellipsoid = Ellipsoid._from_factor(mean, size * symmetrize(axes @ axes.T),
+                                               math.sqrt(size) * axes)
+            mu.setflags(write=False)
+            return MveeSolution(ellipsoid, mu, top - d, 0, converged, np.zeros(1), scale, scale)
         work = yt[:, :n]
         minv, logdet = np.eye(d), 0.0
-        kappa = np.einsum("ij,ij->i", yt, yt)  # M = I
     else:
+        mu = np.empty(m)
         mean = pts.mean(axis=0)
         centered = pts - mean
         lam, vec = np.linalg.eigh(symmetrize(centered.T @ centered / m))
@@ -382,11 +405,10 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         kappa = _gradient(yt, minv)
     path = [logdet]
 
-    threshold = tol * d
     face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0
     while True:
-        act = np.flatnonzero(mu)
+        act = mu.nonzero()[0]
         ip = kappa.argmax()
         ia = act[kappa[act].argmin()]
         gap = kappa[ip] - d
@@ -433,12 +455,12 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         path.append(path[-1] + gain)
         mu *= 1.0 - gamma
         mu[i] = 0.0 if dropped else mu[i] + gamma
-        act = np.flatnonzero(mu)
+        act = mu.nonzero()[0]
         if act.size > face_max:
             act = _shrink_support(yt, mu, act, face_max)
         # Sherman-Morrison update of M^{-1} to seed the Newton steps.
         v = minv @ yt[i]
-        minv = (minv - (c / (1.0 + c * ki)) * np.outer(v, v)) / (1.0 - gamma)
+        minv = (minv - (c / (1.0 + c * ki)) * (v[:, None] * v)) / (1.0 - gamma)
         newton = _face_newton(yt[act], mu[act], minv, jitter, path[-1])
         if newton is None:
             factor = support_factor()
@@ -449,44 +471,25 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         kappa = _gradient(yt, minv)
         it += 1
 
+    # The ellipsoid in whitened coordinates, mapped back.  There q_i =
+    # (kappa_i - 1) / n for the shape n * second, which gives the whitened
+    # scale at no cost.  The shape mapped back is rounded, which on a thin
+    # cloud can move q by more than tol, so the coverage scale is read from
+    # the quadratic form of the stored shape over the cloud.  Factoring the
+    # scaled shape anew would move q by as much again; scaled() scales the
+    # factor with it.
     whitened_scale = max(1.0, (float(kappa.max()) - 1.0) / n)
-    if frame is not None and it == 0:
-        # The start, returned as it came: {c0, n S0}, whose Cholesky factor
-        # sqrt(n) L0 is the factor that whitened the cloud.  Its quadratic
-        # form at x_i is ||w_i||^2 / n = (kappa_i - 1) / n, so the whitened
-        # scale is the coverage scale of the shape as stored, and the shape
-        # is neither mapped back nor factored again.
-        second = symmetrize(axes @ axes.T)
-        coverage_scale = whitened_scale
-        size = coverage_scale * n
-        ellipsoid = Ellipsoid._from_factor(mean, size * second, math.sqrt(size) * axes)
-    else:
-        # The ellipsoid in whitened coordinates, mapped back.  There q_i =
-        # (kappa_i - 1) / n for the shape n * second, which gives the
-        # whitened scale at no cost.  The shape mapped back is rounded,
-        # which on a thin cloud can move q by more than tol, so the coverage
-        # scale is read from the quadratic form of the stored shape over
-        # the cloud.  Factoring the scaled shape anew would move q by as
-        # much again; scaled() scales the factor with it.
-        w, mu_w = work[act], mu[act]
-        center_w = mu_w @ w
-        second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
-        center = mean + axes @ center_w
-        second = symmetrize(axes @ second_w @ axes.T)
-        chol, shape = spd_cholesky(n * second, what="enclosing shape")
-        ellipsoid = Ellipsoid._from_factor(center, shape, chol)
-        z = (pts - center) @ np.linalg.inv(chol).T
-        coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
-        if coverage_scale > 1.0:
-            ellipsoid = ellipsoid.scaled(coverage_scale)
+    w, mu_w = work[act], mu[act]
+    center_w = mu_w @ w
+    second_w = w.T @ (mu_w[:, None] * w) - np.outer(center_w, center_w)
+    center = mean + axes @ center_w
+    second = symmetrize(axes @ second_w @ axes.T)
+    chol, shape = spd_cholesky(n * second, what="enclosing shape")
+    ellipsoid = Ellipsoid._from_factor(center, shape, chol)
+    z = (pts - center) @ np.linalg.inv(chol).T
+    coverage_scale = max(1.0, float(np.einsum("ij,ij->i", z, z).max()))
+    if coverage_scale > 1.0:
+        ellipsoid = ellipsoid.scaled(coverage_scale)
     mu.setflags(write=False)
-    return MveeSolution(
-        ellipsoid=ellipsoid,
-        weights=mu,
-        duality_gap=float(gap),
-        iterations=it,
-        converged=converged,
-        objective_path=np.asarray(path),
-        coverage_scale=coverage_scale,
-        whitened_scale=whitened_scale,
-    )
+    return MveeSolution(ellipsoid, mu, float(gap), it, converged, np.asarray(path),
+                        coverage_scale, whitened_scale)

@@ -1,11 +1,12 @@
 """Reference code that only the tests use: the enclosing-ellipsoid dual
 objective, its gradient and the KKT residual of a solve, each evaluated
 from scratch; the covering sum as a checked Ellipsoid; sampling on the
-boundary of an ellipsoid; a random SPD matrix and a bit-for-bit
-comparison of arrays; a finite-difference Jacobian, against which the
-declared Jacobians are checked; the per-step loops of the truth
-simulation and of the metrics table; and a reader of the emitted set
-files with the position outline a plot draws from them.
+boundary of an ellipsoid; the measurement product grid built with
+np.meshgrid; a random SPD matrix and a bit-for-bit comparison of arrays;
+a finite-difference Jacobian, against which the declared Jacobians are
+checked; the per-step loops of the truth simulation and of the metrics
+table; and a reader of the emitted set files with the position outline a
+plot draws from them.
 
 The dual objective and its gradient are evaluated on the cloud translated
 by its plain mean.  A translation maps the lifted points by a matrix of
@@ -18,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from smfilter import scenarios as sc
+from smfilter.dsmf import _design
 from smfilter.ellipsoid import Ellipsoid, _sphere, sample_interior, spd_cholesky, symmetrize
 from smfilter.harness import MetricsRow
 from smfilter.mvee import (
@@ -92,6 +94,17 @@ def sample_boundary(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("m must be >= 1")
     u = _sphere(m, e.dim, rng)
     return e.center + u @ e.factor().T
+
+
+def product_grid(model, y, aux, count: int) -> np.ndarray:
+    """The inverse-measurement cloud over count noise directions on the
+    boundary of R times one grid of count points per [lo, hi] row of aux,
+    built with np.meshgrid: noise direction slowest, then each parameter
+    grid in turn."""
+    noise = _design(count, model.meas_dim) @ model._r_factor.T
+    grids = [np.linspace(lo, hi, count) for lo, hi in aux]
+    mesh = np.meshgrid(np.arange(count), *grids, indexing="ij")
+    return model.h_inv(y, noise[mesh[0].ravel()], tuple(g.ravel() for g in mesh[1:]))
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

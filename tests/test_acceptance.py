@@ -184,8 +184,10 @@ def test_criterion_04_solver_timing_and_scaling():
 
     # The O(m) share of one iteration is a few nanoseconds per point, so
     # the scaling law is measured where it dominates the fixed per-call
-    # overhead; below m ~ 1000 the fit sees mostly scheduler noise.
-    scaling = bench_mvee([6], [1000, 2000, 4000, 6000, 8000], trials=3)
+    # overhead; below m ~ 1000 the fit sees mostly scheduler noise.  Each
+    # cell's per-iteration time is its minimum over 10 trials, so that a
+    # slow stretch must last through all of them to bend the fit.
+    scaling = bench_mvee([6], [1000, 2000, 4000, 6000, 8000], trials=10)
     _, _, r2 = affine_fit_r2(
         [row["m"] for row in scaling],
         [row["time_per_iter_s"] for row in scaling],

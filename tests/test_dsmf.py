@@ -38,7 +38,7 @@ from smfilter.scenarios import (
     simulate_truth,
 )
 
-from reference import minkowski_outer, random_spd, same_bits
+from reference import minkowski_outer, product_grid, random_spd, same_bits
 
 
 def reference_fuse(pred, meas, e_p, rho):
@@ -378,6 +378,78 @@ class TestMeasurementEllipsoid:
                 pts = model.h_inv(y, noise, ())
                 worst = max(worst, rec.measurement.quadratic_form(pts).max())
         assert worst <= 1.0 + 1e-3
+
+
+class TestMeasurementGrid:
+    """measurement_ellipsoid builds its cloud from constants keyed on R
+    (_noise_grid) and one np.linspace per parameter interval; the cloud it
+    hands the solve is the np.meshgrid grid of reference.product_grid."""
+
+    @staticmethod
+    def two_aux_model(r):
+        # Each parameter moves the points its own way, so a grid point in
+        # the wrong row would move the cloud.
+        def h_inv(y, v, aux):
+            a, b = aux
+            return y - v + np.stack([a + 0.1 * b, b * b], axis=-1)
+
+        return SystemModel(f=lambda x, k: np.asarray(x), h=lambda x: np.asarray(x),
+                           h_inv=h_inv, E_p=np.eye(2), Q=np.eye(2), R=r)
+
+    @staticmethod
+    def solved_clouds(monkeypatch, calls):
+        # Each cloud handed to dsmf.fw_solve, recorded as
+        # tests/test_capture_guard.py's tool records it.
+        clouds, original = [], dsmf.fw_solve
+
+        def recording(points, *args, **kwargs):
+            clouds.append(np.array(points.points))
+            return original(points, *args, **kwargs)
+
+        monkeypatch.setattr(dsmf, "fw_solve", recording)
+        for y, model, aux, opts in calls:
+            measurement_ellipsoid(y, model, aux, opts)
+        return clouds
+
+    def test_clouds_are_the_meshgrid_product_grids(self, monkeypatch):
+        # One interval (the robot), two intervals, and none (radar), on two
+        # R each and two m_samples each, interleaved so that constants
+        # shared between them would put one model's grid in another's.
+        robot = build_model(build_scenario("robot"))
+        radar = radar_model(build_scenario("radar"))
+        r2 = np.array([[0.5, 0.1], [0.1, 0.2]])
+        cases = []
+        for scale in (1.0, 3.0):
+            for m_samples, count in ((256, 16), (100, 10)):
+                opts = FilterOptions(m_samples=m_samples)
+                cases += [
+                    (np.array([6.0, 0.4]), replace(robot, R=scale * robot.R),
+                     np.array([[0.2, 0.5]]), opts, count),
+                    (np.array([1.0, 2.0]), self.two_aux_model(scale * r2),
+                     np.array([[0.1, 0.4], [-2.0, 3.0]]), opts, count),
+                    (np.array([900.0, 0.3]), replace(radar, R=scale * radar.R), None, opts,
+                     m_samples),
+                ]
+        clouds = self.solved_clouds(monkeypatch, [case[:4] for case in cases])
+        assert len(clouds) == len(cases)
+        for (y, model, aux, _, count), cloud in zip(cases, clouds):
+            n_aux = 0 if aux is None else len(aux)
+            want = product_grid(model, y, () if aux is None else aux, count)
+            assert cloud.shape == (count ** (n_aux + 1), 2)
+            assert same_bits(cloud, want), (model.R, count, n_aux)
+
+    def test_constants_are_read_only_and_not_shared(self):
+        robot = build_model(build_scenario("robot"))
+        other = replace(robot, R=2.0 * robot.R)
+        grids = [dsmf._noise_grid(model._r_factor.tobytes(), 2, count, 1)
+                 for model in (robot, other) for count in (16, 10)]
+        for noise, index in grids:
+            assert not noise.flags.writeable and not index.flags.writeable
+            with pytest.raises(ValueError):
+                noise[0, 0] = 1.0
+        arrays = [arr for pair in grids for arr in pair]
+        assert len({id(arr) for arr in arrays}) == len(arrays)
+        assert not np.array_equal(grids[0][0], grids[2][0])  # one size, two R
 
 
 class TestFuse:

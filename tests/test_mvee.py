@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smfilter import mvee
-from smfilter.dsmf import _design
-from smfilter.ellipsoid import Ellipsoid, PointCloud, contains
+from smfilter.dsmf import _design, _design_optimum
+from smfilter.ellipsoid import Ellipsoid, PointCloud, contains, symmetrize
 from smfilter.errors import RankDeficiencyError
 from smfilter.mvee import fw_solve, lift, line_search_step
 from smfilter.scenarios import build_model, build_scenario, initial_estimate
 
-from reference import dual_objective, fw_gradient, kkt_residual, sample_boundary
+from reference import dual_objective, fw_gradient, kkt_residual, same_bits, sample_boundary
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -370,6 +370,34 @@ class TestWarmStart:
         np.testing.assert_allclose(
             sol.ellipsoid.shape, sol.coverage_scale * 3 * np.cov(pts.T, bias=True), rtol=1e-12)
 
+    @pytest.mark.parametrize("converges", [True, False])
+    def test_a_solve_that_stops_at_its_start_returns_its_frame(self, converges):
+        # A start whose certificate meets tol (the design optimum on an
+        # affine image of the design), or a start off the optimum with no
+        # pass allowed, is returned from its own frame bit for bit: center
+        # c0, shape n s sym(L0 L0^T) and factor sqrt(n s) L0, with s =
+        # max(1, (max kappa - 1) / n), at logdet 0 and 0 passes.
+        rng = np.random.default_rng(38)
+        if converges:
+            n, max_iter, start = 4, None, _design_optimum(200, 4)
+            pts = _design(200, n) @ rng.standard_normal((n, n)).T + rng.standard_normal(n)
+        else:
+            n, max_iter, start = 3, 0, rng.random(50)
+            pts = rng.standard_normal((50, n)) @ rng.standard_normal((n, n))
+        sol = fw_solve(pts, max_iter=max_iter, start=start)
+        mu = start / start.sum()
+        c0, l0, yt, _ = mvee._start_frame(pts, mu)
+        top = np.einsum("ij,ij->i", yt, yt).max()  # 1 + ||w_i||^2
+        s = max(1.0, (top - 1.0) / n)
+        assert sol.converged == converges and (converges or s > 1.0)
+        assert same_bits(sol.ellipsoid.center, c0)
+        assert same_bits(sol.ellipsoid.shape, n * s * symmetrize(l0 @ l0.T))
+        assert same_bits(sol.ellipsoid.factor(), np.sqrt(n * s) * l0)
+        assert same_bits(sol.weights, mu)
+        assert same_bits(sol.objective_path, [0.0])
+        assert sol.duality_gap == top - (n + 1) and sol.iterations == 0
+        assert sol.coverage_scale == sol.whitened_scale == s
+
     def test_start_failing_the_rank_margin_solves_cold(self):
         # Weight on n points (a flat start), on one point, or on points
         # along one line: S0 is singular, and the solve is the cold one.
@@ -485,7 +513,7 @@ class TestStartFrameMargin:
             r = weighted_factor(pts, mu)
             sv = np.linalg.svd(r, compute_uv=False)
             if (sv[0] / sv[-1]) ** 2 * n * n < 0.5 / ((n + 1) * 1e-14):
-                c0, l0, yt = mvee._start_frame(pts, mu)
+                l0 = mvee._start_frame(pts, mu)[1]
                 np.testing.assert_allclose(l0 @ l0.T, r.T @ r, rtol=1e-12,
                                            atol=1e-12 * sv[0] ** 2)
                 inside += 1
