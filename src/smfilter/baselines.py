@@ -5,7 +5,14 @@ Neither filter draws random numbers.
 
 Both carry an Ellipsoid, as the dual filter does: the extended filter its
 set, fused by the dual filter's update (dsmf._update), and the unscented
-filter its three-sigma set {mean, 9 cov}.
+filter its three-sigma set {mean, 9 cov}.  Each steps all the runs of an
+experiment together: a sequence of R sets, one per run, on an (R, l) array
+of their measurements, returned as a Stack.  The maps f and h, the
+covering sums, the remainder inflation, the measurement-set checks, the
+esmf fusion (dsmf._update on the R pairs) and the Cholesky factors are each
+one stacked call of per-row or per-matrix kernels, so a set's step has the
+same bits in any batch, a single set being a batch of one.  The Jacobians
+and the remainder bounds, per-set model callbacks, are called set by set.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from math import sqrt
 import numpy as np
 
 from .dsmf import FusionParams, SystemModel, _update
-from .ellipsoid import Ellipsoid, covering_sum, ellipsoids, optimal_p, spd_cholesky, symmetrize
+from .ellipsoid import (Ellipsoid, Stack, _formed, _stacked, covering_sum, ellipsoids,
+                        optimal_p, spd_cholesky, symmetrize)
 
 
 def uniform_covariance(shape: np.ndarray) -> np.ndarray:
@@ -24,19 +32,23 @@ def uniform_covariance(shape: np.ndarray) -> np.ndarray:
     return shape * (1.0 / (shape.shape[0] + 2.0))
 
 
-def add_remainder(noise_shape: np.ndarray, half: np.ndarray) -> np.ndarray:
+def add_remainder(noise_shape: np.ndarray, half) -> np.ndarray:
     """Inflate a noise bound by the trace-optimal covering sum with a
     linearization remainder: the box of the per-axis half-widths, inside
-    diag(dim * half^2) with its corners.  Axes with no remainder get a floor
-    of 1e-12 of the largest half-width, so that shape stays SPD; all-zero
-    half-widths are a no-op."""
-    half = np.atleast_1d(np.asarray(half, dtype=float))
-    top = half.max()
-    if top == 0.0:
-        return noise_shape
-    half = np.maximum(half, 1e-12 * top)
-    box = np.diag(half.size * half**2)
-    return covering_sum(noise_shape, box, optimal_p(noise_shape, box))
+    diag(dim * half^2) with its corners; or by each of R rows of
+    half-widths, giving R shapes.  Axes with no remainder get a floor of
+    1e-12 of the largest half-width, so that shape stays SPD; all-zero
+    half-widths leave the noise bound as it is."""
+    half = np.asarray(half, dtype=float)
+    top, dim = half.max(axis=-1), half.shape[-1]
+    none = top == 0.0 if 0.0 in top.reshape(-1).tolist() else None
+    if none is not None:  # such a row is summed with a unit box, then keeps its bound
+        half, top = np.where(none[..., None], 1.0, half), np.where(none, 1.0, top)
+    half = np.maximum(half, 1e-12 * top[..., None])
+    box = np.zeros((*half.shape, dim))
+    box.reshape(*half.shape[:-1], dim * dim)[..., ::dim + 1] = dim * half**2
+    out = covering_sum(noise_shape, box, optimal_p(noise_shape, box))
+    return out if none is None else np.where(none[..., None, None], noise_shape, out)
 
 
 def _f_jacobian(model: SystemModel, x: np.ndarray, k: int) -> np.ndarray:
@@ -69,49 +81,56 @@ def remainder_bound_h(e: Ellipsoid, model: SystemModel) -> np.ndarray:
     return np.asarray(model.h_remainder(e), dtype=float)
 
 
-def esmf_predict(e_k: Ellipsoid, model: SystemModel, k: int) -> Ellipsoid:
-    """Linearized prediction: propagate the shape through the Jacobian and
-    cover the sum with the remainder-inflated process noise.
+def esmf_predict(beliefs: list[Ellipsoid], model: SystemModel, k: int) -> Stack:
+    """Linearized prediction of each set of a batch: propagate the shape
+    through the Jacobian and cover the sum with the remainder-inflated
+    process noise.
 
     On a model that declares linear dynamics F the prediction is exact:
     center F c, shape F P F^T, and the trace-optimal covering sum with Q.
     That path bounds no remainder.  A non-finite center raises ValueError.
     """
-    c = e_k.center
+    centers, shapes, _ = _stacked(beliefs)
     if model.F is None:
-        jac, center = _f_jacobian(model, c, k), np.array(model.f(c, k), dtype=float)
-        noise = add_remainder(model.Q, remainder_bound_f(e_k, model, k))
+        jac = np.array([_f_jacobian(model, c, k) for c in centers])
+        center = np.array(model.f(centers, k), dtype=float)
+        noise = add_remainder(model.Q, [remainder_bound_f(e, model, k) for e in beliefs])
     else:
-        jac, center, noise = model.F, model.F @ c, model.Q
+        jac, center, noise = model.F, (model.F @ centers[..., None])[..., 0], model.Q
     if not np.isfinite(center).all():
         raise ValueError("center has a non-finite entry")
-    lin_shape = symmetrize(jac @ e_k.shape @ jac.T)
+    lin_shape = symmetrize(jac @ shapes @ jac.swapaxes(-1, -2))
     chol, shape = spd_cholesky(covering_sum(lin_shape, noise, optimal_p(lin_shape, noise)),
                                what="covering sum")
-    return Ellipsoid._from_factor(center, shape, chol)
+    return _formed(center, shape, chol)
 
 
-def esmf_update(e_pred: Ellipsoid, model: SystemModel,
-                y: np.ndarray) -> tuple[Ellipsoid, FusionParams]:
-    """Linearized measurement update via the shared fusion formulas.
+def esmf_update(preds: list[Ellipsoid], model: SystemModel,
+                ys: np.ndarray) -> tuple[Stack, FusionParams]:
+    """Linearized measurement update of each set of a batch, set r on row
+    r of ys, an (R, l) array of measurements, via the shared fusion
+    formulas.
 
     With y = h(x) + v linearized at the predicted center c, the
     measurement-consistent set is {x : (C x - z)^T R_eff^{-1} (C x - z) <= 1}
     with C the Jacobian, z = y - h(c) + C c, and R_eff the noise bound
     inflated by the model's declared remainder bound.  It is fused with the
-    prediction at the trace-minimising rho, as in the dsmf update.
+    prediction at the trace-minimising rho, as in the dsmf update, in one
+    stacked update of all the pairs (dsmf._update).  Returns the updated
+    sets and the FusionParams, a tuple of rho and one of delta.
     """
-    y = np.asarray(y, dtype=float)
-    c = e_pred.center
-    jac = _h_jacobian(model, c)
-    r_eff = add_remainder(model.R, remainder_bound_h(e_pred, model))
-    z = y - np.atleast_1d(model.h(c)) + jac @ c
-    return _update(e_pred, Ellipsoid(z, r_eff), jac)
+    centers = _stacked(preds)[0]
+    jac = np.array([_h_jacobian(model, c) for c in centers])
+    r_eff = add_remainder(model.R, [remainder_bound_h(e, model) for e in preds])
+    z = np.asarray(ys, dtype=float) - model.h(centers) + (jac @ centers[..., None])[..., 0]
+    return _update(preds, ellipsoids(z, r_eff), jac)
 
 
-def esmf_step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int) -> Ellipsoid:
-    """One extended set-membership filter step."""
-    return esmf_update(esmf_predict(e_k, model, k), model, y)[0]
+def esmf_step(beliefs: list[Ellipsoid], model: SystemModel, ys: np.ndarray,
+              k: int) -> Stack:
+    """One extended set-membership filter step of each set of a batch, set
+    r on row r of ys, an (R, l) array of measurements."""
+    return esmf_update(esmf_predict(beliefs, model, k), model, ys)[0]
 
 
 def _sigma_points(mean: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +148,7 @@ def _sigma_points(mean: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def ukf_step(beliefs: list[Ellipsoid], model: SystemModel, ys: np.ndarray,
-             k: int) -> list[Ellipsoid]:
+             k: int) -> Stack:
     """One unscented predict/update cycle of each belief of a batch, belief
     r on row r of ys, an (R, l) array of measurements.
 
@@ -144,8 +163,8 @@ def ukf_step(beliefs: list[Ellipsoid], model: SystemModel, ys: np.ndarray,
     ys = np.asarray(ys, dtype=float)
     q_cov, r_cov = uniform_covariance(model.Q), uniform_covariance(model.R)
 
-    pts, w = _sigma_points(np.array([b.center for b in beliefs]),
-                           np.array([b.factor() for b in beliefs]) / 3.0)
+    centers, _, factors = _stacked(beliefs)
+    pts, w = _sigma_points(centers, factors / 3.0)
     xp = model.f(pts, k)
     mean_p = w @ xp
     dx = xp - mean_p[:, None]

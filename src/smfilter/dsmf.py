@@ -10,10 +10,15 @@ a joint diagonalisation of the two sets.  There the fused trace and the
 consistency delta are sums of n scalars in the mixing parameter rho, with
 closed-form derivatives: one bracketed Newton solve over the whole search
 interval finds rho on the trace's derivative, and emptiness on that of the
-concave delta.  An update diagonalises once: it calls optimize_rho, then
-fuse, whose _joint_diag finds the search's result in its one-slot memo; both
-calls stay, as the benchmark (smbench/tracer.py) times them as two layers.
-The filter draws no random numbers: one measurement sequence gives one result.
+concave delta.  The fusion functions take one pair of sets, or each pair of
+two sequences of R sets (a Stack or a list), as spd_cholesky takes one
+matrix or a stack: the diagonalisation is one stacked solve and SVD, and
+each pair's rho is searched alone in Python floats, so a pair's result has
+the same bits alone or in any stack.  An update diagonalises once: it calls
+optimize_rho, then fuse, which finds the search's stacked diagonalisation in
+a one-slot memo and the search's delta at its rho in another; both calls
+stay, as the benchmark (smbench/tracer.py) times them as two layers.  The
+filter draws no random numbers: one measurement sequence gives one result.
 
 Each enclosing solve starts near its optimum: from the last step's weights,
 else the optimum of its design (exact on an affine image of it), or for a
@@ -33,8 +38,11 @@ from . import mvee
 from .ellipsoid import (
     Ellipsoid,
     PointCloud,
+    Stack,
     _checked,
+    _formed,
     _sphere,
+    _stacked,
     covering_sum,
     optimal_p,
     spd_cholesky,
@@ -161,7 +169,8 @@ class FilterOptions:
 @dataclass(frozen=True)
 class FusionParams:
     """Fusion diagnostics: mixing weight rho, consistency delta (< 1 when
-    the sets meet) and the covering-sum parameter of the prediction."""
+    the sets meet) and the covering-sum parameter of the prediction; rho
+    and delta are floats for one pair, tuples for a stack of pairs."""
 
     rho: float
     delta: float
@@ -327,55 +336,69 @@ def measurement_ellipsoid(y: np.ndarray, model: SystemModel, aux,
 
 
 _last_joint = (None,) * 5  # pred, meas, E_p shape and bytes, result
+_last_search = (None,) * 3  # joint result, rho, (rho column, delta, scales) there
 
 
-def _joint_diag(pred: Ellipsoid, meas: Ellipsoid, e_p) -> tuple:
-    """The fusion problem on one joint diagonalisation, shared by every rho.
+def _joint_diag(pred, meas, e_p) -> tuple:
+    """The fusion problem on one joint diagonalisation, shared by every rho:
+    of one pair of sets, or of each pair of two sequences of R sets (lists
+    or Stacks), on one (r, n) map E_p or an (R, r, n) stack of them.
 
     With L = chol(P), M = chol(P_z), the SVD M^{-1} E_p L = V diag(s) U^T
     and h = V^T M^{-1} (z - E_p x), s and h zero-padded to length n (E_p
-    has r <= n rows), returns (L U, s^2, h^2, s h), read-only.  One solve
-    with M takes both right-hand sides.  The last result is kept, and given
-    again for the same two (immutable) sets and an E_p of the same bytes:
-    so the fuse after an update's rho search does not diagonalise again.
+    has r <= n rows), returns (x, L U, s^2, h^2, s h), read-only, each
+    stacked over the pairs of sequences.  One solve with M takes both
+    right-hand sides; a stack takes one solve and one SVD, which LAPACK
+    makes matrix by matrix, so each pair's figures have the same bits in
+    any stack.  The last result is kept, and given again for the same two
+    sets or Stacks (each immutable) and an E_p of the same bytes: so the
+    fuse after an update's rho search does not diagonalise again.
     """
     global _last_joint
     e_p = np.atleast_2d(np.asarray(e_p, dtype=float))
     last, key = _last_joint, e_p.tobytes()
     if last[0] is pred and last[1] is meas and last[2:4] == (e_p.shape, key):
         return last[4]
-    n, r = pred.dim, meas.dim
-    if e_p.shape != (r, n) or r > n:
-        raise ValueError(f"E_p is {e_p.shape}, expected ({r}, {n}) with {r} <= {n}")
-    chol_p = pred.factor()
-    rhs = np.empty((r, n + 1))
-    rhs[:, :n] = e_p @ chol_p
-    rhs[:, n] = meas.center - e_p @ pred.center
-    whitened = np.linalg.solve(meas.factor(), rhs)
-    v, s_r, ut = np.linalg.svd(whitened[:, :n])
-    s, h = np.zeros(n), np.zeros(n)
-    s[:r], h[:r] = s_r, v.T @ whitened[:, n]
-    out = (chol_p @ ut.T, s**2, h**2, s * h)
+    (x, _, chol_p), (z, _, chol_m) = _stacked(pred), _stacked(meas)
+    lead, n, r = x.shape[:-1], x.shape[-1], z.shape[-1]
+    if z.shape[:-1] != lead or e_p.shape[-2:] != (r, n) or e_p.shape[:-2] not in ((), lead) \
+            or r > n:
+        raise ValueError(f"E_p is {e_p.shape} for predictions {x.shape} and measurement "
+                         f"centers {z.shape}: expected ({r}, {n}) with {r} <= {n}, "
+                         "or one per pair")
+    rhs = np.empty((*lead, r, n + 1))
+    rhs[..., :n] = e_p @ chol_p
+    rhs[..., n] = z - (e_p @ x[..., None])[..., 0]
+    whitened = np.linalg.solve(chol_m, rhs)
+    v, s_r, ut = np.linalg.svd(whitened[..., :n])
+    s, h = np.zeros((*lead, n)), np.zeros((*lead, n))
+    s[..., :r] = s_r
+    h[..., :r] = (v.swapaxes(-1, -2) @ whitened[..., n:])[..., 0]
+    out = (x, chol_p @ ut.swapaxes(-1, -2), s**2, h**2, s * h)
     for arr in out:
         arr.setflags(write=False)
-    _last_joint = (pred, meas, e_p.shape, key, out)
+    if isinstance(pred, (Ellipsoid, Stack)) and isinstance(meas, (Ellipsoid, Stack)):
+        _last_joint = (pred, meas, e_p.shape, key, out)
     return out
 
 
-def _fused_delta(rho: float, s2: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray]:
-    """delta and the scales d_i = 1 - rho + rho s_i^2 at one rho: the one
-    formula of delta, for fuse and for the delta optimize_rho returns."""
+def _fused_delta(rho, s2: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """delta and the scales d_i = 1 - rho + rho s_i^2 at one rho, or per
+    row of stacked s^2 and h^2 at an (R, 1) column of rho: the one formula
+    of delta, for fuse and for the delta optimize_rho returns."""
     d = 1.0 - rho + rho * s2
-    return float((rho * (1.0 - rho) * h2 / d).sum()), d
+    return (rho * (1.0 - rho) * h2 / d).sum(axis=-1), d
 
 
-def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
-         rho: float) -> tuple[np.ndarray, np.ndarray, float]:
+def fuse(pred, meas, e_p, rho) -> tuple:
     """One linear set-membership fusion of a prediction {x, P} with a
-    measurement ellipsoid {z, P_z} living in the projected space z = E_p x.
+    measurement ellipsoid {z, P_z} living in the projected space z = E_p x:
+    of one pair at a float rho, or of each pair of two sequences of R sets
+    at a sequence of R rho, on one E_p or a stack (_joint_diag).
 
-    Returns (center, shape, delta) of the fused ellipsoid.  On the joint
-    diagonalisation of _joint_diag, with d_i = 1 - rho + rho s_i^2,
+    Returns (center, shape, delta) of the fused ellipsoid, or their stacks
+    over the pairs, delta then a list.  On the joint diagonalisation of
+    _joint_diag, with d_i = 1 - rho + rho s_i^2,
 
         delta   = rho (1-rho) sum_i h_i^2 / d_i
         center  = x + rho L U diag(1/d) (s h)
@@ -383,20 +406,29 @@ def fuse(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray,
 
     which is the classical (1-delta) [(1-rho) P^{-1} + rho E_p^T P_z^{-1}
     E_p]^{-1} with no matrix inverted: every d_i is positive.  delta >= 1
-    means the two sets cannot intersect and raises EmptyIntersectionError.
+    means the two sets cannot intersect and raises EmptyIntersectionError
+    (for a stack, when any pair's does).  rho outside (0, 1) is a
+    ValueError.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho}")
-    basis, s2, h2, gain = _joint_diag(pred, meas, e_p)
-    delta, d = _fused_delta(rho, s2, h2)
-    if delta >= 1.0:
+    joint = _joint_diag(pred, meas, e_p)
+    x, basis, s2, h2, gain = joint
+    if _last_search[0] is joint and _last_search[1] is rho:  # the search's own rho
+        rho, delta, d = _last_search[2]
+    else:
+        rhos = [rho] if s2.ndim == 1 else list(rho)
+        if not all(0.0 < r < 1.0 for r in rhos):
+            raise ValueError(f"rho must be in (0, 1), got {rho}")
+        rho = rho if s2.ndim == 1 else np.array(rhos)[:, None]
+        delta, d = _fused_delta(rho, s2, h2)
+    deltas = delta.tolist()
+    worst = max(deltas) if s2.ndim > 1 else deltas
+    if worst >= 1.0:
         raise EmptyIntersectionError(
-            f"prediction and measurement sets are disjoint (delta={delta:.6g})",
-            delta=delta,
-        )
-    center = pred.center + rho * (basis @ (gain / d))
-    shape = symmetrize((1.0 - delta) * (basis / d) @ basis.T)
-    return center, shape, delta
+            f"prediction and measurement sets are disjoint (delta={worst:.6g})", delta=worst)
+    center = x + rho * (basis @ (gain / d)[..., None])[..., 0]
+    weight = 1.0 - delta if s2.ndim == 1 else (1.0 - delta)[:, None, None]
+    shape = symmetrize(weight * (basis / d[..., None, :]) @ basis.swapaxes(-1, -2))
+    return center, shape, deltas
 
 
 _NEWTON_STEP = 1e-9  # the rho search stops at a step this short
@@ -472,8 +504,10 @@ def _newton(slope: Callable, terms: list) -> float:
             return x
 
 
-def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionParams:
-    """Pick the fusion weight minimizing the trace of the fused ellipsoid.
+def optimize_rho(pred, meas, e_p) -> FusionParams:
+    """Pick the fusion weight minimizing the trace of the fused ellipsoid:
+    of one pair, with float rho and delta, or of each pair of two sequences
+    of R sets (as fuse takes them), with a tuple of each.
 
     On the joint diagonalisation of fuse, with d_i = 1 + rho e_i and e_i =
     s_i^2 - 1, the fused trace is T = (1 - delta) S with S = sum_i a_i /
@@ -481,44 +515,60 @@ def optimize_rho(pred: Ellipsoid, meas: Ellipsoid, e_p: np.ndarray) -> FusionPar
     both have closed-form first and second derivatives in rho.  rho is the
     zero of T' on [RHO_EDGE, 1 - RHO_EDGE] (_newton), or the edge T rises
     from, as on every robot update; returned with the delta fuse gives
-    there.  T was unimodal on every case probed (every dsmf and esmf update
-    of both presets, thousands of random pairs, near-empty cases with
-    delta's maximum up to 0.9999), so that zero is its minimum, as the
-    fine-grid oracle tests check.  Soundness does not rest on it: the fused
-    set at any rho with delta < 1 contains the intersection of the sets.
+    there.  Each pair is searched alone, in Python floats, so its rho has
+    the same bits in any stack.  T was unimodal on every case probed (every
+    dsmf and esmf update of both presets, thousands of random pairs,
+    near-empty cases with delta's maximum up to 0.9999), so that zero is its
+    minimum, as the fine-grid oracle tests check.  Soundness does not rest
+    on it: the fused set at any rho with delta < 1 contains the
+    intersection of the sets.
 
     delta >= 1 leaves the intersection at most one point.  rho (1-rho) / d_i
     peaks at 1 / (1 + s_i)^2, so no rho gives a delta above sum_i h_i^2 /
     (1 + s_i)^2; when that bound reaches 1, _newton on delta' finds the
     maximum of the concave delta, and EmptyIntersectionError is raised if
-    and only if that maximum is >= 1.
+    and only if that maximum is >= 1 (in a stack, at the first such pair).
     """
-    basis, s2, h2, _ = _joint_diag(pred, meas, e_p)
-    terms = list(zip((basis * basis).sum(axis=0).tolist(), h2.tolist(),
-                     (s2 - 1.0).tolist(), s2.tolist()))
-    if (h2 / (1.0 + np.sqrt(s2)) ** 2).sum() >= 1.0:
-        at = _newton(_delta_slope, terms)
-        worst = _fused_delta(at, s2, h2)[0]
-        if worst >= 1.0:
-            raise EmptyIntersectionError(
-                f"delta = {worst:.6g} >= 1 at rho = {at:.6g}: "
-                "prediction and measurement sets meet in at most one point",
-                delta=worst,
-            )
-    rho = _newton(_trace_slope, terms)
-    return FusionParams(rho=rho, delta=_fused_delta(rho, s2, h2)[0])
+    global _last_search
+    joint = _joint_diag(pred, meas, e_p)
+    _, basis, s2, h2, _ = joint
+    columns = [c.tolist() for c in ((basis * basis).sum(axis=-2), h2, s2 - 1.0, s2)]
+    bounds = (h2 / (1.0 + np.sqrt(s2)) ** 2).sum(axis=-1).tolist()
+    pairs = zip([columns], [bounds]) if s2.ndim == 1 else zip(zip(*columns), bounds)
+    rhos = []
+    for i, (pair, bound) in enumerate(pairs):
+        terms = list(zip(*pair))
+        if bound >= 1.0:
+            at = _newton(_delta_slope, terms)
+            rows = s2.reshape(-1, s2.shape[-1])[i], h2.reshape(-1, s2.shape[-1])[i]
+            worst = float(_fused_delta(at, *rows)[0])
+            if worst >= 1.0:
+                raise EmptyIntersectionError(
+                    f"delta = {worst:.6g} >= 1 at rho = {at:.6g}: "
+                    "prediction and measurement sets meet in at most one point",
+                    delta=worst,
+                )
+        rhos.append(_newton(_trace_slope, terms))
+    rho, at = (rhos[0], rhos[0]) if s2.ndim == 1 else (tuple(rhos), np.array(rhos)[:, None])
+    delta, d = _fused_delta(at, s2, h2)
+    _last_search = (joint, rho, (at, delta, d))  # for the fuse at this rho
+    deltas = delta.tolist()
+    return FusionParams(rho=rho, delta=deltas if s2.ndim == 1 else tuple(deltas))
 
 
-def _update(pred: Ellipsoid, meas: Ellipsoid,
-            e_p: np.ndarray) -> tuple[Ellipsoid, FusionParams]:
+def _update(pred, meas, e_p) -> tuple:
     """The linear set-membership update: fuse a prediction with a
     measurement set in the projected space E_p x at the trace-minimising
-    rho.  Shared by step, the esmf update and the sigma sweep.  Returns the
-    fused ellipsoid and the FusionParams of the rho search."""
+    rho; or each pair of two Stacks or two lists of R sets, on one E_p or a
+    stack.  Shared by step, the esmf update and the sigma sweep.  Returns
+    the fused ellipsoid, or their Stack, and the FusionParams of the rho
+    search."""
+    if isinstance(pred, list):  # Stacks, which the diagonalisation keeps for the fuse
+        pred, meas = Stack(*_stacked(pred)), Stack(*_stacked(meas))
     params = optimize_rho(pred, meas, e_p)
     center, shape, _ = fuse(pred, meas, e_p, params.rho)
     chol, shape = spd_cholesky(shape, what="fused shape")
-    return Ellipsoid._from_factor(center, shape, chol), params
+    return _formed(center, shape, chol), params
 
 
 def step(e_k: Ellipsoid, model: SystemModel, y: np.ndarray, k: int,

@@ -8,6 +8,7 @@ E such that E E^T = P, it is {c + E u : ||u|| <= 1}.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -148,12 +149,62 @@ class Ellipsoid:
         return vals[0] if x.ndim == 1 else vals
 
 
-def ellipsoids(centers: np.ndarray, shapes: np.ndarray) -> list[Ellipsoid]:
-    """[Ellipsoid(c, P) for c, P in zip(centers, shapes)], checked once over
-    the (R, n) and (R, n, n) stacks (_checked).  Exactly symmetric shapes
-    are kept uncopied, so the stacks must be the caller's own."""
-    shapes, chols = _checked(centers, shapes)
-    return [Ellipsoid._from_factor(c, p, l) for c, p, l in zip(centers, shapes, chols)]
+class Stack(Sequence):
+    """R ellipsoids held as (R, n) centers and (R, n, n) shapes and
+    factors, read-only: a sequence of the sets, which are their rows, each
+    made as an Ellipsoid on first use.  A stacked step reads the arrays
+    (_stacked), so the sets one stacked call hands the next are neither made
+    nor stacked again.  Indexing and slicing go to the list of sets."""
+
+    __slots__ = ("centers", "shapes", "factors", "_sets")
+
+    def __init__(self, centers: np.ndarray, shapes: np.ndarray, factors: np.ndarray):
+        for arr in (centers, shapes, factors):
+            arr.setflags(write=False)
+        self.centers, self.shapes, self.factors, self._sets = centers, shapes, factors, None
+
+    def _made(self) -> list:
+        if self._sets is None:
+            self._sets = list(map(Ellipsoid._from_factor, self.centers, self.shapes,
+                                  self.factors))
+        return self._sets
+
+    def __getitem__(self, index):
+        return self._made()[index]
+
+    def __iter__(self):
+        return iter(self._made())
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+
+def _stacked(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (R, n) centers and (R, n, n) shapes and factors of a sequence of
+    R sets, a Stack's own or else stacked here; or the center, shape and
+    factor of one Ellipsoid."""
+    if isinstance(sets, Ellipsoid):
+        return sets.center, sets.shape, sets.factor()
+    if isinstance(sets, Stack):
+        return sets.centers, sets.shapes, sets.factors
+    return (np.array([e.center for e in sets]), np.array([e.shape for e in sets]),
+            np.array([e.factor() for e in sets]))
+
+
+def _formed(centers: np.ndarray, shapes: np.ndarray, chols: np.ndarray):
+    """Ellipsoid._from_factor of one set, or the Stack of (R, n) centers and
+    (R, n, n) shapes and factors."""
+    if centers.ndim == 1:
+        return Ellipsoid._from_factor(centers, shapes, chols)
+    return Stack(centers, shapes, chols)
+
+
+def ellipsoids(centers: np.ndarray, shapes: np.ndarray) -> Stack:
+    """The Stack of [Ellipsoid(c, P) for c, P in zip(centers, shapes)],
+    checked once over the (R, n) and (R, n, n) stacks (_checked).  Exactly
+    symmetric shapes are kept uncopied, so the stacks must be the caller's
+    own; they become read-only."""
+    return _formed(centers, *_checked(centers, shapes))
 
 
 @dataclass(frozen=True)
@@ -197,19 +248,24 @@ def sample_interior(e: Ellipsoid, m: int, rng: np.random.Generator) -> np.ndarra
     return e.center + (u * r[:, None]) @ e.factor().T
 
 
-def optimal_p(pf: np.ndarray, q: np.ndarray) -> float:
+def optimal_p(pf: np.ndarray, q: np.ndarray):
     """The p minimizing the trace of the covering-sum shape:
-    sqrt(tr(Pf)) / sqrt(tr(Q)).  At this p the trace equals
-    (sqrt(tr Pf) + sqrt(tr Q))^2."""
-    tp = float(np.trace(np.asarray(pf, dtype=float)))
-    tq = float(np.trace(np.asarray(q, dtype=float)))
-    if tp <= 0 or tq <= 0:
+    sqrt(tr(Pf)) / sqrt(tr(Q)); or the (R,) p of each row of stacked
+    shapes, either side one matrix for every row.  At this p the trace
+    equals (sqrt(tr Pf) + sqrt(tr Q))^2."""
+    tp = np.asarray(pf, dtype=float).trace(axis1=-2, axis2=-1)
+    tq = np.asarray(q, dtype=float).trace(axis1=-2, axis2=-1)
+    low = np.minimum(tp, tq).tolist()
+    if (min(low) if isinstance(low, list) else low) <= 0.0:
         raise ValueError("both matrices must have positive trace")
     return np.sqrt(tp / tq)
 
 
-def covering_sum(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+def covering_sum(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Shape of the covering sum of two centered ellipsoids with SPD shapes
     a and b at parameter p > 0: (1 + 1/p) a + (1 + p) b, which covers
-    the sum of the two sets for any p > 0."""
+    the sum of the two sets for any p > 0, a float; or of each row of
+    stacked shapes at an (R,) array of p."""
+    if not isinstance(p, float):
+        p = p[:, None, None]
     return symmetrize((1.0 + 1.0 / p) * a + (1.0 + p) * b)

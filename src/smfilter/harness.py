@@ -198,7 +198,7 @@ class FilterRunLog:
     contained: np.ndarray  # (steps,) bool
     traces: np.ndarray
     logdets: np.ndarray
-    times: np.ndarray  # (steps,) s; a ukf step's is its batched call's time / runs
+    times: np.ndarray  # (steps,) s; a ukf or esmf step's is its stacked step's time / runs
     failures: int
     records: list  # per step: the dsmf StepRecord; None for a carried step or another filter
 
@@ -250,45 +250,59 @@ def _run_filter(name: str, config: RunConfig, opts: FilterOptions, model,
                 first) -> list[FilterRunLog]:
     """Step one filter through all runs in one loop over the steps, run r
     from e0s[r] (the ukf from the three-sigma set of a uniform draw over it)
-    on truths[r] and measurements[r].  The ukf makes one ukf_step call per
-    step, and each run's time is that call's divided by R; dsmf and esmf
-    step the runs one by one.  A dsmf or esmf step that raises
-    NumericalError is carried by its prediction, unless on_empty is raise;
-    a ukf error propagates.  dsmf's warm start is one value per run, start:
-    (first, None) before step 0 when first, the nominal weights, is not
-    None; the weights of its last step's two solves after a step; and None,
-    which starts each solve from its design optimum, after a carried step
-    or with no nominal weights."""
+    on truths[r] and measurements[r].  The ukf and esmf make one stacked
+    call per step, ukf_step or esmf_step, on every run's set, and each
+    run's time is that step's time divided by R; dsmf steps the runs one by
+    one.  A ukf error propagates.  When a stacked esmf call raises
+    NumericalError, each run of that step is stepped again alone, as a
+    batch of one.  A dsmf step, or an esmf run stepped alone, that raises
+    NumericalError is carried by its prediction, unless on_empty is raise.
+    dsmf's warm start is one value per run, start: (first, None) before
+    step 0 when first, the nominal weights, is not None; the weights of its
+    last step's two solves after a step; and None, which starts each solve
+    from its design optimum, after a carried step or with no nominal
+    weights."""
     runs, steps = measurements.shape[:2]
     states = ([Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape)) for e0 in e0s]
               if name == "ukf" else list(e0s))
     starts = [None if first is None else (first, None)] * runs
     sets, records, times, failures = [], [], np.empty((steps, runs)), [0] * runs
+
+    def alone(r: int, k: int, recs: list) -> Ellipsoid:
+        """Run r's step k alone, or its prediction when the step raises
+        NumericalError and on_empty is carry."""
+        try:
+            if name == "dsmf":
+                recs[r] = rec = step(states[r], model, measurements[r, k], k, opts, starts[r])
+                starts[r] = [s.weights for s in rec.solves]
+                return rec.updated
+            return esmf_step(states[r:r + 1], model, measurements[r:r + 1, k], k)[0]
+        except NumericalError:
+            if config.on_empty == "raise":
+                raise
+            failures[r] += 1
+            starts[r] = None
+            return (predict(states[r], model, k, opts)[0] if name == "dsmf"
+                    else esmf_predict(states[r:r + 1], model, k)[0])
+
     for k in range(steps):
         recs = [None] * runs  # the dsmf StepRecord of each run's step that solved
-        if name == "ukf":
-            t0 = time.perf_counter()
-            states = ukf_step(states, model, measurements[:, k], k)
-            times[k] = (time.perf_counter() - t0) / runs
-        else:
+        if name == "dsmf":
             states = list(states)
             for r in range(runs):
                 t0 = time.perf_counter()
-                try:
-                    if name == "dsmf":
-                        recs[r] = rec = step(states[r], model, measurements[r, k], k, opts,
-                                             starts[r])
-                        states[r], starts[r] = rec.updated, [s.weights for s in rec.solves]
-                    else:
-                        states[r] = esmf_step(states[r], model, measurements[r, k], k)
-                except NumericalError:
-                    if config.on_empty == "raise":
-                        raise
-                    failures[r] += 1
-                    states[r] = (predict(states[r], model, k, opts)[0] if name == "dsmf"
-                                 else esmf_predict(states[r], model, k))
-                    starts[r] = None
+                states[r] = alone(r, k, recs)
                 times[k, r] = time.perf_counter() - t0
+        else:
+            t0 = time.perf_counter()
+            try:
+                states = (ukf_step if name == "ukf" else esmf_step)(
+                    states, model, measurements[:, k], k)
+            except NumericalError:
+                if name == "ukf":
+                    raise
+                states = [alone(r, k, recs) for r in range(runs)]
+            times[k] = (time.perf_counter() - t0) / runs
         sets.append(states)
         records.append(recs)
 
@@ -518,9 +532,10 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
 
     For each sigma the prior is {(10, 20), sigma I}; a true position is
     drawn from it, measured with noise bounded by diag(10, 1), and both
-    updates are applied, each fusing at the trace-minimising rho; the mean
-    posterior logdet over the replicates is recorded.  The enclosing solves
-    use the FilterOptions defaults.
+    updates are applied, each fusing at the trace-minimising rho in one
+    stacked update over the replicates; the mean posterior logdet over the
+    replicates is recorded.  The enclosing solves use the FilterOptions
+    defaults.
     """
     results = []
     prior_center = np.array([10.0, 20.0])
@@ -536,18 +551,16 @@ def sweep_sigma(sigmas, replicates: int = 50, master_seed: int = 0) -> list[dict
 
     for sigma in sigmas:
         prior = Ellipsoid(prior_center, float(sigma) * np.eye(2))
-        ld_new, ld_lin = [], []
+        ys, meas = [], []
         for rep in range(replicates):
             rng = np.random.default_rng([master_seed, int(round(100 * sigma)), rep])
             x_true = sample_interior(prior, 1, rng)[0]
             v_true = sample_interior(v_ball, 1, rng)[0]
-            y = sensor.measure(x_true) + v_true
-            # Enclosing-set update.
-            meas, _ = measurement_ellipsoid(y, model, None, opts)
-            ld_new.append(_logdet(_update(prior, meas, np.eye(2))[0].shape))
-            # Linearizing update.
-            updated, _ = esmf_update(prior, model, y)
-            ld_lin.append(_logdet(updated.shape))
+            ys.append(sensor.measure(x_true) + v_true)
+            meas.append(measurement_ellipsoid(ys[-1], model, None, opts)[0])
+        priors = [prior] * replicates
+        ld_new = _logdet(np.array([e.shape for e in _update(priors, meas, np.eye(2))[0]]))
+        ld_lin = _logdet(np.array([e.shape for e in esmf_update(priors, model, ys)[0]]))
         results.append({
             "sigma": float(sigma),
             "dsmf_logdet": float(np.mean(ld_new)),

@@ -168,6 +168,15 @@ def _start_frame(pts: np.ndarray, mu: np.ndarray):
     return c0, l0, yt, act
 
 
+def _certificate(kappa: np.ndarray, act: np.ndarray, d: int) -> tuple:
+    """(ip, ia, gap, away_gap) of weights whose support is act: the toward
+    point, of largest kappa, and the away point, of smallest kappa over the
+    support, with the gaps kappa_ip - d and d - kappa_ia."""
+    ip = kappa.argmax()
+    ia = act[kappa[act].argmin()]
+    return ip, ia, kappa[ip] - d, d - kappa[ia]
+
+
 def _factor_or_raise(mmat: np.ndarray, d: int):
     factor = _factor(mmat, d)
     if factor is None:
@@ -364,8 +373,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     if frame is not None:
         mean, axes, yt, act = frame
         kappa = np.einsum("ij,ij->i", yt, yt)  # M = I, so kappa_i = 1 + ||w_i||^2
-        top = float(kappa.max())
-        converged = bool(top - d <= threshold and d - kappa[act].min() <= threshold)
+        ip, ia, gap, away_gap = _certificate(kappa, act, d)
+        converged = bool(gap <= threshold and away_gap <= threshold)
         if converged or max_iter == 0:
             # The start, returned as it came, with no pass: {c0, n S0},
             # whose Cholesky factor sqrt(n) L0 is the factor that whitened
@@ -373,12 +382,13 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             # (kappa_i - 1) / n, so the whitened scale is the coverage
             # scale of the shape as stored, and the shape is neither
             # mapped back nor factored again.
-            scale = max(1.0, (top - 1.0) / n)
+            scale = max(1.0, (float(kappa[ip]) - 1.0) / n)
             size = scale * n
             ellipsoid = Ellipsoid._from_factor(mean, size * symmetrize(axes @ axes.T),
                                                math.sqrt(size) * axes)
             mu.setflags(write=False)
-            return MveeSolution(ellipsoid, mu, top - d, 0, converged, np.zeros(1), scale, scale)
+            return MveeSolution(ellipsoid, mu, float(gap), 0, converged, np.zeros(1), scale,
+                                scale)
         work = yt[:, :n]
         minv, logdet = np.eye(d), 0.0
     else:
@@ -403,16 +413,13 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             jitter = 1e-9 * float(np.linalg.norm(np.ptp(work, axis=0)))
             minv, logdet = support_factor()
         kappa = _gradient(yt, minv)
+        act = mu.nonzero()[0]
+        ip, ia, gap, away_gap = _certificate(kappa, act, d)
     path = [logdet]
 
     face_max = d * (d + 1) // 2  # the most points an optimal support needs
     it = 0
-    while True:
-        act = mu.nonzero()[0]
-        ip = kappa.argmax()
-        ia = act[kappa[act].argmin()]
-        gap = kappa[ip] - d
-        away_gap = d - kappa[ia]
+    while True:  # each pass starts on the certificate of the weights it gets
         converged = bool(gap <= threshold and away_gap <= threshold)
         if converged or it >= max_iter:
             break
@@ -469,6 +476,8 @@ def fw_solve(points, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             path[-1] = factor[1]
         minv = factor[0]
         kappa = _gradient(yt, minv)
+        act = mu.nonzero()[0]
+        ip, ia, gap, away_gap = _certificate(kappa, act, d)
         it += 1
 
     # The ellipsoid in whitened coordinates, mapped back.  There q_i =

@@ -28,7 +28,9 @@ class RangeBearing:
         x = np.asarray(x, dtype=float)
         dx = x[..., 0] - self.origin[0]
         dy = x[..., 1] - self.origin[1]
-        return np.stack([np.hypot(dx, dy), np.arctan2(dy, dx)], axis=-1)
+        out = np.empty((*dx.shape, 2))
+        out[..., 0], out[..., 1] = np.hypot(dx, dy), np.arctan2(dy, dx)
+        return out
 
     def jacobian(self, x) -> np.ndarray:
         dx = x[0] - self.origin[0]
@@ -51,7 +53,7 @@ class RangeBearing:
         global bounds; so does the bearing on a box that meets the atan2 cut,
         the ray y = o_y, x <= o_x."""
         center = e.center[:2] - self.origin
-        radii = np.sqrt(np.diag(e.shape)[:2])
+        radii = np.sqrt(e.shape.diagonal()[:2])
         r2 = radii @ radii
         r = np.sqrt(r2)
         rho_min = np.hypot(*np.maximum(np.abs(center) - radii, 0.0))
@@ -74,8 +76,10 @@ class RangeBearing:
                 f"sample {bad}",
                 sample=bad,
             )
-        return np.stack([rng_val * np.cos(bearing) + self.origin[0],
-                         rng_val * np.sin(bearing) + self.origin[1]], axis=-1)
+        east = rng_val * np.cos(bearing) + self.origin[0]
+        out = np.empty((*east.shape, 2))
+        out[..., 0], out[..., 1] = east, rng_val * np.sin(bearing) + self.origin[1]
+        return out
 
     def h_inv(self, y, v, aux) -> np.ndarray:
         """The polar inverse of measure, in the SystemModel.h_inv form:
@@ -184,7 +188,9 @@ def radar_model(scenario: RadarScenario | None = None) -> SystemModel:
         return np.asarray(x, dtype=float) @ f_mat.T
 
     def h_jac(x):
-        return np.hstack([sensor.jacobian(x), np.zeros((2, 2))])
+        jac = np.zeros((2, 4))
+        jac[:, :2] = sensor.jacobian(x)
+        return jac
 
     e_p = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return SystemModel(
@@ -208,9 +214,11 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
     def f(x, k):
         x = np.asarray(x, dtype=float)
         theta = x[..., 2]
-        px = x[..., 0] - ratio * (np.sin(theta) - np.sin(theta + dtheta))
-        py = x[..., 1] + ratio * (np.cos(theta) - np.cos(theta + dtheta))
-        return np.stack([px, py, theta + dtheta], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = x[..., 0] - ratio * (np.sin(theta) - np.sin(theta + dtheta))
+        out[..., 1] = x[..., 1] + ratio * (np.cos(theta) - np.cos(theta + dtheta))
+        out[..., 2] = theta + dtheta
+        return out
 
     def f_jac(x, k):
         theta = x[2]
@@ -236,9 +244,11 @@ def robot_model(scenario: RobotScenario | None = None) -> SystemModel:
         return out
 
     def h_jac(x):
-        jac = landmark.jacobian(x)
+        jac = np.zeros((2, 3))
+        jac[:, :2] = landmark.jacobian(x)
         jac[1] *= -1.0
-        return np.hstack([jac, [[0.0], [1.0]]])
+        jac[1, 2] = 1.0
+        return jac
 
     def h_inv(y, v, aux):
         (theta,) = aux

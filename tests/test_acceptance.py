@@ -291,10 +291,10 @@ def test_criterion_07_linear_model_degeneration():
     # (zero remainder): compare at its own chosen rho.
     from smfilter.baselines import esmf_predict, esmf_update
 
-    e_pred = esmf_predict(e0, model, 0)
+    (e_pred,) = esmf_predict([e0], model, 0)
     pred_err = np.linalg.norm(e_pred.shape - pred.shape)
-    updated, params = esmf_update(e_pred, model, y)
-    center2, shape2, _ = fuse(pred, meas, e_p, params.rho)
+    (updated,), params = esmf_update([e_pred], model, y[None])
+    center2, shape2, _ = fuse(pred, meas, e_p, params.rho[0])
     esmf_err = max(
         pred_err,
         np.linalg.norm(updated.shape - shape2),

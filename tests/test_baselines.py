@@ -93,7 +93,7 @@ class TestMatrixCoveringSums:
         scenario = build_scenario("robot")
         model = build_model(scenario)
         e = initial_estimate(scenario, np.random.default_rng(seed))
-        got = esmf_predict(e, model, seed)
+        (got,) = esmf_predict([e], model, seed)
         want = reference_esmf_predict(e, model, seed)
         assert np.array_equal(got.center, want.center)
         assert np.array_equal(got.shape, want.shape)
@@ -129,7 +129,7 @@ class TestExactLinearPrediction:
         for k in range(6):
             e = initial_estimate(scenario, rng)
             e = Ellipsoid(e.center, random_spd(rng, 4, rng.uniform(1.0, 300.0)))
-            got = esmf_predict(e, model, k)
+            (got,) = esmf_predict([e], model, k)
             center, shape = self.closed_form(e, model)
             assert np.array_equal(got.center, center)
             assert np.array_equal(got.shape, shape)
@@ -139,7 +139,7 @@ class TestExactLinearPrediction:
         model = replace(linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2),
                                      np.array([[0.1]])), F=f_mat)
         e = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
-        got = esmf_predict(e, model, 0)
+        (got,) = esmf_predict([e], model, 0)
         center, shape = self.closed_form(e, model)
         assert np.array_equal(got.center, center)
         assert np.array_equal(got.shape, shape)
@@ -148,7 +148,7 @@ class TestExactLinearPrediction:
         calls = self.counted(monkeypatch)
         scenario = build_scenario("radar")
         e = initial_estimate(scenario, np.random.default_rng(30))
-        esmf_predict(e, build_model(scenario), 0)
+        esmf_predict([e], build_model(scenario), 0)
         assert calls == {"remainder_bound_f": 0, "add_remainder": 0}
 
     def test_undeclared_linear_model_bounds_its_remainder(self, monkeypatch):
@@ -156,7 +156,7 @@ class TestExactLinearPrediction:
         f_mat = np.array([[1.0, 0.1], [0.0, 1.0]])
         model = linear_model(f_mat, np.eye(2)[:1], 0.05 * np.eye(2), np.array([[0.1]]))
         assert model.F is None
-        esmf_predict(Ellipsoid([1.0, -0.5], 0.5 * np.eye(2)), model, 0)
+        esmf_predict([Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))], model, 0)
         assert calls == {"remainder_bound_f": 1, "add_remainder": 1}
 
 
@@ -182,16 +182,16 @@ class TestDeclaredJacobians:
         )
         e = Ellipsoid([1.0, 2.0], np.eye(2))
         with pytest.raises(ValueError, match="f_jac"):
-            esmf_predict(e, model, 0)
+            esmf_predict([e], model, 0)
         with pytest.raises(ValueError, match="h_jac"):
-            esmf_update(e, model, np.array([1.0, 2.0]))
+            esmf_update([e], model, np.array([[1.0, 2.0]]))
         model = replace(model, f_jac=lambda x, k: np.eye(2), h_jac=lambda x: np.eye(2))
         with pytest.raises(ValueError, match="f_remainder"):
-            esmf_predict(e, model, 0)
+            esmf_predict([e], model, 0)
         with pytest.raises(ValueError, match="h_remainder"):
-            esmf_update(e, model, np.array([1.0, 2.0]))
+            esmf_update([e], model, np.array([[1.0, 2.0]]))
         # Declared linear dynamics need no f_remainder.
-        esmf_predict(e, replace(model, F=np.eye(2)), 0)
+        esmf_predict([e], replace(model, F=np.eye(2)), 0)
 
 
 def dense_remainder(e, fn, jac, rng, m=8000):
@@ -289,6 +289,19 @@ class TestRemainderBound:
         out = add_remainder(np.diag([1.0, 1e-30]), [1.0, 0.0])
         assert out[1, 1] > (1e-12) ** 2
         assert np.linalg.eigvalsh(out).min() > 0
+
+    def test_rows_of_half_widths_are_each_row_alone(self):
+        # Stacked rows inflate the bound row by row with the bits of a
+        # row alone; a row with no remainder keeps the noise bound.
+        rng = np.random.default_rng(35)
+        q = random_spd(rng, 3)
+        rows = rng.uniform(0.0, 2.0, (5, 3)) * 10.0 ** rng.integers(-4, 2, (5, 1))
+        rows[1, 2], rows[3] = 0.0, 0.0
+        got = add_remainder(q, rows)
+        assert got.shape == (5, 3, 3)
+        for half, out in zip(rows, got, strict=True):
+            assert np.array_equal(out, add_remainder(q, half))
+        assert np.array_equal(got[3], q)
 
     def test_esmf_inflation_matches_the_covering_sum(self):
         # add_remainder is the covering sum of the noise bound and
@@ -446,13 +459,13 @@ class TestEsmf:
         model = linear_model(f_mat, h_mat, q, r)
         e0 = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
         y = np.array([1.2])
-        updated, params = esmf_update(
-            Ellipsoid(f_mat @ e0.center,
-                      symmetrize(f_mat @ e0.shape @ f_mat.T) + 0.0), model, y,
+        (updated,), params = esmf_update(
+            [Ellipsoid(f_mat @ e0.center,
+                       symmetrize(f_mat @ e0.shape @ f_mat.T) + 0.0)], model, y[None],
         )
         # Oracle at the same rho on the same prediction.
         pred = Ellipsoid(f_mat @ e0.center, f_mat @ e0.shape @ f_mat.T)
-        center, shape, _ = fuse(pred, Ellipsoid(y, r), h_mat, params.rho)
+        center, shape, _ = fuse(pred, Ellipsoid(y, r), h_mat, params.rho[0])
         np.testing.assert_allclose(updated.center, center, atol=1e-10)
         np.testing.assert_allclose(updated.shape, shape, atol=1e-10)
 
@@ -466,7 +479,7 @@ class TestEsmf:
         model = linear_model(f_mat, h_mat, q, r)
         e0 = Ellipsoid([1.0, -0.5], 0.5 * np.eye(2))
         y = np.array([1.2])
-        updated = esmf_step(e0, model, y, 0)
+        (updated,) = esmf_step([e0], model, y[None], 0)
 
         lin_shape = f_mat @ e0.shape @ f_mat.T
         p_star = optimal_p(lin_shape, q)
@@ -488,20 +501,20 @@ class TestEsmf:
         h_mat = np.array([[1.0, 0.0]])
         model = linear_model(np.eye(2), h_mat, 0.01 * np.eye(2), 0.1 * np.eye(1))
         pred = Ellipsoid([0.0, 0.0], np.eye(2))
-        esmf_update(pred, model, np.array([0.2]))
+        esmf_update([pred], model, np.array([[0.2]]))
         assert len(calls) == 1
 
     def test_a_non_finite_predicted_center_raises(self):
         model = replace(linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2)),
                         f=lambda x, k: np.full(2, np.nan))
         with pytest.raises(ValueError, match="center has a non-finite entry"):
-            esmf_predict(Ellipsoid([0.0, 0.0], np.eye(2)), model, 0)
+            esmf_predict([Ellipsoid([0.0, 0.0], np.eye(2))], model, 0)
 
     @pytest.mark.parametrize("name", ["radar", "robot"])
     def test_prediction_carries_the_factor_of_its_shape(self, name):
         scenario = build_scenario(name)
-        pred = esmf_predict(initial_estimate(scenario, np.random.default_rng(33)),
-                            build_model(scenario), 0)
+        (pred,) = esmf_predict([initial_estimate(scenario, np.random.default_rng(33))],
+                               build_model(scenario), 0)
         assert np.array_equal(pred.factor(), np.linalg.cholesky(pred.shape))
         checked = Ellipsoid(pred.center, pred.shape)
         assert np.array_equal(checked.shape, pred.shape)
@@ -530,7 +543,7 @@ class TestEsmf:
 
         rng = np.random.default_rng(5)
         e0 = Ellipsoid([0.5, -0.2], 0.4 * np.eye(2))
-        pred = esmf_predict(e0, model, 0)
+        (pred,) = esmf_predict([e0], model, 0)
         pts = sample_interior(e0, 500, rng)
         w = sample_interior(Ellipsoid(np.zeros(2), model.Q), 500, rng)
         prop = model.f(pts, 0) + w

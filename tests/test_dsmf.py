@@ -672,7 +672,7 @@ class TestOptimizeRho:
             pred, meas, e_p = random_pair(rng, n, int(rng.integers(1, n + 1)))
             delta = np.array([fuse(pred, meas, e_p, float(r))[2] for r in rhos])
             assert np.diff(delta, 2).max() <= 1e-12 * max(delta.max(), 1.0)
-            _, s2, h2, _ = dsmf._joint_diag(pred, meas, e_p)
+            s2, h2 = dsmf._joint_diag(pred, meas, e_p)[2:4]
             assert delta.max() <= (h2 / (1.0 + np.sqrt(s2)) ** 2).sum() * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("excess, empty", [(1e-7, True), (-1e-7, False)])
@@ -852,6 +852,70 @@ class TestJointDiagMemo:
         assert not same_bits(fused[0], before[0])
         cold = self.cold_fuse(monkeypatch, pred, meas, e_p.copy(), rho)
         assert all(same_bits(a, b) for a, b in zip(fused, cold))
+
+
+class TestStackedFusion:
+    """optimize_rho, fuse and the update on R pairs at once: each pair's
+    rho, delta, center and shape have the bits of the pair alone."""
+
+    @staticmethod
+    def pairs(count, shared):
+        """count random pairs, each with a common point, as two lists, the
+        list of their maps E_p and what fuse takes: one E_p (shared) or
+        the (count, 2, 4) stack."""
+        rng = np.random.default_rng(50 + count + 10 * shared)
+        pairs = [random_pair(rng, 4, 2) for _ in range(count)]
+        if shared:  # one E_p for every pair, each pair about its own witness
+            e_p, pairs = pairs[0][2], []
+            for _ in range(count):
+                witness = rng.standard_normal(4)
+                pairs.append((Ellipsoid(witness + 0.2 * rng.standard_normal(4),
+                                        random_spd(rng, 4)),
+                              Ellipsoid(e_p @ witness + 0.2 * rng.standard_normal(2),
+                                        random_spd(rng, 2)), e_p))
+        preds, meas, maps = (list(side) for side in zip(*pairs))
+        return preds, meas, maps, maps[0] if shared else np.array(maps)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_a_stack_gives_each_pair_its_solo_bits(self, count, shared):
+        preds, meas, maps, e_p = self.pairs(count, shared)
+        params = optimize_rho(preds, meas, e_p)
+        center, shape, deltas = fuse(preds, meas, e_p, params.rho)
+        assert len(params.rho) == len(params.delta) == len(deltas) == count
+        for i in range(count):
+            solo = optimize_rho(preds[i], meas[i], maps[i])
+            assert isinstance(solo.rho, float) and isinstance(solo.delta, float)
+            assert params.rho[i] == solo.rho and params.delta[i] == solo.delta
+            want = fuse(preds[i], meas[i], maps[i], solo.rho)
+            assert same_bits(center[i], want[0]) and same_bits(shape[i], want[1])
+            assert deltas[i] == want[2] == solo.delta
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_stacked_update_is_each_update_alone(self, count):
+        preds, meas, maps, e_p = self.pairs(count, False)
+        updated, params = dsmf._update(preds, meas, e_p)
+        for i, e in enumerate(updated):
+            want, solo = dsmf._update(preds[i], meas[i], maps[i])
+            assert params.rho[i] == solo.rho
+            for a, b in ((e.center, want.center), (e.shape, want.shape),
+                         (e.factor(), want.factor())):
+                assert same_bits(a, b)
+
+    def test_one_empty_pair_fails_the_stack(self):
+        preds, meas, maps, e_p = self.pairs(3, False)
+        far = Ellipsoid(meas[1].center + 1e4, meas[1].shape)
+        with pytest.raises(EmptyIntersectionError):
+            optimize_rho(preds[1], far, maps[1])
+        with pytest.raises(EmptyIntersectionError):
+            optimize_rho(preds, [meas[0], far, meas[2]], e_p)
+
+    def test_pairs_that_do_not_pair_up_are_refused(self):
+        preds, meas, maps, e_p = self.pairs(3, False)
+        with pytest.raises(ValueError, match="E_p is"):
+            optimize_rho(preds, meas[:2], e_p)
+        with pytest.raises(ValueError, match="E_p is"):
+            optimize_rho(preds, meas, e_p[:2])
 
 
 class TestStep:

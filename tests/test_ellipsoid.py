@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from smfilter.ellipsoid import (
     Ellipsoid,
+    Stack,
+    _stacked,
     contains,
     covering_sum,
     ellipsoids,
@@ -170,6 +172,32 @@ class TestStacks:
             Ellipsoid(centers[1], shapes[1])
         with pytest.raises(error, match=match):
             ellipsoids(centers, shapes)
+
+    def test_a_stack_keeps_its_arrays_and_makes_each_set_once(self):
+        rng = np.random.default_rng(33)
+        shapes, centers = self.stack(rng), rng.standard_normal((6, 4))
+        got = ellipsoids(centers, shapes)
+        assert isinstance(got, Stack) and len(got) == 6
+        # The stacks are the arrays it was given, now read-only, and not copied.
+        kept = _stacked(got)
+        assert kept[0] is centers and not centers.flags.writeable
+        assert all(not a.flags.writeable for a in kept)
+        assert got[2] is got[2] and list(got)[2] is got[2]
+        assert [e.center.tolist() for e in got[1:3]] == centers[1:3].tolist()
+        # A list of sets is stacked, row r being set r.
+        again = _stacked(list(got))
+        assert all(same_bits(a, b) for a, b in zip(again, kept, strict=True))
+
+    def test_covering_sums_of_a_stack_are_each_sum_alone(self):
+        rng = np.random.default_rng(34)
+        a, b = self.stack(rng), random_spd(rng, 4)
+        a = symmetrize(a)
+        p = optimal_p(a, b)
+        assert p.shape == (6,)
+        got = covering_sum(a, b, p)
+        for a_r, p_r, out in zip(a, p, got, strict=True):
+            assert p_r == optimal_p(a_r, b)
+            assert same_bits(out, covering_sum(a_r, b, optimal_p(a_r, b)))
 
 
 class TestContains:

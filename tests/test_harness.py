@@ -18,7 +18,8 @@ from smfilter.cli import main as cli_main
 from smfilter.baselines import esmf_predict, esmf_step
 from smfilter.dsmf import FilterOptions, StepRecord, _prediction_start, predict, step
 from smfilter.ellipsoid import Ellipsoid, contains
-from smfilter.errors import ConfigError, EmptyIntersectionError, RankDeficiencyError, SpdError
+from smfilter.errors import (ConfigError, EmptyIntersectionError, NumericalError,
+                             RankDeficiencyError, SpdError)
 from smfilter.harness import (
     RunConfig,
     affine_fit_r2,
@@ -361,6 +362,66 @@ class TestRunExperiment:
                         assert a.center.tobytes() == b.center.tobytes()
                         assert a.shape.tobytes() == b.shape.tobytes()
 
+    @staticmethod
+    def esmf_alone(e0, model, ys):
+        """The esmf sets of one run stepped alone, a batch of one, carried
+        by its prediction at a step that raises NumericalError; and the
+        number of such steps."""
+        sets, failures, e = [], 0, e0
+        for k in range(len(ys)):
+            try:
+                (e,) = esmf_step([e], model, ys[k:k + 1], k)
+            except NumericalError:
+                failures += 1
+                (e,) = esmf_predict([e], model, k)
+            sets.append(e)
+        return sets, failures
+
+    @staticmethod
+    def e0s_of(monkeypatch):
+        """The initial sets run_experiment draws, in run order."""
+        e0s, real = [], harness.initial_estimate
+
+        def initial(*args):
+            e0s.append(real(*args))
+            return e0s[-1]
+
+        monkeypatch.setattr(harness, "initial_estimate", initial)
+        return e0s
+
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    @pytest.mark.parametrize("scenario", ["radar", "robot"])
+    def test_each_run_s_esmf_sets_are_its_sets_alone(self, monkeypatch, scenario, runs):
+        # esmf steps all runs in one stacked call per step; every run's sets
+        # must be, bit for bit, those of the run stepped alone.
+        e0s = self.e0s_of(monkeypatch)
+        result = run_experiment(RunConfig(scenario=scenario, filters=("esmf",), runs=runs,
+                                          steps=6, master_seed=23))
+        assert len(e0s) == runs
+        for e0, run in zip(e0s, result.runs, strict=True):
+            want, failures = self.esmf_alone(e0, result.model, run.measurements)
+            assert failures == run.filters["esmf"].failures == 0
+            for a, b in zip(run.filters["esmf"].sets, want, strict=True):
+                assert np.array_equal(a.center, b.center)
+                assert np.array_equal(a.shape, b.shape)
+
+    def test_the_esmf_steps_every_run_in_one_call_per_step(self, monkeypatch):
+        # As the ukf: one esmf_step call per step on all runs' sets, and
+        # each run's time for the step is that call's time divided by R.
+        calls, real = [], harness.esmf_step
+
+        def counted(beliefs, model, ys, k):
+            calls.append((len(beliefs), ys.shape, k))
+            return real(beliefs, model, ys, k)
+
+        monkeypatch.setattr(harness, "esmf_step", counted)
+        monkeypatch.setattr(harness, "time", SimpleNamespace(
+            perf_counter=itertools.count().__next__))
+        result = run_experiment(RunConfig(scenario="robot", filters=("esmf",), runs=3,
+                                          steps=4, master_seed=2))
+        assert calls == [(3, (3, 2), k) for k in range(4)]
+        assert [run.filters["esmf"].times.tolist() for run in result.runs] == [[1 / 3] * 4] * 3
+
     def test_the_ukf_steps_every_run_in_one_call_per_step(self, monkeypatch):
         # One ukf_step call per step, on all runs' beliefs and an (R, l)
         # array of their measurements; each run's time for the step is that
@@ -554,10 +615,10 @@ class TestCarriedFailure:
                 raise EmptyIntersectionError("disjoint", delta=1.0)
             return step(e, model, y, k, opts, start)
 
-        def esmf(e, model, y, k):
+        def esmf(beliefs, model, ys, k):
             if k == 1:
                 raise EmptyIntersectionError("disjoint", delta=1.0)
-            return esmf_step(e, model, y, k)
+            return esmf_step(beliefs, model, ys, k)
 
         monkeypatch.setattr(harness, "step", dsmf_step)
         monkeypatch.setattr(harness, "esmf_step", esmf)
@@ -572,7 +633,7 @@ class TestCarriedFailure:
         opts = FilterOptions(m_samples=config.m_samples, tol=config.tol)
         dsmf_log, esmf_log = (res.runs[0].filters[n] for n in ("dsmf", "esmf"))
         want = {"dsmf": predict(dsmf_log.sets[0], model, 1, opts)[0],
-                "esmf": esmf_predict(esmf_log.sets[0], model, 1)}
+                "esmf": esmf_predict(esmf_log.sets[:1], model, 1)[0]}
         for name, log in (("dsmf", dsmf_log), ("esmf", esmf_log)):
             np.testing.assert_array_equal(log.sets[1].center, want[name].center)
             np.testing.assert_array_equal(log.sets[1].shape, want[name].shape)
@@ -593,13 +654,49 @@ class TestCarriedFailure:
 
         def fuse(pred, meas, e_p, rho):
             center, shape, delta = real_fuse(pred, meas, e_p, rho)
-            return center, bad * np.eye(shape.shape[0]), delta
+            return center, np.broadcast_to(bad * np.eye(shape.shape[-1]), shape.shape), delta
 
         monkeypatch.setattr(dsmf, "fuse", fuse)
         res = run_experiment(RunConfig(**self.CONFIG))
         assert res.failures == {"dsmf": 4, "esmf": 4}
         with pytest.raises(SpdError, match="fused shape"):
             run_experiment(RunConfig(on_empty="raise", **self.CONFIG))
+
+    @pytest.mark.parametrize("on_empty", ["carry", "raise"])
+    def test_one_empty_run_of_a_batch_is_carried_alone(self, monkeypatch, on_empty):
+        # Run 1 measures a range 5 km off at step 2, which no esmf set can
+        # meet.  The stacked step raises, each run is stepped again alone,
+        # and only run 1 is carried; every run's sets are its sets alone.
+        # Under on_empty = raise the batch raises the empty intersection.
+        e0s, truths = TestRunExperiment.e0s_of(monkeypatch), []
+
+        def far_off(*args, **kwargs):
+            truth, ys = simulate_truth(*args, **kwargs)
+            truths.append(truth)
+            if len(truths) == 2:
+                ys = ys.copy()
+                ys[2, 0] += 5000.0
+            return truth, ys
+
+        monkeypatch.setattr(harness, "simulate_truth", far_off)
+        config = RunConfig(scenario="radar", filters=("esmf",), runs=3, steps=5,
+                           master_seed=4, on_empty=on_empty)
+        if on_empty == "raise":
+            with pytest.raises(EmptyIntersectionError):
+                run_experiment(config)
+            return
+        result = run_experiment(config)
+        assert result.failures == {"esmf": 1}
+        assert [run.filters["esmf"].failures for run in result.runs] == [0, 1, 0]
+        for e0, run in zip(e0s, result.runs, strict=True):
+            want, failures = TestRunExperiment.esmf_alone(e0, result.model, run.measurements)
+            assert failures == run.filters["esmf"].failures
+            for a, b in zip(run.filters["esmf"].sets, want, strict=True):
+                assert np.array_equal(a.center, b.center)
+                assert np.array_equal(a.shape, b.shape)
+        carried = result.runs[1].filters["esmf"]
+        (want,) = esmf_predict([carried.sets[1]], result.model, 2)
+        assert np.array_equal(carried.sets[2].shape, want.shape)
 
     def test_raise_reraises(self, failing):
         with pytest.raises(EmptyIntersectionError):
