@@ -28,8 +28,8 @@ from .ellipsoid import (Ellipsoid, Stack, _formed, _stacked, covering_sum, ellip
 
 def uniform_covariance(shape: np.ndarray) -> np.ndarray:
     """Covariance of a uniform draw over the centered ellipsoid with this
-    shape: shape / (dim + 2)."""
-    return shape * (1.0 / (shape.shape[0] + 2.0))
+    shape, shape / (dim + 2); or of each shape of an (R, n, n) stack."""
+    return shape * (1.0 / (shape.shape[-1] + 2.0))
 
 
 def add_remainder(noise_shape: np.ndarray, half) -> np.ndarray:

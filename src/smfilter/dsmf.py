@@ -60,7 +60,9 @@ class SystemModel:
     """Dynamics, measurement maps and noise bounds for one filtering problem.
 
     All maps are vectorized over a leading batch axis: f and h take (..., n)
-    states; h_inv takes one measurement y, a read-only (..., l) batch of
+    states, and give each state of a batch the bits of a call on it alone,
+    which the lockstep roll-out of all runs (scenarios.simulate_truth)
+    relies on; h_inv takes one measurement y, a read-only (..., l) batch of
     noise samples and a tuple of (...,) auxiliary parameter arrays,
     returning (..., r) projected-state points with E_p x = h_inv(y - v).
 
@@ -79,7 +81,9 @@ class SystemModel:
     whose inverse needs extra state information (None when the inverse
     depends on y and v only).  Q and R are copied read-only and checked as
     an Ellipsoid's shape is (_checked): an asymmetric one is a ValueError,
-    not averaged into another bound than the one declared.
+    not averaged into another bound than the one declared.  The Cholesky
+    factors of that check are kept, read-only, as _q_factor and _r_factor,
+    so that the noise balls {0, Q} and {0, R} are never checked again.
     """
 
     f: Callable[[np.ndarray, int], np.ndarray]
@@ -94,7 +98,8 @@ class SystemModel:
     h_remainder: Callable[[Ellipsoid], np.ndarray] | None = None
     aux_from_predicted: Callable[[Ellipsoid], np.ndarray] | None = None
     F: np.ndarray | None = None
-    # The Cholesky factor of R, from the check of R in __post_init__.
+    # The Cholesky factors of Q and R, from their checks in __post_init__.
+    _q_factor: np.ndarray = field(init=False, repr=False, compare=False)
     _r_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -102,11 +107,10 @@ class SystemModel:
             bound = np.array(getattr(self, name), dtype=float)
             if bound.ndim != 2 or bound.shape[0] != bound.shape[1]:
                 raise ValueError(f"{name} is {bound.shape}, expected a square matrix")
-            bound, factor = _checked(np.zeros(len(bound)), bound, what)
-            bound.setflags(write=False)
-            object.__setattr__(self, name, bound)
-        factor.setflags(write=False)
-        object.__setattr__(self, "_r_factor", factor)  # R is checked last
+            for attr, arr in zip((name, f"_{name.lower()}_factor"),
+                                 _checked(np.zeros(len(bound)), bound, what)):
+                arr.setflags(write=False)
+                object.__setattr__(self, attr, arr)
         n = self.state_dim
         if self.F is not None:
             f_mat = np.array(self.F, dtype=float)

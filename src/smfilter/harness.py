@@ -27,7 +27,7 @@ from . import scenarios as sc
 from .baselines import esmf_predict, esmf_step, esmf_update, ukf_step, uniform_covariance
 from .dsmf import (FilterOptions, SystemModel, _prediction_start, _update,
                    measurement_ellipsoid, predict, step)
-from .ellipsoid import Ellipsoid, sample_interior
+from .ellipsoid import Ellipsoid, _stacked, ellipsoids, sample_interior
 from .errors import ConfigError, NumericalError
 from .mvee import fw_solve
 from .scenarios import RangeBearing, build_model, build_scenario, initial_estimate, simulate_truth
@@ -249,8 +249,9 @@ def _run_filter(name: str, config: RunConfig, opts: FilterOptions, model,
                 e0s: list[Ellipsoid], truths: np.ndarray, measurements: np.ndarray,
                 first) -> list[FilterRunLog]:
     """Step one filter through all runs in one loop over the steps, run r
-    from e0s[r] (the ukf from the three-sigma set of a uniform draw over it)
-    on truths[r] and measurements[r].  The ukf and esmf make one stacked
+    from e0s[r] on truths[r] and measurements[r]; the ukf from the
+    three-sigma set of a uniform draw over each e0, all made by one stacked
+    ellipsoids call.  The ukf and esmf make one stacked
     call per step, ukf_step or esmf_step, on every run's set, and each
     run's time is that step's time divided by R; dsmf steps the runs one by
     one.  A ukf error propagates.  When a stacked esmf call raises
@@ -263,8 +264,10 @@ def _run_filter(name: str, config: RunConfig, opts: FilterOptions, model,
     from its design optimum, after a carried step or with no nominal
     weights."""
     runs, steps = measurements.shape[:2]
-    states = ([Ellipsoid(e0.center, 9.0 * uniform_covariance(e0.shape)) for e0 in e0s]
-              if name == "ukf" else list(e0s))
+    states = list(e0s)
+    if name == "ukf":
+        centers, shapes, _ = _stacked(e0s)
+        states = ellipsoids(centers, 9.0 * uniform_covariance(shapes))
     starts = [None if first is None else (first, None)] * runs
     sets, records, times, failures = [], [], np.empty((steps, runs)), [0] * runs
 
@@ -369,7 +372,11 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     """Simulate truth and run every requested filter for each replicate.
 
     Deterministic given the config: replicate r uses seed mix(master_seed, r)
-    for its truth and initial set.  No filter draws random numbers, so the
+    for its truth and initial set, drawn from its own generator.  All runs
+    are set up together: one lockstep roll-out of every run's truth
+    (simulate_truth on the R generators), then each run's e0 drawn on the
+    factor of the nominal set (initial_estimate), so no run-invariant set
+    is checked again.  No filter draws random numbers, so the
     sets of a filter do not depend on which other filters run, or in which
     order.  The config is checked first, as validate checks it (_set_up):
     each failure raises ConfigError.  One model serves the whole
@@ -389,15 +396,10 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
             first = _prediction_start(nominal, model, opts)
         except NumericalError:
             pass
-    truths, measurements, e0s = [], [], []
-    for seed in seeds:
-        truth_rng = np.random.default_rng([seed, 0])
-        truth, ys = simulate_truth(scenario, model, truth_rng, steps=steps)
-        truths.append(truth)
-        measurements.append(ys)
-        e0s.append(initial_estimate(scenario, truth_rng))
-    stacked = np.array(truths), np.array(measurements)
-    logs = {name: _run_filter(name, config, opts, model, e0s, *stacked, first)
+    rngs = [np.random.default_rng([seed, 0]) for seed in seeds]
+    truths, measurements = simulate_truth(scenario, model, rngs, steps=steps)
+    e0s = initial_estimate(scenario, rngs, nominal)
+    logs = {name: _run_filter(name, config, opts, model, e0s, truths, measurements, first)
             for name in config.filters}
     failures = {name: sum(log.failures for log in logs[name]) for name in config.filters}
     runs = [RunLog(r, seed, truths[r], measurements[r], {name: logs[name][r] for name in logs})

@@ -7,6 +7,7 @@ computed with atan2 so the stated inverse maps round-trip exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import pi, sin
 
@@ -288,35 +289,54 @@ def build_model(scenario) -> SystemModel:
     raise TypeError(f"unknown scenario type {type(scenario).__name__}")
 
 
-def simulate_truth(scenario, model: SystemModel, rng: np.random.Generator,
+def simulate_truth(scenario, model: SystemModel,
+                   rng: np.random.Generator | Sequence[np.random.Generator],
                    steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Roll out the true trajectory and the measurements the filter sees,
-    under model, the scenario's SystemModel (build_model).
+    under model, the scenario's SystemModel (build_model), of one run; or,
+    when rng is a sequence of R generators, of R runs in lockstep.
 
-    Process and measurement noises are drawn uniformly over the interiors
-    of their bound ellipsoids, so every draw satisfies its bound by
-    construction.  Returns (trajectory, measurements) with trajectory of
-    length steps+1 (row 0 is x0) and measurements[k] belonging to
-    trajectory[k+1].
+    Each generator draws its run's process noises, then its measurement
+    noises, uniformly over the interiors of the noise balls {0, Q} and
+    {0, R}, on the factors the model keeps, so every draw satisfies its
+    bound by construction.  The runs are rolled forward by one call of f
+    per step on the (R, n) stack of their states, and measured by one call
+    of h on the (R, steps, n) stack of their trajectories; f and h map each
+    state as a call on it alone would (SystemModel), so a run's bits do not
+    depend on the others.  Returns (trajectory, measurements) with
+    trajectory of length steps+1 (row 0 is x0) and measurements[k]
+    belonging to trajectory[k+1]; for a sequence of generators, their
+    (R, steps + 1, n) and (R, steps, l) stacks.
     """
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else rng
     n_steps = scenario.steps if steps is None else steps
-    w_ball = Ellipsoid(np.zeros(model.state_dim), model.Q)
-    v_ball = Ellipsoid(np.zeros(model.meas_dim), model.R)
-    ws = sample_interior(w_ball, n_steps, rng)
-    vs = sample_interior(v_ball, n_steps, rng)
-    traj = np.empty((n_steps + 1, model.state_dim))
-    traj[0] = np.asarray(scenario.x0, dtype=float)
+    w_ball = Ellipsoid._from_factor(np.zeros(model.state_dim), model.Q, model._q_factor)
+    v_ball = Ellipsoid._from_factor(np.zeros(model.meas_dim), model.R, model._r_factor)
+    ws = np.array([sample_interior(w_ball, n_steps, g) for g in rngs])
+    vs = np.array([sample_interior(v_ball, n_steps, g) for g in rngs])
+    traj = np.empty((len(rngs), n_steps + 1, model.state_dim))
+    traj[:, 0] = np.asarray(scenario.x0, dtype=float)
     for k in range(n_steps):
-        traj[k + 1] = model.f(traj[k], k) + ws[k]
-    return traj, model.h(traj[1:]) + vs
+        traj[:, k + 1] = model.f(traj[:, k], k) + ws[:, k]
+    ys = model.h(traj[:, 1:]) + vs
+    return (traj[0], ys[0]) if one else (traj, ys)
 
 
-def initial_estimate(scenario, rng: np.random.Generator) -> Ellipsoid:
-    """Initial state ellipsoid: the preset P0 around a center disturbed
-    uniformly within {x0, init_offset * P0}; it holds the true initial state
-    x0 when 0 < init_offset <= 1, which RunConfig checks before any run."""
-    x0 = np.asarray(scenario.x0, dtype=float)
-    p0 = scenario.P0
-    ball = Ellipsoid(x0, scenario.init_offset * p0)
-    center = sample_interior(ball, 1, rng)[0]
-    return Ellipsoid(center, p0)
+def initial_estimate(scenario, rng: np.random.Generator | Sequence[np.random.Generator],
+                     nominal: Ellipsoid | None = None):
+    """Initial state ellipsoid of one run: the nominal set {x0, P0} moved to
+    a center drawn uniformly within {x0, init_offset * P0}; it holds the
+    true initial state x0 when 0 < init_offset <= 1, which RunConfig checks
+    before any run.  When rng is a sequence of generators, the list of each
+    one's set, the ball {x0, init_offset * P0} made once.  Every set is
+    {center, P0} on the factor of nominal, the checked set {x0, P0}, made
+    here when not given."""
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else rng
+    if nominal is None:
+        nominal = Ellipsoid(scenario.x0, scenario.P0)
+    ball = Ellipsoid(nominal.center, scenario.init_offset * nominal.shape)
+    sets = [Ellipsoid._from_factor(sample_interior(ball, 1, g)[0], nominal.shape,
+                                   nominal.factor()) for g in rngs]
+    return sets[0] if one else sets

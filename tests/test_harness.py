@@ -379,12 +379,14 @@ class TestRunExperiment:
 
     @staticmethod
     def e0s_of(monkeypatch):
-        """The initial sets run_experiment draws, in run order."""
+        """The initial sets run_experiment draws, in run order, all in one
+        call of initial_estimate on every run's generator."""
         e0s, real = [], harness.initial_estimate
 
         def initial(*args):
-            e0s.append(real(*args))
-            return e0s[-1]
+            assert not e0s, "initial_estimate was called twice"
+            e0s.extend(real(*args))
+            return e0s
 
         monkeypatch.setattr(harness, "initial_estimate", initial)
         return e0s
@@ -447,17 +449,20 @@ class TestRunExperiment:
         assert out[0] == pytest.approx(np.log(6.0)) and out[1:].tolist() == [-np.inf, -np.inf]
         assert float(harness._logdet(np.diag([-1.0, 2.0]))) == -np.inf
 
-    def test_one_truth_simulation_per_run(self, monkeypatch):
-        # The config's truth probe belongs to validate, not to every call.
+    def test_one_truth_roll_out_per_experiment(self, monkeypatch):
+        # Every run's truth comes from one lockstep roll-out, which carries
+        # each run's generator, seeded as mix_seed gives it.
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate_truth(*args, **kwargs)
+        def counted(scenario, model, rngs, **kwargs):
+            calls.append([g.bit_generator.state for g in rngs])  # as yet undrawn
+            return simulate_truth(scenario, model, rngs, **kwargs)
 
         monkeypatch.setattr(harness, "simulate_truth", counted)
-        run_experiment(RunConfig(filters=("ukf",), runs=3, steps=2))
-        assert len(calls) == 3
+        result = run_experiment(RunConfig(filters=("ukf",), runs=3, steps=2, master_seed=8))
+        assert calls == [[np.random.default_rng([seed, 0]).bit_generator.state
+                          for seed in result.seeds]]
+        assert [run.truth.shape for run in result.runs] == [(3, 4)] * 3
 
     def test_unvalidated_wrong_length_override_is_a_config_error(self):
         # An override the model reads is checked when the model is built:
@@ -668,15 +673,13 @@ class TestCarriedFailure:
         # meet.  The stacked step raises, each run is stepped again alone,
         # and only run 1 is carried; every run's sets are its sets alone.
         # Under on_empty = raise the batch raises the empty intersection.
-        e0s, truths = TestRunExperiment.e0s_of(monkeypatch), []
+        e0s = TestRunExperiment.e0s_of(monkeypatch)
 
         def far_off(*args, **kwargs):
-            truth, ys = simulate_truth(*args, **kwargs)
-            truths.append(truth)
-            if len(truths) == 2:
-                ys = ys.copy()
-                ys[2, 0] += 5000.0
-            return truth, ys
+            truths, ys = simulate_truth(*args, **kwargs)
+            ys = ys.copy()
+            ys[1, 2, 0] += 5000.0  # run 1's range at step 2
+            return truths, ys
 
         monkeypatch.setattr(harness, "simulate_truth", far_off)
         config = RunConfig(scenario="radar", filters=("esmf",), runs=3, steps=5,
@@ -748,8 +751,8 @@ class TestCarriedFailure:
         e0s, starts, real_initial = [], [], harness.initial_estimate
 
         def initial(*args):
-            e0s.append(real_initial(*args))
-            return e0s[-1]
+            e0s.extend(real_initial(*args))
+            return e0s
 
         def first(beliefs, model, ys, k):
             starts.extend(beliefs)

@@ -141,6 +141,16 @@ def test_model_contract(preset):
                                        sample_interior(pred, 500, rng)])[:, 2]
             slack = 1e-12 * (1.0 + abs(x[2]))
             assert lo - slack <= headings.min() and headings.max() <= hi + slack
+    # f on an (R, n) stack of states and h on an (R, steps, n) stack give
+    # each state the bits of one call on it alone, on strided views as the
+    # lockstep roll-out (simulate_truth) passes them.
+    runs = states.reshape(5, 10, model.state_dim)
+    for k in rng.integers(0, 200, size=3).tolist():
+        column = runs[:, int(k) % 10]
+        assert model.f(column, k).tobytes() == np.array(
+            [model.f(x.copy(), k) for x in column]).tobytes()
+    assert model.h(runs[:, 1:]).tobytes() == np.array(
+        [[model.h(x.copy()) for x in run[1:]] for run in runs]).tobytes()
 
 
 class TestRadarScenarioConstants:
@@ -318,7 +328,9 @@ class TestSimulateTruth:
     @pytest.mark.parametrize("preset", ["radar", "robot"])
     def test_one_measurement_call_matches_the_per_step_loop(self, preset):
         # h over the whole trajectory in one call gives each measurement
-        # bit for bit as one call per step does.
+        # bit for bit as one call per step does.  So does the lockstep
+        # roll-out of R runs, one generator each, and the e0 each generator
+        # draws next is the one initial_estimate draws on it alone.
         sc = build_scenario(preset)
         model = build_model(sc)
         for seed in range(5):
@@ -326,6 +338,22 @@ class TestSimulateTruth:
             want = simulate_truth_by_step(sc, np.random.default_rng(seed), steps=40)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for runs in (2, 5):
+            rngs = [np.random.default_rng([runs, r]) for r in range(runs)]
+            trajs, meas = simulate_truth(sc, model, rngs, steps=40)
+            e0s = initial_estimate(sc, rngs)
+            assert trajs.shape == (runs, 41, model.state_dim)
+            assert meas.shape == (runs, 40, model.meas_dim) and len(e0s) == runs
+            for r in range(runs):
+                alone = np.random.default_rng([runs, r])
+                want = simulate_truth_by_step(sc, alone, steps=40)
+                assert trajs[r].tobytes() == want[0].tobytes()
+                assert meas[r].tobytes() == want[1].tobytes()
+                e0 = initial_estimate(sc, alone)
+                for got, b in ((e0s[r], e0), (e0, Ellipsoid(e0.center, sc.P0))):
+                    assert got.center.tobytes() == b.center.tobytes()
+                    assert got.shape.tobytes() == b.shape.tobytes()
+                    assert got.factor().tobytes() == b.factor().tobytes()
 
     def test_heading_grows_linearly_without_noise(self):
         sc = RobotScenario(q_diag=(1e-30, 1e-30, 1e-30))
