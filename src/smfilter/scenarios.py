@@ -324,7 +324,7 @@ def simulate_truth(scenario, model: SystemModel,
 
 
 def initial_estimate(scenario, rng: np.random.Generator | Sequence[np.random.Generator],
-                     nominal: Ellipsoid | None = None):
+                     nominal: Ellipsoid | None = None) -> Ellipsoid | list[Ellipsoid]:
     """Initial state ellipsoid of one run: the nominal set {x0, P0} moved to
     a center drawn uniformly within {x0, init_offset * P0}; it holds the
     true initial state x0 when 0 < init_offset <= 1, which RunConfig checks

@@ -146,7 +146,7 @@ def test_model_contract(preset):
     # lockstep roll-out (simulate_truth) passes them.
     runs = states.reshape(5, 10, model.state_dim)
     for k in rng.integers(0, 200, size=3).tolist():
-        column = runs[:, int(k) % 10]
+        column = runs[:, k % 10]
         assert model.f(column, k).tobytes() == np.array(
             [model.f(x.copy(), k) for x in column]).tobytes()
     assert model.h(runs[:, 1:]).tobytes() == np.array(
